@@ -1,7 +1,19 @@
 import json
 import math
+import re
+from pathlib import Path
+
+import pytest
 
 from eulertop.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.txt")
+
+
+def golden_runs():
+    """(command line, stdout) pairs; each block of the golden file is headed by its command line."""
+    parts = re.split(r"^\$ eulertop (.*)\n", GOLDEN.read_text(), flags=re.M)
+    return list(zip(parts[1::2], parts[2::2]))
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +35,13 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "bnf", "--kappa", "1/2", "--order", "5")
     _, second, _ = run_cli(capsys, "bnf", "--kappa", "1/2", "--order", "5")
     assert first == second
+
+
+@pytest.mark.parametrize("cmd,expected", golden_runs(), ids=[c for c, _ in golden_runs()])
+def test_output_matches_golden(capsys, cmd, expected):
+    code, out, _ = run_cli(capsys, *cmd.split(" "))
+    assert code == 0
+    assert out == expected
 
 
 def test_bnf_csv_schema(capsys):

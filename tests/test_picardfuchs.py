@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from eulertop.invariants import _SEQUENCES, bnf_via_reversion, extract_sigma
 from eulertop.picardfuchs import (
     assemble_beta_actions,
     build_action_series,
@@ -77,10 +78,21 @@ def test_recursion_equals_closed_form():
     assert frobenius_b(25, "recursion") == frobenius_b(25, "closed_form")
 
 
-def test_numeric_tables_match_symbolic():
-    kappa = Fraction(3, 7)
-    assert [p(kappa) for p in frobenius_a(12)] == frobenius_a_at(kappa, 12)
-    assert [p(kappa) for p in frobenius_b(12)] == frobenius_b_at(kappa, 12)
+@pytest.fixture(scope="module")
+def symbolic_tables():
+    return frobenius_a(12), frobenius_b(12), bnf_via_reversion(9), extract_sigma(9).tail
+
+
+@given(st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9)))
+@example(Fraction(0))
+def test_numeric_tables_match_symbolic(symbolic_tables, kappa):
+    """The fixed-kappa sequences behind the radius experiments are the
+    symbolic tables evaluated at kappa."""
+    a, b, bnf, sigma_tail = symbolic_tables
+    assert [p(kappa) for p in a] == frobenius_a_at(kappa, 12)
+    assert [p(kappa) for p in b] == frobenius_b_at(kappa, 12)
+    assert [c(kappa) for c in bnf.coeffs] == _SEQUENCES["bnf"](kappa, 9)
+    assert [c(kappa) for c in sigma_tail.coeffs] == _SEQUENCES["sigma"](kappa, 9)
 
 
 def test_first_log_coefficient_comes_from_harmonic_factor():

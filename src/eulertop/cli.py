@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,6 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Spell '--opt -3/4' as '--opt=-3/4': argparse reads a separate value that
+    starts with '-' as an option unless it looks like a plain negative number."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _config_from_args(args) -> CommandConfig:
     kappa = None
     inertia = None
@@ -400,7 +413,7 @@ def main(argv=None) -> int:
         return 64
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.command is None:

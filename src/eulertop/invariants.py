@@ -31,19 +31,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .oracle import rho_for_kappa
 from .picardfuchs import (
     BetaAction,
     SymbolicConstant,
+    _a_recursion,
+    _b_recursion,
     assemble_beta_actions,
-    build_action_series,
     frobenius_a_at,
     frobenius_b_at,
 )
 from .series import (
+    KP_KAPPA,
+    KP_ZERO,
     InternalConsistencyError,
     PowerSeries,
     SeriesUsageError,
     compose_trunc,
+    integrate_list,
     log_unit_trunc,
     revert_trunc,
 )
@@ -63,16 +68,47 @@ __all__ = [
 ]
 
 
-def alpha_action(order: int) -> PowerSeries:
-    """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
+# The reversion and the positive-side extraction run on plain coefficient
+# lists over any exact ring: the symbolic tables take kappa = KP_KAPPA and
+# zero = KP_ZERO, the radius experiments a Fraction kappa and zero = Fraction(0).
+
+
+def _alpha(kappa, order: int, zero) -> list:
+    """alpha(h) = 2 pi I_r(h), the integral of T_r, through h^order."""
     if order < 1:
         raise SeriesUsageError("need order >= 1")
-    return build_action_series(order).action_regular.truncate(order)
+    return integrate_list(_a_recursion(kappa, order - 1, zero), zero)
+
+
+def _bnf(kappa, order: int, zero) -> list:
+    """B(J) through J^order, the compositional inverse of alpha."""
+    return revert_trunc(_alpha(kappa, order, zero), order, zero)
+
+
+def _sigma_tail(kappa, bnf: list, order: int, zero) -> list:
+    """sigma(J) - linear_log * J through J^order, from B(J) through J^order or beyond.
+
+    With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
+    2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
+    -J - J log(B/J) - Q(B(J)).
+    """
+    a = _a_recursion(kappa, order - 1, zero)
+    b = _b_recursion(kappa, a, zero)
+    q = integrate_list([b[n] - a[n] * Fraction(1, n + 1) for n in range(order)], zero)
+    j_log_unit = [zero] + log_unit_trunc(bnf[1:], order - 1, zero)
+    tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, order, zero))]
+    tail[1] = tail[1] - 1
+    return tail
+
+
+def alpha_action(order: int) -> PowerSeries:
+    """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
+    return PowerSeries("h", tuple(_alpha(KP_KAPPA, order, KP_ZERO)))
 
 
 def bnf_via_reversion(order: int) -> PowerSeries:
     """Normal form B(J) as the compositional inverse of the regular action."""
-    return alpha_action(order).revert()
+    return PowerSeries("J", tuple(_bnf(KP_KAPPA, order, KP_ZERO)))
 
 
 @dataclass(frozen=True)
@@ -85,15 +121,6 @@ class InvariantReport:
     area_plus: SymbolicConstant
     area_minus: SymbolicConstant
     branch_consistent: bool
-
-
-def _extract_plus(beta: BetaAction, bnf: PowerSeries, order: int):
-    composed = beta.series.action_singular.compose_with_log(bnf)
-    ident = PowerSeries.identity("J", order)
-    if composed.log_part != ident:
-        raise InternalConsistencyError("regular action did not invert to J")
-    tail = -ident - composed.regular_part.truncate(order)
-    return -beta.k1, tail
 
 
 def _extract_minus(beta: BetaAction, bnf: PowerSeries, order: int):
@@ -119,9 +146,10 @@ def extract_sigma(order: int) -> InvariantReport:
     if order < 2:
         raise SeriesUsageError("need order >= 2")
     plus, minus = assemble_beta_actions(order + 1)
-    bnf = bnf_via_reversion(order + 1)
-    lin_plus, tail_plus = _extract_plus(plus, bnf, order)
-    lin_minus, tail_minus = _extract_minus(minus, bnf, order)
+    bnf = _bnf(KP_KAPPA, order + 1, KP_ZERO)
+    lin_plus = -plus.k1
+    tail_plus = PowerSeries("J", tuple(_sigma_tail(KP_KAPPA, bnf, order, KP_ZERO)))
+    lin_minus, tail_minus = _extract_minus(minus, PowerSeries("J", tuple(bnf)), order)
     consistent = (tail_plus == tail_minus) and (lin_plus == lin_minus)
     if not consistent:
         raise InternalConsistencyError(
@@ -157,34 +185,13 @@ class RadiusReport:
     skipped: tuple[int, ...]
 
 
-def _bnf_coefficients_at(kappa: Fraction, nmax: int) -> list[Fraction]:
-    a = frobenius_a_at(kappa, nmax)
-    alpha = [Fraction(0)] + [a[n] * Fraction(1, n + 1) for n in range(nmax)]
-    return revert_trunc(alpha, nmax, Fraction(0))
-
-
-def _sigma_tail_at(kappa: Fraction, nmax: int) -> list[Fraction]:
-    zero = Fraction(0)
-    a = frobenius_a_at(kappa, nmax)
-    b = frobenius_b_at(kappa, nmax)
-    alpha = [zero] + [a[n] * Fraction(1, n + 1) for n in range(nmax)]
-    q = [zero] + [
-        (b[n] - a[n] * Fraction(1, n + 1)) * Fraction(1, n + 1) for n in range(nmax)
-    ]
-    bnf = revert_trunc(alpha, nmax, zero)
-    log_unit = log_unit_trunc(bnf[1:], nmax - 1, zero)
-    j_log_unit = [zero] + log_unit
-    q_of_bnf = compose_trunc(q, bnf, nmax, zero)
-    tail = [-(j_log_unit[n] + q_of_bnf[n]) for n in range(nmax + 1)]
-    tail[1] -= 1
-    return tail
-
-
 _SEQUENCES = {
     "a": lambda kappa, nmax: frobenius_a_at(kappa, nmax),
     "b": lambda kappa, nmax: frobenius_b_at(kappa, nmax),
-    "bnf": _bnf_coefficients_at,
-    "sigma": _sigma_tail_at,
+    "bnf": lambda kappa, nmax: _bnf(kappa, nmax, Fraction(0)),
+    "sigma": lambda kappa, nmax: _sigma_tail(
+        kappa, _bnf(kappa, nmax, Fraction(0)), nmax, Fraction(0)
+    ),
 }
 
 
@@ -214,10 +221,6 @@ def _aitken(xs: Sequence[float]) -> list[float]:
     return out
 
 
-def rho_from_kappa(kappa: float) -> float:
-    return (kappa + math.sqrt(kappa * kappa + 4.0)) / 2.0
-
-
 def radius_analysis(
     kappa: Fraction,
     nmax: int,
@@ -233,7 +236,7 @@ def radius_analysis(
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")
-    rho = rho_from_kappa(float(kappa))
+    rho = rho_for_kappa(float(kappa))
     known = 0.5 * min(rho, 1.0 / rho)
     reports = []
     for name in targets:

@@ -32,7 +32,7 @@ from .picardfuchs import (
     SymbolicConstant,
     assemble_beta_actions,
 )
-from .series import KappaPoly, PowerSeries
+from .series import PowerSeries
 
 __all__ = [
     "ParameterError",
@@ -50,7 +50,6 @@ __all__ = [
     "action_unscaled_quadrature",
     "scaled_energy",
     "constant_value",
-    "kappa_poly_value",
     "power_series_value",
     "beta_action_value",
     "verify_series_numerics",
@@ -370,17 +369,10 @@ def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
         return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
 
 
-def kappa_poly_value(poly: KappaPoly, kappa):
-    acc = mp.mpf(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * kappa + _to_mp(c)
-    return acc
-
-
 def power_series_value(series: PowerSeries, kappa, x):
     acc = mp.mpf(0)
     for c in reversed(series.coeffs):
-        acc = acc * x + kappa_poly_value(c, kappa)
+        acc = acc * x + c(kappa)
     return acc
 
 

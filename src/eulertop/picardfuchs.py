@@ -32,6 +32,10 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
+    _at,
+    add_list,
+    mul_trunc,
+    strip_list,
 )
 
 __all__ = [
@@ -68,48 +72,25 @@ __all__ = [
 # truncation); z-polynomials are lists of such h-polynomials
 
 
-def _hp_add(a, b):
-    n = max(len(a), len(b))
-    get = lambda xs, i: xs[i] if i < len(xs) else KP_ZERO
-    return [get(a, i) + get(b, i) for i in range(n)]
-
-
 def _hp_mul(a, b):
-    out = [KP_ZERO] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _hp_scale(a, c):
-    return [x * c for x in a]
-
-
-def _hp_strip(a):
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
+    return mul_trunc(a, b, len(a) + len(b) - 2, KP_ZERO)
 
 
 def _zp_mul(A, B):
     out = [[] for _ in range(len(A) + len(B) - 1)]
     for i, x in enumerate(A):
         for j, y in enumerate(B):
-            out[i + j] = _hp_add(out[i + j], _hp_mul(x, y))
+            out[i + j] = add_list(out[i + j], _hp_mul(x, y), KP_ZERO)
     return out
 
 
 def _zp_add(A, B):
     n = max(len(A), len(B))
-    get = lambda X, i: X[i] if i < len(X) else []
-    return [_hp_add(get(A, i), get(B, i)) for i in range(n)]
+    return [add_list(_at(A, i, []), _at(B, i, []), KP_ZERO) for i in range(n)]
 
 
 def _zp_coeff(A, j):
-    return _hp_strip(A[j] if j < len(A) else [])
+    return strip_list(_at(A, j, []))
 
 
 @dataclass(frozen=True)
@@ -138,7 +119,7 @@ def derive_pf_coefficients() -> PFCoefficients:
     basis = [
         _zp_mul(sq, two_h_minus_z),                      # c0: (2h - z)^3
         sq,                                              # c1: (2h - z)^2
-        [_hp_scale(p, Fraction(-1)) for p in two_h_minus_z],  # c2: -(2h - z)
+        [[-c for c in p] for p in two_h_minus_z],        # c2: -(2h - z)
         [[KappaPoly.constant(3)]],                       # c3: 3
     ]
     # w^2 = z^3 + kappa z^2 - z and w w' = (1/2) d(w^2)/dz
@@ -150,7 +131,7 @@ def derive_pf_coefficients() -> PFCoefficients:
     ]
     rhs = _zp_add(
         _zp_mul(wwp, two_h_minus_z),
-        [_hp_scale(p, Fraction(3, 2)) for p in w2],
+        [[c * Fraction(3, 2) for c in p] for p in w2],
     )
 
     solution: list = [None] * 4
@@ -160,14 +141,14 @@ def derive_pf_coefficients() -> PFCoefficients:
         for i in range(unknown):
             coeff = _zp_coeff(basis[i], j)
             if coeff and solution[i]:
-                acc = _hp_add(acc, _hp_scale(_hp_mul(coeff, solution[i]), Fraction(-1)))
+                acc = add_list(acc, [-c for c in _hp_mul(coeff, solution[i])], KP_ZERO)
         pivot = _zp_coeff(basis[unknown], j)
         if len(pivot) != 1 or pivot[0].degree > 0:
             raise InternalConsistencyError("linear system for c_i is not triangular")
-        solution[unknown] = _hp_scale(acc, 1 / pivot[0].coefficient(0))
+        solution[unknown] = [c * (1 / pivot[0].coefficient(0)) for c in acc]
 
     def as_series(hp):
-        hp = _hp_strip(hp)
+        hp = strip_list(hp)
         return PowerSeries("h", tuple(hp) if hp else (KP_ZERO,))
 
     return PFCoefficients(*(as_series(s) for s in solution))
@@ -188,6 +169,38 @@ def _pf() -> PFCoefficients:
 # ---------------------------------------------------------------------------
 
 
+# The recursions run over any exact ring: the symbolic tables take
+# kappa = KP_KAPPA and zero = KP_ZERO, the fixed-kappa tables a Fraction kappa
+# and zero = Fraction(0).
+
+
+def _a_recursion(kappa, order: int, zero) -> list:
+    """a_0..a_order from a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) a_{n-2})."""
+    if order < 0:
+        raise SeriesUsageError("table order must be non-negative")
+    out = [zero + 1]
+    for n in range(1, order + 1):
+        t = out[n - 1] * kappa * Fraction(2 * n - 1, 2)
+        if n >= 2:
+            t = t + out[n - 2] * (2 * n - 3)
+        out.append(t * Fraction(2 * n - 1, n * n))
+    return out
+
+
+def _b_recursion(kappa, a: list, zero) -> list:
+    """b_0..b_order of the log solution, given a_0..a_order."""
+    out = [zero]
+    for n in range(1, len(a)):
+        t = kappa * a[n - 1] + kappa * out[n - 1] * Fraction(n * (2 * n - 1), 2)
+        if n >= 2:
+            t = t + out[n - 2] * (n * (2 * n - 3))
+        t = t * (2 * n - 1)
+        if n >= 2:
+            t = t + a[n - 2] * (8 * n - 6)
+        out.append(t * Fraction(1, n**3))
+    return out
+
+
 def frobenius_a(order: int, method: str = "recursion") -> list[KappaPoly]:
     """Coefficients a_0..a_order of the regular solution T_r = sum a_n h^n.
 
@@ -198,13 +211,7 @@ def frobenius_a(order: int, method: str = "recursion") -> list[KappaPoly]:
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     if method == "recursion":
-        out = [KP_ONE]
-        for n in range(1, order + 1):
-            t = out[n - 1] * KP_KAPPA * Fraction(2 * n - 1, 2)
-            if n >= 2:
-                t = t + out[n - 2] * Fraction(2 * n - 3)
-            out.append(t * Fraction(2 * n - 1, n * n))
-        return out
+        return _a_recursion(KP_KAPPA, order, KP_ZERO)
     if method == "closed_form":
         out = []
         for n in range(order + 1):
@@ -244,18 +251,7 @@ def frobenius_b(order: int, method: str = "recursion") -> list[KappaPoly]:
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     if method == "recursion":
-        a = frobenius_a(order, "recursion")
-        out = [KP_ZERO]
-        for n in range(1, order + 1):
-            t = KP_KAPPA * a[n - 1]
-            t = t + KP_KAPPA * out[n - 1] * Fraction(n * (2 * n - 1), 2)
-            if n >= 2:
-                t = t + out[n - 2] * Fraction(n * (2 * n - 3))
-            t = t * Fraction(2 * n - 1)
-            if n >= 2:
-                t = t + a[n - 2] * Fraction(8 * n - 6)
-            out.append(t * Fraction(1, n**3))
-        return out
+        return _b_recursion(KP_KAPPA, frobenius_a(order), KP_ZERO)
     if method == "closed_form":
         H = harmonic_numbers(order)
         O = odd_harmonic_numbers(order)
@@ -276,33 +272,11 @@ def frobenius_b(order: int, method: str = "recursion") -> list[KappaPoly]:
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
     """a_n evaluated at an exact rational kappa (fast path for long tables)."""
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
-    kappa = Fraction(kappa)
-    out = [Fraction(1)]
-    for n in range(1, order + 1):
-        t = out[n - 1] * kappa * Fraction(2 * n - 1, 2)
-        if n >= 2:
-            t += out[n - 2] * (2 * n - 3)
-        out.append(t * Fraction(2 * n - 1, n * n))
-    return out
+    return _a_recursion(Fraction(kappa), order, Fraction(0))
 
 
 def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
-    kappa = Fraction(kappa)
-    a = frobenius_a_at(kappa, order)
-    out = [Fraction(0)]
-    for n in range(1, order + 1):
-        t = kappa * a[n - 1] + kappa * out[n - 1] * Fraction(n * (2 * n - 1), 2)
-        if n >= 2:
-            t += out[n - 2] * n * (2 * n - 3)
-        t *= 2 * n - 1
-        if n >= 2:
-            t += a[n - 2] * (8 * n - 6)
-        out.append(t / n**3)
-    return out
+    return _b_recursion(Fraction(kappa), frobenius_a_at(kappa, order), Fraction(0))
 
 
 @dataclass(frozen=True)

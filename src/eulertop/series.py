@@ -26,6 +26,8 @@ __all__ = [
     "KP_ZERO",
     "KP_ONE",
     "KP_KAPPA",
+    "add_list",
+    "strip_list",
     "mul_trunc",
     "compose_trunc",
     "recip_trunc",
@@ -332,6 +334,19 @@ def _unit_inverse(c):
 
 def _at(a: Sequence, n: int, zero):
     return a[n] if n < len(a) else zero
+
+
+def add_list(a: Sequence, b: Sequence, zero) -> list:
+    """Coefficient-wise sum of two lists of any lengths."""
+    return [_at(a, n, zero) + _at(b, n, zero) for n in range(max(len(a), len(b)))]
+
+
+def strip_list(a: Sequence) -> list:
+    """The list without its trailing zero coefficients."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def mul_trunc(a: Sequence, b: Sequence, order: int, zero) -> list:

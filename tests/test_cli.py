@@ -44,6 +44,20 @@ def test_output_matches_golden(capsys, cmd, expected):
     assert out == expected
 
 
+def test_option_values_may_start_with_minus(capsys):
+    for spaced, joined in (
+        (["bnf", "--kappa", "-3/4"], ["bnf", "--kappa=-3/4"]),
+        (["pendulum", "--grid", "-1:1:3"], ["pendulum", "--grid=-1:1:3"]),
+        (
+            ["verify", "--kappa", "-5/4", "--order", "20", "--samples", "-0.01,0.01"],
+            ["verify", "--kappa=-5/4", "--order=20", "--samples=-0.01,0.01"],
+        ),
+    ):
+        code, out, err = run_cli(capsys, *spaced)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *joined)[1]
+
+
 def test_bnf_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "bnf", "--kappa", "1/2", "--order", "3", "--format", "csv")
     assert code == 0

@@ -14,7 +14,6 @@ from eulertop.invariants import (
     log64_ratio_log2_exact,
     pendulum_compare,
     radius_analysis,
-    rho_from_kappa,
 )
 from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value
@@ -146,13 +145,6 @@ def test_bnf_and_sigma_radii_exceed_action_radius():
     a_known = reports["a"].theoretical
     assert reports["bnf"].extrapolated > 1.1 * a_known
     assert reports["sigma"].extrapolated > 1.1 * a_known
-
-
-def test_rho_from_kappa_inverts():
-    for kappa in (-2.0, -0.5, 0.0, 0.7, 3.0):
-        rho = rho_from_kappa(kappa)
-        assert rho > 0
-        assert abs((rho - 1 / rho) - kappa) < 1e-12
 
 
 # ---------------------------------------------------------------------------

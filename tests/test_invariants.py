@@ -16,7 +16,7 @@ from eulertop.invariants import (
     radius_analysis,
 )
 from eulertop.normalform import euler_normal_form
-from eulertop.oracle import constant_value
+from eulertop.oracle import constant_value, rho_for_kappa
 from eulertop.picardfuchs import LOG64_RATIO
 from eulertop.series import KappaPoly, SeriesUsageError
 
@@ -145,6 +145,13 @@ def test_bnf_and_sigma_radii_exceed_action_radius():
     a_known = reports["a"].theoretical
     assert reports["bnf"].extrapolated > 1.1 * a_known
     assert reports["sigma"].extrapolated > 1.1 * a_known
+
+
+def test_rho_from_kappa_inverts():
+    for kappa in (-2.0, -0.5, 0.0, 0.7, 3.0):
+        rho = rho_for_kappa(kappa)
+        assert rho > 0
+        assert abs((rho - 1 / rho) - kappa) < 1e-12
 
 
 # ---------------------------------------------------------------------------

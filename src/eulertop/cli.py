@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -369,11 +370,13 @@ def _config_from_args(args) -> CommandConfig:
         kappa = Fraction(oracle.params_from_inertia(*inertia, args.ell).kappa)
     if args.order is not None and args.order < 1:
         raise SeriesUsageError("--order must be >= 1")
-    if args.tol <= 0:
-        raise SeriesUsageError("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SeriesUsageError("--tol must be positive and finite")
     precision = args.precision
     if precision is None:
         precision = int(os.environ.get("PRECISION", "17"))
+    if precision < 1:
+        raise SeriesUsageError("--precision and PRECISION must be at least 1")
     lo, hi, count = args.grid.split(":")
     return CommandConfig(
         command=args.command,

@@ -11,6 +11,10 @@ indicial root 0, so the solution basis at the saddle is a regular series T_r
 and a log solution T_s = T_r log h + ...  (The point h = infinity is also
 regular singular, with indicial roots 1/2 and 3/2; it is not expanded here.)
 
+The ODE coefficients are derived in u = 2h - z, where the linear system for
+them is diagonal; residuals are taken with theta = h d/dh, so both the log
+and the power channel stay series with non-negative exponents until the end.
+
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
 combinations are kept as tagged symbolic atoms and only turned into floats
@@ -32,8 +36,8 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
-    _at,
     add_list,
+    deriv_list,
     mul_trunc,
     strip_list,
 )
@@ -68,30 +72,6 @@ __all__ = [
 # the ODE coefficients, derived rather than hard coded
 # ---------------------------------------------------------------------------
 
-# polynomials in h with KappaPoly coefficients, as plain lists (exact, no
-# truncation); z-polynomials are lists of such h-polynomials
-
-
-def _hp_mul(a, b):
-    return mul_trunc(a, b, len(a) + len(b) - 2, KP_ZERO)
-
-
-def _zp_mul(A, B):
-    out = [[] for _ in range(len(A) + len(B) - 1)]
-    for i, x in enumerate(A):
-        for j, y in enumerate(B):
-            out[i + j] = add_list(out[i + j], _hp_mul(x, y), KP_ZERO)
-    return out
-
-
-def _zp_add(A, B):
-    n = max(len(A), len(B))
-    return [add_list(_at(A, i, []), _at(B, i, []), KP_ZERO) for i in range(n)]
-
-
-def _zp_coeff(A, j):
-    return strip_list(_at(A, j, []))
-
 
 @dataclass(frozen=True)
 class PFCoefficients:
@@ -103,55 +83,39 @@ class PFCoefficients:
     c3: PowerSeries
 
 
+def _coeff_at_2h(f: list, j: int) -> list:
+    """The u^j coefficient of f(2h - u), as a list in h: (-1)^j f^(j)(2h) / j!."""
+    for _ in range(j):
+        f = deriv_list(f)
+    scale = Fraction((-1) ** j, math.factorial(j))
+    return [c * (scale * 2**n) for n, c in enumerate(f)]
+
+
 def derive_pf_coefficients() -> PFCoefficients:
     """Solve for the c_i with sum c_i d^i zeta / dh^i equal to an exact differential.
 
     Multiplying through by w(z) (2h - z)^(5/2) turns both sides into cubic
-    polynomials in z; matching the four z-coefficients gives a triangular
-    4x4 linear system over polynomials in (h, kappa) whose pivots are
-    rational constants.
+    polynomials in z.  In u = 2h - z the basis factors from d^i/dh^i of
+    (2h - z)^(1/2) are the monomials u^3, u^2, -u and 3, so c_i is the
+    u^(3-i) coefficient of the right-hand side w w' u + (3/2) w^2 divided by
+    the constant of its monomial.
     """
-    one = [KP_ONE]
-    two_h_minus_z = [[KP_ZERO, KappaPoly.constant(2)], [-KP_ONE]]
-    # basis factors from d^i/dh^i of (2h - z)^(1/2): 1, 1, -1, 3 times
-    # descending half-integer powers
-    sq = _zp_mul(two_h_minus_z, two_h_minus_z)
-    basis = [
-        _zp_mul(sq, two_h_minus_z),                      # c0: (2h - z)^3
-        sq,                                              # c1: (2h - z)^2
-        [[-c for c in p] for p in two_h_minus_z],        # c2: -(2h - z)
-        [[KappaPoly.constant(3)]],                       # c3: 3
-    ]
     # w^2 = z^3 + kappa z^2 - z and w w' = (1/2) d(w^2)/dz
-    w2 = [[], [-KP_ONE], [KP_KAPPA], [KP_ONE]]
-    wwp = [
-        [KappaPoly.constant(Fraction(-1, 2))],
-        [KP_KAPPA],
-        [KappaPoly.constant(Fraction(3, 2))],
-    ]
-    rhs = _zp_add(
-        _zp_mul(wwp, two_h_minus_z),
-        [[c * Fraction(3, 2) for c in p] for p in w2],
-    )
+    w2 = [KP_ZERO, -KP_ONE, KP_KAPPA, KP_ONE]
+    wwp = [c * Fraction(1, 2) for c in deriv_list(w2)]
 
-    solution: list = [None] * 4
-    for j in (3, 2, 1, 0):
-        unknown = 3 - j
-        acc = _zp_coeff(rhs, j)
-        for i in range(unknown):
-            coeff = _zp_coeff(basis[i], j)
-            if coeff and solution[i]:
-                acc = add_list(acc, [-c for c in _hp_mul(coeff, solution[i])], KP_ZERO)
-        pivot = _zp_coeff(basis[unknown], j)
-        if len(pivot) != 1 or pivot[0].degree > 0:
-            raise InternalConsistencyError("linear system for c_i is not triangular")
-        solution[unknown] = [c * (1 / pivot[0].coefficient(0)) for c in acc]
+    def rhs(j: int) -> list:
+        acc = [c * Fraction(3, 2) for c in _coeff_at_2h(w2, j)]
+        return add_list(acc, _coeff_at_2h(wwp, j - 1), KP_ZERO) if j else acc
 
     def as_series(hp):
         hp = strip_list(hp)
         return PowerSeries("h", tuple(hp) if hp else (KP_ZERO,))
 
-    return PFCoefficients(*(as_series(s) for s in solution))
+    pivots = (1, 1, -1, 3)
+    return PFCoefficients(
+        *(as_series([c * Fraction(1, p) for c in rhs(3 - i)]) for i, p in enumerate(pivots))
+    )
 
 
 _PF_CACHE: PFCoefficients | None = None
@@ -201,6 +165,22 @@ def _b_recursion(kappa, a: list, zero) -> list:
     return out
 
 
+def _trinomial_sum(order: int, weight) -> list[KappaPoly]:
+    """sum_k 4^{-n} C(2n, n) C(2n-2k; k, n-k, n-2k) weight(n, k) (kappa/2)^{n-2k}
+    for n = 0..order, independent of the recursions."""
+    out = []
+    for n in range(order + 1):
+        pref = Fraction(math.comb(2 * n, n), 4**n)
+        coeffs = [Fraction(0)] * (n + 1)
+        for k in range(n // 2 + 1):
+            tri = math.factorial(2 * n - 2 * k) // (
+                math.factorial(k) * math.factorial(n - k) * math.factorial(n - 2 * k)
+            )
+            coeffs[n - 2 * k] += pref * tri * weight(n, k) * Fraction(1, 2 ** (n - 2 * k))
+        out.append(KappaPoly(tuple(coeffs)))
+    return out
+
+
 def frobenius_a(order: int, method: str = "recursion") -> list[KappaPoly]:
     """Coefficients a_0..a_order of the regular solution T_r = sum a_n h^n.
 
@@ -213,17 +193,7 @@ def frobenius_a(order: int, method: str = "recursion") -> list[KappaPoly]:
     if method == "recursion":
         return _a_recursion(KP_KAPPA, order, KP_ZERO)
     if method == "closed_form":
-        out = []
-        for n in range(order + 1):
-            pref = Fraction(math.comb(2 * n, n), 4**n)
-            coeffs = [Fraction(0)] * (n + 1)
-            for k in range(n // 2 + 1):
-                tri = math.factorial(2 * n - 2 * k) // (
-                    math.factorial(k) * math.factorial(n - k) * math.factorial(n - 2 * k)
-                )
-                coeffs[n - 2 * k] += pref * tri * Fraction(1, 2 ** (n - 2 * k))
-            out.append(KappaPoly(tuple(coeffs)))
-        return out
+        return _trinomial_sum(order, lambda n, k: 1)
     raise SeriesUsageError(f"unknown method {method!r}")
 
 
@@ -255,18 +225,7 @@ def frobenius_b(order: int, method: str = "recursion") -> list[KappaPoly]:
     if method == "closed_form":
         H = harmonic_numbers(order)
         O = odd_harmonic_numbers(order)
-        out = []
-        for n in range(order + 1):
-            pref = Fraction(math.comb(2 * n, n), 4**n)
-            coeffs = [Fraction(0)] * (n + 1)
-            for k in range(n // 2 + 1):
-                tri = math.factorial(2 * n - 2 * k) // (
-                    math.factorial(k) * math.factorial(n - k) * math.factorial(n - 2 * k)
-                )
-                f_nk = 2 * O[n] + 2 * O[n - k] - 2 * H[n]
-                coeffs[n - 2 * k] += pref * tri * f_nk * Fraction(1, 2 ** (n - 2 * k))
-            out.append(KappaPoly(tuple(coeffs)))
-        return out
+        return _trinomial_sum(order, lambda n, k: 2 * O[n] + 2 * O[n - k] - 2 * H[n])
     raise SeriesUsageError(f"unknown method {method!r}")
 
 
@@ -293,9 +252,9 @@ class FrobeniusTable:
 
 
 def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
-    return FrobeniusTable(
-        order, tuple(frobenius_a(order, method)), tuple(frobenius_b(order, method))
-    )
+    a = frobenius_a(order, method)
+    b = _b_recursion(KP_KAPPA, a, KP_ZERO) if method == "recursion" else frobenius_b(order, method)
+    return FrobeniusTable(order, tuple(a), tuple(b))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +281,7 @@ def build_action_series(order: int) -> ActionSeries:
     if order < 1:
         raise SeriesUsageError("need order >= 1")
     a = frobenius_a(order)
-    b = frobenius_b(order)
+    b = _b_recursion(KP_KAPPA, a, KP_ZERO)
     t_reg = PowerSeries("h", tuple(a))
     t_sing = LogSeries(t_reg, PowerSeries("h", tuple(b)))
     return ActionSeries(t_reg, t_sing, t_reg.integrate(), t_sing.integrate())
@@ -407,43 +366,10 @@ def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
 # residual of the ODE, including the log channel
 # ---------------------------------------------------------------------------
 
-LaurentMap = dict[int, KappaPoly]
 
-
-def _lmap_from(ps: PowerSeries) -> LaurentMap:
-    return {n: c for n, c in enumerate(ps.coeffs) if c}
-
-
-def _lmap_diff(d: LaurentMap) -> LaurentMap:
-    return {e - 1: c * Fraction(e) for e, c in d.items() if e != 0}
-
-
-def _lmap_shift(d: LaurentMap, s: int) -> LaurentMap:
-    return {e + s: c for e, c in d.items()}
-
-
-def _lmap_add(d1: LaurentMap, d2: LaurentMap) -> LaurentMap:
-    out = dict(d1)
-    for e, c in d2.items():
-        acc = out.get(e, KP_ZERO) + c
-        if acc:
-            out[e] = acc
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _lmap_mul_poly(poly: PowerSeries, d: LaurentMap) -> LaurentMap:
-    out: LaurentMap = {}
-    for s, pc in enumerate(poly.coeffs):
-        if pc:
-            out = _lmap_add(out, {e + s: c * pc for e, c in d.items()})
-    return out
-
-
-def _pair_diff(pair):
-    log_d, pow_d = pair
-    return _lmap_diff(log_d), _lmap_add(_lmap_diff(pow_d), _lmap_shift(log_d, -1))
+def _theta_minus(a: list, j: int) -> list:
+    """(theta - j) applied to a coefficient list, theta = h d/dh."""
+    return [c * (n - j) for n, c in enumerate(a)]
 
 
 @dataclass(frozen=True)
@@ -480,10 +406,10 @@ def pf_residual(series: PowerSeries | LogSeries, which: str = "action") -> PFRes
     if series.order < 4:
         raise SeriesUsageError("need a series of order >= 4")
     if isinstance(series, LogSeries):
-        pair = (_lmap_from(series.log_part), _lmap_from(series.regular_part))
+        L, R = list(series.log_part.coeffs), list(series.regular_part.coeffs)
     else:
-        pair = ({}, _lmap_from(series))
-    max_deriv = max(k for _, k in weights)
+        L, R = [], list(series.coeffs)
+    top = max(k for _, k in weights)
 
     def lowest_power(poly: PowerSeries) -> int:
         for n, c in enumerate(poly.coeffs):
@@ -492,14 +418,18 @@ def pf_residual(series: PowerSeries | LogSeries, which: str = "action") -> PFRes
         return poly.order
 
     cutoff = min(series.order - k + lowest_power(poly) for poly, k in weights)
-    derivs = [pair]
-    for _ in range(max_deriv):
-        derivs.append(_pair_diff(derivs[-1]))
-    log_out: LaurentMap = {}
-    pow_out: LaurentMap = {}
-    for poly, k in weights:
-        log_out = _lmap_add(log_out, _lmap_mul_poly(poly, derivs[k][0]))
-        pow_out = _lmap_add(pow_out, _lmap_mul_poly(poly, derivs[k][1]))
-    log_out = {e: c for e, c in log_out.items() if e <= cutoff}
-    pow_out = {e: c for e, c in pow_out.items() if e <= cutoff}
-    return PFResidual(log_out, pow_out, cutoff)
+    # h^top times the residual: h^k d^k/dh^k = theta (theta - 1) ... (theta - k + 1)
+    # and (theta - j)(L log h + R) = ((theta - j) L) log h + (L + (theta - j) R),
+    # so every exponent stays non-negative
+    falling = [(L, R)]
+    for j in range(top):
+        L, R = _theta_minus(L, j), add_list(L, _theta_minus(R, j), KP_ZERO)
+        falling.append((L, R))
+    channels = []
+    for ch in (0, 1):
+        out: list = []
+        for poly, k in weights:
+            shifted = [KP_ZERO] * (top - k) + list(poly.coeffs)
+            out = add_list(out, mul_trunc(shifted, falling[k][ch], cutoff + top, KP_ZERO), KP_ZERO)
+        channels.append({e - top: c for e, c in enumerate(out) if c})
+    return PFResidual(*channels, cutoff)

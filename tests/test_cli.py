@@ -162,12 +162,22 @@ def test_unknown_command_exits_64(capsys):
     assert "unknown command" in err
 
 
-def test_validation_errors_exit_2(capsys):
+def test_validation_errors_exit_2(capsys, monkeypatch):
     assert run_cli(capsys, "bnf", "--kappa", "x/y")[0] == 2
     assert run_cli(capsys, "bnf")[0] == 2  # no kappa at all
     assert run_cli(capsys, "params", "--theta", "1,1,2", "--ell", "1")[0] == 2
     assert run_cli(capsys, "params", "--theta", "1,2,3", "--ell", "1", "--format", "csv")[0] == 2
     assert run_cli(capsys, "bnf", "--kappa", "1/2", "--theta", "1,2,3", "--ell", "1")[0] == 2
+    for tol in ("nan", "inf", "0", "-1e-9"):
+        assert run_cli(
+            capsys, "verify", "--kappa=1/2", f"--tol={tol}", "--order=10", "--samples=0.02"
+        )[0] == 2
+    for precision in ("0", "-3"):
+        assert run_cli(
+            capsys, "actions", "--kappa=1/2", "--order=2", f"--precision={precision}"
+        )[0] == 2
+        monkeypatch.setenv("PRECISION", precision)
+        assert run_cli(capsys, "actions", "--kappa=1/2", "--order=2")[0] == 2
 
 
 def test_missing_command_exits_64(capsys):

@@ -15,6 +15,7 @@ from eulertop.oracle import (
     params_from_inertia,
     period_quadrature,
     rho_for_kappa,
+    scaled_energy,
     separatrix_action,
     verify_series_numerics,
 )
@@ -166,6 +167,7 @@ def test_unscaled_action_matches_scaled():
             h_max = 0.4 * min(p.rho, 1 / p.rho) / 2
             for h in (0.6 * h_max, -0.6 * h_max):
                 h_sans = h * p.lam * p.ell + 0.5 * p.ell**2 / p.theta2
+                assert math.isclose(scaled_energy(p, h_sans), h, rel_tol=1e-9)
                 unscaled = action_unscaled_quadrature(p, h_sans, tol=1e-20, dps=40)
                 scaled = action_quadrature(p.kappa, h, tol=1e-20, dps=40)
                 assert abs(unscaled.value - 2 * p.ell * scaled.value) < mp.mpf("1e-10")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eulertop import picardfuchs
 from eulertop.invariants import _SEQUENCES, bnf_via_reversion, extract_sigma
 from eulertop.picardfuchs import (
     assemble_beta_actions,
@@ -76,6 +77,17 @@ def test_a3_vanishes_at_symmetric_top():
 def test_recursion_equals_closed_form():
     assert frobenius_a(25, "recursion") == frobenius_a(25, "closed_form")
     assert frobenius_b(25, "recursion") == frobenius_b(25, "closed_form")
+
+
+def test_recursion_tables_compute_a_once(monkeypatch):
+    calls = []
+    original = picardfuchs._a_recursion
+    monkeypatch.setattr(
+        picardfuchs, "_a_recursion", lambda *args: calls.append(args) or original(*args)
+    )
+    picardfuchs.frobenius_table(6, "recursion")
+    picardfuchs.build_action_series(6)
+    assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +196,22 @@ def test_basis_solutions_satisfy_the_equation(attr, which):
 def test_constant_solves_action_equation():
     const = PowerSeries.from_coeffs("h", (7,)).pad(8)
     assert pf_residual(const, "action").is_zero
+
+
+@pytest.mark.parametrize(
+    "which,log_channel,power_channel,cutoff",
+    [
+        ("action", {}, {-2: KappaPoly.constant(-2), -1: K, 0: KappaPoly.constant(-2)}, 4),
+        ("period", {0: K, 1: KappaPoly.constant(6)}, {0: K * 4, 1: KappaPoly.constant(16)}, 5),
+    ],
+)
+def test_log_h_leaves_pinned_residual(which, log_channel, power_channel, cutoff):
+    """log h solves neither equation; both channels and the cutoff are pinned."""
+    L = PowerSeries.from_coeffs("h", (1,)).pad(6)
+    residual = pf_residual(LogSeries(L, PowerSeries.zero("h", 6)), which)
+    assert residual.log_channel == log_channel
+    assert residual.power_channel == power_channel
+    assert residual.cutoff == cutoff
 
 
 def test_unknown_equation_rejected():

@@ -5,6 +5,11 @@ Every pipeline is exposed as a subcommand with machine readable output
 as "p/q" strings, polynomials in kappa as coefficient arrays lowest power
 first, and tagged symbolic constants as {"sym": ..., "factor": ..., "numeric": ...}.
 
+One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
+options it reads, and argparse checks every value: an option the command
+does not read, a malformed or non-finite number, an empty --targets, an
+--order or --precision below 1 and a --tol that is not positive exit 2.
+
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
 """
@@ -19,7 +24,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -28,45 +32,59 @@ from . import invariants, oracle, picardfuchs
 from .normalform import euler_normal_form
 from .series import InternalConsistencyError, KappaPoly, PowerSeries, SeriesUsageError
 
-COMMANDS = (
-    "bnf",
-    "frobenius",
-    "actions",
-    "invariant",
-    "verify",
-    "radius",
-    "pendulum",
-    "params",
-)
 
-_USAGE = "usage: eulertop {%s} [options]" % ",".join(COMMANDS)
+def _checked(parse, ok, problem: str):
+    """An argparse type= converter: parse the text and keep the value if ok(value)."""
 
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{problem}: {text!r}")
 
-@dataclass
-class CommandConfig:
-    command: str
-    kappa: Fraction | None = None
-    inertia: tuple[float, float, float] | None = None
-    ell: float | None = None
-    order: int = 7
-    tol: float = 1e-9
-    fmt: str = "json"
-    precision: int = 17
-    nmax: int = 60
-    targets: tuple[str, ...] = ("a", "b", "bnf", "sigma")
-    grid: tuple[float, float, int] = (-5.0, 5.0, 100)
-    samples: tuple[float, ...] = (0.005, -0.005, 0.02, -0.02)
+    return convert
 
 
-def _parse_kappa(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SeriesUsageError(f"cannot parse kappa {text!r} as a rational") from exc
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
 
 
-def _fr(x: Fraction) -> str:
-    return str(x)
+def _lo_hi_count(text: str) -> tuple[float, float, int]:
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
+
+
+def _all_finite(values) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+_kappa = _checked(Fraction, lambda k: True, "cannot parse kappa as a rational")
+_finite = _checked(float, math.isfinite, "need a finite number")
+_order = _checked(int, lambda n: n >= 1, "need an integer >= 1")
+_precision = _checked(int, lambda n: n >= 1, "--precision and PRECISION need an integer >= 1")
+_tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
+_samples = _checked(_floats, _all_finite, "need finite values h1,h2,...")
+_theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
+_targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
+_grid = _checked(_lo_hi_count, lambda g: _all_finite(g) and g[2] >= 2, "need finite lo:hi:n, n > 1")
+
+# add_argument keywords of every option; a command's own defaults override these
+_ARGS = {
+    "kappa": dict(type=_kappa, help="exact rational, e.g. 1/2"),
+    "theta": dict(type=_theta, help="t1,t2,t3 moments of inertia"),
+    "ell": dict(type=_finite, help="angular momentum magnitude"),
+    "order": dict(type=_order, default=7),
+    "tol": dict(type=_tol, default=1e-9),
+    "precision": dict(type=_precision, help="significant digits (default: $PRECISION or 17)"),
+    "nmax": dict(type=int, default=60),
+    "targets": dict(type=_targets, default=("a", "b", "bnf", "sigma")),
+    "grid": dict(type=_grid, default=(-5.0, 5.0, 100), help="lo:hi:count"),
+    "samples": dict(type=_samples, default=(0.005, -0.005, 0.02, -0.02), help="h values"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
 
 
 def _num(x, precision: int) -> str:
@@ -74,13 +92,13 @@ def _num(x, precision: int) -> str:
 
 
 def _poly_json(poly: KappaPoly) -> list[str]:
-    return [_fr(c) for c in poly.coeffs] if poly.coeffs else ["0"]
+    return [str(c) for c in poly.coeffs] if poly.coeffs else ["0"]
 
 
 def _constant_json(const, kappa, precision):
     return {
         "sym": const.kind,
-        "factor": _fr(const.factor),
+        "factor": str(const.factor),
         "numeric": _num(oracle.constant_value(const, kappa, max(precision, 17)), precision),
     }
 
@@ -94,63 +112,52 @@ def _series_rows(name: str, series: PowerSeries):
     return rows
 
 
-def _coefficient_table(series: PowerSeries, kappa: Fraction | None):
-    table = []
-    for n, c in enumerate(series.coeffs):
-        entry = {"power": n, "kappa_poly": _poly_json(c)}
-        if kappa is not None:
-            entry["value"] = _fr(c(kappa))
-        table.append(entry)
-    return table
-
-
-def _require_kappa(config: CommandConfig) -> Fraction:
-    if config.kappa is None:
-        raise SeriesUsageError(f"{config.command} needs --kappa or --theta/--ell")
-    return config.kappa
+def _coefficient_table(series: PowerSeries, kappa: Fraction):
+    return [
+        {"power": n, "kappa_poly": _poly_json(c), "value": str(c(kappa))}
+        for n, c in enumerate(series.coeffs)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (json document, csv rows or None)
+# command handlers: each reads the parsed namespace and returns
+# (json document, csv rows or None for a JSON-only command)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bnf(config: CommandConfig):
-    kappa = _require_kappa(config)
-    series = euler_normal_form(config.order)
+def _cmd_bnf(args):
+    series = euler_normal_form(args.order)
     doc = {
         "command": "bnf",
-        "kappa": _fr(kappa),
-        "order": config.order,
-        "coefficients": _coefficient_table(series, kappa),
+        "kappa": str(args.kappa),
+        "order": args.order,
+        "coefficients": _coefficient_table(series, args.kappa),
     }
     return doc, _series_rows("bnf", series)
 
 
-def _cmd_frobenius(config: CommandConfig):
-    kappa = _require_kappa(config)
-    rec = picardfuchs.frobenius_table(config.order, "recursion")
-    closed = picardfuchs.frobenius_table(config.order, "closed_form")
+def _cmd_frobenius(args):
+    kappa = args.kappa
+    rec = picardfuchs.frobenius_table(args.order, "recursion")
+    closed = picardfuchs.frobenius_table(args.order, "closed_form")
     agree = rec.a == closed.a and rec.b == closed.b
     if not agree:
         raise InternalConsistencyError("recursion and closed form disagree")
+    a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
     doc = {
         "command": "frobenius",
-        "kappa": _fr(kappa),
-        "order": config.order,
+        "kappa": str(kappa),
+        "order": args.order,
         "methods_agree": agree,
-        "a": _coefficient_table(PowerSeries("h", rec.a), kappa),
-        "b": _coefficient_table(PowerSeries("h", rec.b), kappa),
+        "a": _coefficient_table(a, kappa),
+        "b": _coefficient_table(b, kappa),
     }
-    rows = _series_rows("a", PowerSeries("h", rec.a)) + _series_rows(
-        "b", PowerSeries("h", rec.b)
-    )
-    return doc, rows
+    return doc, _series_rows("a", a) + _series_rows("b", b)
 
 
-def _cmd_actions(config: CommandConfig):
-    kappa = _require_kappa(config)
-    plus, minus = picardfuchs.assemble_beta_actions(config.order)
+def _cmd_actions(args):
+    kappa = args.kappa
+    plus, minus = picardfuchs.assemble_beta_actions(args.order)
     bundle = plus.series
     named = {
         "t_regular": bundle.period_regular,
@@ -162,15 +169,15 @@ def _cmd_actions(config: CommandConfig):
     }
     doc = {
         "command": "actions",
-        "kappa": _fr(kappa),
-        "order": config.order,
+        "kappa": str(kappa),
+        "order": args.order,
         "series": {k: _coefficient_table(s, kappa) for k, s in named.items()},
         "beta": {
             b.side: {
-                "k1": _constant_json(b.k1, kappa, config.precision),
+                "k1": _constant_json(b.k1, kappa, args.precision),
                 "k2": b.k2,
-                "k3": _constant_json(b.k3, kappa, config.precision),
-                "area": _constant_json(b.area, kappa, config.precision),
+                "k3": _constant_json(b.k3, kappa, args.precision),
+                "area": _constant_json(b.area, kappa, args.precision),
             }
             for b in (plus, minus)
         },
@@ -181,35 +188,34 @@ def _cmd_actions(config: CommandConfig):
     return doc, rows
 
 
-def _cmd_invariant(config: CommandConfig):
-    kappa = _require_kappa(config)
-    report = invariants.extract_sigma(config.order)
+def _cmd_invariant(args):
+    kappa = args.kappa
+    report = invariants.extract_sigma(args.order)
     doc = {
         "command": "invariant",
-        "kappa": _fr(kappa),
-        "order": config.order,
-        "linear_log": _constant_json(report.linear_log, kappa, config.precision),
+        "kappa": str(kappa),
+        "order": args.order,
+        "linear_log": _constant_json(report.linear_log, kappa, args.precision),
         "tail": _coefficient_table(report.tail, kappa),
         "areas": {
-            "plus": _constant_json(report.area_plus, kappa, config.precision),
-            "minus": _constant_json(report.area_minus, kappa, config.precision),
+            "plus": _constant_json(report.area_plus, kappa, args.precision),
+            "minus": _constant_json(report.area_minus, kappa, args.precision),
         },
         "branch_consistent": report.branch_consistent,
     }
     return doc, _series_rows("sigma_tail", report.tail)
 
 
-def _cmd_verify(config: CommandConfig):
-    kappa = _require_kappa(config)
-    precision = max(config.precision, 50)
+def _cmd_verify(args):
+    precision = max(args.precision, 50)
     report = oracle.verify_series_numerics(
-        kappa, config.samples, order=config.order, tol=config.tol, dps=precision
+        args.kappa, args.samples, order=args.order, tol=args.tol, dps=precision
     )
     doc = {
         "command": "verify",
-        "kappa": _fr(kappa),
+        "kappa": str(args.kappa),
         "order": report.order,
-        "tol": repr(config.tol),
+        "tol": repr(args.tol),
         "rows": [
             {
                 "h": repr(r.h),
@@ -235,13 +241,12 @@ def _cmd_verify(config: CommandConfig):
     return doc, None
 
 
-def _cmd_radius(config: CommandConfig):
-    kappa = _require_kappa(config)
-    reports = invariants.radius_analysis(kappa, config.nmax, config.targets)
+def _cmd_radius(args):
+    reports = invariants.radius_analysis(args.kappa, args.nmax, args.targets)
     doc = {
         "command": "radius",
-        "kappa": _fr(kappa),
-        "nmax": config.nmax,
+        "kappa": str(args.kappa),
+        "nmax": args.nmax,
         "reports": [
             {
                 "sequence": r.name,
@@ -258,11 +263,9 @@ def _cmd_radius(config: CommandConfig):
     return doc, rows
 
 
-def _cmd_pendulum(config: CommandConfig):
-    lo, hi, count = config.grid
-    if count < 2:
-        raise SeriesUsageError("grid needs at least 2 points")
-    grid = [lo + (hi - lo) * i / (count - 1) for i in range(int(count))]
+def _cmd_pendulum(args):
+    lo, hi, count = args.grid
+    grid = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     rows = invariants.pendulum_compare(grid)
     doc = {
         "command": "pendulum",
@@ -281,10 +284,10 @@ def _cmd_pendulum(config: CommandConfig):
     return doc, csv_rows
 
 
-def _cmd_params(config: CommandConfig):
-    if config.inertia is None or config.ell is None:
+def _cmd_params(args):
+    if args.theta is None:
         raise SeriesUsageError("params needs --theta t1,t2,t3 and --ell")
-    p = oracle.params_from_inertia(*config.inertia, config.ell)
+    p = oracle.params_from_inertia(*args.theta, args.ell)
     doc = {
         "command": "params",
         "theta": [repr(p.theta1), repr(p.theta2), repr(p.theta3)],
@@ -296,47 +299,37 @@ def _cmd_params(config: CommandConfig):
     return doc, None
 
 
-_HANDLERS = {
-    "bnf": _cmd_bnf,
-    "frobenius": _cmd_frobenius,
-    "actions": _cmd_actions,
-    "invariant": _cmd_invariant,
-    "verify": _cmd_verify,
-    "radius": _cmd_radius,
-    "pendulum": _cmd_pendulum,
-    "params": _cmd_params,
+_KAPPA = ("kappa", "theta", "ell")
+_SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
+
+# name: (handler, options it reads, defaults that differ from _ARGS,
+#        CSV header, or None for a JSON-only command without --format)
+_COMMANDS = {
+    "bnf": (_cmd_bnf, _KAPPA + ("order",), {}, _SERIES_HEADER),
+    "frobenius": (_cmd_frobenius, _KAPPA + ("order",), {"order": 40}, _SERIES_HEADER),
+    "actions": (_cmd_actions, _KAPPA + ("order", "precision"), {"order": 12}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, _KAPPA + ("order", "precision"), {}, _SERIES_HEADER),
+    "verify": (_cmd_verify, _KAPPA + ("order", "tol", "precision", "samples"), {"order": 30}, None),
+    "radius": (_cmd_radius, _KAPPA + ("nmax", "targets"), {}, ("sequence", "n", "ratio")),
+    "pendulum": (_cmd_pendulum, ("grid",), {}, ("kappa", "euler_leading", "margin")),
+    "params": (_cmd_params, ("theta", "ell"), {}, None),
 }
 
-_CSV_HEADERS = {
-    "bnf": ("series", "n", "kappa_power", "numerator", "denominator"),
-    "frobenius": ("series", "n", "kappa_power", "numerator", "denominator"),
-    "actions": ("series", "n", "kappa_power", "numerator", "denominator"),
-    "invariant": ("series", "n", "kappa_power", "numerator", "denominator"),
-    "radius": ("sequence", "n", "ratio"),
-    "pendulum": ("kappa", "euler_leading", "margin"),
-}
-
-_DEFAULT_ORDERS = {"frobenius": 40, "actions": 12, "verify": 30}
+COMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eulertop", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name, (_, options, defaults, header) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--kappa", type=str, default=None, help="exact rational, e.g. 1/2")
-        p.add_argument("--theta", type=str, default=None, help="t1,t2,t3 moments of inertia")
-        p.add_argument("--ell", type=float, default=None, help="angular momentum magnitude")
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--precision", type=int, default=None, help="significant digits")
-        p.add_argument("--nmax", type=int, default=60)
-        p.add_argument("--targets", type=str, default="a,b,bnf,sigma")
-        p.add_argument("--grid", type=str, default="-5:5:100", help="lo:hi:count")
-        p.add_argument(
-            "--samples", type=str, default="0.005,-0.005,0.02,-0.02", help="h values"
-        )
+        for option in options + (("format",) if header else ()):
+            p.add_argument(f"--{option}", **_ARGS[option])
+        p.set_defaults(**defaults)
+        if "precision" in options:
+            # argparse passes a string default through type=, so PRECISION
+            # is read now and checked like --precision
+            p.set_defaults(precision=os.environ.get("PRECISION", "17"))
     return parser
 
 
@@ -352,79 +345,50 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _config_from_args(args) -> CommandConfig:
-    kappa = None
-    inertia = None
-    if args.theta is not None:
-        parts = [float(x) for x in args.theta.split(",")]
-        if len(parts) != 3:
-            raise SeriesUsageError("--theta needs exactly three values")
-        inertia = tuple(parts)
-    if args.kappa is not None:
-        if inertia is not None:
-            raise SeriesUsageError("pass exactly one of --kappa and --theta")
-        kappa = _parse_kappa(args.kappa)
-    elif inertia is not None and args.command != "params":
-        if args.ell is None:
-            raise SeriesUsageError("--theta needs --ell")
-        kappa = Fraction(oracle.params_from_inertia(*inertia, args.ell).kappa)
-    if args.order is not None and args.order < 1:
-        raise SeriesUsageError("--order must be >= 1")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise SeriesUsageError("--tol must be positive and finite")
-    precision = args.precision
-    if precision is None:
-        precision = int(os.environ.get("PRECISION", "17"))
-    if precision < 1:
-        raise SeriesUsageError("--precision and PRECISION must be at least 1")
-    lo, hi, count = args.grid.split(":")
-    return CommandConfig(
-        command=args.command,
-        kappa=kappa,
-        inertia=inertia,
-        ell=args.ell,
-        order=args.order if args.order is not None else _DEFAULT_ORDERS.get(args.command, 7),
-        tol=args.tol,
-        fmt=args.fmt,
-        precision=precision,
-        nmax=args.nmax,
-        targets=tuple(t for t in args.targets.split(",") if t),
-        grid=(float(lo), float(hi), int(count)),
-        samples=tuple(float(x) for x in args.samples.split(",")),
-    )
+def _derive_kappa(args) -> None:
+    """The checks that span options: a command that reads kappa takes it from
+    --kappa or from --theta with --ell, never both."""
+    theta = getattr(args, "theta", None)
+    if theta is not None and getattr(args, "kappa", None) is not None:
+        raise SeriesUsageError("pass exactly one of --kappa and --theta")
+    if theta is not None and args.ell is None:
+        raise SeriesUsageError("--theta needs --ell")
+    if hasattr(args, "kappa") and args.kappa is None:
+        if theta is None:
+            raise SeriesUsageError(f"{args.command} needs --kappa or --theta/--ell")
+        args.kappa = Fraction(oracle.params_from_inertia(*theta, args.ell).kappa)
 
 
-def execute(config: CommandConfig) -> tuple[int, str]:
-    """Run one command; returns (exit code, rendered document)."""
-    doc, rows = _HANDLERS[config.command](config)
-    if config.fmt == "csv":
-        if rows is None:
-            raise SeriesUsageError(f"{config.command} has no CSV form; use json")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADERS[config.command])
-        writer.writerows(rows)
-        return 0, buf.getvalue()
-    return 0, json.dumps(doc, indent=2) + "\n"
+def execute(args) -> tuple[int, str]:
+    """Run one parsed command; returns (exit code, rendered document)."""
+    handler, _, _, header = _COMMANDS[args.command]
+    doc, rows = handler(args)
+    if getattr(args, "format", "json") == "json":
+        return 0, json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return 0, buf.getvalue()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
-        print(_USAGE, file=sys.stderr)
+        parser.print_usage(sys.stderr)
         print(f"unknown command: {argv[0]}", file=sys.stderr)
         return 64
-    parser = build_parser()
     try:
         args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.command is None:
-        print(_USAGE, file=sys.stderr)
+        parser.print_usage(sys.stderr)
         return 64
     try:
-        config = _config_from_args(args)
-        code, text = execute(config)
+        _derive_kappa(args)
+        code, text = execute(args)
     except (SeriesUsageError, oracle.ParameterError, oracle.DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,8 +94,8 @@ class TopParams:
 def params_from_inertia(theta1: float, theta2: float, theta3: float, ell: float) -> TopParams:
     """Validate the inertia triple and derive rho, kappa and the saddle rate."""
     for name, value in (("theta1", theta1), ("theta2", theta2), ("theta3", theta3), ("ell", ell)):
-        if not value > 0:
-            raise ParameterError(f"{name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and positive, got {value}")
     if not theta1 < theta2 < theta3:
         raise ParameterError(
             "need strict ordering theta1 < theta2 < theta3 "

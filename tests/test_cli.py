@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulertop.cli import main
+from eulertop.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 
@@ -178,6 +178,21 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         )[0] == 2
         monkeypatch.setenv("PRECISION", precision)
         assert run_cli(capsys, "actions", "--kappa=1/2", "--order=2")[0] == 2
+    monkeypatch.delenv("PRECISION")
+    for argv in (
+        ["pendulum", "--grid=0:nan:3"],
+        ["params", "--theta=1,2,3", "--ell=inf"],
+        ["verify", "--kappa=1/2", "--order=10", "--samples=nan"],
+        ["radius", "--kappa=1/2", "--targets=", "--nmax=20"],
+        # options the command does not read
+        ["bnf", "--kappa=1/2", "--nmax=5"],
+        ["pendulum", "--kappa=1/2"],
+        ["bnf", "--samples=x"],
+        ["verify", "--kappa=1/2", "--format=csv"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 2, argv
+    for name in COMMANDS:
+        assert run_cli(capsys, name, "--help")[0] == 0, name
 
 
 def test_missing_command_exits_64(capsys):

@@ -50,6 +50,8 @@ def test_params_rejects_degenerate_and_disordered():
         params_from_inertia(1.0, 2.0, 3.5, 1.0)
     with pytest.raises(ParameterError, match="positive"):
         params_from_inertia(-1.0, 2.0, 2.5, 1.0)
+    with pytest.raises(ParameterError, match="finite"):
+        params_from_inertia(1.0, 2.0, 2.5, math.inf)
 
 
 def test_rho_kappa_maps_invert():

@@ -236,7 +236,14 @@ def radius_analysis(
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")
-    rho = rho_for_kappa(float(kappa))
+    try:
+        rho = rho_for_kappa(float(kappa))
+    except OverflowError:
+        rho = math.inf
+    if not (math.isfinite(rho) and rho > 0):
+        raise SeriesUsageError(
+            "|kappa| is too large: rho = (kappa + sqrt(kappa^2 + 4))/2 is not a positive float"
+        )
     known = 0.5 * min(rho, 1.0 / rho)
     reports = []
     for name in targets:

@@ -99,6 +99,15 @@ def expand_hamiltonian(max_degree: int) -> PolyHamiltonian:
     return PolyHamiltonian(terms, max_degree)
 
 
+def _accumulate(out: Terms, key: tuple[int, int], c: RhoLaurent) -> None:
+    """Add c into out[key], dropping the key when the sum is zero."""
+    acc = out.get(key, RhoLaurent.zero()) + c
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
     """Apply the linear symplectic map that turns the quadratic part into q*p.
 
@@ -126,12 +135,7 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
             ca = math.comb(a, i)
             for j in range(b + 1):
                 coeff = base * Fraction(ca * math.comb(b, j) * (-1) ** (b - j))
-                key = (i + b - j, a - i + j)
-                acc = out.get(key, RhoLaurent.zero()) + coeff
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                _accumulate(out, (i + b - j, a - i + j), coeff)
     return PolyHamiltonian(out, ham.degree)
 
 
@@ -146,11 +150,7 @@ def _poisson(f: Terms, g: Terms, max_degree: int) -> Terms:
             key = (a + c - 1, b + d - 1)
             if key[0] + key[1] > max_degree:
                 continue
-            acc = out.get(key, RhoLaurent.zero()) + cf * cg * Fraction(factor)
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            _accumulate(out, key, cf * cg * Fraction(factor))
     return out
 
 
@@ -163,12 +163,7 @@ def _lie_transform(terms: Terms, generator: Terms, max_degree: int) -> Terms:
         k += 1
         current = _poisson(current, generator, max_degree)
         for key, c in current.items():
-            scaled = c * Fraction(1, math.factorial(k))
-            acc = out.get(key, RhoLaurent.zero()) + scaled
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            _accumulate(out, key, c * Fraction(1, math.factorial(k)))
         # generators start at degree >= 3, so each bracket raises the degree
         if k > max_degree:
             raise InternalConsistencyError("Lie transform failed to terminate")

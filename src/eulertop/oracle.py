@@ -140,7 +140,7 @@ def _to_mp(x):
     return mp.mpf(x)
 
 
-def _working_dps(tol: float, dps: int) -> int:
+def _working_dps(dps: int) -> int:
     # dps is authoritative: a tolerance finer than the precision allows is
     # reported as a quadrature failure, not silently upgraded
     return max(15, dps)
@@ -225,7 +225,7 @@ def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
     Positive h integrates the momentum branch between the turning angles,
     negative h the complementary area (1 - p) over the full half period.
     """
-    wdps = _working_dps(tol, dps)
+    wdps = _working_dps(dps)
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         rho = _rho_mp(kq)
@@ -277,7 +277,7 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
     positive-energy side: the area enclosed under the separatrix shrinks as
     h grows, so I' < 0 there.
     """
-    wdps = _working_dps(tol, dps)
+    wdps = _working_dps(dps)
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         rho = _rho_mp(kq)
@@ -312,6 +312,8 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
 
 def separatrix_action(kappa, side: str, dps: int = 50):
     """Closed-form limit I_beta(0) = atan(rho^{-+1}) / pi."""
+    if side not in ("plus", "minus"):
+        raise ValueError(f"unknown side {side!r}")
     with mp.workdps(dps):
         rho = _rho_mp(_to_mp(kappa))
         arg = 1 / rho if side == "plus" else rho
@@ -325,7 +327,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
     integration interval is bounded by 2 h / ell^2 and the inverse moment the
     orbit side touches.  Equals 2 ell I_beta(h) after the energy scaling.
     """
-    wdps = _working_dps(tol, dps)
+    wdps = _working_dps(dps)
     with mp.workdps(wdps):
         t1, t2, t3 = mp.mpf(params.theta1), mp.mpf(params.theta2), mp.mpf(params.theta3)
         ell = mp.mpf(params.ell)
@@ -380,13 +382,13 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50):
     """I_beta(h) from the exact series channel plus the symbolic constants."""
     with mp.workdps(dps):
         kq, hq = _to_mp(kappa), _to_mp(h)
-        if beta.sign * hq <= 0:
-            raise DomainError(f"side {beta.side!r} needs {beta.sign:+d}h > 0")
+        if beta.k2 * hq <= 0:
+            raise DomainError(f"side {beta.side!r} needs {beta.k2:+d}h > 0")
         p_val = power_series_value(beta.series.action_regular, kq, hq)
         q_val = power_series_value(beta.series.action_singular.regular_part, kq, hq)
         k1 = constant_value(beta.k1, kq, dps)
         k3 = constant_value(beta.k3, kq, dps)
-        singular = p_val * mp.log(beta.sign * hq) + q_val
+        singular = p_val * mp.log(beta.k2 * hq) + q_val
         return (k1 * p_val + beta.k2 * singular) / (2 * mp.pi) + k3
 
 

@@ -118,16 +118,6 @@ def derive_pf_coefficients() -> PFCoefficients:
     )
 
 
-_PF_CACHE: PFCoefficients | None = None
-
-
-def _pf() -> PFCoefficients:
-    global _PF_CACHE
-    if _PF_CACHE is None:
-        _PF_CACHE = derive_pf_coefficients()
-    return _PF_CACHE
-
-
 # ---------------------------------------------------------------------------
 # Frobenius coefficient tables
 # ---------------------------------------------------------------------------
@@ -305,11 +295,6 @@ class SymbolicConstant:
     kind: str
     factor: Fraction = Fraction(1)
 
-    def __mul__(self, c):
-        return SymbolicConstant(self.kind, self.factor * Fraction(c))
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return SymbolicConstant(self.kind, -self.factor)
 
@@ -329,10 +314,6 @@ class BetaAction:
     k3: SymbolicConstant
     area: SymbolicConstant
     series: ActionSeries
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.side == "plus" else -1
 
 
 def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
@@ -396,7 +377,7 @@ def pf_residual(series: PowerSeries | LogSeries, which: str = "action") -> PFRes
     The residual is only representable up to an exponent cutoff set by the
     truncation order of the input.
     """
-    pf = _pf()
+    pf = derive_pf_coefficients()
     if which == "action":
         weights = [(pf.c1 * 2, 1), (pf.c2 * 2, 2), (pf.c3 * 2, 3)]
     elif which == "period":

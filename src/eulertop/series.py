@@ -103,10 +103,7 @@ class KappaPoly:
             other = KappaPoly.constant(other)
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return KappaPoly(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(n))
-        )
+        return KappaPoly(tuple(add_list(self.coeffs, other.coeffs, Fraction(0))))
 
     __radd__ = __add__
 
@@ -116,43 +113,20 @@ class KappaPoly:
     def __sub__(self, other):
         return self + (-other if isinstance(other, KappaPoly) else KappaPoly.constant(-_frac(other)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
             return KappaPoly(tuple(c * f for c in self.coeffs))
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return KP_ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return KappaPoly(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return KappaPoly(tuple(mul_trunc(a, b, len(a) + len(b) - 2, Fraction(0))))
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = KP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def flip_kappa(self) -> "KappaPoly":
         """The polynomial with kappa replaced by -kappa."""
-        return KappaPoly(
-            tuple(-c if i % 2 else c for i, c in enumerate(self.coeffs))
-        )
+        return KappaPoly(tuple(_alternate(self.coeffs)))
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is a Fraction."""
@@ -241,9 +215,6 @@ class RhoLaurent:
     def __neg__(self):
         return RhoLaurent(tuple((e, -c) for e, c in self.terms))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
@@ -257,21 +228,6 @@ class RhoLaurent:
         return RhoLaurent(tuple(out.items()))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = RhoLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __call__(self, rho):
-        return sum((c * rho**e for e, c in self.terms), start=rho * 0)
 
     def to_kappa(self) -> KappaPoly:
         """Rewrite as a polynomial in kappa = rho - 1/rho.
@@ -339,6 +295,11 @@ def _at(a: Sequence, n: int, zero):
 def add_list(a: Sequence, b: Sequence, zero) -> list:
     """Coefficient-wise sum of two lists of any lengths."""
     return [_at(a, n, zero) + _at(b, n, zero) for n in range(max(len(a), len(b)))]
+
+
+def _alternate(a: Sequence) -> list:
+    """The coefficients of f(-x) from those of f(x)."""
+    return [-c if n % 2 else c for n, c in enumerate(a)]
 
 
 def strip_list(a: Sequence) -> list:
@@ -567,16 +528,10 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """The series of x -> f(-x)."""
-        return PowerSeries(
-            self.var, tuple(-c if n % 2 else c for n, c in enumerate(self.coeffs))
-        )
+        return PowerSeries(self.var, tuple(_alternate(self.coeffs)))
 
     def flip_kappa(self) -> "PowerSeries":
         return PowerSeries(self.var, tuple(c.flip_kappa() for c in self.coeffs))
-
-    def __str__(self):
-        parts = [f"({c})*{self.var}^{n}" for n, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True, slots=True)
@@ -602,16 +557,6 @@ class LogSeries:
     @property
     def order(self) -> int:
         return self.log_part.order
-
-    def __neg__(self):
-        return LogSeries(-self.log_part, -self.regular_part)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KappaPoly)):
-            return LogSeries(self.log_part * other, self.regular_part * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def integrate(self) -> "LogSeries":
         """Termwise antiderivative, constants fixed so the value tends to 0 at 0.

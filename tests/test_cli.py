@@ -184,6 +184,9 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         ["params", "--theta=1,2,3", "--ell=inf"],
         ["verify", "--kappa=1/2", "--order=10", "--samples=nan"],
         ["radius", "--kappa=1/2", "--targets=", "--nmax=20"],
+        # rho overflows: float(kappa) itself, or kappa * kappa
+        ["radius", "--kappa=1e400", "--nmax=20"],
+        ["radius", "--kappa=1e200", "--targets=a", "--nmax=20"],
         # options the command does not read
         ["bnf", "--kappa=1/2", "--nmax=5"],
         ["pendulum", "--kappa=1/2"],

@@ -147,6 +147,8 @@ def test_domain_errors():
         action_quadrature(0.5, 5.0)
     with pytest.raises(DomainError):
         period_quadrature(0.5, -5.0)
+    with pytest.raises(ValueError):
+        separatrix_action(0.5, "plsu")
 
 
 # ---------------------------------------------------------------------------

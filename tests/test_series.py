@@ -225,3 +225,13 @@ def test_derivative_inverts_integral(coeffs):
 def test_rho_substitution_round_trip(coeffs):
     p = KappaPoly(tuple(coeffs))
     assert p.to_rho().to_kappa() == p
+
+
+@given(kappa_polys, kappa_polys, rationals)
+def test_kappa_poly_ring_matches_evaluation(p, q, k):
+    # Horner evaluation is an independent reference for the ring operations
+    assert (p + q)(k) == p(k) + q(k)
+    assert (p - q)(k) == p(k) - q(k)
+    assert (p * q)(k) == p(k) * q(k)
+    assert (p * k)(k) == p(k) * k
+    assert p.flip_kappa()(k) == p(-k)

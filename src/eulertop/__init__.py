@@ -6,8 +6,6 @@ from .series import (
     KappaPoly,
     LogSeries,
     PowerSeries,
-    RhoLaurent,
-    RepresentationError,
     SeriesUsageError,
     SingularReversionError,
     InternalConsistencyError,

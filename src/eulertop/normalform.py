@@ -10,10 +10,11 @@ symplectic reduction to quadratic part q*p (Williamson form), and a sequence
 of Lie transforms that remove every monomial q^a p^b with a != b produce the
 normal form H*(J) as a series in the action J = q*p.
 
-All intermediate coefficients live in Laurent polynomials in rho; the final
-series converts to polynomials in kappa = rho - 1/rho.  The linear map
-scales by sqrt(rho), but every monomial in the pipeline has a - b even,
-so rho exponents stay integral throughout.
+The Lie route runs on exact rationals at one rational rho.  The linear map
+scales by sqrt(rho), but every monomial in the pipeline has a - b even, so
+only integral powers of rho enter.  ``euler_normal_form`` runs the route at
+several rho and interpolates each J^n coefficient as a polynomial in
+kappa = rho - 1/rho.
 """
 
 from __future__ import annotations
@@ -25,11 +26,8 @@ from typing import Mapping
 
 from .series import (
     InternalConsistencyError,
-    KP_ZERO,
-    KP_ONE,
     PowerSeries,
-    RepresentationError,
-    RhoLaurent,
+    interpolate_kappa_poly,
 )
 
 __all__ = [
@@ -48,15 +46,16 @@ class PreconditionError(ValueError):
     """Input Hamiltonian does not have the shape the operation requires."""
 
 
-Terms = dict[tuple[int, int], RhoLaurent]
+Terms = dict[tuple[int, int], Fraction]
 
 
 @dataclass(frozen=True)
 class PolyHamiltonian:
-    """Polynomial Hamiltonian: monomial (a, b) -> coefficient of q^a p^b."""
+    """Polynomial Hamiltonian at shape parameter rho: (a, b) -> coefficient of q^a p^b."""
 
-    terms: Mapping[tuple[int, int], RhoLaurent]
+    terms: Mapping[tuple[int, int], Fraction]
     degree: int
+    rho: Fraction
 
     def __post_init__(self):
         cleaned = {k: v for k, v in self.terms.items() if v}
@@ -66,12 +65,20 @@ class PolyHamiltonian:
                     f"monomial q^{a} p^{b} exceeds the stated degree {self.degree}"
                 )
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "rho", _exact_rho(self.rho))
 
-    def coefficient(self, a: int, b: int) -> RhoLaurent:
-        return self.terms.get((a, b), RhoLaurent.zero())
+    def coefficient(self, a: int, b: int) -> Fraction:
+        return self.terms.get((a, b), Fraction(0))
 
     def quadratic_part(self) -> Terms:
         return {k: v for k, v in self.terms.items() if k[0] + k[1] == 2}
+
+
+def _exact_rho(rho) -> Fraction:
+    # a float rho would turn the exact pipeline into floating point
+    if not isinstance(rho, (int, Fraction)) or rho <= 0:
+        raise PreconditionError(f"rho must be a positive int or Fraction, got {rho!r}")
+    return Fraction(rho)
 
 
 def _sin_sq_coefficients(max_degree: int) -> dict[int, Fraction]:
@@ -82,26 +89,27 @@ def _sin_sq_coefficients(max_degree: int) -> dict[int, Fraction]:
     }
 
 
-def expand_hamiltonian(max_degree: int) -> PolyHamiltonian:
-    """Taylor coefficients of the saddle Hamiltonian through total degree max_degree.
+def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
+    """Taylor coefficients of the saddle Hamiltonian at rho through total degree max_degree.
 
     The quadratic part is (1/2)(q^2/rho - rho p^2); all monomials are even in
-    q and in p separately.
+    q and in p separately.  rho must be a positive int or Fraction.
     """
     if max_degree < 2 or max_degree % 2:
         raise PreconditionError("expansion degree must be an even integer >= 2")
+    rho = _exact_rho(rho)
     sin_sq = _sin_sq_coefficients(max_degree)
-    terms: Terms = {(0, 2): RhoLaurent.power(1, Fraction(-1, 2))}
+    terms: Terms = {(0, 2): -rho / 2}
     for deg, c in sin_sq.items():
-        terms[(deg, 0)] = RhoLaurent.power(-1, c / 2)
+        terms[(deg, 0)] = c / (2 * rho)
         if deg + 2 <= max_degree:
-            terms[(deg, 2)] = RhoLaurent.power(-1, -c / 2)
-    return PolyHamiltonian(terms, max_degree)
+            terms[(deg, 2)] = -c / (2 * rho)
+    return PolyHamiltonian(terms, max_degree, rho)
 
 
-def _accumulate(out: Terms, key: tuple[int, int], c: RhoLaurent) -> None:
+def _accumulate(out: Terms, key: tuple[int, int], c: Fraction) -> None:
     """Add c into out[key], dropping the key when the sum is zero."""
-    acc = out.get(key, RhoLaurent.zero()) + c
+    acc = out.get(key, 0) + c
     if acc:
         out[key] = acc
     else:
@@ -116,11 +124,8 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
 
         q^a p^b -> rho^((a-b)/2) 2^(-(a+b)/2) (q + p)^a (p - q)^b.
     """
-    expected_quadratic = {
-        (2, 0): RhoLaurent.power(-1, Fraction(1, 2)),
-        (0, 2): RhoLaurent.power(1, Fraction(-1, 2)),
-    }
-    if ham.quadratic_part() != expected_quadratic:
+    rho = ham.rho
+    if ham.quadratic_part() != {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}:
         raise PreconditionError(
             "quadratic part is not (1/2)(q^2/rho - rho p^2)"
         )
@@ -130,13 +135,13 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
             raise PreconditionError(
                 f"monomial q^{a} p^{b} has odd parity; the map would need sqrt factors"
             )
-        base = c * RhoLaurent.power((a - b) // 2, Fraction(1, 2 ** ((a + b) // 2)))
+        base = c * rho ** ((a - b) // 2) / 2 ** ((a + b) // 2)
         for i in range(a + 1):
             ca = math.comb(a, i)
             for j in range(b + 1):
-                coeff = base * Fraction(ca * math.comb(b, j) * (-1) ** (b - j))
+                coeff = base * (ca * math.comb(b, j) * (-1) ** (b - j))
                 _accumulate(out, (i + b - j, a - i + j), coeff)
-    return PolyHamiltonian(out, ham.degree)
+    return PolyHamiltonian(out, ham.degree, rho)
 
 
 def _poisson(f: Terms, g: Terms, max_degree: int) -> Terms:
@@ -150,7 +155,7 @@ def _poisson(f: Terms, g: Terms, max_degree: int) -> Terms:
             key = (a + c - 1, b + d - 1)
             if key[0] + key[1] > max_degree:
                 continue
-            _accumulate(out, key, cf * cg * Fraction(factor))
+            _accumulate(out, key, cf * cg * factor)
     return out
 
 
@@ -163,7 +168,7 @@ def _lie_transform(terms: Terms, generator: Terms, max_degree: int) -> Terms:
         k += 1
         current = _poisson(current, generator, max_degree)
         for key, c in current.items():
-            _accumulate(out, key, c * Fraction(1, math.factorial(k)))
+            _accumulate(out, key, c / math.factorial(k))
         # generators start at degree >= 3, so each bracket raises the degree
         if k > max_degree:
             raise InternalConsistencyError("Lie transform failed to terminate")
@@ -172,9 +177,12 @@ def _lie_transform(terms: Terms, generator: Terms, max_degree: int) -> Terms:
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """Normal form series plus the per-degree generators and stage snapshots."""
+    """Normal form values at one rho plus the per-degree generators and stage snapshots.
 
-    series: PowerSeries
+    ``values[n]`` is the coefficient of J^n in H*(J).
+    """
+
+    values: tuple[Fraction, ...]
     generators: tuple[Terms, ...]
     stages: tuple[tuple[int, Terms], ...]
 
@@ -185,11 +193,11 @@ def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
     At each degree d the generator carries one term -c/(b-a) q^a p^b for every
     non-resonant monomial c q^a p^b present (minimal generator, no resonant
     part), since {qp, q^a p^b} = (b - a) q^a p^b.  Resonant monomials (qp)^k
-    accumulate into the output series H*(J).
+    accumulate into the output values of H*(J).
     """
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
-    if ham.quadratic_part() != {(1, 1): RhoLaurent.one()}:
+    if ham.quadratic_part() != {(1, 1): 1}:
         raise PreconditionError("quadratic part must be exactly q*p")
     max_degree = 2 * order
     if ham.degree < max_degree:
@@ -205,7 +213,7 @@ def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
         generator: Terms = {}
         for (a, b), c in terms.items():
             if a + b == d and a != b:
-                generator[(a, b)] = c * Fraction(-1, b - a)
+                generator[(a, b)] = c / (a - b)
         if generator:
             terms = _lie_transform(terms, generator, max_degree)
         generators.append(generator)
@@ -215,26 +223,35 @@ def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
         raise InternalConsistencyError(
             f"non-resonant monomials survived normalization: {sorted(leftover)}"
         )
-    coeffs = [KP_ZERO] * (order + 1)
-    for (a, b), c in terms.items():
-        try:
-            coeffs[a] = c.to_kappa()
-        except RepresentationError as exc:
-            raise InternalConsistencyError(
-                f"J^{a} coefficient has residual rho dependence"
-            ) from exc
-    if coeffs[1] != KP_ONE:
+    values = [Fraction(0)] * (order + 1)
+    for (a, _), c in terms.items():
+        values[a] = c
+    if values[1] != 1:
         raise InternalConsistencyError("normal form is not J + O(J^2)")
-    series = PowerSeries("J", tuple(coeffs))
-    return NormalFormResult(series, tuple(generators), tuple(stages))
+    return NormalFormResult(tuple(values), tuple(generators), tuple(stages))
 
 
-def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> PowerSeries:
-    """Normal form series H*(J) through J^order for a Hamiltonian with H2 = q*p."""
-    return normal_form_steps(ham, order).series
+def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]:
+    """Values of the normal form coefficients of J^0..J^order at ``ham.rho``; needs H2 = q*p."""
+    return normal_form_steps(ham, order).values
 
 
 def euler_normal_form(order: int) -> PowerSeries:
-    """Full pipeline: expand at the saddle, reduce, normalize, through J^order."""
-    ham = williamson_reduce(expand_hamiltonian(2 * order))
-    return birkhoff_normalize(ham, order)
+    """Normal form H*(J) through J^order, each coefficient a polynomial in kappa.
+
+    The J^n coefficient has the form kappa^((n+1) mod 2) p_n(kappa^2) with
+    deg p_n <= (n-1)/2.  The Lie route runs at rho = 2, 3, ..., one point more
+    than p_order needs, so interpolation checks itself on the last point.
+    """
+    if order < 1:
+        raise PreconditionError("normal form order must be >= 1")
+    rhos = [Fraction(r) for r in range(2, (order - 1) // 2 + 4)]
+    rows = [
+        birkhoff_normalize(williamson_reduce(expand_hamiltonian(2 * order, rho)), order)
+        for rho in rhos
+    ]
+    kappas = [rho - 1 / rho for rho in rhos]
+    return PowerSeries("J", tuple(
+        interpolate_kappa_poly(kappas, [row[n] for row in rows], (n + 1) % 2)
+        for n in range(order + 1)
+    ))

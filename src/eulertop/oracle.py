@@ -32,7 +32,7 @@ from .picardfuchs import (
     SymbolicConstant,
     assemble_beta_actions,
 )
-from .series import PowerSeries
+from .series import PowerSeries, horner
 
 __all__ = [
     "ParameterError",
@@ -115,7 +115,9 @@ def params_from_inertia(theta1: float, theta2: float, theta3: float, ell: float)
 
 def rho_for_kappa(kappa: float) -> float:
     """The unique rho > 0 with kappa = rho - 1/rho."""
-    return (kappa + math.sqrt(kappa * kappa + 4.0)) / 2.0
+    root = math.sqrt(kappa * kappa + 4.0)
+    # for kappa < 0 the sum kappa + root cancels; 2/(root - kappa) is the same rho
+    return (kappa + root) / 2.0 if kappa >= 0 else 2.0 / (root - kappa)
 
 
 def kappa_for_rho(rho: float) -> float:
@@ -372,10 +374,7 @@ def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
 
 
 def power_series_value(series: PowerSeries, kappa, x):
-    acc = mp.mpf(0)
-    for c in reversed(series.coeffs):
-        acc = acc * x + c(kappa)
-    return acc
+    return horner([c(kappa) for c in series.coeffs], x, mp.mpf(0))
 
 
 def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50):

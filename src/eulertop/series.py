@@ -1,10 +1,10 @@
 """Exact series kernel.
 
-Rationals, polynomials in the shape parameter kappa, Laurent polynomials in
-rho, truncated power series, and log-augmented series, together with the
-calculus / composition / reversion operations the rest of the package builds
-on.  Every coefficient is a ``fractions.Fraction``; no floating point enters
-this module.  Truncation order is explicit state and binary operations
+Rationals, polynomials in the shape parameter kappa (with their
+interpolation from values at rational kappa), truncated power series, and
+log-augmented series, together with the calculus / composition / reversion
+operations the rest of the package builds on.  Every coefficient is a
+``fractions.Fraction``; no floating point enters this module.  Truncation order is explicit state and binary operations
 truncate to the minimum order of their inputs.
 """
 
@@ -12,20 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "SeriesUsageError",
     "SingularReversionError",
-    "RepresentationError",
     "InternalConsistencyError",
     "KappaPoly",
-    "RhoLaurent",
     "PowerSeries",
     "LogSeries",
     "KP_ZERO",
     "KP_ONE",
     "KP_KAPPA",
+    "interpolate_kappa_poly",
+    "horner",
     "add_list",
     "strip_list",
     "mul_trunc",
@@ -42,10 +42,6 @@ class SeriesUsageError(ValueError):
 
 class SingularReversionError(SeriesUsageError):
     """The series has no compositional inverse at the requested truncation."""
-
-
-class RepresentationError(ValueError):
-    """A Laurent polynomial in rho has no rewrite as a polynomial in kappa."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -130,21 +126,7 @@ class KappaPoly:
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is a Fraction."""
-        acc = kappa * 0
-        for c in reversed(self.coeffs):
-            acc = acc * kappa + c
-        return acc
-
-    def to_rho(self) -> "RhoLaurent":
-        """Substitute kappa = rho - 1/rho."""
-        out = RhoLaurent.zero()
-        kap = RhoLaurent.kappa()
-        power = RhoLaurent.one()
-        for c in self.coeffs:
-            if c:
-                out = out + power * c
-            power = power * kap
-        return out
+        return horner(self.coeffs, kappa, kappa * 0)
 
     def __str__(self):
         if not self.coeffs:
@@ -161,108 +143,31 @@ KP_ONE = KappaPoly.constant(1)
 KP_KAPPA = KappaPoly.of(0, 1)
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials in rho
-# ---------------------------------------------------------------------------
+def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction], odd: int) -> KappaPoly:
+    """The polynomial c(kappa) = kappa^odd * p(kappa^2) with c(kappas[i]) = values[i].
 
-
-@dataclass(frozen=True, slots=True)
-class RhoLaurent:
-    """Laurent polynomial in rho: finitely many integer powers, exact coefficients."""
-
-    terms: tuple[tuple[int, Fraction], ...] = ()
-
-    def __post_init__(self):
-        merged: dict[int, Fraction] = {}
-        for e, c in self.terms:
-            c = _frac(c)
-            if c:
-                merged[e] = merged.get(e, Fraction(0)) + c
-        cleaned = tuple(sorted((e, c) for e, c in merged.items() if c))
-        object.__setattr__(self, "terms", cleaned)
-
-    @staticmethod
-    def from_dict(d: Mapping[int, Fraction]) -> "RhoLaurent":
-        return RhoLaurent(tuple(d.items()))
-
-    @staticmethod
-    def zero() -> "RhoLaurent":
-        return RhoLaurent(())
-
-    @staticmethod
-    def one() -> "RhoLaurent":
-        return RhoLaurent(((0, Fraction(1)),))
-
-    @staticmethod
-    def power(e: int, c=1) -> "RhoLaurent":
-        return RhoLaurent(((e, _frac(c)),))
-
-    @staticmethod
-    def kappa() -> "RhoLaurent":
-        return RhoLaurent(((1, Fraction(1)), (-1, Fraction(-1))))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, RhoLaurent):
-            return NotImplemented
-        return RhoLaurent(self.terms + other.terms)
-
-    def __neg__(self):
-        return RhoLaurent(tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return RhoLaurent(tuple((e, c * f) for e, c in self.terms))
-        if not isinstance(other, RhoLaurent):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return RhoLaurent(tuple(out.items()))
-
-    __rmul__ = __mul__
-
-    def to_kappa(self) -> KappaPoly:
-        """Rewrite as a polynomial in kappa = rho - 1/rho.
-
-        Greedy elimination of the top rho power; anything symmetric under
-        rho -> -1/rho reduces to a constant remainder, anything else leaves
-        negative powers behind and raises RepresentationError.
-        """
-        rest = self.as_dict()
-        if not rest:
-            return KP_ZERO
-        top = max(rest)
-        powers = [RhoLaurent.one()]
-        kap = RhoLaurent.kappa()
-        for _ in range(max(top, 0)):
-            powers.append(powers[-1] * kap)
-        out: dict[int, Fraction] = {}
-        while rest:
-            e = max(rest)
-            c = rest.pop(e)
-            if e < 0:
-                raise RepresentationError(
-                    "not a polynomial in kappa: leftover rho power %d" % e
-                )
-            out[e] = c
-            if e > 0:
-                for ee, cc in powers[e].terms:
-                    if ee != e:
-                        rest[ee] = rest.get(ee, Fraction(0)) - c * cc
-                        if not rest[ee]:
-                            del rest[ee]
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for e, c in out.items():
-            coeffs[e] = c
-        return KappaPoly(tuple(coeffs))
+    Newton interpolation of p in x = kappa^2 uses every point but the last,
+    so deg p < len(kappas) - 1; the last point is checked exactly and a
+    mismatch raises InternalConsistencyError.  The kappa^2 must be distinct,
+    and for odd = 1 the kappas nonzero.
+    """
+    xs = [k * k for k in kappas]
+    diffs = [v / k**odd for k, v in zip(kappas, values)][:-1]
+    # divided differences in place, then the Newton form expanded innermost first
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    p: list = []
+    for i in range(len(diffs) - 1, -1, -1):
+        p = add_list(mul_trunc(p, (-xs[i], 1), len(p), Fraction(0)), (diffs[i],), Fraction(0))
+    coeffs = [Fraction(0)] * (2 * len(p) + odd)
+    coeffs[odd::2] = p
+    poly = KappaPoly(tuple(coeffs))
+    if poly(kappas[-1]) != values[-1]:
+        raise InternalConsistencyError(
+            "interpolation in kappa missed the check point; the degree bound fails"
+        )
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +200,14 @@ def _at(a: Sequence, n: int, zero):
 def add_list(a: Sequence, b: Sequence, zero) -> list:
     """Coefficient-wise sum of two lists of any lengths."""
     return [_at(a, n, zero) + _at(b, n, zero) for n in range(max(len(a), len(b)))]
+
+
+def horner(coeffs: Sequence, x, zero):
+    """The value of sum_n coeffs[n] x^n, accumulated from the top coefficient down."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _alternate(a: Sequence) -> list:

@@ -33,7 +33,9 @@ def test_alpha_action_head():
 
 
 def test_reversion_equals_lie_normal_form():
-    assert bnf_via_reversion(7) == euler_normal_form(7)
+    # order 12 checks the Lie route's degree bound in kappa through J^12
+    for order in (7, 12):
+        assert bnf_via_reversion(order) == euler_normal_form(order), order
 
 
 def test_reversion_fifth_coefficient():

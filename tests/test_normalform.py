@@ -1,82 +1,96 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from eulertop.normalform import (
     PolyHamiltonian,
     PreconditionError,
+    birkhoff_normalize,
     euler_normal_form,
     expand_hamiltonian,
     normal_form_steps,
     williamson_reduce,
 )
-from eulertop.series import RhoLaurent
 
 from expected_tables import BNF_TABLE
 
-
-def rl(e, c):
-    return RhoLaurent.power(e, Fraction(c))
+# each test runs at every rho here: one above 1, one below, neither an
+# interpolation node of euler_normal_form
+RHOS = (Fraction(2), Fraction(3, 5))
 
 
 def test_expand_quadratic_part():
-    ham = expand_hamiltonian(2)
-    assert ham.terms == {(2, 0): rl(-1, Fraction(1, 2)), (0, 2): rl(1, Fraction(-1, 2))}
+    for rho in RHOS:
+        ham = expand_hamiltonian(2, rho)
+        assert ham.terms == {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}
 
 
 def test_expand_quartic_coefficient():
-    ham = expand_hamiltonian(6)
-    assert ham.coefficient(4, 0) == rl(-1, Fraction(-1, 6))
+    for rho in RHOS:
+        ham = expand_hamiltonian(6, rho)
+        assert ham.coefficient(4, 0) == -1 / (6 * rho)
 
 
 def test_expand_is_even_in_each_variable():
-    ham = expand_hamiltonian(10)
-    assert not ham.coefficient(1, 1)
-    assert all(a % 2 == 0 and b % 2 == 0 for a, b in ham.terms)
+    for rho in RHOS:
+        ham = expand_hamiltonian(10, rho)
+        assert not ham.coefficient(1, 1)
+        assert all(a % 2 == 0 and b % 2 == 0 for a, b in ham.terms)
 
 
 @pytest.mark.parametrize("bad", [0, 3, 7])
 def test_expand_rejects_bad_degree(bad):
     with pytest.raises(PreconditionError):
-        expand_hamiltonian(bad)
+        expand_hamiltonian(bad, RHOS[0])
+
+
+@pytest.mark.parametrize("bad", [0, -2, 0.5, "2"])
+def test_expand_rejects_bad_rho(bad):
+    with pytest.raises(PreconditionError):
+        expand_hamiltonian(4, bad)
+    with pytest.raises(PreconditionError):
+        PolyHamiltonian({(1, 1): Fraction(1)}, 2, bad)
 
 
 def test_williamson_quadratic_is_qp():
-    out = williamson_reduce(expand_hamiltonian(4))
-    assert out.quadratic_part() == {(1, 1): RhoLaurent.one()}
+    for rho in RHOS:
+        out = williamson_reduce(expand_hamiltonian(4, rho))
+        assert out.quadratic_part() == {(1, 1): 1}
 
 
-def _expected_quartic():
+def _expected_quartic(rho):
     # -(1/(8 rho)) (q^2 - p^2)^2 - (rho/24) (q + p)^4
     terms = {}
 
     def add(key, value):
-        terms[key] = terms.get(key, RhoLaurent.zero()) + value
+        terms[key] = terms.get(key, 0) + value
 
     for (a, b), c in {(4, 0): 1, (2, 2): -2, (0, 4): 1}.items():
-        add((a, b), rl(-1, Fraction(-c, 8)))
+        add((a, b), -c / (8 * rho))
     for i in range(5):
-        from math import comb
-
-        add((i, 4 - i), rl(1, Fraction(-comb(4, i), 24)))
+        add((i, 4 - i), -comb(4, i) * rho / 24)
     return {k: v for k, v in terms.items() if v}
 
 
 def test_williamson_quartic_matches_expected_form():
-    out = williamson_reduce(expand_hamiltonian(4))
-    quartic = {k: v for k, v in out.terms.items() if k[0] + k[1] == 4}
-    assert quartic == _expected_quartic()
+    for rho in RHOS:
+        out = williamson_reduce(expand_hamiltonian(4, rho))
+        quartic = {k: v for k, v in out.terms.items() if k[0] + k[1] == 4}
+        assert quartic == _expected_quartic(rho)
 
 
 def test_williamson_rejects_wrong_quadratic():
-    bad = PolyHamiltonian({(2, 0): RhoLaurent.one(), (0, 2): -RhoLaurent.one()}, 2)
-    with pytest.raises(PreconditionError):
-        williamson_reduce(bad)
+    for rho in RHOS:
+        bad = PolyHamiltonian({(2, 0): Fraction(1), (0, 2): Fraction(-1)}, 2, rho)
+        with pytest.raises(PreconditionError):
+            williamson_reduce(bad)
 
 
 def test_monomial_parity_through_degree_14():
-    out = williamson_reduce(expand_hamiltonian(14))
-    assert all((a - b) % 2 == 0 for a, b in out.terms)
+    for rho in RHOS:
+        out = williamson_reduce(expand_hamiltonian(14, rho))
+        assert all((a - b) % 2 == 0 for a, b in out.terms)
 
 
 def test_normal_form_matches_table():
@@ -87,19 +101,28 @@ def test_normal_form_matches_table():
         assert series.coefficient(n) == expected, f"J^{n}"
 
 
+def test_values_at_rho_match_kappa_table():
+    table = euler_normal_form(7)
+    for rho in RHOS:
+        values = birkhoff_normalize(williamson_reduce(expand_hamiltonian(14, rho)), 7)
+        assert values == tuple(c(rho - 1 / rho) for c in table.coeffs)
+
+
 def test_homological_steps_clear_low_degrees():
-    ham = williamson_reduce(expand_hamiltonian(10))
-    result = normal_form_steps(ham, 5)
-    for degree, terms in result.stages:
-        bad = [k for k in terms if k[0] != k[1] and k[0] + k[1] <= degree]
-        assert not bad, f"degree {degree} left {bad}"
+    for rho in RHOS:
+        ham = williamson_reduce(expand_hamiltonian(10, rho))
+        result = normal_form_steps(ham, 5)
+        for degree, terms in result.stages:
+            bad = [k for k in terms if k[0] != k[1] and k[0] + k[1] <= degree]
+            assert not bad, f"degree {degree} left {bad}"
 
 
 def test_generators_have_no_resonant_part():
-    ham = williamson_reduce(expand_hamiltonian(10))
-    result = normal_form_steps(ham, 5)
-    for gen in result.generators:
-        assert all(a != b for a, b in gen)
+    for rho in RHOS:
+        ham = williamson_reduce(expand_hamiltonian(10, rho))
+        result = normal_form_steps(ham, 5)
+        for gen in result.generators:
+            assert all(a != b for a, b in gen)
 
 
 def test_normal_form_kappa_parity():

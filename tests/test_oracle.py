@@ -58,6 +58,8 @@ def test_rho_kappa_maps_invert():
     assert rho_for_kappa(0.0) == 1.0
     assert kappa_for_rho(1.0) == 0.0
     assert abs(kappa_for_rho(rho_for_kappa(0.37)) - 0.37) < 1e-14
+    # kappa + sqrt(kappa^2 + 4) cancels here; the naive form gives 7.45e-9
+    assert abs(rho_for_kappa(-1e8) - 1e-8) / 1e-8 < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eulertop.series import (
+    InternalConsistencyError,
     KP_ONE,
     KP_ZERO,
     KappaPoly,
     LogSeries,
     PowerSeries,
-    RepresentationError,
-    RhoLaurent,
     SeriesUsageError,
     SingularReversionError,
+    interpolate_kappa_poly,
 )
 
 K = KappaPoly.of(0, 1)
@@ -167,22 +167,6 @@ def test_compose_with_log_requires_unit_inner():
 
 
 # ---------------------------------------------------------------------------
-# rho <-> kappa
-# ---------------------------------------------------------------------------
-
-
-def test_rho_to_kappa_basics():
-    assert RhoLaurent.kappa().to_kappa() == K
-    sym = RhoLaurent.from_dict({2: Fraction(1), -2: Fraction(1)})
-    assert sym.to_kappa() == K * K + 2
-
-
-def test_rho_alone_is_not_expressible():
-    with pytest.raises(RepresentationError):
-        RhoLaurent.power(1).to_kappa()
-
-
-# ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 
@@ -221,10 +205,25 @@ def test_derivative_inverts_integral(coeffs):
     assert f.integrate().differentiate() == f
 
 
-@given(st.lists(rationals, min_size=0, max_size=6))
-def test_rho_substitution_round_trip(coeffs):
-    p = KappaPoly(tuple(coeffs))
-    assert p.to_rho().to_kappa() == p
+@st.composite
+def parity_polys_and_nodes(draw):
+    """A KappaPoly kappa^odd * p(kappa^2) and nodes enough to rebuild it plus one to check."""
+    odd = draw(st.integers(0, 1))
+    p = draw(st.lists(rationals, min_size=0, max_size=4))
+    coeffs = [Fraction(0)] * (2 * len(p) + odd)
+    coeffs[odd::2] = p
+    nonzero = st.fractions(min_value=-8, max_value=8, max_denominator=8).filter(bool)
+    kappas = draw(st.lists(nonzero, min_size=len(p) + 2, max_size=len(p) + 4, unique_by=abs))
+    return KappaPoly(tuple(coeffs)), kappas, odd
+
+
+@given(parity_polys_and_nodes())
+def test_interpolate_kappa_poly_rebuilds_and_checks(case):
+    poly, kappas, odd = case
+    values = [poly(k) for k in kappas]
+    assert interpolate_kappa_poly(kappas, values, odd) == poly
+    with pytest.raises(InternalConsistencyError):
+        interpolate_kappa_poly(kappas, values[:-1] + [values[-1] + 1], odd)
 
 
 @given(kappa_polys, kappa_polys, rationals)

@@ -8,7 +8,8 @@ first, and tagged symbolic constants as {"sym": ..., "factor": ..., "numeric": .
 One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
 options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
---order or --precision below 1 and a --tol that is not positive exit 2.
+--order, --nmax or --precision outside the command's range (the ceiling
+bounds the cost of a run) and a --tol that is not positive exit 2.
 
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
@@ -61,25 +62,35 @@ def _all_finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
+def _integer(low: int, needs: str = "need"):
+    """The converter factory of an integer option: a command passes its ceiling."""
+    return lambda ceiling: _checked(
+        int, lambda n: low <= n <= ceiling, f"{needs} an integer from {low} to {ceiling}"
+    )
+
+
 _kappa = _checked(Fraction, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
-_order = _checked(int, lambda n: n >= 1, "need an integer >= 1")
-_precision = _checked(int, lambda n: n >= 1, "--precision and PRECISION need an integer >= 1")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
 _samples = _checked(_floats, _all_finite, "need finite values h1,h2,...")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
 _grid = _checked(_lo_hi_count, lambda g: _all_finite(g) and g[2] >= 2, "need finite lo:hi:n, n > 1")
 
-# add_argument keywords of every option; a command's own defaults override these
+# the integer options, whose default and ceiling each command sets in _COMMANDS
+_INTEGERS = {
+    "order": _integer(1),
+    "nmax": _integer(20),
+    "precision": _integer(1, "--precision and PRECISION need"),
+}
+
+# add_argument keywords of every option
 _ARGS = {
     "kappa": dict(type=_kappa, help="exact rational, e.g. 1/2"),
     "theta": dict(type=_theta, help="t1,t2,t3 moments of inertia"),
     "ell": dict(type=_finite, help="angular momentum magnitude"),
-    "order": dict(type=_order, default=7),
     "tol": dict(type=_tol, default=1e-9),
-    "precision": dict(type=_precision, help="significant digits (default: $PRECISION or 17)"),
-    "nmax": dict(type=int, default=60),
+    "precision": dict(help="significant digits (default: $PRECISION or 17)"),
     "targets": dict(type=_targets, default=("a", "b", "bnf", "sigma")),
     "grid": dict(type=_grid, default=(-5.0, 5.0, 100), help="lo:hi:count"),
     "samples": dict(type=_samples, default=(0.005, -0.005, 0.02, -0.02), help="h values"),
@@ -302,15 +313,40 @@ def _cmd_params(args):
 _KAPPA = ("kappa", "theta", "ell")
 _SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
 
-# name: (handler, options it reads, defaults that differ from _ARGS,
-#        CSV header, or None for a JSON-only command without --format)
+# digits of the numeric fields: default, ceiling
+_PRECISION = {"precision": (17, 100)}
+
+# name: (handler, options it reads, {integer option: (default, ceiling)},
+#        CSV header, or None for a JSON-only command without --format).
+# At a kappa of a few bits a run at the ceiling takes under a minute on a
+# 2-CPU machine; the exact tables also grow with the bits of kappa.
 _COMMANDS = {
-    "bnf": (_cmd_bnf, _KAPPA + ("order",), {}, _SERIES_HEADER),
-    "frobenius": (_cmd_frobenius, _KAPPA + ("order",), {"order": 40}, _SERIES_HEADER),
-    "actions": (_cmd_actions, _KAPPA + ("order", "precision"), {"order": 12}, _SERIES_HEADER),
-    "invariant": (_cmd_invariant, _KAPPA + ("order", "precision"), {}, _SERIES_HEADER),
-    "verify": (_cmd_verify, _KAPPA + ("order", "tol", "precision", "samples"), {"order": 30}, None),
-    "radius": (_cmd_radius, _KAPPA + ("nmax", "targets"), {}, ("sequence", "n", "ratio")),
+    "bnf": (_cmd_bnf, _KAPPA + ("order",), {"order": (7, 24)}, _SERIES_HEADER),
+    "frobenius": (_cmd_frobenius, _KAPPA + ("order",), {"order": (40, 200)}, _SERIES_HEADER),
+    "actions": (
+        _cmd_actions,
+        _KAPPA + ("order", "precision"),
+        {"order": (12, 200), **_PRECISION},
+        _SERIES_HEADER,
+    ),
+    "invariant": (
+        _cmd_invariant,
+        _KAPPA + ("order", "precision"),
+        {"order": (7, 30), **_PRECISION},
+        _SERIES_HEADER,
+    ),
+    "verify": (
+        _cmd_verify,
+        _KAPPA + ("order", "tol", "precision", "samples"),
+        {"order": (30, 100), **_PRECISION},
+        None,
+    ),
+    "radius": (
+        _cmd_radius,
+        _KAPPA + ("nmax", "targets"),
+        {"nmax": (60, 400)},
+        ("sequence", "n", "ratio"),
+    ),
     "pendulum": (_cmd_pendulum, ("grid",), {}, ("kappa", "euler_leading", "margin")),
     "params": (_cmd_params, ("theta", "ell"), {}, None),
 }
@@ -321,15 +357,18 @@ COMMANDS = tuple(_COMMANDS)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eulertop", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, (_, options, defaults, header) in _COMMANDS.items():
+    for name, (_, options, limits, header) in _COMMANDS.items():
         p = sub.add_parser(name)
         for option in options + (("format",) if header else ()):
-            p.add_argument(f"--{option}", **_ARGS[option])
-        p.set_defaults(**defaults)
+            kwargs = dict(_ARGS.get(option, {}))
+            if option in _INTEGERS:
+                default, ceiling = limits[option]
+                kwargs.update(type=_INTEGERS[option](ceiling), default=default)
+            p.add_argument(f"--{option}", **kwargs)
         if "precision" in options:
             # argparse passes a string default through type=, so PRECISION
             # is read now and checked like --precision
-            p.set_defaults(precision=os.environ.get("PRECISION", "17"))
+            p.set_defaults(precision=os.environ.get("PRECISION", str(limits["precision"][0])))
     return parser
 
 

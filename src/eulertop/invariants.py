@@ -1,4 +1,4 @@
-"""Normal form by series reversion, the symplectic invariant, and convergence.
+"""Normal form as the inverse of the regular action, the symplectic invariant, and convergence.
 
 The J-defining series is the regular action I_alpha(h) = 2 pi I_r(h); its
 compositional inverse is the Birkhoff normal form h = B(J).  Composing the
@@ -22,10 +22,29 @@ side:
     defining split    A+ + J log J - J - s     A- + J' log J' - J' + s(-J')
 
 Both branches must produce the same sigma; the report carries that check.
+
+Neither B nor the positive-side tail is found by reversion or composition.
+Both come from the period equation (c3 T')' + c1 T = 0 carried to J, one
+coefficient at a time (online series solving, van der Hoeven 2002), in
+O(n^2) ring operations:
+
+  * B: with T_r(B) = 1/B', the equation integrates once to
+    c3(y) y'' = y'^3 int_0^J c1(y), y = B(J); the J^m coefficient fixes
+    y_{m+1} with pivot -m(m+1).
+  * the tail: G = b o B, b the regular part of the log period, solves a
+    linear equation whose J^(m-1) coefficient fixes G_m with pivot -m^2;
+    then tail' = -log(B/J) - G B'.
+
+The checks on that route stay independent of it: B equals the Lie normal
+form (tests), the negative side composes the actions with B, must invert
+to J and must give the same sigma (_extract_minus), and the oracle
+compares with quadrature.  series.revert_trunc remains the generic
+reversion behind PowerSeries.revert.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +55,6 @@ from .picardfuchs import (
     BetaAction,
     SymbolicConstant,
     _a_recursion,
-    _b_recursion,
     assemble_beta_actions,
     frobenius_a_at,
     frobenius_b_at,
@@ -47,10 +65,12 @@ from .series import (
     InternalConsistencyError,
     PowerSeries,
     SeriesUsageError,
-    compose_trunc,
+    add_list,
+    deriv_list,
     integrate_list,
     log_unit_trunc,
-    revert_trunc,
+    mul_trunc,
+    recip_trunc,
 )
 
 __all__ = [
@@ -68,7 +88,7 @@ __all__ = [
 ]
 
 
-# The reversion and the positive-side extraction run on plain coefficient
+# The recurrences for B and the positive-side tail run on plain coefficient
 # lists over any exact ring: the symbolic tables take kappa = KP_KAPPA and
 # zero = KP_ZERO, the radius experiments a Fraction kappa and zero = Fraction(0).
 
@@ -80,9 +100,49 @@ def _alpha(kappa, order: int, zero) -> list:
     return integrate_list(_a_recursion(kappa, order - 1, zero), zero)
 
 
+def _cauchy(a: Sequence, b: Sequence, n: int, lo: int, zero):
+    """sum_{i=lo}^{n} a[i] b[n-i]: one coefficient of an online product."""
+    acc = zero
+    for i in range(lo, n + 1):
+        if a[i]:
+            acc = acc + a[i] * b[n - i]
+    return acc
+
+
 def _bnf(kappa, order: int, zero) -> list:
-    """B(J) through J^order, the compositional inverse of alpha."""
-    return revert_trunc(_alpha(kappa, order, zero), order, zero)
+    """B(J) through J^order, the compositional inverse of alpha.
+
+    With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
+    (c3 T')' + c1 T = 0 integrates once to
+
+        c3(y) y'' = y'^3 M,    M = int_0^J c1(y),
+
+    c3(h) = -h + 2 kappa h^2 + 4 h^3 and c1(h) = kappa/2 + 3h.  Its J^m
+    coefficient fixes y_{m+1} with pivot -m(m+1); every other term is a
+    coefficient of an online product of coefficients already known.
+    """
+    if order < 1:
+        raise SeriesUsageError("need order >= 1")
+    y = [zero, zero + 1]
+    y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
+    mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3y
+    p, p2, p3 = [], [], []  # y', y'^2, y'^3
+    for m in range(1, order):
+        # y_m is known: extend every product through the coefficients it fixes
+        y2.append(_cauchy(y, y, m, 1, zero))
+        y3.append(_cauchy(y2, y, m, 1, zero))
+        c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * 4)
+        mint.append(y[m] * Fraction(3, m + 1))
+        p.append(y[m] * m)
+        p2.append(_cauchy(p, p, m - 1, 0, zero))
+        p3.append(_cauchy(p2, p, m - 1, 0, zero))
+        # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
+        known = zero
+        for i in range(2, m + 1):
+            if c3y[i]:
+                known = known + c3y[i] * ((m - i + 2) * (m - i + 1)) * y[m - i + 2]
+        y.append((known - _cauchy(mint, p3, m, 1, zero)) * Fraction(1, m * (m + 1)))
+    return y
 
 
 def _sigma_tail(kappa, bnf: list, order: int, zero) -> list:
@@ -90,15 +150,36 @@ def _sigma_tail(kappa, bnf: list, order: int, zero) -> list:
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
-    -J - J log(B/J) - Q(B(J)).
+    -J - J log(B/J) - Q(B(J)), whose derivative is -log(B/J) - G B' with
+    G = b o B, b the regular part of the log period.  G solves the period
+    equation carried to J,
+
+        (C G')' + c1(y) y' G = -K A' - (K A)',
+
+    y = B, A = 1/y', K = c3(y)/y = 4y^2 + 2 kappa y - 1 and C = y K A =
+    -J + ...; its J^(m-1) coefficient fixes G_m with pivot -m^2, G_0 = 0.
     """
-    a = _a_recursion(kappa, order - 1, zero)
-    b = _b_recursion(kappa, a, zero)
-    q = integrate_list([b[n] - a[n] * Fraction(1, n + 1) for n in range(order)], zero)
-    j_log_unit = [zero] + log_unit_trunc(bnf[1:], order - 1, zero)
-    tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, order, zero))]
-    tail[1] = tail[1] - 1
-    return tail
+    y = bnf[: order + 1]
+    n = order - 1
+    p = deriv_list(y)
+    a = recip_trunc(p, n, zero)
+    k = add_list(
+        [c * 4 + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n, zero), y)], [zero - 1], zero
+    )
+    ka = mul_trunc(k, a, n, zero)
+    c = mul_trunc(y, ka, n, zero)
+    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * 3 for x in y], zero), p, n, zero)
+    # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8y + 2 kappa since A y' = 1
+    f = add_list([kappa * 2], [u * 8 - v * 2 for u, v in zip(y, deriv_list(ka))], zero)
+    g = [zero]
+    for m in range(1, n + 1):
+        known = zero
+        for i in range(2, m + 1):
+            if c[i]:
+                known = known + c[i] * (m - i + 1) * g[m - i + 1]
+        g.append((known * m + _cauchy(d, g, m - 1, 0, zero) - f[m - 1]) * Fraction(1, m * m))
+    log_unit = log_unit_trunc(y[1:], n, zero)
+    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n, zero))], zero)
 
 
 def alpha_action(order: int) -> PowerSeries:
@@ -185,14 +266,17 @@ class RadiusReport:
     skipped: tuple[int, ...]
 
 
-_SEQUENCES = {
-    "a": lambda kappa, nmax: frobenius_a_at(kappa, nmax),
-    "b": lambda kappa, nmax: frobenius_b_at(kappa, nmax),
-    "bnf": lambda kappa, nmax: _bnf(kappa, nmax, Fraction(0)),
-    "sigma": lambda kappa, nmax: _sigma_tail(
-        kappa, _bnf(kappa, nmax, Fraction(0)), nmax, Fraction(0)
-    ),
-}
+def _sequences(kappa: Fraction, nmax: int) -> dict:
+    """The coefficient sequences at one kappa, each behind a thunk; B(J) is
+    built at most once, however many of them read it."""
+    zero = Fraction(0)
+    bnf = functools.cache(lambda: _bnf(kappa, nmax, zero))
+    return {
+        "a": lambda: frobenius_a_at(kappa, nmax),
+        "b": lambda: frobenius_b_at(kappa, nmax),
+        "bnf": bnf,
+        "sigma": lambda: _sigma_tail(kappa, bnf(), nmax, zero),
+    }
 
 
 def _ratio_estimates(coeffs: Sequence[Fraction]):
@@ -231,7 +315,8 @@ def radius_analysis(
     Coefficient sequences are computed exactly, converted to floats, and the
     consecutive-ratio estimates |c_n / c_{n+1}| are accelerated by a single
     Aitken delta-squared step.  The a and b sequences carry the known radius
-    min(rho, 1/rho) / 2 for comparison.
+    min(rho, 1/rho) / 2 for comparison.  The bnf and sigma targets share
+    one B(J) within the call; nothing is kept between calls.
     """
     kappa = Fraction(kappa)
     if nmax < 20:
@@ -245,11 +330,12 @@ def radius_analysis(
             "|kappa| is too large: rho = (kappa + sqrt(kappa^2 + 4))/2 is not a positive float"
         )
     known = 0.5 * min(rho, 1.0 / rho)
+    sequences = _sequences(kappa, nmax)
     reports = []
     for name in targets:
-        if name not in _SEQUENCES:
+        if name not in sequences:
             raise SeriesUsageError(f"unknown sequence {name!r}")
-        coeffs = _SEQUENCES[name](kappa, nmax)
+        coeffs = sequences[name]()
         ns, ratios, skipped = _ratio_estimates(coeffs)
         accelerated = _aitken(ratios)
         extrapolated = accelerated[-1] if accelerated else (ratios[-1] if ratios else float("nan"))

@@ -288,8 +288,11 @@ def log_unit_trunc(a: Sequence, order: int, zero) -> list:
 def revert_trunc(a: Sequence, order: int, zero) -> list:
     """Compositional inverse by Newton iteration.
 
+    The generic reversion behind PowerSeries.revert, for any series.
     Requires a[0] = 0 and an invertible linear coefficient; the iteration
     doubles the number of correct orders per step, so convergence is exact.
+    Each step composes at full order, O(n^3) ring operations; the normal
+    form itself comes from an O(n^2) recurrence (invariants._bnf).
     """
     if a[0]:
         raise SingularReversionError("series must vanish at 0 to be reverted")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulertop.cli import COMMANDS, main
+from eulertop.cli import _COMMANDS, COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 
@@ -179,6 +179,23 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         monkeypatch.setenv("PRECISION", precision)
         assert run_cli(capsys, "actions", "--kappa=1/2", "--order=2")[0] == 2
     monkeypatch.delenv("PRECISION")
+    # the ceilings: one above exits 2 with a message that names the limit
+    for argv, limit in (
+        (["bnf", "--kappa=1/2", "--order=100000000"], "24"),
+        (["invariant", "--kappa=1/2", "--order=31"], "30"),
+        (["frobenius", "--kappa=1/2", "--order=201"], "200"),
+        (["actions", "--kappa=1/2", "--order=201"], "200"),
+        (["verify", "--kappa=1/2", "--order=101"], "100"),
+        (["radius", "--kappa=1/2", "--nmax=401"], "400"),
+        (["verify", "--kappa=1/2", "--precision=100000"], "100"),
+        (["invariant", "--kappa=1/2", "--precision=101"], "100"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and f"to {limit}:" in err, argv
+    monkeypatch.setenv("PRECISION", "101")
+    code, _, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=2")
+    assert code == 2 and "PRECISION" in err and "to 100:" in err
+    monkeypatch.delenv("PRECISION")
     for argv in (
         ["pendulum", "--grid=0:nan:3"],
         ["params", "--theta=1,2,3", "--ell=inf"],
@@ -196,6 +213,23 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 2, argv
     for name in COMMANDS:
         assert run_cli(capsys, name, "--help")[0] == 0, name
+
+
+def test_ceilings_admit_the_documented_workloads():
+    # the sizes the tests, the golden file and the benchmark workloads use
+    needed = {
+        "bnf": {"order": 9},
+        "invariant": {"order": 10, "precision": 60},
+        "frobenius": {"order": 120},
+        "actions": {"order": 30, "precision": 60},
+        "radius": {"nmax": 400},
+        "verify": {"order": 30, "precision": 60},
+    }
+    for name, sizes in needed.items():
+        limits = _COMMANDS[name][2]
+        for option, size in sizes.items():
+            default, ceiling = limits[option]
+            assert default <= ceiling and size <= ceiling, (name, option)
 
 
 def test_missing_command_exits_64(capsys):

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
+from eulertop import invariants
 from eulertop.invariants import (
     MARGIN_FLOOR,
     PENDULUM_LEADING,
+    _alpha,
+    _sequences,
     alpha_action,
     bnf_via_reversion,
     extract_sigma,
@@ -17,8 +21,15 @@ from eulertop.invariants import (
 )
 from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value, rho_for_kappa
-from eulertop.picardfuchs import LOG64_RATIO
-from eulertop.series import KappaPoly, SeriesUsageError
+from eulertop.picardfuchs import LOG64_RATIO, frobenius_a_at, frobenius_b_at
+from eulertop.series import (
+    KappaPoly,
+    SeriesUsageError,
+    compose_trunc,
+    integrate_list,
+    log_unit_trunc,
+    revert_trunc,
+)
 
 from expected_tables import BNF_TABLE, SIGMA_TABLE
 
@@ -63,6 +74,34 @@ def test_singular_action_log_channel_composes_to_identity():
         bnf_via_reversion(8)
     )
     assert composed.log_part == PowerSeries.identity("J", 7)
+
+
+@given(st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9)))
+@example(Fraction(-4028141964097261, 2251799813685248))  # kappa of a float inertia triple
+def test_recurrences_match_reversion_and_composition(kappa):
+    """B(J) and the sigma tail from the recurrences, through J^20, against
+    Newton reversion of alpha and the composition form of the tail,
+    -J - J log(B/J) - Q(B) with 2 pi I_s = alpha log h + Q."""
+    n, zero = 20, Fraction(0)
+    sequences = _sequences(kappa, n)
+    bnf = revert_trunc(_alpha(kappa, n, zero), n, zero)
+    assert sequences["bnf"]() == bnf
+    a, b = frobenius_a_at(kappa, n - 1), frobenius_b_at(kappa, n - 1)
+    q = integrate_list([b[k] - a[k] / (k + 1) for k in range(n)], zero)
+    j_log_unit = [zero] + log_unit_trunc(bnf[1:], n - 1, zero)
+    tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, n, zero))]
+    tail[1] -= 1
+    assert sequences["sigma"]() == tail
+
+
+def test_radius_builds_bnf_once(monkeypatch):
+    calls = []
+    original = invariants._bnf
+    monkeypatch.setattr(invariants, "_bnf", lambda *args: calls.append(args) or original(*args))
+    radius_analysis(Fraction(1, 2), 20, ("bnf", "sigma"))
+    assert len(calls) == 1
+    radius_analysis(Fraction(1, 2), 20, ("sigma",))
+    assert len(calls) == 2  # nothing is kept between calls
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
 options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
 --order, --nmax or --precision outside the command's range (the ceiling
-bounds the cost of a run) and a --tol that is not positive exit 2.
+bounds the cost of a run) and a --tol that is not positive exit 2; so does a
+table whose exact values would pass Python's limit on int-to-str digits.
 
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
@@ -123,6 +124,12 @@ def _series_rows(name: str, series: PowerSeries):
     return rows
 
 
+def _document(args, **fields) -> dict:
+    """A document of a command that reads kappa: command, kappa, order or nmax, fields."""
+    size = "order" if hasattr(args, "order") else "nmax"
+    return {"command": args.command, "kappa": str(args.kappa), size: getattr(args, size), **fields}
+
+
 def _coefficient_table(series: PowerSeries, kappa: Fraction):
     return [
         {"power": n, "kappa_poly": _poly_json(c), "value": str(c(kappa))}
@@ -138,12 +145,7 @@ def _coefficient_table(series: PowerSeries, kappa: Fraction):
 
 def _cmd_bnf(args):
     series = euler_normal_form(args.order)
-    doc = {
-        "command": "bnf",
-        "kappa": str(args.kappa),
-        "order": args.order,
-        "coefficients": _coefficient_table(series, args.kappa),
-    }
+    doc = _document(args, coefficients=_coefficient_table(series, args.kappa))
     return doc, _series_rows("bnf", series)
 
 
@@ -155,14 +157,12 @@ def _cmd_frobenius(args):
     if not agree:
         raise InternalConsistencyError("recursion and closed form disagree")
     a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
-    doc = {
-        "command": "frobenius",
-        "kappa": str(kappa),
-        "order": args.order,
-        "methods_agree": agree,
-        "a": _coefficient_table(a, kappa),
-        "b": _coefficient_table(b, kappa),
-    }
+    doc = _document(
+        args,
+        methods_agree=agree,
+        a=_coefficient_table(a, kappa),
+        b=_coefficient_table(b, kappa),
+    )
     return doc, _series_rows("a", a) + _series_rows("b", b)
 
 
@@ -178,12 +178,10 @@ def _cmd_actions(args):
         "two_pi_i_singular_log_part": bundle.action_singular.log_part,
         "two_pi_i_singular_regular_part": bundle.action_singular.regular_part,
     }
-    doc = {
-        "command": "actions",
-        "kappa": str(kappa),
-        "order": args.order,
-        "series": {k: _coefficient_table(s, kappa) for k, s in named.items()},
-        "beta": {
+    doc = _document(
+        args,
+        series={k: _coefficient_table(s, kappa) for k, s in named.items()},
+        beta={
             b.side: {
                 "k1": _constant_json(b.k1, kappa, args.precision),
                 "k2": b.k2,
@@ -192,7 +190,7 @@ def _cmd_actions(args):
             }
             for b in (plus, minus)
         },
-    }
+    )
     rows = []
     for name, s in named.items():
         rows.extend(_series_rows(name, s))
@@ -202,18 +200,16 @@ def _cmd_actions(args):
 def _cmd_invariant(args):
     kappa = args.kappa
     report = invariants.extract_sigma(args.order)
-    doc = {
-        "command": "invariant",
-        "kappa": str(kappa),
-        "order": args.order,
-        "linear_log": _constant_json(report.linear_log, kappa, args.precision),
-        "tail": _coefficient_table(report.tail, kappa),
-        "areas": {
+    doc = _document(
+        args,
+        linear_log=_constant_json(report.linear_log, kappa, args.precision),
+        tail=_coefficient_table(report.tail, kappa),
+        areas={
             "plus": _constant_json(report.area_plus, kappa, args.precision),
             "minus": _constant_json(report.area_minus, kappa, args.precision),
         },
-        "branch_consistent": report.branch_consistent,
-    }
+        branch_consistent=report.branch_consistent,
+    )
     return doc, _series_rows("sigma_tail", report.tail)
 
 
@@ -222,12 +218,10 @@ def _cmd_verify(args):
     report = oracle.verify_series_numerics(
         args.kappa, args.samples, order=args.order, tol=args.tol, dps=precision
     )
-    doc = {
-        "command": "verify",
-        "kappa": str(args.kappa),
-        "order": report.order,
-        "tol": repr(args.tol),
-        "rows": [
+    doc = _document(
+        args,
+        tol=repr(args.tol),
+        rows=[
             {
                 "h": repr(r.h),
                 "side": r.side,
@@ -239,11 +233,11 @@ def _cmd_verify(args):
             }
             for r in report.rows
         ],
-        "max_deviation": _num(report.max_deviation, 5),
-        "area_sum_deviation": _num(report.area_sum_deviation, 5),
-        "side_sum_deviation": _num(report.side_sum_deviation, 5),
-        "passed": report.passed,
-    }
+        max_deviation=_num(report.max_deviation, 5),
+        area_sum_deviation=_num(report.area_sum_deviation, 5),
+        side_sum_deviation=_num(report.side_sum_deviation, 5),
+        passed=report.passed,
+    )
     if not report.passed:
         raise InternalConsistencyError(
             "series and quadrature disagree beyond tolerance:\n"
@@ -254,11 +248,9 @@ def _cmd_verify(args):
 
 def _cmd_radius(args):
     reports = invariants.radius_analysis(args.kappa, args.nmax, args.targets)
-    doc = {
-        "command": "radius",
-        "kappa": str(args.kappa),
-        "nmax": args.nmax,
-        "reports": [
+    doc = _document(
+        args,
+        reports=[
             {
                 "sequence": r.name,
                 "extrapolated": repr(r.extrapolated),
@@ -269,7 +261,7 @@ def _cmd_radius(args):
             }
             for r in reports
         ],
-    }
+    )
     rows = [(r.name, n, repr(x)) for r in reports for n, x in zip(r.ns, r.ratios)]
     return doc, rows
 
@@ -398,6 +390,21 @@ def _derive_kappa(args) -> None:
         args.kappa = Fraction(oracle.params_from_inertia(*theta, args.ell).kappa)
 
 
+def _check_value_digits(args) -> None:
+    """Refuse a table command whose values pass Python's int-to-str digit limit,
+    before any table is built: at order n and a kappa of b bits (numerator or
+    denominator) no value has more than n (b + 6) bits (measured to n = 200, b = 100)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or _COMMANDS[args.command][3] is not _SERIES_HEADER:
+        return
+    bits = max(args.kappa.numerator.bit_length(), args.kappa.denominator.bit_length())
+    if args.order * (bits + 6) > limit * math.log2(10):
+        raise SeriesUsageError(
+            f"--order={args.order} with --kappa={args.kappa} gives values of over {limit} "
+            "digits, which Python does not print; lower --order or shorten --kappa"
+        )
+
+
 def execute(args) -> tuple[int, str]:
     """Run one parsed command; returns (exit code, rendered document)."""
     handler, _, _, header = _COMMANDS[args.command]
@@ -427,6 +434,7 @@ def main(argv=None) -> int:
         return 64
     try:
         _derive_kappa(args)
+        _check_value_digits(args)
         code, text = execute(args)
     except (SeriesUsageError, oracle.ParameterError, oracle.DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

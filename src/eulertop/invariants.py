@@ -54,8 +54,8 @@ from .oracle import rho_for_kappa
 from .picardfuchs import (
     BetaAction,
     SymbolicConstant,
-    _a_recursion,
     assemble_beta_actions,
+    frobenius_a,
     frobenius_a_at,
     frobenius_b_at,
 )
@@ -91,13 +91,6 @@ __all__ = [
 # The recurrences for B and the positive-side tail run on plain coefficient
 # lists over any exact ring: the symbolic tables take kappa = KP_KAPPA and
 # zero = KP_ZERO, the radius experiments a Fraction kappa and zero = Fraction(0).
-
-
-def _alpha(kappa, order: int, zero) -> list:
-    """alpha(h) = 2 pi I_r(h), the integral of T_r, through h^order."""
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
-    return integrate_list(_a_recursion(kappa, order - 1, zero), zero)
 
 
 def _cauchy(a: Sequence, b: Sequence, n: int, lo: int, zero):
@@ -184,7 +177,7 @@ def _sigma_tail(kappa, bnf: list, order: int, zero) -> list:
 
 def alpha_action(order: int) -> PowerSeries:
     """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
-    return PowerSeries("h", tuple(_alpha(KP_KAPPA, order, KP_ZERO)))
+    return PowerSeries("h", tuple(frobenius_a(order - 1))).integrate()
 
 
 def bnf_via_reversion(order: int) -> PowerSeries:

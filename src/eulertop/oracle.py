@@ -10,7 +10,7 @@ deliberately distinct:
   endpoint singularities handled by double-exponential quadrature.
 
 Floats live only in this module; callers hand in exact series and get mpmath
-numbers back.
+numbers back.  ``rho_for_kappa`` takes a float or an mpmath number.
 """
 
 from __future__ import annotations
@@ -106,18 +106,18 @@ def params_from_inertia(theta1: float, theta2: float, theta3: float, ell: float)
             f"triangle inequality theta3 <= theta1 + theta2 violated: {theta3} > {theta1 + theta2}"
         )
     rho = math.sqrt(theta1 * (theta3 - theta2) / (theta3 * (theta2 - theta1)))
-    kappa = rho - 1.0 / rho
+    kappa = kappa_for_rho(rho)
     lam = (ell / theta2) * math.sqrt(
         (theta2 - theta1) * (theta3 - theta2) / (theta1 * theta3)
     )
     return TopParams(theta1, theta2, theta3, ell, rho, kappa, lam)
 
 
-def rho_for_kappa(kappa: float) -> float:
-    """The unique rho > 0 with kappa = rho - 1/rho."""
-    root = math.sqrt(kappa * kappa + 4.0)
+def rho_for_kappa(kappa):
+    """The unique rho > 0 with kappa = rho - 1/rho, for a float or an mpmath number."""
+    root = (mp.sqrt if isinstance(kappa, mp.mpf) else math.sqrt)(kappa * kappa + 4)
     # for kappa < 0 the sum kappa + root cancels; 2/(root - kappa) is the same rho
-    return (kappa + root) / 2.0 if kappa >= 0 else 2.0 / (root - kappa)
+    return (kappa + root) / 2 if kappa >= 0 else 2 / (root - kappa)
 
 
 def kappa_for_rho(rho: float) -> float:
@@ -146,10 +146,6 @@ def _working_dps(dps: int) -> int:
     # dps is authoritative: a tolerance finer than the precision allows is
     # reported as a quadrature failure, not silently upgraded
     return max(15, dps)
-
-
-def _rho_mp(kappa):
-    return (kappa + mp.sqrt(kappa * kappa + 4)) / 2
 
 
 def _quad(integrand, interval, method, wdps):
@@ -230,7 +226,7 @@ def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
     wdps = _working_dps(dps)
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
-        rho = _rho_mp(kq)
+        rho = rho_for_kappa(kq)
         side = _check_energy_range(hq, rho)
         two_pi = 2 * mp.pi
         if scheme == "gauss":
@@ -282,7 +278,7 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
     wdps = _working_dps(dps)
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
-        rho = _rho_mp(kq)
+        rho = rho_for_kappa(kq)
         side = _check_energy_range(hq, rho)
         if side == "plus":
             lo, hi = 2 * hq, 1 / rho
@@ -314,12 +310,10 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
 
 def separatrix_action(kappa, side: str, dps: int = 50):
     """Closed-form limit I_beta(0) = atan(rho^{-+1}) / pi."""
-    if side not in ("plus", "minus"):
+    kinds = {"plus": ATAN_INV_RHO_OVER_PI, "minus": ATAN_RHO_OVER_PI}
+    if side not in kinds:
         raise ValueError(f"unknown side {side!r}")
-    with mp.workdps(dps):
-        rho = _rho_mp(_to_mp(kappa))
-        arg = 1 / rho if side == "plus" else rho
-        return mp.atan(arg) / mp.pi
+    return constant_value(SymbolicConstant(kinds[side]), kappa, dps)
 
 
 def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e-12, dps: int = 50) -> QuadratureResult:
@@ -369,7 +363,7 @@ _CONSTANT_FORMS = {
 def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
     with mp.workdps(dps):
         kq = _to_mp(kappa)
-        rho = _rho_mp(kq)
+        rho = rho_for_kappa(kq)
         return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
 
 
@@ -437,7 +431,7 @@ def verify_series_numerics(
     plus, minus = assemble_beta_actions(order)
     with mp.workdps(dps):
         kq = _to_mp(kappa)
-        rho = _rho_mp(kq)
+        rho = rho_for_kappa(kq)
         disc = min(rho, 1 / rho) / 2
         rows = []
         max_dev = mp.mpf(0)

@@ -321,8 +321,6 @@ def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
 
     I_beta(+-) = -+ (1/2) log(64/(kappa^2+4)) I_r +- I_s + atan(rho^(-+1))/pi.
     """
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
     series = build_action_series(order)
     plus = BetaAction(
         side="plus",

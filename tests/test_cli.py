@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from eulertop import picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -213,6 +214,25 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 2, argv
     for name in COMMANDS:
         assert run_cli(capsys, name, "--help")[0] == 0, name
+
+
+def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeypatch):
+    # a 100-bit kappa at order 200 gives values of ~21000 bits, past the
+    # 4300 digits Python prints; CSV prints no values but is refused as well
+    tables = []
+    with monkeypatch.context() as m:
+        for name in ("frobenius_table", "assemble_beta_actions"):
+            m.setattr(picardfuchs, name, lambda *args: tables.append(args))
+        for argv in (
+            ["frobenius", "--kappa=1/1000000000000000000000000000000", "--order=200"],
+            ["actions", "--kappa=1/1000000000000000000000000000000", "--order=200", "--format=csv"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "") and "--order" in err and "--kappa" in err, argv
+    assert tables == []
+    # a 52-bit kappa from --theta stays below the limit at the same order
+    code, out, _ = run_cli(capsys, "frobenius", "--theta=1,2,2.5", "--ell=1", "--order=200")
+    assert code == 0 and json.loads(out)["methods_agree"] is True
 
 
 def test_ceilings_admit_the_documented_workloads():

@@ -10,7 +10,6 @@ from eulertop import invariants
 from eulertop.invariants import (
     MARGIN_FLOOR,
     PENDULUM_LEADING,
-    _alpha,
     _sequences,
     alpha_action,
     bnf_via_reversion,
@@ -21,7 +20,12 @@ from eulertop.invariants import (
 )
 from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value, rho_for_kappa
-from eulertop.picardfuchs import LOG64_RATIO, frobenius_a_at, frobenius_b_at
+from eulertop.picardfuchs import (
+    LOG64_RATIO,
+    build_action_series,
+    frobenius_a_at,
+    frobenius_b_at,
+)
 from eulertop.series import (
     KappaPoly,
     SeriesUsageError,
@@ -41,6 +45,7 @@ def test_alpha_action_head():
     assert alpha.coefficient(1) == KappaPoly.constant(1)
     assert alpha.coefficient(2) == K * Fraction(1, 4)
     assert alpha.coefficient(3) == (K * K * 3 + 4) * Fraction(1, 16)
+    assert alpha_action(9) == build_action_series(8).action_regular
 
 
 def test_reversion_equals_lie_normal_form():
@@ -67,7 +72,6 @@ def test_alpha_composed_with_normal_form_is_identity():
 
 
 def test_singular_action_log_channel_composes_to_identity():
-    from eulertop.picardfuchs import build_action_series
     from eulertop.series import PowerSeries
 
     composed = build_action_series(8).action_singular.compose_with_log(
@@ -84,9 +88,9 @@ def test_recurrences_match_reversion_and_composition(kappa):
     -J - J log(B/J) - Q(B) with 2 pi I_s = alpha log h + Q."""
     n, zero = 20, Fraction(0)
     sequences = _sequences(kappa, n)
-    bnf = revert_trunc(_alpha(kappa, n, zero), n, zero)
-    assert sequences["bnf"]() == bnf
     a, b = frobenius_a_at(kappa, n - 1), frobenius_b_at(kappa, n - 1)
+    bnf = revert_trunc(integrate_list(a, zero), n, zero)
+    assert sequences["bnf"]() == bnf
     q = integrate_list([b[k] - a[k] / (k + 1) for k in range(n)], zero)
     j_log_unit = [zero] + log_unit_trunc(bnf[1:], n - 1, zero)
     tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, n, zero))]

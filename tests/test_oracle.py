@@ -11,6 +11,7 @@ from eulertop.oracle import (
     QuadratureError,
     action_quadrature,
     action_unscaled_quadrature,
+    constant_value,
     kappa_for_rho,
     params_from_inertia,
     period_quadrature,
@@ -19,6 +20,7 @@ from eulertop.oracle import (
     separatrix_action,
     verify_series_numerics,
 )
+from eulertop.picardfuchs import ATAN_RHO, SymbolicConstant
 
 from expected_tables import (
     ORACLE_ACTION_MINUS_002,
@@ -60,6 +62,13 @@ def test_rho_kappa_maps_invert():
     assert abs(kappa_for_rho(rho_for_kappa(0.37)) - 0.37) < 1e-14
     # kappa + sqrt(kappa^2 + 4) cancels here; the naive form gives 7.45e-9
     assert abs(rho_for_kappa(-1e8) - 1e-8) / 1e-8 < 1e-15
+    # the same map in mpmath, where 40 of 50 digits cancel in the naive form;
+    # the reference uses rho(-kappa) = 1/rho(kappa), free of cancellation
+    with mp.workdps(80):
+        big = mp.mpf(10) ** 20
+        reference = mp.acot((big + mp.sqrt(big * big + 4)) / 2)
+    value = constant_value(SymbolicConstant(ATAN_RHO), -(10**20), 50)
+    assert abs(value - reference) / reference < mp.mpf("1e-45")
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,15 @@ def _coefficient_table(series: PowerSeries, kappa: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each reads the parsed namespace and returns
-# (json document, csv rows or None for a JSON-only command)
+# command handlers: each reads the parsed namespace and returns (a function
+# that builds the json document, csv rows or None for a JSON-only command);
+# CSV output never builds the document, whose exact values it does not print
 # ---------------------------------------------------------------------------
 
 
 def _cmd_bnf(args):
     series = euler_normal_form(args.order)
-    doc = _document(args, coefficients=_coefficient_table(series, args.kappa))
+    doc = lambda: _document(args, coefficients=_coefficient_table(series, args.kappa))
     return doc, _series_rows("bnf", series)
 
 
@@ -157,7 +158,7 @@ def _cmd_frobenius(args):
     if not agree:
         raise InternalConsistencyError("recursion and closed form disagree")
     a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
-    doc = _document(
+    doc = lambda: _document(
         args,
         methods_agree=agree,
         a=_coefficient_table(a, kappa),
@@ -178,7 +179,7 @@ def _cmd_actions(args):
         "two_pi_i_singular_log_part": bundle.action_singular.log_part,
         "two_pi_i_singular_regular_part": bundle.action_singular.regular_part,
     }
-    doc = _document(
+    doc = lambda: _document(
         args,
         series={k: _coefficient_table(s, kappa) for k, s in named.items()},
         beta={
@@ -200,7 +201,7 @@ def _cmd_actions(args):
 def _cmd_invariant(args):
     kappa = args.kappa
     report = invariants.extract_sigma(args.order)
-    doc = _document(
+    doc = lambda: _document(
         args,
         linear_log=_constant_json(report.linear_log, kappa, args.precision),
         tail=_coefficient_table(report.tail, kappa),
@@ -243,12 +244,12 @@ def _cmd_verify(args):
             "series and quadrature disagree beyond tolerance:\n"
             + json.dumps(doc, indent=2)
         )
-    return doc, None
+    return lambda: doc, None
 
 
 def _cmd_radius(args):
     reports = invariants.radius_analysis(args.kappa, args.nmax, args.targets)
-    doc = _document(
+    doc = lambda: _document(
         args,
         reports=[
             {
@@ -270,7 +271,7 @@ def _cmd_pendulum(args):
     lo, hi, count = args.grid
     grid = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
     rows = invariants.pendulum_compare(grid)
-    doc = {
+    doc = lambda: {
         "command": "pendulum",
         "pendulum_leading": repr(invariants.PENDULUM_LEADING),
         "margin_floor": repr(invariants.MARGIN_FLOOR),
@@ -291,7 +292,7 @@ def _cmd_params(args):
     if args.theta is None:
         raise SeriesUsageError("params needs --theta t1,t2,t3 and --ell")
     p = oracle.params_from_inertia(*args.theta, args.ell)
-    doc = {
+    doc = lambda: {
         "command": "params",
         "theta": [repr(p.theta1), repr(p.theta2), repr(p.theta3)],
         "ell": repr(p.ell),
@@ -410,7 +411,7 @@ def execute(args) -> tuple[int, str]:
     handler, _, _, header = _COMMANDS[args.command]
     doc, rows = handler(args)
     if getattr(args, "format", "json") == "json":
-        return 0, json.dumps(doc, indent=2) + "\n"
+        return 0, json.dumps(doc(), indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -4,8 +4,13 @@ Everything symbolic elsewhere in the package is cross-checked here by direct
 high-precision quadrature of the defining integrals.  Two schemes are kept
 deliberately distinct:
 
-* "gauss": the real-angle form of the integral, with the square-root
-  endpoint behaviour removed by a sine substitution, then Gauss-Legendre;
+* "gauss": the real-angle form of the integral over half its symmetric
+  range, then Gauss-Legendre.  The substitution q = a sinh t, a = sqrt(2 rho |h|)
+  (h < 0) or q = q0 cosh t at the turning angle q0 (h > 0) moves the pinch
+  of width sqrt|h| at the separatrix to about pi/2 off the real t-axis, so a
+  low degree suffices close to the separatrix; the cosh form also absorbs
+  the square root at the turning angle.  The period keeps a sine
+  substitution of the algebraic form;
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
@@ -148,6 +153,13 @@ def _working_dps(dps: int) -> int:
     return max(15, dps)
 
 
+# The gauss schemes stop at Gauss-Legendre degree 8 (765 evaluations): the
+# action reaches full precision with it down to |h| = 1e-100 at 50 digits and
+# 1e-20 at 100 digits.  Closer in, a tight tolerance fails after seconds
+# where degrees 9 and 10 would spend a minute on cold nodes.
+_GAUSS_MAXDEGREE = 8
+
+
 def _quad(integrand, interval, method, wdps):
     count = 0
 
@@ -156,7 +168,8 @@ def _quad(integrand, interval, method, wdps):
         count += 1
         return integrand(*args)
 
-    value, err = mp.quad(counted, interval, method=method, error=True, maxdegree=10)
+    maxdegree = _GAUSS_MAXDEGREE if method == "gauss-legendre" else 10
+    value, err = mp.quad(counted, interval, method=method, error=True, maxdegree=maxdegree)
     floor = (abs(value) + 1) * mp.mpf(10) ** (-(wdps - 5))
     return value, max(err, floor), count
 
@@ -196,10 +209,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def _sqrt_clamped(t):
-    return mp.sqrt(t) if t > 0 else mp.mpf(0)
-
-
 # ---------------------------------------------------------------------------
 # action and period integrals
 # ---------------------------------------------------------------------------
@@ -228,28 +237,34 @@ def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
         kq, hq = _to_mp(kappa), _to_mp(h)
         rho = rho_for_kappa(kq)
         side = _check_energy_range(hq, rho)
-        two_pi = 2 * mp.pi
         if scheme == "gauss":
+            # symmetric under q -> pi - q, so over (0, pi/2) only; in t the
+            # integrand is analytic within about pi/2 of the real axis
+            r2 = rho * rho
             if side == "plus":
-                q0 = mp.acos(mp.sqrt(2 * hq * rho))
+                q0 = mp.asin(mp.sqrt(2 * hq * rho))
 
-                def integrand(theta):
-                    q = mp.pi / 2 + q0 * mp.sin(theta)
-                    s2 = mp.sin(q) ** 2
-                    val = (s2 / rho - 2 * hq) / (rho + s2 / rho)
-                    return _sqrt_clamped(val) * q0 * mp.cos(theta)
+                def integrand(t):
+                    d = 2 * q0 * mp.sinh(t / 2) ** 2  # q - q0, free of cancellation
+                    q = q0 + d
+                    s = mp.sin(q)
+                    return mp.sqrt(mp.sin(d) * mp.sin(q + q0) / (r2 + s * s)) * q0 * mp.sinh(t)
 
-                value, err, count = _quad(
-                    integrand, [-mp.pi / 2, mp.pi / 2], "gauss-legendre", wdps
-                )
-                return _result(value / two_pi, err / two_pi, count, tol)
+                top = mp.acosh(mp.pi / (2 * q0))
+            else:
+                a = mp.sqrt(-2 * hq * rho)
 
-            def integrand(q):
-                s2 = mp.sin(q) ** 2
-                return 1 - mp.sqrt((s2 / rho - 2 * hq) / (rho + s2 / rho))
+                def integrand(t):
+                    s2 = mp.sin(a * mp.sinh(t)) ** 2
+                    return (1 - mp.sqrt((s2 + a * a) / (r2 + s2))) * a * mp.cosh(t)
 
-            value, err, count = _quad(integrand, [0, mp.pi], "gauss-legendre", wdps)
-            return _result(value / two_pi, err / two_pi, count, tol)
+                top = mp.asinh(mp.pi / (2 * a))
+            if top > 400:
+                # |h| below about 1e-340, out of a float's reach: the lowest
+                # degrees would miss the mass near t = top and agree on 0
+                raise DomainError(f"|h| = {mp.nstr(abs(hq), 3)} is too small for the gauss scheme")
+            value, err, count = _quad(integrand, [0, top], "gauss-legendre", wdps)
+            return _result(value / mp.pi, err / mp.pi, count, tol)
 
         if scheme == "tanh-sinh":
             if side == "plus":
@@ -261,6 +276,7 @@ def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
                 lo, hi = -rho, 2 * hq
                 g = lambda z, dlo, dhi: mp.sqrt(dhi / (dlo * (-z) * (1 / rho - z)))
             value, err, count = _quad_endpoint_split(g, lo, hi, wdps)
+            two_pi = 2 * mp.pi
             return _result(value / two_pi, err / two_pi, count, tol)
 
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -306,6 +322,25 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
             return _result(orientation * value, err, count, tol)
 
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _separatrix_quadrature(rho, side: str, tol, wdps) -> QuadratureResult:
+    """I_beta(0) by Gauss-Legendre on the angle form, which has no pinch at h = 0.
+
+    The integrands, p = sin q / sqrt(rho^2 + sin^2 q) above and 1 - p below,
+    are singular only where sin^2 q = -rho^2, at q = +-i asinh(rho), which is
+    close to the real axis for small rho; q = asinh(rho) sinh t puts it at
+    t = +-i pi/2.  Call inside mp.workdps(wdps).
+    """
+    c, r2 = mp.asinh(rho), rho * rho
+
+    def plus(t):
+        s = mp.sin(c * mp.sinh(t))
+        return s / mp.sqrt(r2 + s * s) * c * mp.cosh(t)
+
+    integrand = plus if side == "plus" else lambda t: c * mp.cosh(t) - plus(t)
+    value, err, count = _quad(integrand, [0, mp.asinh(mp.pi / (2 * c))], "gauss-legendre", wdps)
+    return _result(value / mp.pi, err / mp.pi, count, tol)
 
 
 def separatrix_action(kappa, side: str, dps: int = 50):
@@ -426,7 +461,8 @@ def verify_series_numerics(
     """Evaluate the separatrix-side action series and compare with quadrature.
 
     Samples must lie inside the proven convergence disc |h| < min(rho, 1/rho)/2.
-    h = 0 rows compare the closed-form limit constants on both sides.
+    h = 0 rows compare the closed-form limit constants on both sides with a
+    Gauss-Legendre quadrature of the angle form at h = 0.
     """
     plus, minus = assemble_beta_actions(order)
     with mp.workdps(dps):
@@ -435,6 +471,7 @@ def verify_series_numerics(
         disc = min(rho, 1 / rho) / 2
         rows = []
         max_dev = mp.mpf(0)
+        quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(dps - 8)))
         for h in h_samples:
             hq = _to_mp(h)
             if abs(hq) >= disc:
@@ -444,14 +481,15 @@ def verify_series_numerics(
             if hq == 0:
                 for beta in (plus, minus):
                     limit = constant_value(beta.k3, kq, dps)
-                    exact = separatrix_action(kq, beta.side, dps)
+                    quad = _separatrix_quadrature(rho, beta.side, quad_tol, dps)
+                    dev = abs(limit - quad.value)
+                    max_dev = max(max_dev, dev)
                     rows.append(
-                        VerifyRow(0.0, beta.side, limit, exact, abs(limit - exact), mp.mpf(0), 0)
+                        VerifyRow(0.0, beta.side, limit, quad.value, dev, mp.mpf(0), quad.evaluations)
                     )
                 continue
             beta = plus if hq > 0 else minus
             series_val = beta_action_value(beta, kq, hq, dps)
-            quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(dps - 8)))
             main = action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme="gauss")
             other = action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme="tanh-sinh")
             dev = abs(series_val - main.value)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulertop import picardfuchs
+from eulertop import cli, picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -233,6 +233,26 @@ def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeyp
     # a 52-bit kappa from --theta stays below the limit at the same order
     code, out, _ = run_cli(capsys, "frobenius", "--theta=1,2,2.5", "--ell=1", "--order=200")
     assert code == 0 and json.loads(out)["methods_agree"] is True
+
+
+def test_csv_output_builds_no_json_document(capsys, monkeypatch):
+    # CSV prints the exact table rows alone; the value strings and numeric
+    # constants of the JSON document are never computed for it
+    def refuse(*args, **fields):
+        raise AssertionError("JSON document built for CSV output")
+
+    monkeypatch.setattr(cli, "_document", refuse)
+    for argv in (
+        ["bnf", "--kappa=1/2", "--order=5"],
+        ["frobenius", "--kappa=3/2", "--order=20"],
+        ["actions", "--kappa=1/2", "--order=6"],
+        ["invariant", "--kappa=1/2", "--order=5"],
+        ["radius", "--kappa=1/2", "--nmax=20", "--targets=a"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--format=csv")
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(",".join(_COMMANDS[argv[0]][3]) + "\n"), argv
+    assert run_cli(capsys, "bnf", "--kappa=1/2", "--order=5")[0] == 3
 
 
 def test_ceilings_admit_the_documented_workloads():

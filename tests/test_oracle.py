@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
@@ -113,6 +114,29 @@ def test_symmetric_top_side_symmetry():
         minus = action_quadrature(0.0, -1e-6, tol=1e-20, dps=40).value
         assert abs(plus - minus) < mp.mpf("1e-25")
         assert abs(plus + minus - mp.mpf(1) / 2) < mp.mpf("1e-4")  # O(h log h)
+
+
+def test_gauss_needs_no_high_degree_near_the_separatrix():
+    # q = a sinh t (minus) and q = q0 cosh t (plus) leave no pinch of width
+    # sqrt|h| on the real axis, so the sides agree with tanh-sinh to 50 digits
+    # and h = 1e-12 stays within Gauss-Legendre degree 7 (381 evaluations)
+    for h in (1e-6, -1e-6):
+        gauss = action_quadrature(0.0, h, tol=1e-40, dps=50, scheme="gauss")
+        ts = action_quadrature(0.0, h, tol=1e-40, dps=50, scheme="tanh-sinh")
+        with mp.workdps(50):
+            assert abs(gauss.value - ts.value) < mp.mpf("1e-49")
+    for h in (1e-12, -1e-12):
+        assert action_quadrature(0.5, h, tol=1e-40, dps=50, scheme="gauss").evaluations <= 381
+
+
+def test_gauss_beyond_its_degree_cap_raises():
+    # at 50 digits |h| = 1e-300 needs more than degree 8: the scheme stops
+    # there and reports the miss instead of computing degree-9 and -10 nodes
+    with pytest.raises(QuadratureError):
+        action_quadrature(0.5, -1e-300, tol=1e-40, dps=50, scheme="gauss")
+    # far below a float's range the lowest degrees would agree on 0
+    with pytest.raises(DomainError, match="too small"):
+        action_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
 
 
 def test_period_asymptotic_constant():

@@ -2,15 +2,15 @@
 
 Everything symbolic elsewhere in the package is cross-checked here by direct
 high-precision quadrature of the defining integrals.  Two schemes are kept
-deliberately distinct:
+deliberately distinct, each with one form for the action, the period and
+the separatrix limit at h = 0:
 
-* "gauss": the real-angle form of the integral over half its symmetric
-  range, then Gauss-Legendre.  The substitution q = a sinh t, a = sqrt(2 rho |h|)
-  (h < 0) or q = q0 cosh t at the turning angle q0 (h > 0) moves the pinch
-  of width sqrt|h| at the separatrix to about pi/2 off the real t-axis, so a
-  low degree suffices close to the separatrix; the cosh form also absorbs
-  the square root at the turning angle.  The period keeps a sine
-  substitution of the algebraic form;
+* "gauss": Gauss-Legendre on the real-angle form over (0, pi/2), after
+  q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho) (h = 0), or
+  q = q0 cosh t at the turning angle q0 (h > 0).  This moves the pinch of
+  width sqrt|h| at the separatrix to about pi/2 off the real t-axis, so a
+  low degree suffices close to it; the cosh form also absorbs the square
+  root at the turning angle;
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
@@ -226,121 +226,108 @@ def _check_energy_range(h, rho) -> str:
     return "minus"
 
 
+def _angle_form(rho, h):
+    """The gauss scheme's substitution q(t) of the real angle on (0, pi/2).
+
+    Returns the end of the t-range and t -> (sin^2 q, gap, dq/dt), with the
+    gap sin^2 q - 2 rho h free of cancellation.  At h = 0 the integrands are
+    singular at sin^2 q = -rho^2, so c = asinh(rho) puts that at t = +-i pi/2.
+    """
+    if h > 0:
+        q0 = mp.asin(mp.sqrt(2 * h * rho))
+
+        def point(t):
+            d = 2 * q0 * mp.sinh(t / 2) ** 2  # q - q0, free of cancellation
+            q = q0 + d
+            return mp.sin(q) ** 2, mp.sin(d) * mp.sin(q + q0), q0 * mp.sinh(t)
+
+        top = mp.acosh(mp.pi / (2 * q0))
+    else:
+        c = mp.sqrt(-2 * h * rho) if h else mp.asinh(rho)
+        c2 = c * c if h else 0
+
+        def point(t):
+            s2 = mp.sin(c * mp.sinh(t)) ** 2
+            return s2, s2 + c2, c * mp.cosh(t)
+
+        top = mp.asinh(mp.pi / (2 * c))
+    if top > 400:
+        # |h| below about 1e-340, out of a float's reach: the lowest
+        # degrees would miss the mass near t = top and agree on 0
+        raise DomainError(f"|h| = {mp.nstr(abs(h), 3)} is too small for the gauss scheme")
+    return top, point
+
+
+def _cut_form(rho, h, side: str):
+    """The tanh-sinh scheme's cut from 2h to the root 1/rho (plus) or -rho
+    (minus) of z (z + rho) (1/rho - z), and the factor of that cubic left
+    once the one vanishing at the root is taken out.  Holds at h = 0 too."""
+    if side == "plus":
+        return 2 * h, 1 / rho, lambda z: z * (z + rho)
+    return -rho, 2 * h, lambda z: (-z) * (1 / rho - z)
+
+
+def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureResult:
+    """The action (which="action") or the period of one side by one scheme.
+
+    side=None takes the side from h, which must lie strictly inside one; with
+    a side, h = 0 gives the separatrix limit of the action.  In the angle form
+    the action integrand is p = sqrt(gap / (rho^2 + sin^2 q)) (plus) or 1 - p,
+    and T = 2 pi I' takes 2 dp/dh = -2 rho / sqrt(gap (rho^2 + sin^2 q)).
+    I_beta' < 0 above the separatrix: the area under it shrinks as h grows.
+    """
+    with mp.workdps(wdps):
+        kq, hq = _to_mp(kappa), _to_mp(h)
+        rho = rho_for_kappa(kq)
+        side = side or _check_energy_range(hq, rho)
+        sign = -1 if side == "plus" else 1
+        if scheme == "gauss":
+            top, point = _angle_form(rho, hq)
+            r2, lead = rho * rho, 2 * sign * rho
+
+            def integrand(t):
+                s2, gap, dq = point(t)
+                if which == "period":
+                    return lead / mp.sqrt(gap * (r2 + s2)) * dq
+                p = mp.sqrt(gap / (r2 + s2))
+                return (p if side == "plus" else 1 - p) * dq
+
+            value, err, count = _quad(integrand, [0, top], "gauss-legendre", wdps)
+            scale = mp.pi
+        elif scheme == "tanh-sinh":
+            lo, hi, smooth = _cut_form(rho, hq, side)
+            if which == "period":
+                g = lambda z, dlo, dhi: sign / mp.sqrt(dlo * dhi * smooth(z))
+            elif side == "plus":
+                g = lambda z, dlo, dhi: mp.sqrt(dlo / (smooth(z) * dhi))
+            else:
+                g = lambda z, dlo, dhi: mp.sqrt(dhi / (dlo * smooth(z)))
+            value, err, count = _quad_endpoint_split(g, lo, hi, wdps)
+            scale = 2 * mp.pi
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if which == "period":
+            scale = 1
+        return _result(value / scale, err / scale, count, tol)
+
+
 def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str = "gauss") -> QuadratureResult:
     """Separatrix-side action I_beta(h) by direct quadrature.
 
     Positive h integrates the momentum branch between the turning angles,
     negative h the complementary area (1 - p) over the full half period.
     """
-    wdps = _working_dps(dps)
-    with mp.workdps(wdps):
-        kq, hq = _to_mp(kappa), _to_mp(h)
-        rho = rho_for_kappa(kq)
-        side = _check_energy_range(hq, rho)
-        if scheme == "gauss":
-            # symmetric under q -> pi - q, so over (0, pi/2) only; in t the
-            # integrand is analytic within about pi/2 of the real axis
-            r2 = rho * rho
-            if side == "plus":
-                q0 = mp.asin(mp.sqrt(2 * hq * rho))
-
-                def integrand(t):
-                    d = 2 * q0 * mp.sinh(t / 2) ** 2  # q - q0, free of cancellation
-                    q = q0 + d
-                    s = mp.sin(q)
-                    return mp.sqrt(mp.sin(d) * mp.sin(q + q0) / (r2 + s * s)) * q0 * mp.sinh(t)
-
-                top = mp.acosh(mp.pi / (2 * q0))
-            else:
-                a = mp.sqrt(-2 * hq * rho)
-
-                def integrand(t):
-                    s2 = mp.sin(a * mp.sinh(t)) ** 2
-                    return (1 - mp.sqrt((s2 + a * a) / (r2 + s2))) * a * mp.cosh(t)
-
-                top = mp.asinh(mp.pi / (2 * a))
-            if top > 400:
-                # |h| below about 1e-340, out of a float's reach: the lowest
-                # degrees would miss the mass near t = top and agree on 0
-                raise DomainError(f"|h| = {mp.nstr(abs(hq), 3)} is too small for the gauss scheme")
-            value, err, count = _quad(integrand, [0, top], "gauss-legendre", wdps)
-            return _result(value / mp.pi, err / mp.pi, count, tol)
-
-        if scheme == "tanh-sinh":
-            if side == "plus":
-                # integrand sqrt((z - 2h) / (z (z + rho) (1/rho - z))) on (2h, 1/rho)
-                lo, hi = 2 * hq, 1 / rho
-                g = lambda z, dlo, dhi: mp.sqrt(dlo / (z * (z + rho) * dhi))
-            else:
-                # integrand sqrt((2h - z) / (z (z + rho) (z - 1/rho))) on (-rho, 2h)
-                lo, hi = -rho, 2 * hq
-                g = lambda z, dlo, dhi: mp.sqrt(dhi / (dlo * (-z) * (1 / rho - z)))
-            value, err, count = _quad_endpoint_split(g, lo, hi, wdps)
-            two_pi = 2 * mp.pi
-            return _result(value / two_pi, err / two_pi, count, tol)
-
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _integral(kappa, h, None, "action", scheme, tol, _working_dps(dps))
 
 
 def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str = "tanh-sinh") -> QuadratureResult:
     """Separatrix-side period T_beta(h) = 2 pi I_beta'(h) by direct quadrature.
 
-    The integrand 1/(sqrt(x (x - 2h)) sqrt(1 - kappa x - x^2)) has inverse
-    square-root singularities at both interval endpoints.  The loop
-    orientation makes T the negative of the (positive) real integral on the
-    positive-energy side: the area enclosed under the separatrix shrinks as
-    h grows, so I' < 0 there.
+    The same two forms as the action: gauss differentiates the angle form
+    under the integral, tanh-sinh integrates 1/(sqrt(x (x - 2h)) sqrt(1 - kappa x - x^2))
+    on the cut.  T is negative above the separatrix, where I_beta' < 0.
     """
-    wdps = _working_dps(dps)
-    with mp.workdps(wdps):
-        kq, hq = _to_mp(kappa), _to_mp(h)
-        rho = rho_for_kappa(kq)
-        side = _check_energy_range(hq, rho)
-        if side == "plus":
-            lo, hi = 2 * hq, 1 / rho
-            smooth = lambda x: x * (x + rho)
-            orientation = -1
-        else:
-            lo, hi = -rho, 2 * hq
-            smooth = lambda x: (-x) * (1 / rho - x)
-            orientation = 1
-
-        if scheme == "tanh-sinh":
-            g = lambda x, dlo, dhi: 1 / mp.sqrt(dlo * dhi * smooth(x))
-            value, err, count = _quad_endpoint_split(g, lo, hi, wdps)
-            return _result(orientation * value, err, count, tol)
-
-        if scheme == "gauss":
-            # x = lo + (hi - lo) sin(theta)^2 absorbs both 1/sqrt endpoints
-            span = hi - lo
-
-            def integrand(theta):
-                x = lo + span * mp.sin(theta) ** 2
-                return 2 / mp.sqrt(smooth(x))
-
-            value, err, count = _quad(integrand, [0, mp.pi / 2], "gauss-legendre", wdps)
-            return _result(orientation * value, err, count, tol)
-
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _separatrix_quadrature(rho, side: str, tol, wdps) -> QuadratureResult:
-    """I_beta(0) by Gauss-Legendre on the angle form, which has no pinch at h = 0.
-
-    The integrands, p = sin q / sqrt(rho^2 + sin^2 q) above and 1 - p below,
-    are singular only where sin^2 q = -rho^2, at q = +-i asinh(rho), which is
-    close to the real axis for small rho; q = asinh(rho) sinh t puts it at
-    t = +-i pi/2.  Call inside mp.workdps(wdps).
-    """
-    c, r2 = mp.asinh(rho), rho * rho
-
-    def plus(t):
-        s = mp.sin(c * mp.sinh(t))
-        return s / mp.sqrt(r2 + s * s) * c * mp.cosh(t)
-
-    integrand = plus if side == "plus" else lambda t: c * mp.cosh(t) - plus(t)
-    value, err, count = _quad(integrand, [0, mp.asinh(mp.pi / (2 * c))], "gauss-legendre", wdps)
-    return _result(value / mp.pi, err / mp.pi, count, tol)
+    return _integral(kappa, h, None, "period", scheme, tol, _working_dps(dps))
 
 
 def separatrix_action(kappa, side: str, dps: int = 50):
@@ -425,6 +412,9 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50):
 # ---------------------------------------------------------------------------
 
 
+_SCHEMES = ("gauss", "tanh-sinh")  # the row's quadrature value, then its cross-check
+
+
 @dataclass(frozen=True)
 class VerifyRow:
     h: float
@@ -461,8 +451,8 @@ def verify_series_numerics(
     """Evaluate the separatrix-side action series and compare with quadrature.
 
     Samples must lie inside the proven convergence disc |h| < min(rho, 1/rho)/2.
-    h = 0 rows compare the closed-form limit constants on both sides with a
-    Gauss-Legendre quadrature of the angle form at h = 0.
+    h = 0 rows compare the closed-form limit constants on both sides with
+    both quadrature schemes at h = 0.
     """
     plus, minus = assemble_beta_actions(order)
     with mp.workdps(dps):
@@ -478,33 +468,26 @@ def verify_series_numerics(
                 raise DomainError(
                     f"sample h = {h} is outside the convergence disc of radius {mp.nstr(disc, 8)}"
                 )
-            if hq == 0:
-                for beta in (plus, minus):
-                    limit = constant_value(beta.k3, kq, dps)
-                    quad = _separatrix_quadrature(rho, beta.side, quad_tol, dps)
-                    dev = abs(limit - quad.value)
-                    max_dev = max(max_dev, dev)
-                    rows.append(
-                        VerifyRow(0.0, beta.side, limit, quad.value, dev, mp.mpf(0), quad.evaluations)
+            for beta in (plus, minus) if hq == 0 else (plus if hq > 0 else minus,):
+                if hq == 0:  # the closed-form limit against both schemes at h = 0
+                    series_val = constant_value(beta.k3, kq, dps)
+                    main, other = (_integral(kq, 0, beta.side, "action", s, quad_tol, dps) for s in _SCHEMES)
+                else:
+                    series_val = beta_action_value(beta, kq, hq, dps)
+                    main, other = (action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme=s) for s in _SCHEMES)
+                dev = abs(series_val - main.value)
+                max_dev = max(max_dev, dev)
+                rows.append(
+                    VerifyRow(
+                        float(h) or 0.0,  # -0.0 is the h = 0 row too
+                        beta.side,
+                        series_val,
+                        main.value,
+                        dev,
+                        abs(main.value - other.value),
+                        main.evaluations + other.evaluations,
                     )
-                continue
-            beta = plus if hq > 0 else minus
-            series_val = beta_action_value(beta, kq, hq, dps)
-            main = action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme="gauss")
-            other = action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme="tanh-sinh")
-            dev = abs(series_val - main.value)
-            max_dev = max(max_dev, dev)
-            rows.append(
-                VerifyRow(
-                    float(h),
-                    beta.side,
-                    series_val,
-                    main.value,
-                    dev,
-                    abs(main.value - other.value),
-                    main.evaluations + other.evaluations,
                 )
-            )
         area_sum = constant_value(plus.area, kq, dps) + constant_value(minus.area, kq, dps)
         side_sum = constant_value(plus.k3, kq, dps) + constant_value(minus.k3, kq, dps)
         return VerifyReport(

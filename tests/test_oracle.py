@@ -127,6 +127,14 @@ def test_gauss_needs_no_high_degree_near_the_separatrix():
             assert abs(gauss.value - ts.value) < mp.mpf("1e-49")
     for h in (1e-12, -1e-12):
         assert action_quadrature(0.5, h, tol=1e-40, dps=50, scheme="gauss").evaluations <= 381
+    # the period's gauss scheme differentiates the same angle form
+    for kappa in (0.5, -2):
+        for h in (1e-5, -1e-5, 1e-12, -1e-12):
+            gauss = period_quadrature(kappa, h, tol=1e-40, dps=50, scheme="gauss")
+            ts = period_quadrature(kappa, h, tol=1e-40, dps=50, scheme="tanh-sinh")
+            with mp.workdps(50):
+                assert abs(gauss.value - ts.value) < mp.mpf("1e-47")
+            assert gauss.evaluations <= 381
 
 
 def test_gauss_beyond_its_degree_cap_raises():
@@ -137,6 +145,8 @@ def test_gauss_beyond_its_degree_cap_raises():
     # far below a float's range the lowest degrees would agree on 0
     with pytest.raises(DomainError, match="too small"):
         action_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
+    with pytest.raises(DomainError, match="too small"):
+        period_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
 
 
 def test_period_asymptotic_constant():
@@ -239,6 +249,9 @@ def test_verify_series_against_quadrature():
     with mp.workdps(50):
         for r in zero_rows:
             assert abs(r.quadrature_value - separatrix_action(0.5, r.side, 50)) < mp.mpf("1e-45")
+            # both schemes ran: Gauss-Legendre alone takes 93 evaluations here
+            assert r.cross_scheme_delta < mp.mpf("1e-45")
+            assert r.evaluations > 93
 
 
 def test_verify_deviation_shrinks_with_order():

@@ -26,8 +26,6 @@ from .picardfuchs import (
     assemble_beta_actions,
     build_action_series,
     derive_pf_coefficients,
-    frobenius_a,
-    frobenius_b,
     frobenius_table,
     pf_residual,
 )

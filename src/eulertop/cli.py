@@ -54,6 +54,15 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _sample_floats(text: str) -> tuple[float, ...]:
+    """_floats, refusing a value written nonzero that underflows to 0.0, the separatrix."""
+    values = _floats(text)
+    for item, value in zip(text.split(","), values):
+        if value == 0 and re.search("[1-9]", item.lower().partition("e")[0]):
+            raise ValueError(item)
+    return values
+
+
 def _lo_hi_count(text: str) -> tuple[float, float, int]:
     lo, hi, count = text.split(":")
     return float(lo), float(hi), int(count)
@@ -73,7 +82,7 @@ def _integer(low: int, needs: str = "need"):
 _kappa = _checked(Fraction, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
-_samples = _checked(_floats, _all_finite, "need finite values h1,h2,...")
+_samples = _checked(_sample_floats, _all_finite, "need finite values h1,h2,... that do not underflow")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
 _grid = _checked(_lo_hi_count, lambda g: _all_finite(g) and g[2] >= 2, "need finite lo:hi:n, n > 1")

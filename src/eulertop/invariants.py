@@ -50,14 +50,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .oracle import rho_for_kappa
+from .oracle import log64_ratio, rho_for_kappa
 from .picardfuchs import (
     BetaAction,
     SymbolicConstant,
     assemble_beta_actions,
-    frobenius_a,
     frobenius_a_at,
     frobenius_b_at,
+    frobenius_table,
 )
 from .series import (
     KP_KAPPA,
@@ -65,6 +65,7 @@ from .series import (
     InternalConsistencyError,
     PowerSeries,
     SeriesUsageError,
+    _cauchy,
     add_list,
     deriv_list,
     integrate_list,
@@ -91,15 +92,8 @@ __all__ = [
 # The recurrences for B and the positive-side tail run on plain coefficient
 # lists over any exact ring: the symbolic tables take kappa = KP_KAPPA and
 # zero = KP_ZERO, the radius experiments a Fraction kappa and zero = Fraction(0).
-
-
-def _cauchy(a: Sequence, b: Sequence, n: int, lo: int, zero):
-    """sum_{i=lo}^{n} a[i] b[n-i]: one coefficient of an online product."""
-    acc = zero
-    for i in range(lo, n + 1):
-        if a[i]:
-            acc = acc + a[i] * b[n - i]
-    return acc
+# Every sum over coefficients already known is one series._cauchy call on an
+# online list (y', y'', G', ...) that carries its derivative weight once.
 
 
 def _bnf(kappa, order: int, zero) -> list:
@@ -119,7 +113,7 @@ def _bnf(kappa, order: int, zero) -> list:
     y = [zero, zero + 1]
     y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
     mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3y
-    p, p2, p3 = [], [], []  # y', y'^2, y'^3
+    p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
     for m in range(1, order):
         # y_m is known: extend every product through the coefficients it fixes
         y2.append(_cauchy(y, y, m, 1, zero))
@@ -130,11 +124,9 @@ def _bnf(kappa, order: int, zero) -> list:
         p2.append(_cauchy(p, p, m - 1, 0, zero))
         p3.append(_cauchy(p2, p, m - 1, 0, zero))
         # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
-        known = zero
-        for i in range(2, m + 1):
-            if c3y[i]:
-                known = known + c3y[i] * ((m - i + 2) * (m - i + 1)) * y[m - i + 2]
-        y.append((known - _cauchy(mint, p3, m, 1, zero)) * Fraction(1, m * (m + 1)))
+        known = _cauchy(c3y, ypp, m, 2, zero) - _cauchy(mint, p3, m, 1, zero)
+        y.append(known * Fraction(1, m * (m + 1)))
+        ypp.append(y[m + 1] * ((m + 1) * m))
     return y
 
 
@@ -164,20 +156,18 @@ def _sigma_tail(kappa, bnf: list, order: int, zero) -> list:
     d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * 3 for x in y], zero), p, n, zero)
     # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8y + 2 kappa since A y' = 1
     f = add_list([kappa * 2], [u * 8 - v * 2 for u, v in zip(y, deriv_list(ka))], zero)
-    g = [zero]
+    g, gp = [zero], []  # G, G'
     for m in range(1, n + 1):
-        known = zero
-        for i in range(2, m + 1):
-            if c[i]:
-                known = known + c[i] * (m - i + 1) * g[m - i + 1]
-        g.append((known * m + _cauchy(d, g, m - 1, 0, zero) - f[m - 1]) * Fraction(1, m * m))
+        known = _cauchy(c, gp, m, 2, zero) * m + _cauchy(d, g, m - 1, 0, zero)
+        g.append((known - f[m - 1]) * Fraction(1, m * m))
+        gp.append(g[m] * m)
     log_unit = log_unit_trunc(y[1:], n, zero)
     return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n, zero))], zero)
 
 
 def alpha_action(order: int) -> PowerSeries:
     """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
-    return PowerSeries("h", tuple(frobenius_a(order - 1))).integrate()
+    return PowerSeries("h", frobenius_table(order - 1).a).integrate()
 
 
 def bnf_via_reversion(order: int) -> PowerSeries:
@@ -369,7 +359,7 @@ def pendulum_compare(kappa_grid: Iterable[float]) -> list[PendulumRow]:
     """
     rows = []
     for kappa in kappa_grid:
-        leading = 0.5 * math.log(64.0 / (kappa * kappa + 4.0))
+        leading = 0.5 * log64_ratio(kappa)
         rows.append(PendulumRow(float(kappa), leading, PENDULUM_LEADING - leading))
     return rows
 

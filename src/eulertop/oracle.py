@@ -15,7 +15,8 @@ the separatrix limit at h = 0:
   endpoint singularities handled by double-exponential quadrature.
 
 Floats live only in this module; callers hand in exact series and get mpmath
-numbers back.  ``rho_for_kappa`` takes a float or an mpmath number.
+numbers back.  ``rho_for_kappa`` and ``log64_ratio`` take a float or an
+mpmath number.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "VerifyReport",
     "params_from_inertia",
     "rho_for_kappa",
+    "log64_ratio",
     "kappa_for_rho",
     "action_quadrature",
     "period_quadrature",
@@ -123,6 +125,12 @@ def rho_for_kappa(kappa):
     root = (mp.sqrt if isinstance(kappa, mp.mpf) else math.sqrt)(kappa * kappa + 4)
     # for kappa < 0 the sum kappa + root cancels; 2/(root - kappa) is the same rho
     return (kappa + root) / 2 if kappa >= 0 else 2 / (root - kappa)
+
+
+def log64_ratio(kappa):
+    """log(64/(kappa^2 + 4)), twice the leading invariant coefficient, for a
+    float or an mpmath number."""
+    return (mp.log if isinstance(kappa, mp.mpf) else math.log)(64 / (kappa * kappa + 4))
 
 
 def kappa_for_rho(rho: float) -> float:
@@ -374,7 +382,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
 # ---------------------------------------------------------------------------
 
 _CONSTANT_FORMS = {
-    LOG64_RATIO: lambda rho, kq: mp.log(64 / (kq * kq + 4)),
+    LOG64_RATIO: lambda rho, kq: log64_ratio(kq),
     ATAN_RHO: lambda rho, kq: mp.atan(rho),
     ATAN_INV_RHO: lambda rho, kq: mp.atan(1 / rho),
     ATAN_RHO_OVER_PI: lambda rho, kq: mp.atan(rho) / mp.pi,

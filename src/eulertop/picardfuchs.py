@@ -15,6 +15,11 @@ The ODE coefficients are derived in u = 2h - z, where the linear system for
 them is diagonal; residuals are taken with theta = h d/dh, so both the log
 and the power channel stay series with non-negative exponents until the end.
 
+frobenius_table is the one entry point of the symbolic a/b tables and the
+one place that picks between the two independent routes, the recursions
+and the closed-form trinomial sums; frobenius_a_at and frobenius_b_at run
+the same recursions at a rational kappa.
+
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
 combinations are kept as tagged symbolic atoms and only turned into floats
@@ -51,8 +56,6 @@ __all__ = [
     "BetaAction",
     "derive_pf_coefficients",
     "pf_residual",
-    "frobenius_a",
-    "frobenius_b",
     "frobenius_a_at",
     "frobenius_b_at",
     "frobenius_table",
@@ -171,22 +174,6 @@ def _trinomial_sum(order: int, weight) -> list[KappaPoly]:
     return out
 
 
-def frobenius_a(order: int, method: str = "recursion") -> list[KappaPoly]:
-    """Coefficients a_0..a_order of the regular solution T_r = sum a_n h^n.
-
-    'recursion' runs a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) a_{n-2})
-    with a_0 = 1; 'closed_form' evaluates the terminating trinomial sum
-    a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k}.
-    """
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
-    if method == "recursion":
-        return _a_recursion(KP_KAPPA, order, KP_ZERO)
-    if method == "closed_form":
-        return _trinomial_sum(order, lambda n, k: 1)
-    raise SeriesUsageError(f"unknown method {method!r}")
-
-
 def harmonic_numbers(order: int) -> list[Fraction]:
     out = [Fraction(0)]
     for n in range(1, order + 1):
@@ -199,24 +186,6 @@ def odd_harmonic_numbers(order: int) -> list[Fraction]:
     for n in range(1, order + 1):
         out.append(out[-1] + Fraction(1, 2 * n - 1))
     return out
-
-
-def frobenius_b(order: int, method: str = "recursion") -> list[KappaPoly]:
-    """Coefficients b_0..b_order of the log solution T_s = T_r log h + sum b_n h^n.
-
-    b_n is the indicial derivative of the deformed coefficient a_n at root 0;
-    the closed form carries the harmonic-number factor
-    f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n on each trinomial term.
-    """
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
-    if method == "recursion":
-        return _b_recursion(KP_KAPPA, frobenius_a(order), KP_ZERO)
-    if method == "closed_form":
-        H = harmonic_numbers(order)
-        O = odd_harmonic_numbers(order)
-        return _trinomial_sum(order, lambda n, k: 2 * O[n] + 2 * O[n - k] - 2 * H[n])
-    raise SeriesUsageError(f"unknown method {method!r}")
 
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
@@ -242,8 +211,27 @@ class FrobeniusTable:
 
 
 def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
-    a = frobenius_a(order, method)
-    b = _b_recursion(KP_KAPPA, a, KP_ZERO) if method == "recursion" else frobenius_b(order, method)
+    """a_0..a_order of the regular solution T_r = sum a_n h^n and b_0..b_order
+    of the log solution T_s = T_r log h + sum b_n h^n, as kappa-polynomials.
+
+    'recursion' runs the a recursion from a_0 = 1, then the b recursion on
+    that a.  'closed_form' evaluates the terminating trinomial sum
+    a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k};
+    b_n, the indicial derivative of the deformed a_n at root 0, is the same
+    sum with the harmonic-number factor f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n
+    on each term.
+    """
+    if order < 0:
+        raise SeriesUsageError("table order must be non-negative")
+    if method == "recursion":
+        a = _a_recursion(KP_KAPPA, order, KP_ZERO)
+        b = _b_recursion(KP_KAPPA, a, KP_ZERO)
+    elif method == "closed_form":
+        H, O = harmonic_numbers(order), odd_harmonic_numbers(order)
+        a = _trinomial_sum(order, lambda n, k: 1)
+        b = _trinomial_sum(order, lambda n, k: 2 * O[n] + 2 * O[n - k] - 2 * H[n])
+    else:
+        raise SeriesUsageError(f"unknown method {method!r}")
     return FrobeniusTable(order, tuple(a), tuple(b))
 
 
@@ -270,10 +258,9 @@ def build_action_series(order: int) -> ActionSeries:
     """T_r, T_s through h^order and their termwise integrals (one order higher)."""
     if order < 1:
         raise SeriesUsageError("need order >= 1")
-    a = frobenius_a(order)
-    b = _b_recursion(KP_KAPPA, a, KP_ZERO)
-    t_reg = PowerSeries("h", tuple(a))
-    t_sing = LogSeries(t_reg, PowerSeries("h", tuple(b)))
+    table = frobenius_table(order)
+    t_reg = PowerSeries("h", table.a)
+    t_sing = LogSeries(t_reg, PowerSeries("h", table.b))
     return ActionSeries(t_reg, t_sing, t_reg.integrate(), t_sing.integrate())
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "add_list",
     "strip_list",
     "mul_trunc",
+    "_cauchy",
     "compose_trunc",
     "recip_trunc",
     "log_unit_trunc",
@@ -237,6 +238,16 @@ def mul_trunc(a: Sequence, b: Sequence, order: int, zero) -> list:
     return out
 
 
+def _cauchy(a: Sequence, b: Sequence, n: int, lo: int, zero):
+    """sum_{i=lo}^{n} a[i] b[n-i], with a read as zero past its end: one
+    coefficient of an online product, for which b is known through b[n-lo]."""
+    acc = zero
+    for i in range(lo, min(n, len(a) - 1) + 1):
+        if a[i]:
+            acc = acc + a[i] * b[n - i]
+    return acc
+
+
 def compose_trunc(outer: Sequence, inner: Sequence, order: int, zero) -> list:
     """Horner composition outer(inner(x)); inner must have zero constant term."""
     if inner and inner[0]:
@@ -257,12 +268,7 @@ def recip_trunc(a: Sequence, order: int, zero) -> list:
     out = [zero] * (order + 1)
     out[0] = inv0
     for n in range(1, order + 1):
-        acc = zero
-        for k in range(1, n + 1):
-            ak = _at(a, k, zero)
-            if ak:
-                acc = acc + ak * out[n - k]
-        out[n] = -(inv0 * acc)
+        out[n] = -(inv0 * _cauchy(a, out, n, 1, zero))
     return out
 
 
@@ -279,10 +285,7 @@ def log_unit_trunc(a: Sequence, order: int, zero) -> list:
     if not a[0] or a[0] * a[0] != a[0]:
         raise SeriesUsageError("log needs a series with constant term 1")
     q = mul_trunc(deriv_list(a), recip_trunc(a, order, zero), max(order - 1, 0), zero)
-    out = [zero] * (order + 1)
-    for n in range(1, order + 1):
-        out[n] = q[n - 1] * Fraction(1, n)
-    return out
+    return integrate_list(q, zero)[: order + 1]
 
 
 def revert_trunc(a: Sequence, order: int, zero) -> list:

@@ -29,8 +29,7 @@ from eulertop.picardfuchs import (
     assemble_beta_actions,
     build_action_series,
     derive_pf_coefficients,
-    frobenius_a,
-    frobenius_b,
+    frobenius_table,
     pf_residual,
 )
 from eulertop.series import KappaPoly, PowerSeries
@@ -66,11 +65,10 @@ def test_criterion_01_normal_form_exact_both_routes():
 
 def test_criterion_02_frobenius_tables():
     start = time.perf_counter()
-    a_rec, b_rec = frobenius_a(60, "recursion"), frobenius_b(60, "recursion")
-    a_cf, b_cf = frobenius_a(60, "closed_form"), frobenius_b(60, "closed_form")
-    ok = a_rec == a_cf and b_rec == b_cf
+    rec, cf = frobenius_table(60, "recursion"), frobenius_table(60, "closed_form")
+    ok = rec.a == cf.a and rec.b == cf.b
     for n in range(1, 6):
-        ok = ok and a_rec[n] == A_TABLE[n] and b_rec[n] == B_TABLE[n]
+        ok = ok and rec.a[n] == A_TABLE[n] and rec.b[n] == B_TABLE[n]
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     report(2, ok, f"a/b tables exact, recursion = closed form to n = 60 ({elapsed:.2f}s)")
@@ -197,7 +195,8 @@ def test_criterion_11_property_spot_checks():
         f = PowerSeries.from_coeffs("h", coeffs)
         ok = ok and f.compose(f.revert()) == PowerSeries.identity("J", f.order)
     # kappa parity of the tables, normal form, and invariant
-    a, b = frobenius_a(20), frobenius_b(20)
+    table = frobenius_table(20)
+    a, b = table.a, table.b
     for n in range(1, 21):
         sign = 1 if n % 2 == 0 else -1
         ok = ok and a[n].flip_kappa() == a[n] * sign

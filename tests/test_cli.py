@@ -201,6 +201,10 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         ["pendulum", "--grid=0:nan:3"],
         ["params", "--theta=1,2,3", "--ell=inf"],
         ["verify", "--kappa=1/2", "--order=10", "--samples=nan"],
+        # nonzero h that underflows to 0.0 would be read as the separatrix
+        ["verify", "--kappa=1/2", "--order=10", "--samples=1e-400"],
+        ["verify", "--kappa=1/2", "--order=10", "--samples=1e-330"],
+        ["verify", "--kappa=1/2", "--order=10", "--samples=-1e-400"],
         ["radius", "--kappa=1/2", "--targets=", "--nmax=20"],
         # rho overflows: float(kappa) itself, or kappa * kappa
         ["radius", "--kappa=1e400", "--nmax=20"],

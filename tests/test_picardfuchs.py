@@ -9,10 +9,9 @@ from eulertop.picardfuchs import (
     assemble_beta_actions,
     build_action_series,
     derive_pf_coefficients,
-    frobenius_a,
     frobenius_a_at,
-    frobenius_b,
     frobenius_b_at,
+    frobenius_table,
     harmonic_numbers,
     odd_harmonic_numbers,
     pf_residual,
@@ -57,26 +56,26 @@ def test_c3_is_half_w_squared_at_2h():
 
 
 def test_a_table_matches_known_values():
-    a = frobenius_a(5)
+    a = frobenius_table(5).a
     assert a[0] == KP_ONE
     for n, expected in A_TABLE.items():
         assert a[n] == expected, f"a_{n}"
 
 
 def test_b_table_matches_known_values():
-    b = frobenius_b(5)
+    b = frobenius_table(5).b
     assert b[0] == KP_ZERO
     for n, expected in B_TABLE.items():
         assert b[n] == expected, f"b_{n}"
 
 
 def test_a3_vanishes_at_symmetric_top():
-    assert frobenius_a(3)[3](Fraction(0)) == 0
+    assert frobenius_table(3).a[3](Fraction(0)) == 0
 
 
 def test_recursion_equals_closed_form():
-    assert frobenius_a(25, "recursion") == frobenius_a(25, "closed_form")
-    assert frobenius_b(25, "recursion") == frobenius_b(25, "closed_form")
+    assert frobenius_table(25, "recursion").a == frobenius_table(25, "closed_form").a
+    assert frobenius_table(25, "recursion").b == frobenius_table(25, "closed_form").b
 
 
 def test_recursion_tables_compute_a_once(monkeypatch):
@@ -92,7 +91,8 @@ def test_recursion_tables_compute_a_once(monkeypatch):
 
 @pytest.fixture(scope="module")
 def symbolic_tables():
-    return frobenius_a(12), frobenius_b(12), bnf_via_reversion(9), extract_sigma(9).tail
+    table = frobenius_table(12)
+    return table.a, table.b, bnf_via_reversion(9), extract_sigma(9).tail
 
 
 @given(st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9)))
@@ -115,18 +115,19 @@ def test_first_log_coefficient_comes_from_harmonic_factor():
     H, O = harmonic_numbers(1), odd_harmonic_numbers(1)
     f10 = 2 * O[1] + 2 * O[1] - 2 * H[1]
     assert f10 == 2
-    assert frobenius_b(1)[1] == frobenius_a(1)[1] * f10
+    table = frobenius_table(1)
+    assert table.b[1] == table.a[1] * f10
 
 
 def test_negative_order_rejected():
-    with pytest.raises(SeriesUsageError):
-        frobenius_a(-1)
-    with pytest.raises(SeriesUsageError):
-        frobenius_b(-2)
+    for order, method in ((-1, "recursion"), (-2, "recursion"), (-1, "closed_form"), (5, "bogus")):
+        with pytest.raises(SeriesUsageError):
+            frobenius_table(order, method)
 
 
 def test_degree_and_parity():
-    a, b = frobenius_a(30), frobenius_b(30)
+    table = frobenius_table(30)
+    a, b = table.a, table.b
     for n in range(1, 31):
         assert a[n].degree == n
         assert b[n].degree == n
@@ -135,7 +136,7 @@ def test_degree_and_parity():
 
 
 def test_a_coefficients_positive():
-    for n, poly in enumerate(frobenius_a(60)):
+    for n, poly in enumerate(frobenius_table(60).a):
         for m, c in enumerate(poly.coeffs):
             if (n - m) % 2 == 0:
                 assert c > 0, f"a_{n} coefficient of kappa^{m}"

@@ -12,7 +12,11 @@ from eulertop.series import (
     PowerSeries,
     SeriesUsageError,
     SingularReversionError,
+    _cauchy,
     interpolate_kappa_poly,
+    log_unit_trunc,
+    mul_trunc,
+    recip_trunc,
 )
 
 K = KappaPoly.of(0, 1)
@@ -50,6 +54,22 @@ def test_mul_hand_convolution():
 def test_mul_variable_mismatch():
     with pytest.raises(SeriesUsageError):
         ps("h", 1, 1) * ps("J", 1, 1)
+
+
+def test_recip_round_trip():
+    for a, zero, one in (
+        ([KappaPoly.constant(2), K, KP_ZERO, K * K], KP_ZERO, KP_ONE),
+        ([Fraction(-3), HALF], Fraction(0), Fraction(1)),  # shorter than the order
+    ):
+        assert mul_trunc(a, recip_trunc(a, 6, zero), 6, zero) == [one] + [zero] * 6
+
+
+def test_log_unit_low_orders():
+    a = [KP_ONE, K, K * K]
+    assert log_unit_trunc(a, 0, KP_ZERO) == [KP_ZERO]
+    assert log_unit_trunc(a, 1, KP_ZERO) == [KP_ZERO, K]
+    # log(1 + K x + K^2 x^2) = K x + (K^2 - K^2 / 2) x^2 + ...
+    assert log_unit_trunc(a, 2, KP_ZERO) == [KP_ZERO, K, K * K * HALF]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +217,21 @@ def test_mul_commutative_associative(a, b, c):
     f, g, k = (PowerSeries("h", tuple(x)) for x in (a, b, c))
     assert f * g == g * f
     assert (f * g) * k == f * (g * k)
+
+
+@st.composite
+def short_and_full_lists(draw):
+    """n, a list a shorter than n + 1 and a list b of length n + 1."""
+    n = draw(st.integers(0, 6))
+    a = draw(st.lists(kappa_polys, min_size=0, max_size=n))
+    b = draw(st.lists(kappa_polys, min_size=n + 1, max_size=n + 1))
+    return n, a, b
+
+
+@given(short_and_full_lists())
+def test_online_coefficient_is_product_coefficient(case):
+    n, a, b = case
+    assert _cauchy(a, b, n, 0, KP_ZERO) == mul_trunc(a, b, n, KP_ZERO)[n]
 
 
 @given(st.lists(kappa_polys, min_size=1, max_size=7))

@@ -10,7 +10,9 @@ options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
 --order, --nmax or --precision outside the command's range (the ceiling
 bounds the cost of a run) and a --tol that is not positive exit 2; so does a
-table whose exact values would pass Python's limit on int-to-str digits.
+table whose exact values would pass Python's limit on int-to-str digits, and
+a radius run of bnf or sigma whose --nmax and bits of kappa would take it
+past a minute.
 
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
@@ -400,6 +402,11 @@ def _derive_kappa(args) -> None:
         args.kappa = Fraction(oracle.params_from_inertia(*theta, args.ell).kappa)
 
 
+def _kappa_bits(kappa: Fraction) -> int:
+    """The bit length of kappa's numerator or denominator, whichever is longer."""
+    return max(kappa.numerator.bit_length(), kappa.denominator.bit_length())
+
+
 def _check_value_digits(args) -> None:
     """Refuse a table command whose values pass Python's int-to-str digit limit,
     before any table is built: at order n and a kappa of b bits (numerator or
@@ -407,11 +414,32 @@ def _check_value_digits(args) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or _COMMANDS[args.command][3] is not _SERIES_HEADER:
         return
-    bits = max(args.kappa.numerator.bit_length(), args.kappa.denominator.bit_length())
-    if args.order * (bits + 6) > limit * math.log2(10):
+    if args.order * (_kappa_bits(args.kappa) + 6) > limit * math.log2(10):
         raise SeriesUsageError(
             f"--order={args.order} with --kappa={args.kappa} gives values of over {limit} "
             "digits, which Python does not print; lower --order or shorten --kappa"
+        )
+
+
+# the largest nmax^2 (b + 14) that _check_radius_cost admits
+_RADIUS_BUDGET = 4_000_000
+
+
+def _check_radius_cost(args) -> None:
+    """Refuse a radius run of the bnf or sigma target that would take about a
+    minute, before any table is built.  At a kappa of b bits their time grows
+    with nmax^2 (b + 14), about as its 1.5th power.  On a 2-CPU machine, runs
+    at 3.7e6 to 4.1e6 took 33-38 s (nmax 400 at b = 9 and 10, 300 at b = 31,
+    250 at b = 52) and one at 4.8e6 took 60 s (nmax 400, b = 16).  The a and
+    b targets are not counted: at b = 52 and nmax 400 they take about 1 s."""
+    if args.command != "radius" or not {"bnf", "sigma"} & set(args.targets):
+        return
+    bits = _kappa_bits(args.kappa)
+    if args.nmax**2 * (bits + 14) > _RADIUS_BUDGET:
+        raise SeriesUsageError(
+            f"--nmax={args.nmax} with the {bits}-bit --kappa={args.kappa} passes the cost "
+            f"ceiling of bnf and sigma, nmax^2 (bits + 14) <= {_RADIUS_BUDGET}; "
+            "lower --nmax, shorten --kappa or use --targets=a,b"
         )
 
 
@@ -445,6 +473,7 @@ def main(argv=None) -> int:
     try:
         _derive_kappa(args)
         _check_value_digits(args)
+        _check_radius_cost(args)
         code, text = execute(args)
     except (SeriesUsageError, oracle.ParameterError, oracle.DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

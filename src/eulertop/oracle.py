@@ -130,7 +130,13 @@ def rho_for_kappa(kappa):
 def log64_ratio(kappa):
     """log(64/(kappa^2 + 4)), twice the leading invariant coefficient, for a
     float or an mpmath number."""
-    return (mp.log if isinstance(kappa, mp.mpf) else math.log)(64 / (kappa * kappa + 4))
+    if isinstance(kappa, mp.mpf):
+        return mp.log(64 / (kappa * kappa + 4))
+    square = kappa * kappa
+    if math.isinf(square):
+        # kappa^2 overflows a float although the value is finite
+        return math.log(64) - 2 * math.log(abs(kappa)) - math.log1p((2 / kappa) ** 2)
+    return math.log(64 / (square + 4))
 
 
 def kappa_for_rho(rho: float) -> float:

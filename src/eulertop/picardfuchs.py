@@ -18,7 +18,11 @@ and the power channel stay series with non-negative exponents until the end.
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
 and the closed-form trinomial sums; frobenius_a_at and frobenius_b_at run
-the same recursions at a rational kappa.
+the same recursions at a rational kappa = p/q.  There they run over p with
+integer coefficients: h = q u turns a_n, b_n into A_n = a_n q^n and
+B_n = b_n q^n, the recursions' a_{n-2} and b_{n-2} terms take the weight
+w = q^2 (the symbolic tables pass w = 1), and each coefficient is divided
+by q^n once at the end, so no step carries q^n in a denominator.
 
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
@@ -45,6 +49,7 @@ from .series import (
     deriv_list,
     mul_trunc,
     strip_list,
+    unscale_list,
 )
 
 __all__ = [
@@ -127,33 +132,35 @@ def derive_pf_coefficients() -> PFCoefficients:
 
 
 # The recursions run over any exact ring: the symbolic tables take
-# kappa = KP_KAPPA and zero = KP_ZERO, the fixed-kappa tables a Fraction kappa
-# and zero = Fraction(0).
+# kappa = KP_KAPPA, zero = KP_ZERO and weight w = 1; the fixed-kappa tables at
+# kappa = p/q take kappa = p, zero = Fraction(0) and w = q^2, and return the
+# scaled A_n = a_n q^n, B_n = b_n q^n.
 
 
-def _a_recursion(kappa, order: int, zero) -> list:
-    """a_0..a_order from a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) a_{n-2})."""
+def _a_recursion(kappa, order: int, zero, w) -> list:
+    """a_0..a_order from a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) w a_{n-2})."""
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     out = [zero + 1]
     for n in range(1, order + 1):
         t = out[n - 1] * kappa * Fraction(2 * n - 1, 2)
         if n >= 2:
-            t = t + out[n - 2] * (2 * n - 3)
+            t = t + out[n - 2] * ((2 * n - 3) * w)
         out.append(t * Fraction(2 * n - 1, n * n))
     return out
 
 
-def _b_recursion(kappa, a: list, zero) -> list:
-    """b_0..b_order of the log solution, given a_0..a_order."""
+def _b_recursion(kappa, a: list, zero, w) -> list:
+    """b_0..b_order of the log solution, given a_0..a_order from _a_recursion
+    at the same kappa and weight."""
     out = [zero]
     for n in range(1, len(a)):
         t = kappa * a[n - 1] + kappa * out[n - 1] * Fraction(n * (2 * n - 1), 2)
         if n >= 2:
-            t = t + out[n - 2] * (n * (2 * n - 3))
+            t = t + out[n - 2] * (n * (2 * n - 3) * w)
         t = t * (2 * n - 1)
         if n >= 2:
-            t = t + a[n - 2] * (8 * n - 6)
+            t = t + a[n - 2] * ((8 * n - 6) * w)
         out.append(t * Fraction(1, n**3))
     return out
 
@@ -190,11 +197,14 @@ def odd_harmonic_numbers(order: int) -> list[Fraction]:
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
     """a_n evaluated at an exact rational kappa (fast path for long tables)."""
-    return _a_recursion(Fraction(kappa), order, Fraction(0))
+    p, q = Fraction(kappa).as_integer_ratio()
+    return unscale_list(_a_recursion(p, order, Fraction(0), q * q), q, 0)
 
 
 def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
-    return _b_recursion(Fraction(kappa), frobenius_a_at(kappa, order), Fraction(0))
+    p, q = Fraction(kappa).as_integer_ratio()
+    scaled_a = _a_recursion(p, order, Fraction(0), q * q)
+    return unscale_list(_b_recursion(p, scaled_a, Fraction(0), q * q), q, 0)
 
 
 @dataclass(frozen=True)
@@ -224,8 +234,8 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     if method == "recursion":
-        a = _a_recursion(KP_KAPPA, order, KP_ZERO)
-        b = _b_recursion(KP_KAPPA, a, KP_ZERO)
+        a = _a_recursion(KP_KAPPA, order, KP_ZERO, 1)
+        b = _b_recursion(KP_KAPPA, a, KP_ZERO, 1)
     elif method == "closed_form":
         H, O = harmonic_numbers(order), odd_harmonic_numbers(order)
         a = _trinomial_sum(order, lambda n, k: 1)

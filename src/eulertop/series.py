@@ -34,6 +34,7 @@ __all__ = [
     "recip_trunc",
     "log_unit_trunc",
     "revert_trunc",
+    "unscale_list",
 ]
 
 
@@ -278,6 +279,12 @@ def deriv_list(a: Sequence) -> list:
 
 def integrate_list(a: Sequence, zero) -> list:
     return [zero] + [a[n] * Fraction(1, n + 1) for n in range(len(a))]
+
+
+def unscale_list(a: Sequence, q: int, shift: int) -> list:
+    """The coefficients a_n q^(shift - n) of q^shift a(x/q), from those of a(u):
+    one multiplication or division by a power of the integer q per coefficient."""
+    return [c * q ** (shift - n) if n <= shift else c / q ** (n - shift) for n, c in enumerate(a)]
 
 
 def log_unit_trunc(a: Sequence, order: int, zero) -> list:

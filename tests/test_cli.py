@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eulertop import cli, picardfuchs
+from eulertop import cli, invariants, picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -102,12 +102,15 @@ def test_params_echo(capsys):
 
 
 def test_pendulum_margins(capsys):
-    code, out, _ = run_cli(capsys, "pendulum", "--grid=-5:5:50")
-    assert code == 0
-    doc = json.loads(out)
-    assert len(doc["rows"]) == 50
     floor = math.log(8.0) - 1e-12
-    assert all(float(r["margin"]) >= floor for r in doc["rows"])
+    # past |kappa| ~ 1.3e154 kappa^2 overflows a float; the leading term does not
+    for grid, count in (("-5:5:50", 50), ("1e154:2e154:2", 2), ("-1e300:1e300:3", 3)):
+        code, out, _ = run_cli(capsys, "pendulum", f"--grid={grid}")
+        assert code == 0, grid
+        rows = json.loads(out)["rows"]
+        assert len(rows) == count, grid
+        assert all(math.isfinite(float(r["euler_leading"])) for r in rows), grid
+        assert all(float(r["margin"]) >= floor for r in rows), grid
 
 
 def test_radius_command(capsys):
@@ -237,6 +240,32 @@ def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeyp
     # a 52-bit kappa from --theta stays below the limit at the same order
     code, out, _ = run_cli(capsys, "frobenius", "--theta=1,2,2.5", "--ell=1", "--order=200")
     assert code == 0 and json.loads(out)["methods_agree"] is True
+
+
+def test_radius_ceiling_counts_the_bits_of_kappa(capsys, monkeypatch):
+    # bnf and sigma at the 52-bit kappa of --theta=1,2,2.5 --ell=1 run for a
+    # minute or more at nmax 300 and 400: they exit 2 before any table is built
+    calls = []
+    monkeypatch.setattr(invariants, "radius_analysis", lambda *args: calls.append(args) or [])
+    theta = ["--theta=1,2,2.5", "--ell=1"]
+    for argv in (
+        [*theta, "--nmax=400"],
+        [*theta, "--nmax=400", "--targets=a,sigma"],
+        [*theta, "--nmax=300", "--targets=bnf"],
+    ):
+        code, out, err = run_cli(capsys, "radius", *argv)
+        assert (code, out) == (2, "") and "--nmax" in err and "--targets=a,b" in err, argv
+    assert calls == []
+    # the runs that stay within a minute, and a and b alone at any kappa
+    for argv in (
+        ["--kappa=1/2", "--nmax=400"],
+        ["--kappa=255/256", "--nmax=400"],
+        [*theta, "--nmax=200"],
+        [*theta, "--nmax=400", "--targets=a,b"],
+        ["--kappa=1/1000000000000000000000000000000", "--nmax=400", "--targets=a,b"],
+    ):
+        assert run_cli(capsys, "radius", *argv)[0] == 0, argv
+    assert len(calls) == 5
 
 
 def test_csv_output_builds_no_json_document(capsys, monkeypatch):

@@ -10,7 +10,9 @@ from eulertop import invariants
 from eulertop.invariants import (
     MARGIN_FLOOR,
     PENDULUM_LEADING,
+    _bnf,
     _sequences,
+    _sigma_tail,
     alpha_action,
     bnf_via_reversion,
     extract_sigma,
@@ -22,9 +24,12 @@ from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value, rho_for_kappa
 from eulertop.picardfuchs import (
     LOG64_RATIO,
+    _a_recursion,
+    _b_recursion,
     build_action_series,
     frobenius_a_at,
     frobenius_b_at,
+    frobenius_table,
 )
 from eulertop.series import (
     KappaPoly,
@@ -33,9 +38,10 @@ from eulertop.series import (
     integrate_list,
     log_unit_trunc,
     revert_trunc,
+    unscale_list,
 )
 
-from expected_tables import BNF_TABLE, SIGMA_TABLE
+from expected_tables import A_TABLE, B_TABLE, BNF_TABLE, SIGMA_TABLE
 
 K = KappaPoly.of(0, 1)
 
@@ -98,6 +104,38 @@ def test_recurrences_match_reversion_and_composition(kappa):
     assert sequences["sigma"]() == tail
 
 
+@given(st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40)))
+@example(Fraction(-4028141964097261, 2251799813685248))  # kappa of a float inertia triple
+def test_scaled_recurrences_back_substitute_to_the_unscaled(kappa):
+    """At kappa = p/q the four recurrences over p with weight q^2 give
+    A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1),
+    through n = 30, against the same recurrences at kappa with weight 1."""
+    n, zero = 30, Fraction(0)
+    p, q = kappa.as_integer_ratio()
+    w = q * q
+    scaled_a, a = _a_recursion(p, n, zero, w), _a_recursion(kappa, n, zero, 1)
+    assert unscale_list(scaled_a, q, 0) == a
+    assert unscale_list(_b_recursion(p, scaled_a, zero, w), q, 0) == _b_recursion(kappa, a, zero, 1)
+    scaled_y, y = _bnf(p, n, zero, w), _bnf(kappa, n, zero, 1)
+    assert unscale_list(scaled_y, q, 1) == y
+    assert unscale_list(_sigma_tail(p, scaled_y, n, zero, w), q, 1) == _sigma_tail(kappa, y, n, zero, 1)
+
+
+def test_symbolic_route_gives_the_expected_tables():
+    """The symbolic route (kappa = KP_KAPPA, weight 1) against the frozen tables."""
+    table = frobenius_table(40)
+    for n, expected in A_TABLE.items():
+        assert table.a[n] == expected, n
+    for n, expected in B_TABLE.items():
+        assert table.b[n] == expected, n
+    bnf = bnf_via_reversion(12)
+    sigma = extract_sigma(9).tail
+    for n, expected in BNF_TABLE.items():
+        assert bnf.coefficient(n) == expected, n
+    for n, expected in SIGMA_TABLE.items():
+        assert sigma.coefficient(n) == expected, n
+
+
 def test_radius_builds_bnf_once(monkeypatch):
     calls = []
     original = invariants._bnf
@@ -106,6 +144,12 @@ def test_radius_builds_bnf_once(monkeypatch):
     assert len(calls) == 1
     radius_analysis(Fraction(1, 2), 20, ("sigma",))
     assert len(calls) == 2  # nothing is kept between calls
+    # likewise the scaled a table, read by both a and b
+    a_calls = []
+    original_a = invariants._a_recursion
+    monkeypatch.setattr(invariants, "_a_recursion", lambda *args: a_calls.append(args) or original_a(*args))
+    radius_analysis(Fraction(1, 2), 20, ("a", "b"))
+    assert len(a_calls) == 1
 
 
 # ---------------------------------------------------------------------------

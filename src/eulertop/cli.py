@@ -280,7 +280,14 @@ def _cmd_radius(args):
 
 def _cmd_pendulum(args):
     lo, hi, count = args.grid
-    grid = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    if math.isfinite((hi - lo) * (count - 1)):
+        grid = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    else:
+        # hi - lo overflows: weigh the ends instead, and clamp to them, since
+        # with both ends near the float maximum the rounding may pass one
+        low, high = sorted((lo, hi))
+        steps = [i / (count - 1) for i in range(count)]
+        grid = [min(high, max(low, lo * (1 - t) + hi * t)) for t in steps]
     rows = invariants.pendulum_compare(grid)
     doc = lambda: {
         "command": "pendulum",

@@ -294,7 +294,9 @@ def _ratio_estimates(coeffs: Sequence[Fraction]):
     ns, ratios = [], []
     for n1, n2 in zip(nonzero, nonzero[1:]):
         gap = n2 - n1
-        est = float(abs(Fraction(coeffs[n1], 1) / coeffs[n2])) ** (1.0 / gap)
+        c1, c2 = coeffs[n1], coeffs[n2]
+        # int true division rounds correctly, as float(c1 / c2) does, without its gcds
+        est = (abs(c1.numerator * c2.denominator) / abs(c1.denominator * c2.numerator)) ** (1.0 / gap)
         ns.append(n1)
         ratios.append(est)
     return tuple(ns), tuple(ratios), skipped

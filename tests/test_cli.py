@@ -103,12 +103,16 @@ def test_params_echo(capsys):
 
 def test_pendulum_margins(capsys):
     floor = math.log(8.0) - 1e-12
-    # past |kappa| ~ 1.3e154 kappa^2 overflows a float; the leading term does not
-    for grid, count in (("-5:5:50", 50), ("1e154:2e154:2", 2), ("-1e300:1e300:3", 3)):
+    # past |kappa| ~ 1.3e154 kappa^2 overflows a float; the leading term does
+    # not, nor does the grid where hi - lo or (hi - lo) * i overflows
+    grids = ("-5:5:50", "1e154:2e154:2", "-1e300:1e300:3", "-1.7e308:1.7e308:3", "0:1.7e308:3")
+    for grid in grids:
         code, out, _ = run_cli(capsys, "pendulum", f"--grid={grid}")
         assert code == 0, grid
         rows = json.loads(out)["rows"]
-        assert len(rows) == count, grid
+        assert len(rows) == int(grid.split(":")[2]), grid
+        kappas = [float(r["kappa"]) for r in rows]
+        assert all(math.isfinite(k) for k in kappas) and kappas == sorted(kappas), grid
         assert all(math.isfinite(float(r["euler_leading"])) for r in rows), grid
         assert all(float(r["margin"]) >= floor for r in rows), grid
 

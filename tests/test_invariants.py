@@ -217,6 +217,21 @@ def test_a_sequence_ratio_approaches_known_radius():
     assert all(r > 0 and math.isfinite(r) for r in report.ratios)
 
 
+_BIG = st.integers(-2**400, 2**400)
+
+
+@given(st.lists(st.one_of(st.just(Fraction(0)), st.builds(Fraction, _BIG, st.integers(1, 2**400))), max_size=12))
+@example([Fraction(3, 7), Fraction(0), Fraction(-2**300 + 1, 3**180), Fraction(5, 2**1000)])
+def test_ratio_estimates_round_as_the_fraction_quotient(coeffs):
+    ns, ratios, _ = invariants._ratio_estimates(coeffs)
+    nonzero = [n for n, c in enumerate(coeffs) if c]
+    assert ns == tuple(nonzero[:-1])
+    assert ratios == tuple(
+        float(abs(Fraction(coeffs[n1], 1) / coeffs[n2])) ** (1.0 / (n2 - n1))
+        for n1, n2 in zip(nonzero, nonzero[1:])
+    )
+
+
 def test_symmetric_top_skips_odd_coefficients():
     report = radius_analysis(Fraction(0), 40, targets=("a",))[0]
     assert report.skipped  # odd coefficients vanish at kappa = 0

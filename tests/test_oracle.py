@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
 from eulertop import oracle
 from eulertop.oracle import (
@@ -147,6 +149,79 @@ def test_gauss_beyond_its_degree_cap_raises():
         action_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
     with pytest.raises(DomainError, match="too small"):
         period_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule's own nodes
+# ---------------------------------------------------------------------------
+
+
+def _prec(dps):
+    with mp.workdps(dps):
+        return mp.prec
+
+
+@pytest.mark.parametrize("dps", [15, 50, 60, 100])
+def test_gauss_nodes_match_mpmath(dps):
+    # stock mpmath at 64 more bits is the reference.  Its target is
+    # 2^-(prec + 8), which its weights just meet; the nodes hold to the
+    # 1.5 prec bits mpmath works at, less 2
+    prec = _prec(dps)
+    rule = oracle._NewtonGaussLegendre(mp)
+    for degree in range(1, 8 if dps == 100 else 9):
+        nodes = rule.calc_nodes(degree, prec)
+        reference = GaussLegendre(mp).calc_nodes(degree, prec + 64)
+        assert len(nodes) == len(reference) == 3 * 2 ** (degree - 1)
+        with mp.workprec(2 * prec):
+            for (x, w), (xr, wr) in zip(nodes, reference):
+                assert abs(x - xr) < mp.ldexp(1, 2 - int(1.5 * prec)), (degree, x)
+                assert abs(w - wr) < mp.ldexp(1, -(prec + 8)), (degree, x)
+
+
+def test_gauss_rule_integrates_even_powers_exactly():
+    # degree m has n = 3 * 2^(m-1) points: exact on x^(2k) for 2k < 2n
+    prec = _prec(50)
+    rule = oracle._NewtonGaussLegendre(mp)
+    with mp.workprec(prec + 20):
+        for degree in range(1, 9):
+            nodes = rule.calc_nodes(degree, prec)
+            n = len(nodes)
+            assert abs(mp.fsum(w for _, w in nodes) - 2) < mp.ldexp(1, -prec)
+            moments = [mp.mpf(0)] * n
+            for x, w in nodes:
+                x2, term = x * x, w
+                for k in range(n):
+                    moments[k] += term
+                    term *= x2
+            for k, moment in enumerate(moments):
+                assert abs(moment - mp.mpf(2) / (2 * k + 1)) < mp.ldexp(1, -prec), (degree, k)
+
+
+@pytest.mark.parametrize("kappa, h, dps", [(0.5, 0.02, 50), (0.5, -0.02, 30), (-2, 1e-6, 30), (-20, -1e-5, 30)])
+def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
+    ours = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
+    monkeypatch.setitem(oracle._RULES, "gauss", (GaussLegendre(mp), oracle._GAUSS_MAXDEGREE))
+    stock = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
+    with mp.workdps(dps):
+        assert abs(ours.value - stock.value) < mp.mpf(10) ** -(dps - 2)
+    assert ours.evaluations == stock.evaluations
+
+
+def test_gauss_nodes_are_cheap_cold():
+    # calc_nodes itself, never a cache: mpmath's own takes about 1.4 s here
+    rule, prec = oracle._NewtonGaussLegendre(mp), _prec(60)
+    start = time.perf_counter()
+    for degree in range(1, 8):
+        rule.calc_nodes(degree, prec)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("scheme, rule", [("gauss", oracle._NewtonGaussLegendre), ("tanh-sinh", TanhSinh)])
+def test_quadrature_reports_cold_nodes(monkeypatch, scheme, rule):
+    monkeypatch.setitem(oracle._RULES, scheme, (rule(mp), oracle._RULES[scheme][1]))
+    first = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
+    again = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
+    assert first.nodes_cold and not again.nodes_cold
 
 
 def test_period_asymptotic_constant():

@@ -8,11 +8,11 @@ first, and tagged symbolic constants as {"sym": ..., "factor": ..., "numeric": .
 One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
 options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
---order, --nmax or --precision outside the command's range (the ceiling
-bounds the cost of a run) and a --tol that is not positive exit 2; so does a
-table whose exact values would pass Python's limit on int-to-str digits, and
-a radius run of bnf or sigma whose --nmax and bits of kappa would take it
-past a minute.
+--order, --nmax, --precision or --grid count outside the command's range
+(the ceiling bounds the cost of a run) and a --tol that is not positive
+exit 2; so does a table whose exact values would pass Python's limit on
+int-to-str digits, and a radius run of bnf or sigma whose --nmax and bits
+of kappa would take it past a minute.
 
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
@@ -87,7 +87,14 @@ _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive a
 _samples = _checked(_sample_floats, _all_finite, "need finite values h1,h2,... that do not underflow")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
-_grid = _checked(_lo_hi_count, lambda g: _all_finite(g) and g[2] >= 2, "need finite lo:hi:n, n > 1")
+# the most --grid points: JSON output holds about 2 KB of memory per point,
+# so 10^5 points take about 2 s and 200 MB on a 2-CPU machine
+_GRID_POINTS = 100_000
+_grid = _checked(
+    _lo_hi_count,
+    lambda g: _all_finite(g) and 2 <= g[2] <= _GRID_POINTS,
+    f"need finite lo:hi:n with n from 2 to {_GRID_POINTS}",
+)
 
 # the integer options, whose default and ceiling each command sets in _COMMANDS
 _INTEGERS = {

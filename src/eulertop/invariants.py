@@ -23,29 +23,9 @@ side:
 
 Both branches must produce the same sigma; the report carries that check.
 
-Neither B nor the positive-side tail is found by reversion or composition.
-Both come from the period equation (c3 T')' + c1 T = 0 carried to J, one
-coefficient at a time (online series solving, van der Hoeven 2002), in
-O(n^2) ring operations:
-
-  * B: with T_r(B) = 1/B', the equation integrates once to
-    c3(y) y'' = y'^3 int_0^J c1(y), y = B(J); the J^m coefficient fixes
-    y_{m+1} with pivot -m(m+1).
-  * the tail: G = b o B, b the regular part of the log period, solves a
-    linear equation whose J^(m-1) coefficient fixes G_m with pivot -m^2;
-    then tail' = -log(B/J) - G B'.
-
-Both recurrences, and the a/b recursions, are written once over a generic
-ring with one weight argument w.  The symbolic tables pass kappa = KP_KAPPA
-and w = 1.  At a rational kappa = p/q the substitution J = q u, h = q Y
-gives Y(u) = B(q u)/q and a period equation with integer coefficients:
-kappa becomes p and the constants 3, 4 and 8 of c1, c3, K and K'A take
-w = q^2.  The recurrences then return Y_n = y_n q^(n-1) and the scaled tail
-T_n = sigma_n q^(n-1), whose denominators come from the pivots and small
-constants, not from q; each coefficient is back-substituted once
-(series.unscale_list).
-
-The checks on that route stay independent of it: B equals the Lie normal
+B(J) and the positive-side tail come from recurrences of the period
+equation (picardfuchs._sequences), not from reversion or composition.  The
+checks on that route stay independent of it: B equals the Lie normal
 form (tests), the negative side composes the actions with B, must invert
 to J and must give the same sigma (_extract_minus), and the oracle
 compares with quadrature.  series.revert_trunc remains the generic
@@ -54,7 +34,6 @@ reversion behind PowerSeries.revert.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,26 +43,11 @@ from .oracle import log64_ratio, rho_for_kappa
 from .picardfuchs import (
     BetaAction,
     SymbolicConstant,
-    _a_recursion,
-    _b_recursion,
+    _sequences,
     assemble_beta_actions,
     frobenius_table,
 )
-from .series import (
-    KP_KAPPA,
-    KP_ZERO,
-    InternalConsistencyError,
-    PowerSeries,
-    SeriesUsageError,
-    _cauchy,
-    add_list,
-    deriv_list,
-    integrate_list,
-    log_unit_trunc,
-    mul_trunc,
-    recip_trunc,
-    unscale_list,
-)
+from .series import KP_KAPPA, InternalConsistencyError, PowerSeries, SeriesUsageError
 
 __all__ = [
     "InvariantReport",
@@ -100,85 +64,6 @@ __all__ = [
 ]
 
 
-# The recurrences for B and the positive-side tail run on plain coefficient
-# lists over any exact ring: the symbolic tables take kappa = KP_KAPPA,
-# zero = KP_ZERO and w = 1, the radius experiments at kappa = p/q take
-# kappa = p, zero = Fraction(0) and w = q^2 and return the scaled Y_n and T_n.
-# Every sum over coefficients already known is one series._cauchy call on an
-# online list (y', y'', G', ...) that carries its derivative weight once.
-
-
-def _bnf(kappa, order: int, zero, w) -> list:
-    """B(J) through J^order, the compositional inverse of alpha.
-
-    With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
-    (c3 T')' + c1 T = 0 integrates once to
-
-        c3(y) y'' = y'^3 M,    M = int_0^J c1(y),
-
-    c3(h) = -h + 2 kappa h^2 + 4 w h^3 and c1(h) = kappa/2 + 3 w h (w = 1
-    for B itself, w = q^2 for the scaled Y at kappa = p/q).  Its J^m
-    coefficient fixes y_{m+1} with pivot -m(m+1); every other term is a
-    coefficient of an online product of coefficients already known.
-    """
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
-    y = [zero, zero + 1]
-    y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
-    mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3 w y
-    p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
-    for m in range(1, order):
-        # y_m is known: extend every product through the coefficients it fixes
-        y2.append(_cauchy(y, y, m, 1, zero))
-        y3.append(_cauchy(y2, y, m, 1, zero))
-        c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * (4 * w))
-        mint.append(y[m] * Fraction(3 * w, m + 1))
-        p.append(y[m] * m)
-        p2.append(_cauchy(p, p, m - 1, 0, zero))
-        p3.append(_cauchy(p2, p, m - 1, 0, zero))
-        # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
-        known = _cauchy(c3y, ypp, m, 2, zero) - _cauchy(mint, p3, m, 1, zero)
-        y.append(known * Fraction(1, m * (m + 1)))
-        ypp.append(y[m + 1] * ((m + 1) * m))
-    return y
-
-
-def _sigma_tail(kappa, bnf: list, order: int, zero, w) -> list:
-    """sigma(J) - linear_log * J through J^order, from B(J) through J^order or beyond.
-
-    With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
-    2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
-    -J - J log(B/J) - Q(B(J)), whose derivative is -log(B/J) - G B' with
-    G = b o B, b the regular part of the log period.  G solves the period
-    equation carried to J,
-
-        (C G')' + c1(y) y' G = -K A' - (K A)',
-
-    y = B, A = 1/y', K = c3(y)/y = 4 w y^2 + 2 kappa y - 1 and C = y K A =
-    -J + ...; its J^(m-1) coefficient fixes G_m with pivot -m^2, G_0 = 0.
-    The weight w is that of _bnf, which gave bnf.
-    """
-    y = bnf[: order + 1]
-    n = order - 1
-    p = deriv_list(y)
-    a = recip_trunc(p, n, zero)
-    k = add_list(
-        [c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n, zero), y)], [zero - 1], zero
-    )
-    ka = mul_trunc(k, a, n, zero)
-    c = mul_trunc(y, ka, n, zero)
-    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y], zero), p, n, zero)
-    # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8 w y + 2 kappa since A y' = 1
-    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))], zero)
-    g, gp = [zero], []  # G, G'
-    for m in range(1, n + 1):
-        known = _cauchy(c, gp, m, 2, zero) * m + _cauchy(d, g, m - 1, 0, zero)
-        g.append((known - f[m - 1]) * Fraction(1, m * m))
-        gp.append(g[m] * m)
-    log_unit = log_unit_trunc(y[1:], n, zero)
-    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n, zero))], zero)
-
-
 def alpha_action(order: int) -> PowerSeries:
     """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
     return PowerSeries("h", frobenius_table(order - 1).a).integrate()
@@ -186,7 +71,7 @@ def alpha_action(order: int) -> PowerSeries:
 
 def bnf_via_reversion(order: int) -> PowerSeries:
     """Normal form B(J) as the compositional inverse of the regular action."""
-    return PowerSeries("J", tuple(_bnf(KP_KAPPA, order, KP_ZERO, 1)))
+    return PowerSeries("J", tuple(_sequences(KP_KAPPA, order)["bnf"]()))
 
 
 @dataclass(frozen=True)
@@ -224,10 +109,12 @@ def extract_sigma(order: int) -> InvariantReport:
     if order < 2:
         raise SeriesUsageError("need order >= 2")
     plus, minus = assemble_beta_actions(order + 1)
-    bnf = _bnf(KP_KAPPA, order + 1, KP_ZERO, 1)
+    sequences = _sequences(KP_KAPPA, order + 1)
+    bnf = PowerSeries("J", tuple(sequences["bnf"]()))
     lin_plus = -plus.k1
-    tail_plus = PowerSeries("J", tuple(_sigma_tail(KP_KAPPA, bnf, order, KP_ZERO, 1)))
-    lin_minus, tail_minus = _extract_minus(minus, PowerSeries("J", tuple(bnf)), order)
+    # the tail through J^order does not depend on the truncation at J^(order+1)
+    tail_plus = PowerSeries("J", tuple(sequences["sigma"]()[: order + 1]))
+    lin_minus, tail_minus = _extract_minus(minus, bnf, order)
     consistent = (tail_plus == tail_minus) and (lin_plus == lin_minus)
     if not consistent:
         raise InternalConsistencyError(
@@ -263,27 +150,6 @@ class RadiusReport:
     skipped: tuple[int, ...]
 
 
-def _sequences(kappa: Fraction, nmax: int) -> dict:
-    """The coefficient sequences at one kappa = p/q, each behind a thunk.
-
-    The recurrences run over p with weight w = q^2 (J = q u, h = q Y): they
-    give A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1) and the tail's
-    T_n = sigma_n q^(n-1), and each thunk back-substitutes once per
-    coefficient, so it returns the exact a_n, b_n, y_n and sigma_n.  A is
-    built at most once for a and b, Y at most once for bnf and sigma.
-    """
-    p, q = kappa.as_integer_ratio()
-    w, zero = q * q, Fraction(0)
-    scaled_a = functools.cache(lambda: _a_recursion(p, nmax, zero, w))
-    scaled_y = functools.cache(lambda: _bnf(p, nmax, zero, w))
-    return {
-        "a": lambda: unscale_list(scaled_a(), q, 0),
-        "b": lambda: unscale_list(_b_recursion(p, scaled_a(), zero, w), q, 0),
-        "bnf": lambda: unscale_list(scaled_y(), q, 1),
-        "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), nmax, zero, w), q, 1),
-    }
-
-
 def _ratio_estimates(coeffs: Sequence[Fraction]):
     nonzero = [n for n, c in enumerate(coeffs) if c]
     skipped = tuple(
@@ -317,7 +183,7 @@ def radius_analysis(
     nmax: int,
     targets: Iterable[str] = ("a", "b", "bnf", "sigma"),
 ) -> list[RadiusReport]:
-    """Ratio-test radius estimates at an exact rational kappa.
+    """Ratio-test radius estimates at an exact rational kappa, an int or a Fraction.
 
     Coefficient sequences are computed exactly, converted to floats, and the
     consecutive-ratio estimates |c_n / c_{n+1}| are accelerated by a single
@@ -325,6 +191,7 @@ def radius_analysis(
     min(rho, 1/rho) / 2 for comparison.  The bnf and sigma targets share
     one B(J) within the call; nothing is kept between calls.
     """
+    sequences = _sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")
@@ -337,7 +204,6 @@ def radius_analysis(
             "|kappa| is too large: rho = (kappa + sqrt(kappa^2 + 4))/2 is not a positive float"
         )
     known = 0.5 * min(rho, 1.0 / rho)
-    sequences = _sequences(kappa, nmax)
     reports = []
     for name in targets:
         if name not in sequences:

@@ -15,14 +15,25 @@ The ODE coefficients are derived in u = 2h - z, where the linear system for
 them is diagonal; residuals are taken with theta = h d/dh, so both the log
 and the power channel stay series with non-negative exponents until the end.
 
+The four coefficient recurrences of the period equation live here, each
+O(n^2) ring operations: the a/b recursions of the Frobenius basis, and
+B(J) (the Birkhoff normal form, the compositional inverse of
+alpha = 2 pi I_r) and the sigma tail, which carry (c3 T')' + c1 T = 0 to
+J one coefficient at a time (online series solving, van der Hoeven 2002).
+_sequences is their one entry and the one place that picks the ring: the
+symbolic tables run over KappaPoly at kappa = KP_KAPPA with weight w = 1.
+At a rational kappa = p/q, h = q Y and J = q u give a period equation with
+integer coefficients: kappa becomes p, and the a_{n-2}, b_{n-2} terms and
+the constants 3, 4 and 8 of c1, c3, K and K'A take w = q^2.  The
+recurrences then return A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1)
+and T_n = sigma_n q^(n-1), whose denominators come from the pivots and
+small constants, not from q; each coefficient is back-substituted once
+(series.unscale_list).
+
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
-and the closed-form trinomial sums; frobenius_a_at and frobenius_b_at run
-the same recursions at a rational kappa = p/q.  There they run over p with
-integer coefficients: h = q u turns a_n, b_n into A_n = a_n q^n and
-B_n = b_n q^n, the recursions' a_{n-2} and b_{n-2} terms take the weight
-w = q^2 (the symbolic tables pass w = 1), and each coefficient is divided
-by q^n once at the end, so no step carries q^n in a denominator.
+and the closed-form trinomial sums; frobenius_a_at and frobenius_b_at read
+the recursions at a rational kappa.
 
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
@@ -32,6 +43,7 @@ on demand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,9 +57,13 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
+    _cauchy,
     add_list,
     deriv_list,
+    integrate_list,
+    log_unit_trunc,
     mul_trunc,
+    recip_trunc,
     strip_list,
     unscale_list,
 )
@@ -131,17 +147,18 @@ def derive_pf_coefficients() -> PFCoefficients:
 # ---------------------------------------------------------------------------
 
 
-# The recursions run over any exact ring: the symbolic tables take
-# kappa = KP_KAPPA, zero = KP_ZERO and weight w = 1; the fixed-kappa tables at
-# kappa = p/q take kappa = p, zero = Fraction(0) and w = q^2, and return the
-# scaled A_n = a_n q^n, B_n = b_n q^n.
+# The four recurrences run over any exact ring: kappa is KP_KAPPA with w = 1
+# or the integer p of kappa = p/q with w = q^2, and each derives its zero
+# from kappa (KP_ZERO or Fraction(0)).  Only _sequences calls them.  Every
+# sum over coefficients already known is one series._cauchy call on an
+# online list (y', y'', G', ...) that carries its derivative weight once.
 
 
-def _a_recursion(kappa, order: int, zero, w) -> list:
+def _a_recursion(kappa, order: int, w) -> list:
     """a_0..a_order from a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) w a_{n-2})."""
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
-    out = [zero + 1]
+    out = [kappa * Fraction(0) + 1]
     for n in range(1, order + 1):
         t = out[n - 1] * kappa * Fraction(2 * n - 1, 2)
         if n >= 2:
@@ -150,10 +167,10 @@ def _a_recursion(kappa, order: int, zero, w) -> list:
     return out
 
 
-def _b_recursion(kappa, a: list, zero, w) -> list:
+def _b_recursion(kappa, a: list, w) -> list:
     """b_0..b_order of the log solution, given a_0..a_order from _a_recursion
     at the same kappa and weight."""
-    out = [zero]
+    out = [kappa * Fraction(0)]
     for n in range(1, len(a)):
         t = kappa * a[n - 1] + kappa * out[n - 1] * Fraction(n * (2 * n - 1), 2)
         if n >= 2:
@@ -163,6 +180,104 @@ def _b_recursion(kappa, a: list, zero, w) -> list:
             t = t + a[n - 2] * ((8 * n - 6) * w)
         out.append(t * Fraction(1, n**3))
     return out
+
+
+def _bnf(kappa, order: int, w) -> list:
+    """B(J) through J^order, the compositional inverse of alpha.
+
+    With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
+    (c3 T')' + c1 T = 0 integrates once to
+
+        c3(y) y'' = y'^3 M,    M = int_0^J c1(y),
+
+    c3(h) = -h + 2 kappa h^2 + 4 w h^3 and c1(h) = kappa/2 + 3 w h.  Its
+    J^m coefficient fixes y_{m+1} with pivot -m(m+1); every other term is a
+    coefficient of an online product of coefficients already known.
+    """
+    if order < 1:
+        raise SeriesUsageError("need order >= 1")
+    zero = kappa * Fraction(0)
+    y = [zero, zero + 1]
+    y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
+    mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3 w y
+    p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
+    for m in range(1, order):
+        # y_m is known: extend every product through the coefficients it fixes
+        y2.append(_cauchy(y, y, m, 1, zero))
+        y3.append(_cauchy(y2, y, m, 1, zero))
+        c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * (4 * w))
+        mint.append(y[m] * Fraction(3 * w, m + 1))
+        p.append(y[m] * m)
+        p2.append(_cauchy(p, p, m - 1, 0, zero))
+        p3.append(_cauchy(p2, p, m - 1, 0, zero))
+        # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
+        known = _cauchy(c3y, ypp, m, 2, zero) - _cauchy(mint, p3, m, 1, zero)
+        y.append(known * Fraction(1, m * (m + 1)))
+        ypp.append(y[m + 1] * ((m + 1) * m))
+    return y
+
+
+def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
+    """sigma(J) - linear_log * J through J^order, from B(J) through J^order or beyond.
+
+    With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
+    2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
+    -J - J log(B/J) - Q(B(J)), whose derivative is -log(B/J) - G B' with
+    G = b o B, b the regular part of the log period.  G solves the period
+    equation carried to J,
+
+        (C G')' + c1(y) y' G = -K A' - (K A)',
+
+    y = B, A = 1/y', K = c3(y)/y = 4 w y^2 + 2 kappa y - 1 and C = y K A =
+    -J + ...; its J^(m-1) coefficient fixes G_m with pivot -m^2, G_0 = 0.
+    The weight w is that of _bnf, which gave bnf.
+    """
+    zero = kappa * Fraction(0)
+    y = bnf[: order + 1]
+    n = order - 1
+    p = deriv_list(y)
+    a = recip_trunc(p, n, zero)
+    k = add_list(
+        [c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n, zero), y)], [zero - 1], zero
+    )
+    ka = mul_trunc(k, a, n, zero)
+    c = mul_trunc(y, ka, n, zero)
+    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y], zero), p, n, zero)
+    # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8 w y + 2 kappa since A y' = 1
+    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))], zero)
+    g, gp = [zero], []  # G, G'
+    for m in range(1, n + 1):
+        known = _cauchy(c, gp, m, 2, zero) * m + _cauchy(d, g, m - 1, 0, zero)
+        g.append((known - f[m - 1]) * Fraction(1, m * m))
+        gp.append(g[m] * m)
+    log_unit = log_unit_trunc(y[1:], n, zero)
+    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n, zero))], zero)
+
+
+def _sequences(kappa, n: int) -> dict:
+    """The a, b, bnf and sigma-tail coefficients through index n at kappa,
+    each behind a thunk: the one entry to the four recurrences.
+
+    kappa = KP_KAPPA gives the symbolic tables; an int or a Fraction
+    kappa = p/q runs over p with weight q^2, and each thunk back-substitutes
+    once per coefficient, so it returns the exact a_n, b_n, y_n and sigma_n.
+    A is built at most once for a and b, Y at most once for bnf and sigma.
+    """
+    if isinstance(kappa, (int, Fraction)):
+        p, q = Fraction(kappa).as_integer_ratio()
+    elif kappa == KP_KAPPA:
+        p, q = KP_KAPPA, 1
+    else:  # a float kappa would run silently at its 53-bit binary value
+        raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
+    w = q * q
+    scaled_a = functools.cache(lambda: _a_recursion(p, n, w))
+    scaled_y = functools.cache(lambda: _bnf(p, n, w))
+    return {
+        "a": lambda: unscale_list(scaled_a(), q, 0),
+        "b": lambda: unscale_list(_b_recursion(p, scaled_a(), w), q, 0),
+        "bnf": lambda: unscale_list(scaled_y(), q, 1),
+        "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), n, w), q, 1),
+    }
 
 
 def _trinomial_sum(order: int, weight) -> list[KappaPoly]:
@@ -197,14 +312,11 @@ def odd_harmonic_numbers(order: int) -> list[Fraction]:
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
     """a_n evaluated at an exact rational kappa (fast path for long tables)."""
-    p, q = Fraction(kappa).as_integer_ratio()
-    return unscale_list(_a_recursion(p, order, Fraction(0), q * q), q, 0)
+    return _sequences(kappa, order)["a"]()
 
 
 def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
-    p, q = Fraction(kappa).as_integer_ratio()
-    scaled_a = _a_recursion(p, order, Fraction(0), q * q)
-    return unscale_list(_b_recursion(p, scaled_a, Fraction(0), q * q), q, 0)
+    return _sequences(kappa, order)["b"]()
 
 
 @dataclass(frozen=True)
@@ -234,8 +346,8 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     if method == "recursion":
-        a = _a_recursion(KP_KAPPA, order, KP_ZERO, 1)
-        b = _b_recursion(KP_KAPPA, a, KP_ZERO, 1)
+        sequences = _sequences(KP_KAPPA, order)
+        a, b = sequences["a"](), sequences["b"]()
     elif method == "closed_form":
         H, O = harmonic_numbers(order), odd_harmonic_numbers(order)
         a = _trinomial_sum(order, lambda n, k: 1)

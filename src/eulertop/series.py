@@ -3,9 +3,11 @@
 Rationals, polynomials in the shape parameter kappa (with their
 interpolation from values at rational kappa), truncated power series, and
 log-augmented series, together with the calculus / composition / reversion
-operations the rest of the package builds on.  Every coefficient is a
-``fractions.Fraction``; no floating point enters this module.  Truncation order is explicit state and binary operations
-truncate to the minimum order of their inputs.
+operations the rest of the package builds on.  Every coefficient of the
+series and kappa-polynomials is a ``fractions.Fraction``; the list kernel
+is generic over the ring, so ``horner`` also evaluates at floats and mpmath
+numbers (oracle.power_series_value).  Truncation order is explicit state
+and binary operations truncate to the minimum order of their inputs.
 """
 
 from __future__ import annotations
@@ -283,7 +285,11 @@ def integrate_list(a: Sequence, zero) -> list:
 
 def unscale_list(a: Sequence, q: int, shift: int) -> list:
     """The coefficients a_n q^(shift - n) of q^shift a(x/q), from those of a(u):
-    one multiplication or division by a power of the integer q per coefficient."""
+    one multiplication or division by a power of the integer q per coefficient.
+    At q = 1 the list comes back unchanged, so a ring without division
+    (KappaPoly) passes through."""
+    if q == 1:
+        return list(a)
     return [c * q ** (shift - n) if n <= shift else c / q ** (n - shift) for n, c in enumerate(a)]
 
 
@@ -302,7 +308,7 @@ def revert_trunc(a: Sequence, order: int, zero) -> list:
     Requires a[0] = 0 and an invertible linear coefficient; the iteration
     doubles the number of correct orders per step, so convergence is exact.
     Each step composes at full order, O(n^3) ring operations; the normal
-    form itself comes from an O(n^2) recurrence (invariants._bnf).
+    form itself comes from an O(n^2) recurrence (picardfuchs._bnf).
     """
     if a[0]:
         raise SingularReversionError("series must vanish at 0 to be reverted")

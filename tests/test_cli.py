@@ -272,6 +272,19 @@ def test_radius_ceiling_counts_the_bits_of_kappa(capsys, monkeypatch):
     assert len(calls) == 5
 
 
+def test_pendulum_grid_count_has_a_ceiling(capsys, monkeypatch):
+    # 10^5 points take about 2 s and 200 MB as JSON, growing with the count;
+    # a count past the ceiling exits 2 before any row is computed
+    calls = []
+    monkeypatch.setattr(invariants, "pendulum_compare", lambda grid: calls.append(grid) or [])
+    for count in (100_001, 10**9):
+        code, out, err = run_cli(capsys, "pendulum", f"--grid=0:1:{count}")
+        assert (code, out) == (2, "") and "--grid" in err and "100000" in err, count
+    assert calls == []
+    assert run_cli(capsys, "pendulum", "--grid=0:1:100000", "--format=csv")[0] == 0
+    assert len(calls) == 1 and len(calls[0]) == 100_000
+
+
 def test_csv_output_builds_no_json_document(capsys, monkeypatch):
     # CSV prints the exact table rows alone; the value strings and numeric
     # constants of the JSON document are never computed for it

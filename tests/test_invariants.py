@@ -6,13 +6,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp
 
-from eulertop import invariants
+from eulertop import invariants, picardfuchs
 from eulertop.invariants import (
     MARGIN_FLOOR,
     PENDULUM_LEADING,
-    _bnf,
-    _sequences,
-    _sigma_tail,
     alpha_action,
     bnf_via_reversion,
     extract_sigma,
@@ -26,6 +23,9 @@ from eulertop.picardfuchs import (
     LOG64_RATIO,
     _a_recursion,
     _b_recursion,
+    _bnf,
+    _sequences,
+    _sigma_tail,
     build_action_series,
     frobenius_a_at,
     frobenius_b_at,
@@ -110,15 +110,15 @@ def test_scaled_recurrences_back_substitute_to_the_unscaled(kappa):
     """At kappa = p/q the four recurrences over p with weight q^2 give
     A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1),
     through n = 30, against the same recurrences at kappa with weight 1."""
-    n, zero = 30, Fraction(0)
+    n = 30
     p, q = kappa.as_integer_ratio()
     w = q * q
-    scaled_a, a = _a_recursion(p, n, zero, w), _a_recursion(kappa, n, zero, 1)
+    scaled_a, a = _a_recursion(p, n, w), _a_recursion(kappa, n, 1)
     assert unscale_list(scaled_a, q, 0) == a
-    assert unscale_list(_b_recursion(p, scaled_a, zero, w), q, 0) == _b_recursion(kappa, a, zero, 1)
-    scaled_y, y = _bnf(p, n, zero, w), _bnf(kappa, n, zero, 1)
+    assert unscale_list(_b_recursion(p, scaled_a, w), q, 0) == _b_recursion(kappa, a, 1)
+    scaled_y, y = _bnf(p, n, w), _bnf(kappa, n, 1)
     assert unscale_list(scaled_y, q, 1) == y
-    assert unscale_list(_sigma_tail(p, scaled_y, n, zero, w), q, 1) == _sigma_tail(kappa, y, n, zero, 1)
+    assert unscale_list(_sigma_tail(p, scaled_y, n, w), q, 1) == _sigma_tail(kappa, y, n, 1)
 
 
 def test_symbolic_route_gives_the_expected_tables():
@@ -138,16 +138,16 @@ def test_symbolic_route_gives_the_expected_tables():
 
 def test_radius_builds_bnf_once(monkeypatch):
     calls = []
-    original = invariants._bnf
-    monkeypatch.setattr(invariants, "_bnf", lambda *args: calls.append(args) or original(*args))
+    original = picardfuchs._bnf
+    monkeypatch.setattr(picardfuchs, "_bnf", lambda *args: calls.append(args) or original(*args))
     radius_analysis(Fraction(1, 2), 20, ("bnf", "sigma"))
     assert len(calls) == 1
     radius_analysis(Fraction(1, 2), 20, ("sigma",))
     assert len(calls) == 2  # nothing is kept between calls
     # likewise the scaled a table, read by both a and b
     a_calls = []
-    original_a = invariants._a_recursion
-    monkeypatch.setattr(invariants, "_a_recursion", lambda *args: a_calls.append(args) or original_a(*args))
+    original_a = picardfuchs._a_recursion
+    monkeypatch.setattr(picardfuchs, "_a_recursion", lambda *args: a_calls.append(args) or original_a(*args))
     radius_analysis(Fraction(1, 2), 20, ("a", "b"))
     assert len(a_calls) == 1
 
@@ -242,6 +242,11 @@ def test_symmetric_top_skips_odd_coefficients():
 def test_radius_rejects_small_nmax():
     with pytest.raises(SeriesUsageError):
         radius_analysis(Fraction(1, 2), 10)
+    # a float kappa would run silently at its binary value, 0.1 as 3602879701812573/2^55
+    with pytest.raises(SeriesUsageError):
+        radius_analysis(0.1, 20)
+    with pytest.raises(SeriesUsageError):
+        frobenius_a_at(0.1, 20)
 
 
 def test_bnf_and_sigma_radii_exceed_action_radius():

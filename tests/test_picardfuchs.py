@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from eulertop import picardfuchs
-from eulertop.invariants import _sequences, bnf_via_reversion, extract_sigma
+from eulertop.invariants import bnf_via_reversion, extract_sigma
 from eulertop.picardfuchs import (
+    _sequences,
     assemble_beta_actions,
     build_action_series,
     derive_pf_coefficients,
@@ -17,6 +18,7 @@ from eulertop.picardfuchs import (
     pf_residual,
 )
 from eulertop.series import (
+    KP_KAPPA,
     KP_ONE,
     KP_ZERO,
     KappaPoly,
@@ -92,7 +94,8 @@ def test_recursion_tables_compute_a_once(monkeypatch):
 @pytest.fixture(scope="module")
 def symbolic_tables():
     table = frobenius_table(12)
-    return table.a, table.b, bnf_via_reversion(9), extract_sigma(9).tail
+    symbolic = {name: thunk() for name, thunk in _sequences(KP_KAPPA, 9).items()}
+    return table.a, table.b, bnf_via_reversion(9), extract_sigma(9).tail, symbolic
 
 
 @given(st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9)))
@@ -102,12 +105,18 @@ def test_numeric_tables_match_symbolic(symbolic_tables, kappa):
     symbolic tables evaluated at kappa: the same code gives the same values
     over both rings.  (That the recurrences are right is checked against
     reversion and composition in test_invariants.)"""
-    a, b, bnf, sigma_tail = symbolic_tables
+    a, b, bnf, sigma_tail, symbolic = symbolic_tables
     sequences = _sequences(kappa, 9)
     assert [p(kappa) for p in a] == frobenius_a_at(kappa, 12)
     assert [p(kappa) for p in b] == frobenius_b_at(kappa, 12)
     assert [c(kappa) for c in bnf.coeffs] == sequences["bnf"]()
     assert [c(kappa) for c in sigma_tail.coeffs] == sequences["sigma"]()
+    # the one entry keeps each ring, down to a_0 and y_1, which start from its zero
+    for name, thunk in sequences.items():
+        values = thunk()
+        assert all(isinstance(c, Fraction) for c in values), name
+        assert all(isinstance(c, KappaPoly) for c in symbolic[name]), name
+        assert [c(kappa) for c in symbolic[name]] == values, name
 
 
 def test_first_log_coefficient_comes_from_harmonic_factor():

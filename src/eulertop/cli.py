@@ -70,6 +70,17 @@ def _lo_hi_count(text: str) -> tuple[float, float, int]:
     return float(lo), float(hi), int(count)
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing first an exponent past the int-to-str digit limit
+    (4300 if it is off), whose power of ten Fraction computes: 11 s at 1e10000000."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    exponent = re.search(r"e[-+]?[0_]*(\d[\d_]*)\s*$", text, re.I)
+    digits = exponent[1].replace("_", "") if exponent else "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise argparse.ArgumentTypeError(f"exponent of {text!r} past the {limit}-digit limit")
+    return Fraction(text)
+
+
 def _all_finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
@@ -81,14 +92,14 @@ def _integer(low: int, needs: str = "need"):
     )
 
 
-_kappa = _checked(Fraction, lambda k: True, "cannot parse kappa as a rational")
+_kappa = _checked(_rational, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
 _samples = _checked(_sample_floats, _all_finite, "need finite values h1,h2,... that do not underflow")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
-# the most --grid points: JSON output holds about 2 KB of memory per point,
-# so 10^5 points take about 2 s and 200 MB on a 2-CPU machine
+# the most --grid points: JSON output holds about 1.5 KB of memory per point,
+# so 10^5 points take about 1.5 s and 170 MB on a 2-CPU machine
 _GRID_POINTS = 100_000
 _grid = _checked(
     _lo_hi_count,
@@ -134,12 +145,11 @@ def _constant_json(const, kappa, precision):
 
 
 def _series_rows(name: str, series: PowerSeries):
-    rows = []
-    for n, c in enumerate(series.coeffs):
-        coeffs = c.coeffs if c.coeffs else (Fraction(0),)
-        for k, val in enumerate(coeffs):
-            rows.append((name, n, k, val.numerator, val.denominator))
-    return rows
+    return [
+        (name, n, k, val.numerator, val.denominator)
+        for n, c in enumerate(series.coeffs)
+        for k, val in enumerate(c.coeffs or (Fraction(0),))
+    ]
 
 
 def _document(args, **fields) -> dict:
@@ -157,15 +167,15 @@ def _coefficient_table(series: PowerSeries, kappa: Fraction):
 
 # ---------------------------------------------------------------------------
 # command handlers: each reads the parsed namespace and returns (a function
-# that builds the json document, csv rows or None for a JSON-only command);
-# CSV output never builds the document, whose exact values it does not print
+# that builds the json document, a function that builds the csv rows, or None
+# for a JSON-only command); each output builds only what it prints
 # ---------------------------------------------------------------------------
 
 
 def _cmd_bnf(args):
     series = euler_normal_form(args.order)
     doc = lambda: _document(args, coefficients=_coefficient_table(series, args.kappa))
-    return doc, _series_rows("bnf", series)
+    return doc, lambda: _series_rows("bnf", series)
 
 
 def _cmd_frobenius(args):
@@ -182,7 +192,7 @@ def _cmd_frobenius(args):
         a=_coefficient_table(a, kappa),
         b=_coefficient_table(b, kappa),
     )
-    return doc, _series_rows("a", a) + _series_rows("b", b)
+    return doc, lambda: _series_rows("a", a) + _series_rows("b", b)
 
 
 def _cmd_actions(args):
@@ -210,10 +220,7 @@ def _cmd_actions(args):
             for b in (plus, minus)
         },
     )
-    rows = []
-    for name, s in named.items():
-        rows.extend(_series_rows(name, s))
-    return doc, rows
+    return doc, lambda: [row for name, s in named.items() for row in _series_rows(name, s)]
 
 
 def _cmd_invariant(args):
@@ -229,7 +236,7 @@ def _cmd_invariant(args):
         },
         branch_consistent=report.branch_consistent,
     )
-    return doc, _series_rows("sigma_tail", report.tail)
+    return doc, lambda: _series_rows("sigma_tail", report.tail)
 
 
 def _cmd_verify(args):
@@ -281,8 +288,7 @@ def _cmd_radius(args):
             for r in reports
         ],
     )
-    rows = [(r.name, n, repr(x)) for r in reports for n, x in zip(r.ns, r.ratios)]
-    return doc, rows
+    return doc, lambda: [(r.name, n, repr(x)) for r in reports for n, x in zip(r.ns, r.ratios)]
 
 
 def _cmd_pendulum(args):
@@ -309,8 +315,7 @@ def _cmd_pendulum(args):
             for r in rows
         ],
     }
-    csv_rows = [(repr(r.kappa), repr(r.euler_leading), repr(r.margin)) for r in rows]
-    return doc, csv_rows
+    return doc, lambda: [(repr(r.kappa), repr(r.euler_leading), repr(r.margin)) for r in rows]
 
 
 def _cmd_params(args):
@@ -457,17 +462,17 @@ def _check_radius_cost(args) -> None:
         )
 
 
-def execute(args) -> tuple[int, str]:
-    """Run one parsed command; returns (exit code, rendered document)."""
+def execute(args) -> str:
+    """Run one parsed command; returns the rendered document."""
     handler, _, _, header = _COMMANDS[args.command]
     doc, rows = handler(args)
     if getattr(args, "format", "json") == "json":
-        return 0, json.dumps(doc(), indent=2) + "\n"
+        return json.dumps(doc(), indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return 0, buf.getvalue()
+    writer.writerows(rows())
+    return buf.getvalue()
 
 
 def main(argv=None) -> int:
@@ -488,15 +493,15 @@ def main(argv=None) -> int:
         _derive_kappa(args)
         _check_value_digits(args)
         _check_radius_cost(args)
-        code, text = execute(args)
-    except (SeriesUsageError, oracle.ParameterError, oracle.DomainError, ValueError) as exc:
+        text = execute(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalConsistencyError, oracle.QuadratureError, AssertionError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
-    return code
+    return 0
 
 
 def entry():

@@ -45,7 +45,6 @@ from .picardfuchs import (
     SymbolicConstant,
     _sequences,
     assemble_beta_actions,
-    frobenius_table,
 )
 from .series import KP_KAPPA, InternalConsistencyError, PowerSeries, SeriesUsageError
 
@@ -66,7 +65,7 @@ __all__ = [
 
 def alpha_action(order: int) -> PowerSeries:
     """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
-    return PowerSeries("h", frobenius_table(order - 1).a).integrate()
+    return PowerSeries("h", tuple(_sequences(KP_KAPPA, order - 1)["a"]())).integrate()
 
 
 def bnf_via_reversion(order: int) -> PowerSeries:

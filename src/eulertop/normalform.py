@@ -33,11 +33,9 @@ from .series import (
 __all__ = [
     "PreconditionError",
     "PolyHamiltonian",
-    "NormalFormResult",
     "expand_hamiltonian",
     "williamson_reduce",
     "birkhoff_normalize",
-    "normal_form_steps",
     "euler_normal_form",
 ]
 
@@ -175,25 +173,14 @@ def _lie_transform(terms: Terms, generator: Terms, max_degree: int) -> Terms:
     return out
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
-    """Normal form values at one rho plus the per-degree generators and stage snapshots.
+def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]:
+    """Values of the normal form coefficients of J^0..J^order at ``ham.rho``; needs H2 = q*p.
 
-    ``values[n]`` is the coefficient of J^n in H*(J).
-    """
-
-    values: tuple[Fraction, ...]
-    generators: tuple[Terms, ...]
-    stages: tuple[tuple[int, Terms], ...]
-
-
-def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
-    """Normalize degree by degree up to polynomial degree 2*order.
-
-    At each degree d the generator carries one term -c/(b-a) q^a p^b for every
+    Normalizes degree by degree up to polynomial degree 2*order.  At each
+    degree d the generator carries one term -c/(b-a) q^a p^b for every
     non-resonant monomial c q^a p^b present (minimal generator, no resonant
     part), since {qp, q^a p^b} = (b - a) q^a p^b.  Resonant monomials (qp)^k
-    accumulate into the output values of H*(J).
+    accumulate into the values of H*(J).
     """
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
@@ -204,20 +191,11 @@ def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
         raise PreconditionError(
             f"need the expansion through degree {max_degree}, got {ham.degree}"
         )
-    terms: Terms = {
-        k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree
-    }
-    generators: list[Terms] = []
-    stages: list[tuple[int, Terms]] = []
+    terms: Terms = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
     for d in range(3, max_degree + 1):
-        generator: Terms = {}
-        for (a, b), c in terms.items():
-            if a + b == d and a != b:
-                generator[(a, b)] = c / (a - b)
+        generator = {(a, b): c / (a - b) for (a, b), c in terms.items() if a + b == d and a != b}
         if generator:
             terms = _lie_transform(terms, generator, max_degree)
-        generators.append(generator)
-        stages.append((d, dict(terms)))
     leftover = [k for k in terms if k[0] != k[1]]
     if leftover:
         raise InternalConsistencyError(
@@ -228,12 +206,7 @@ def normal_form_steps(ham: PolyHamiltonian, order: int) -> NormalFormResult:
         values[a] = c
     if values[1] != 1:
         raise InternalConsistencyError("normal form is not J + O(J^2)")
-    return NormalFormResult(tuple(values), tuple(generators), tuple(stages))
-
-
-def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]:
-    """Values of the normal form coefficients of J^0..J^order at ``ham.rho``; needs H2 = q*p."""
-    return normal_form_steps(ham, order).values
+    return tuple(values)
 
 
 def euler_normal_form(order: int) -> PowerSeries:

@@ -31,9 +31,10 @@ __all__ = [
     "add_list",
     "strip_list",
     "mul_trunc",
-    "_cauchy",
     "compose_trunc",
     "recip_trunc",
+    "deriv_list",
+    "integrate_list",
     "log_unit_trunc",
     "revert_trunc",
     "unscale_list",

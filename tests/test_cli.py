@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,23 +287,46 @@ def test_pendulum_grid_count_has_a_ceiling(capsys, monkeypatch):
 
 
 def test_csv_output_builds_no_json_document(capsys, monkeypatch):
-    # CSV prints the exact table rows alone; the value strings and numeric
-    # constants of the JSON document are never computed for it
-    def refuse(*args, **fields):
-        raise AssertionError("JSON document built for CSV output")
+    # each output builds only what it prints: CSV the exact table rows, never
+    # the value strings and numeric constants of the JSON document, and JSON
+    # never the CSV rows
+    def refuse(what):
+        def fail(*args, **fields):
+            raise AssertionError(f"{what} built for the other output")
 
-    monkeypatch.setattr(cli, "_document", refuse)
-    for argv in (
+        return fail
+
+    tables = (
         ["bnf", "--kappa=1/2", "--order=5"],
         ["frobenius", "--kappa=3/2", "--order=20"],
         ["actions", "--kappa=1/2", "--order=6"],
         ["invariant", "--kappa=1/2", "--order=5"],
-        ["radius", "--kappa=1/2", "--nmax=20", "--targets=a"],
-    ):
-        code, out, err = run_cli(capsys, *argv, "--format=csv")
-        assert (code, err) == (0, ""), argv
-        assert out.startswith(",".join(_COMMANDS[argv[0]][3]) + "\n"), argv
-    assert run_cli(capsys, "bnf", "--kappa=1/2", "--order=5")[0] == 3
+    )
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_document", refuse("JSON document"))
+        for argv in (*tables, ["radius", "--kappa=1/2", "--nmax=20", "--targets=a"]):
+            code, out, err = run_cli(capsys, *argv, "--format=csv")
+            assert (code, err) == (0, ""), argv
+            assert out.startswith(",".join(_COMMANDS[argv[0]][3]) + "\n"), argv
+        assert run_cli(capsys, *tables[0])[0] == 3
+    monkeypatch.setattr(cli, "_series_rows", refuse("CSV rows"))
+    for argv in tables:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out)["command"] == argv[0], argv
+    assert run_cli(capsys, *tables[0], "--format=csv")[0] == 3
+
+
+def test_kappa_exponent_past_the_digit_limit_exits_2(capsys, monkeypatch):
+    # Fraction computes 10^exponent (seconds at 1e10000000), and no command
+    # prints a kappa past Python's 4300-digit int-to-str limit: the exponent
+    # is refused before Fraction runs, also when the limit is switched off
+    for limit in (4300, 0):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        for kappa in ("1e5000", "-1E-5000", "2e+0_4301", "1e100000000"):
+            code, out, err = run_cli(capsys, "bnf", f"--kappa={kappa}", "--order=3")
+            assert (code, out) == (2, "") and "--kappa" in err and "4300-digit" in err, kappa
+    code, out, _ = run_cli(capsys, "bnf", "--kappa=5e-1", "--order=3")
+    assert code == 0 and json.loads(out)["kappa"] == "1/2"
 
 
 def test_ceilings_admit_the_documented_workloads():

@@ -9,9 +9,10 @@ from eulertop.normalform import (
     birkhoff_normalize,
     euler_normal_form,
     expand_hamiltonian,
-    normal_form_steps,
     williamson_reduce,
 )
+from eulertop import normalform
+from eulertop.series import InternalConsistencyError
 
 from expected_tables import BNF_TABLE
 
@@ -108,21 +109,23 @@ def test_values_at_rho_match_kappa_table():
         assert values == tuple(c(rho - 1 / rho) for c in table.coeffs)
 
 
-def test_homological_steps_clear_low_degrees():
-    for rho in RHOS:
-        ham = williamson_reduce(expand_hamiltonian(10, rho))
-        result = normal_form_steps(ham, 5)
-        for degree, terms in result.stages:
-            bad = [k for k in terms if k[0] != k[1] and k[0] + k[1] <= degree]
-            assert not bad, f"degree {degree} left {bad}"
+def test_normalize_rejects_bad_input():
+    ham = williamson_reduce(expand_hamiltonian(10, RHOS[0]))
+    with pytest.raises(PreconditionError, match="order"):
+        birkhoff_normalize(ham, 0)
+    with pytest.raises(PreconditionError, match="q\\*p"):
+        birkhoff_normalize(expand_hamiltonian(10, RHOS[0]), 5)
+    with pytest.raises(PreconditionError, match="degree 12"):
+        birkhoff_normalize(ham, 6)
 
 
-def test_generators_have_no_resonant_part():
-    for rho in RHOS:
-        ham = williamson_reduce(expand_hamiltonian(10, rho))
-        result = normal_form_steps(ham, 5)
-        for gen in result.generators:
-            assert all(a != b for a, b in gen)
+def test_normalize_checks_that_every_step_cleared_its_degree(monkeypatch):
+    # a Lie transform that leaves its input unchanged clears nothing, so the
+    # non-resonant monomials reach the final check
+    monkeypatch.setattr(normalform, "_lie_transform", lambda terms, generator, max_degree: terms)
+    ham = williamson_reduce(expand_hamiltonian(10, RHOS[0]))
+    with pytest.raises(InternalConsistencyError, match="survived"):
+        birkhoff_normalize(ham, 5)
 
 
 def test_normal_form_kappa_parity():

@@ -71,14 +71,17 @@ def _lo_hi_count(text: str) -> tuple[float, float, int]:
 
 
 def _rational(text: str) -> Fraction:
-    """Fraction(text), refusing first an exponent past the int-to-str digit limit
-    (4300 if it is off), whose power of ten Fraction computes: 11 s at 1e10000000."""
+    """Fraction(text), refusing an exponent (whose power of ten Fraction computes: 11 s at
+    1e10000000), then a numerator or denominator, past the digit limit (4300 if off)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     exponent = re.search(r"e[-+]?[0_]*(\d[\d_]*)\s*$", text, re.I)
     digits = exponent[1].replace("_", "") if exponent else "0"
     if len(digits) > len(str(limit)) or int(digits) > limit:
         raise argparse.ArgumentTypeError(f"exponent of {text!r} past the {limit}-digit limit")
-    return Fraction(text)
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise argparse.ArgumentTypeError(f"{text!r} is past the {limit}-digit limit")
+    return value
 
 
 def _all_finite(values) -> bool:

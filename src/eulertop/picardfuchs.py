@@ -21,19 +21,20 @@ B(J) (the Birkhoff normal form, the compositional inverse of
 alpha = 2 pi I_r) and the sigma tail, which carry (c3 T')' + c1 T = 0 to
 J one coefficient at a time (online series solving, van der Hoeven 2002).
 _sequences is their one entry and the one place that picks the ring: the
-symbolic tables run over KappaPoly at kappa = KP_KAPPA with weight w = 1.
-At a rational kappa = p/q, h = q Y and J = q u give a period equation with
-integer coefficients: kappa becomes p, and the a_{n-2}, b_{n-2} terms and
-the constants 3, 4 and 8 of c1, c3, K and K'A take w = q^2.  The
-recurrences then return A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1)
-and T_n = sigma_n q^(n-1), whose denominators come from the pivots and
-small constants, not from q; each coefficient is back-substituted once
-(series.unscale_list).
+symbolic tables, or their values at kappa = p/q, where h = q Y and J = q u
+turn kappa into p and put w = q^2 on the n-2 terms of a and b and on the
+constants 3, 4, 8 of c1, c3, K and K'A.  The closed form puts
+C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of a_n, T(n, k) =
+(2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in b_n, with
+f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So A_n = 8^n a_n,
+B_n = 8^n L_n b_n, q^n A_n(p/q) and q^n B_n(p/q) are integral: a and b run
+over ints, every division checked exact.  The weight w is a parameter of
+_bnf and _sigma_tail only, whose Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1)
+are back-substituted once (series.unscale_list).
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
-and the closed-form trinomial sums; frobenius_a_at and frobenius_b_at read
-the recursions at a rational kappa.
+and the closed-form trinomial sums; frobenius_a_at and _b_at read the recursions.
 
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
@@ -44,6 +45,7 @@ on demand.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,8 +82,6 @@ __all__ = [
     "frobenius_a_at",
     "frobenius_b_at",
     "frobenius_table",
-    "harmonic_numbers",
-    "odd_harmonic_numbers",
     "build_action_series",
     "assemble_beta_actions",
     "LOG64_RATIO",
@@ -147,39 +147,70 @@ def derive_pf_coefficients() -> PFCoefficients:
 # ---------------------------------------------------------------------------
 
 
-# The four recurrences run over any exact ring: kappa is KP_KAPPA with w = 1
-# or the integer p of kappa = p/q with w = q^2, and each derives its zero
-# from kappa (KP_ZERO or Fraction(0)).  Only _sequences calls them.  Every
-# sum over coefficients already known is one series._cauchy call on an
-# online list (y', y'', G', ...) that carries its derivative weight once.
+_ZERO = Fraction(0)  # the one zero coefficient of every emitted a/b table
 
 
-def _a_recursion(kappa, order: int, w) -> list:
-    """a_0..a_order from a_n = ((2n-1)/n^2) ((kappa/2)(2n-1) a_{n-1} + (2n-3) w a_{n-2})."""
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
-    out = [kappa * Fraction(0) + 1]
+def _exact(num: int, den: int) -> int:
+    """num / den, which a denominator law makes an integer."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise InternalConsistencyError("a Frobenius denominator law failed: inexact division")
+    return quo
+
+
+def _lcm_table(order: int) -> list[int]:
+    """L_0..L_order with L_n = lcm(1, ..., 2n-1) and L_0 = 1."""
+    pairs = ((2 * n - 2 or 1) * (2 * n - 1) for n in range(1, order + 1))  # coprime factors
+    return list(itertools.accumulate(pairs, math.lcm, initial=1))
+
+
+def _kappa_poly(row: list, den: int) -> KappaPoly:
+    """The kappa-polynomial of an int row over den, one Fraction per nonzero coefficient."""
+    return KappaPoly(tuple(Fraction(c, den) if c else _ZERO for c in row))
+
+
+def _combine(den: int, *terms) -> list:
+    """The row sum(c * row for c, row in terms), divided exactly by den."""
+    out = [0] * max(len(row) for _, row in terms)
+    for c, row in terms:
+        for i, x in enumerate(row):
+            out[i] += c * x
+    return [_exact(x, den) for x in out]
+
+
+def _a_rows(up, weigh, order: int):
+    """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}).
+    A row of ints is the coefficients of kappa^0..kappa^n, which up (times
+    kappa) shifts, or the one value at kappa = p/q, which up multiplies by p."""
+    prev, row = [], [1]
+    yield row
     for n in range(1, order + 1):
-        t = out[n - 1] * kappa * Fraction(2 * n - 1, 2)
-        if n >= 2:
-            t = t + out[n - 2] * ((2 * n - 3) * w)
-        out.append(t * Fraction(2 * n - 1, n * n))
-    return out
+        m = 2 * n - 1
+        prev, row = row, _combine(n * n, (4 * m * m, up(row)), (64 * m * (m - 2), weigh(prev)))
+        yield row
 
 
-def _b_recursion(kappa, a: list, w) -> list:
-    """b_0..b_order of the log solution, given a_0..a_order from _a_recursion
-    at the same kappa and weight."""
-    out = [kappa * Fraction(0)]
-    for n in range(1, len(a)):
-        t = kappa * a[n - 1] + kappa * out[n - 1] * Fraction(n * (2 * n - 1), 2)
-        if n >= 2:
-            t = t + out[n - 2] * (n * (2 * n - 3) * w)
-        t = t * (2 * n - 1)
-        if n >= 2:
-            t = t + a[n - 2] * ((8 * n - 6) * w)
-        out.append(t * Fraction(1, n**3))
-    return out
+def _b_rows(up, weigh, a_rows, lcms: list):
+    """B_0..B_order, order = len(lcms) - 1, from A_0..A_(order-1) (the iterable
+    a_rows) and n^3 B_n = (2n-1) [8 L_n kappa A_{n-1} + 4n (2n-1) (L_n/L_{n-1})
+    kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2}) w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}."""
+    a_prev, b_prev, row = [], [], [0]
+    yield row
+    for n, a_row in zip(range(1, len(lcms)), a_rows):
+        ln, m = lcms[n], 2 * n - 1
+        terms = (
+            (8 * m * ln, up(a_row)),
+            (4 * n * m * m * _exact(ln, lcms[n - 1]), up(row)),
+            (64 * n * m * (m - 2) * _exact(ln, lcms[max(n - 2, 0)]), weigh(b_prev)),
+            (64 * (8 * n - 6) * ln, weigh(a_prev)),
+        )
+        a_prev, b_prev, row = a_row, row, _combine(n**3, *terms)
+        yield row
+
+
+# _bnf and _sigma_tail run over KP_KAPPA with w = 1 or over p with w = q^2,
+# and derive their zero from kappa.  Every sum over coefficients already known
+# is one series._cauchy call on an online list (y', y'', G', ...).
 
 
 def _bnf(kappa, order: int, w) -> list:
@@ -255,59 +286,68 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
 
 
 def _sequences(kappa, n: int) -> dict:
-    """The a, b, bnf and sigma-tail coefficients through index n at kappa,
-    each behind a thunk: the one entry to the four recurrences.
-
-    kappa = KP_KAPPA gives the symbolic tables; an int or a Fraction
-    kappa = p/q runs over p with weight q^2, and each thunk back-substitutes
-    once per coefficient, so it returns the exact a_n, b_n, y_n and sigma_n.
-    A is built at most once for a and b, Y at most once for bnf and sigma.
-    """
+    """The a, b, bnf and sigma-tail coefficients through index n at kappa
+    (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
+    the four recurrences.  The A rows are built at most once for a and b (b
+    reads them back from the a table if a came first), Y for bnf and sigma."""
     if isinstance(kappa, (int, Fraction)):
         p, q = Fraction(kappa).as_integer_ratio()
+        up, weigh = (lambda row: [c * p for c in row]), (lambda row: [c * w for c in row])
+        emit, coeffs = (lambda row, den: Fraction(row[0], den)), (lambda value: (value,))
     elif kappa == KP_KAPPA:
         p, q = KP_KAPPA, 1
+        up, weigh = (lambda row: [0, *row]), (lambda row: row)
+        emit, coeffs = _kappa_poly, (lambda value: value.coeffs)
     else:  # a float kappa would run silently at its 53-bit binary value
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
-    w = q * q
-    scaled_a = functools.cache(lambda: _a_recursion(p, n, w))
+    if n < 0:
+        raise SeriesUsageError("table order must be non-negative")
+    w, a_table = q * q, []
+
+    def a():
+        if not a_table:
+            a_table.extend(emit(row, (8 * q) ** m) for m, row in enumerate(_a_rows(up, weigh, n)))
+        return list(a_table)
+
+    def read_back():  # A_m = (8q)^m a_m, whose denominator divides (8q)^m
+        for m, value in enumerate(a_table):
+            scale = (8 * q) ** m
+            yield [c.numerator * _exact(scale, c.denominator) for c in coeffs(value)]
+
+    def b():
+        lcms = _lcm_table(n)
+        b_rows = _b_rows(up, weigh, read_back() if a_table else _a_rows(up, weigh, n - 1), lcms)
+        return [emit(row, (8 * q) ** m * lcms[m]) for m, row in enumerate(b_rows)]
+
     scaled_y = functools.cache(lambda: _bnf(p, n, w))
     return {
-        "a": lambda: unscale_list(scaled_a(), q, 0),
-        "b": lambda: unscale_list(_b_recursion(p, scaled_a(), w), q, 0),
+        "a": a,
+        "b": b,
         "bnf": lambda: unscale_list(scaled_y(), q, 1),
         "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), n, w), q, 1),
     }
 
 
-def _trinomial_sum(order: int, weight) -> list[KappaPoly]:
-    """sum_k 4^{-n} C(2n, n) C(2n-2k; k, n-k, n-2k) weight(n, k) (kappa/2)^{n-2k}
-    for n = 0..order, independent of the recursions."""
-    out = []
-    for n in range(order + 1):
-        pref = Fraction(math.comb(2 * n, n), 4**n)
-        coeffs = [Fraction(0)] * (n + 1)
+def _closed_form(order: int) -> tuple[list, list]:
+    """a_0..a_order and b_0..b_order from the terminating trinomial sum
+    a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k}; b_n,
+    the indicial derivative of the deformed a_n at root 0, is the same sum
+    with the harmonic-number factor f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n on
+    each term.  In integers, independent of the recurrences: A_n has
+    4^k C(2n, n) T(n, k) at kappa^(n-2k), and B_n has that times f_{n,k} L_n."""
+    a, b = [], []
+    for n, ln in enumerate(_lcm_table(order)):
+        odd = [*itertools.accumulate((_exact(ln, 2 * j - 1) for j in range(1, n + 1)), initial=0)]
+        harmonic = sum(_exact(ln, j) for j in range(1, n + 1))  # H_n L_n; odd[m] = O_m L_n
+        row_a, row_b = [0] * (n + 1), [0] * (n + 1)
+        t = central = math.comb(2 * n, n)  # T(n, 0)
         for k in range(n // 2 + 1):
-            tri = math.factorial(2 * n - 2 * k) // (
-                math.factorial(k) * math.factorial(n - k) * math.factorial(n - 2 * k)
-            )
-            coeffs[n - 2 * k] += pref * tri * weight(n, k) * Fraction(1, 2 ** (n - 2 * k))
-        out.append(KappaPoly(tuple(coeffs)))
-    return out
-
-
-def harmonic_numbers(order: int) -> list[Fraction]:
-    out = [Fraction(0)]
-    for n in range(1, order + 1):
-        out.append(out[-1] + Fraction(1, n))
-    return out
-
-
-def odd_harmonic_numbers(order: int) -> list[Fraction]:
-    out = [Fraction(0)]
-    for n in range(1, order + 1):
-        out.append(out[-1] + Fraction(1, 2 * n - 1))
-    return out
+            row_a[n - 2 * k] = c = central * t * 4**k
+            row_b[n - 2 * k] = c * 2 * (odd[n] + odd[n - k] - harmonic)
+            t = _exact(t * (n - 2 * k) * (n - 2 * k - 1), 2 * (k + 1) * (2 * n - 2 * k - 1))
+        a.append(_kappa_poly(row_a, 8**n))
+        b.append(_kappa_poly(row_b, 8**n * ln))
+    return a, b
 
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
@@ -334,14 +374,9 @@ class FrobeniusTable:
 
 def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     """a_0..a_order of the regular solution T_r = sum a_n h^n and b_0..b_order
-    of the log solution T_s = T_r log h + sum b_n h^n, as kappa-polynomials.
-
-    'recursion' runs the a recursion from a_0 = 1, then the b recursion on
-    that a.  'closed_form' evaluates the terminating trinomial sum
-    a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k};
-    b_n, the indicial derivative of the deformed a_n at root 0, is the same
-    sum with the harmonic-number factor f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n
-    on each term.
+    of the log solution T_s = T_r log h + sum b_n h^n, as kappa-polynomials,
+    by the two independent routes: 'recursion' runs the a recursion from
+    a_0 = 1 and the b recursion on it, 'closed_form' the trinomial sums.
     """
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
@@ -349,9 +384,7 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
         sequences = _sequences(KP_KAPPA, order)
         a, b = sequences["a"](), sequences["b"]()
     elif method == "closed_form":
-        H, O = harmonic_numbers(order), odd_harmonic_numbers(order)
-        a = _trinomial_sum(order, lambda n, k: 1)
-        b = _trinomial_sum(order, lambda n, k: 2 * O[n] + 2 * O[n - k] - 2 * H[n])
+        a, b = _closed_form(order)
     else:
         raise SeriesUsageError(f"unknown method {method!r}")
     return FrobeniusTable(order, tuple(a), tuple(b))

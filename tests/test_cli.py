@@ -319,10 +319,11 @@ def test_csv_output_builds_no_json_document(capsys, monkeypatch):
 def test_kappa_exponent_past_the_digit_limit_exits_2(capsys, monkeypatch):
     # Fraction computes 10^exponent (seconds at 1e10000000), and no command
     # prints a kappa past Python's 4300-digit int-to-str limit: the exponent
-    # is refused before Fraction runs, also when the limit is switched off
+    # is refused before Fraction runs, and a numerator or denominator past the
+    # limit once it has, also when the limit is switched off
     for limit in (4300, 0):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
-        for kappa in ("1e5000", "-1E-5000", "2e+0_4301", "1e100000000"):
+        for kappa in ("1e5000", "-1E-5000", "2e+0_4301", "1e100000000", "1e4300", "123e4299"):
             code, out, err = run_cli(capsys, "bnf", f"--kappa={kappa}", "--order=3")
             assert (code, out) == (2, "") and "--kappa" in err and "4300-digit" in err, kappa
     code, out, _ = run_cli(capsys, "bnf", "--kappa=5e-1", "--order=3")

@@ -21,8 +21,6 @@ from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value, rho_for_kappa
 from eulertop.picardfuchs import (
     LOG64_RATIO,
-    _a_recursion,
-    _b_recursion,
     _bnf,
     _sequences,
     _sigma_tail,
@@ -107,15 +105,16 @@ def test_recurrences_match_reversion_and_composition(kappa):
 @given(st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40)))
 @example(Fraction(-4028141964097261, 2251799813685248))  # kappa of a float inertia triple
 def test_scaled_recurrences_back_substitute_to_the_unscaled(kappa):
-    """At kappa = p/q the four recurrences over p with weight q^2 give
-    A_n = a_n q^n, B_n = b_n q^n, Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1),
-    through n = 30, against the same recurrences at kappa with weight 1."""
+    """At kappa = p/q the integer a and b rows give the symbolic tables at
+    kappa, and the bnf and sigma recurrences over p with weight q^2 give
+    Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1), through n = 30, against the
+    same recurrences at kappa with weight 1."""
     n = 30
     p, q = kappa.as_integer_ratio()
     w = q * q
-    scaled_a, a = _a_recursion(p, n, w), _a_recursion(kappa, n, 1)
-    assert unscale_list(scaled_a, q, 0) == a
-    assert unscale_list(_b_recursion(p, scaled_a, w), q, 0) == _b_recursion(kappa, a, 1)
+    sequences, table = _sequences(kappa, n), frobenius_table(n)
+    assert sequences["a"]() == [c(kappa) for c in table.a]
+    assert sequences["b"]() == [c(kappa) for c in table.b]
     scaled_y, y = _bnf(p, n, w), _bnf(kappa, n, 1)
     assert unscale_list(scaled_y, q, 1) == y
     assert unscale_list(_sigma_tail(p, scaled_y, n, w), q, 1) == _sigma_tail(kappa, y, n, 1)
@@ -144,10 +143,10 @@ def test_radius_builds_bnf_once(monkeypatch):
     assert len(calls) == 1
     radius_analysis(Fraction(1, 2), 20, ("sigma",))
     assert len(calls) == 2  # nothing is kept between calls
-    # likewise the scaled a table, read by both a and b
+    # likewise the integer a rows, read by both a and b
     a_calls = []
-    original_a = picardfuchs._a_recursion
-    monkeypatch.setattr(picardfuchs, "_a_recursion", lambda *args: a_calls.append(args) or original_a(*args))
+    original_a = picardfuchs._a_rows
+    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: a_calls.append(args) or original_a(*args))
     radius_analysis(Fraction(1, 2), 20, ("a", "b"))
     assert len(a_calls) == 1
 

@@ -13,14 +13,13 @@ from eulertop.picardfuchs import (
     frobenius_a_at,
     frobenius_b_at,
     frobenius_table,
-    harmonic_numbers,
-    odd_harmonic_numbers,
     pf_residual,
 )
 from eulertop.series import (
     KP_KAPPA,
     KP_ONE,
     KP_ZERO,
+    InternalConsistencyError,
     KappaPoly,
     LogSeries,
     PowerSeries,
@@ -76,19 +75,30 @@ def test_a3_vanishes_at_symmetric_top():
 
 
 def test_recursion_equals_closed_form():
-    assert frobenius_table(25, "recursion").a == frobenius_table(25, "closed_form").a
-    assert frobenius_table(25, "recursion").b == frobenius_table(25, "closed_form").b
+    # order 200 is the frobenius --order ceiling: the integer laws hold at every size it admits
+    recursion, closed = frobenius_table(200, "recursion"), frobenius_table(200, "closed_form")
+    assert recursion.a == closed.a
+    assert recursion.b == closed.b
 
 
 def test_recursion_tables_compute_a_once(monkeypatch):
     calls = []
-    original = picardfuchs._a_recursion
-    monkeypatch.setattr(
-        picardfuchs, "_a_recursion", lambda *args: calls.append(args) or original(*args)
-    )
+    original = picardfuchs._a_rows
+    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: calls.append(args) or original(*args))
     picardfuchs.frobenius_table(6, "recursion")
     picardfuchs.build_action_series(6)
     assert len(calls) == 2
+
+
+def test_inexact_division_is_not_absorbed(monkeypatch):
+    # a wrong L_n breaks the denominator law of b: both routes and the
+    # fixed-kappa sequence raise instead of rounding
+    monkeypatch.setattr(picardfuchs, "_lcm_table", lambda order: [1] * (order + 1))
+    for method in ("recursion", "closed_form"):
+        with pytest.raises(InternalConsistencyError):
+            frobenius_table(12, method)
+    with pytest.raises(InternalConsistencyError):
+        _sequences(Fraction(1, 2), 12)["b"]()
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +131,8 @@ def test_numeric_tables_match_symbolic(symbolic_tables, kappa):
 
 def test_first_log_coefficient_comes_from_harmonic_factor():
     # f_{1,0} = 2 O_1 + 2 O_1 - 2 H_1 = 2, so b_1 = a_1 * 2 = kappa
-    H, O = harmonic_numbers(1), odd_harmonic_numbers(1)
-    f10 = 2 * O[1] + 2 * O[1] - 2 * H[1]
+    o1 = h1 = Fraction(1)
+    f10 = 2 * o1 + 2 * o1 - 2 * h1
     assert f10 == 2
     table = frobenius_table(1)
     assert table.b[1] == table.a[1] * f10

@@ -436,9 +436,10 @@ def _check_value_digits(args) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit or _COMMANDS[args.command][3] is not _SERIES_HEADER:
         return
-    if args.order * (_kappa_bits(args.kappa) + 6) > limit * math.log2(10):
+    bits = _kappa_bits(args.kappa)
+    if args.order * (bits + 6) > limit * math.log2(10):
         raise SeriesUsageError(
-            f"--order={args.order} with --kappa={args.kappa} gives values of over {limit} "
+            f"--order={args.order} with a {bits}-bit --kappa gives values of over {limit} "
             "digits, which Python does not print; lower --order or shorten --kappa"
         )
 
@@ -459,7 +460,7 @@ def _check_radius_cost(args) -> None:
     bits = _kappa_bits(args.kappa)
     if args.nmax**2 * (bits + 14) > _RADIUS_BUDGET:
         raise SeriesUsageError(
-            f"--nmax={args.nmax} with the {bits}-bit --kappa={args.kappa} passes the cost "
+            f"--nmax={args.nmax} with a {bits}-bit --kappa passes the cost "
             f"ceiling of bnf and sigma, nmax^2 (bits + 14) <= {_RADIUS_BUDGET}; "
             "lower --nmax, shorten --kappa or use --targets=a,b"
         )

@@ -191,6 +191,10 @@ def radius_analysis(
     one B(J) within the call; nothing is kept between calls.
     """
     sequences = _sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
+    targets = tuple(targets)
+    for name in targets:  # every name, before any table is built
+        if name not in sequences:
+            raise SeriesUsageError(f"unknown sequence {name!r}")
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")
@@ -205,8 +209,6 @@ def radius_analysis(
     known = 0.5 * min(rho, 1.0 / rho)
     reports = []
     for name in targets:
-        if name not in sequences:
-            raise SeriesUsageError(f"unknown sequence {name!r}")
         coeffs = sequences[name]()
         ns, ratios, skipped = _ratio_estimates(coeffs)
         accelerated = _aitken(ratios)

@@ -190,13 +190,14 @@ def _a_rows(up, weigh, order: int):
         yield row
 
 
-def _b_rows(up, weigh, a_rows, lcms: list):
-    """B_0..B_order, order = len(lcms) - 1, from A_0..A_(order-1) (the iterable
-    a_rows) and n^3 B_n = (2n-1) [8 L_n kappa A_{n-1} + 4n (2n-1) (L_n/L_{n-1})
-    kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2}) w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}."""
+def _b_rows(up, weigh, lcms: list):
+    """B_0..B_order, order = len(lcms) - 1, from n^3 B_n = (2n-1) [8 L_n kappa
+    A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2})
+    w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with A_0..A_(order-1) from _a_rows
+    run in lockstep."""
     a_prev, b_prev, row = [], [], [0]
     yield row
-    for n, a_row in zip(range(1, len(lcms)), a_rows):
+    for n, a_row in zip(range(1, len(lcms)), _a_rows(up, weigh, len(lcms) - 2)):
         ln, m = lcms[n], 2 * n - 1
         terms = (
             (8 * m * ln, up(a_row)),
@@ -288,43 +289,34 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
 def _sequences(kappa, n: int) -> dict:
     """The a, b, bnf and sigma-tail coefficients through index n at kappa
     (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
-    the four recurrences.  The A rows are built at most once for a and b (b
-    reads them back from the a table if a came first), Y for bnf and sigma."""
+    the four recurrences.  a and b keep no state, so each call builds its
+    table anew (b runs its own A rows); bnf and sigma share one Y."""
     if isinstance(kappa, (int, Fraction)):
         p, q = Fraction(kappa).as_integer_ratio()
         up, weigh = (lambda row: [c * p for c in row]), (lambda row: [c * w for c in row])
-        emit, coeffs = (lambda row, den: Fraction(row[0], den)), (lambda value: (value,))
+        emit = lambda row, den: Fraction(row[0], den)
     elif kappa == KP_KAPPA:
         p, q = KP_KAPPA, 1
-        up, weigh = (lambda row: [0, *row]), (lambda row: row)
-        emit, coeffs = _kappa_poly, (lambda value: value.coeffs)
+        up, weigh, emit = (lambda row: [0, *row]), (lambda row: row), _kappa_poly
     else:  # a float kappa would run silently at its 53-bit binary value
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     if n < 0:
         raise SeriesUsageError("table order must be non-negative")
-    w, a_table = q * q, []
+    w = q * q
 
     def a():
-        if not a_table:
-            a_table.extend(emit(row, (8 * q) ** m) for m, row in enumerate(_a_rows(up, weigh, n)))
-        return list(a_table)
-
-    def read_back():  # A_m = (8q)^m a_m, whose denominator divides (8q)^m
-        for m, value in enumerate(a_table):
-            scale = (8 * q) ** m
-            yield [c.numerator * _exact(scale, c.denominator) for c in coeffs(value)]
+        return [emit(row, (8 * q) ** m) for m, row in enumerate(_a_rows(up, weigh, n))]
 
     def b():
         lcms = _lcm_table(n)
-        b_rows = _b_rows(up, weigh, read_back() if a_table else _a_rows(up, weigh, n - 1), lcms)
-        return [emit(row, (8 * q) ** m * lcms[m]) for m, row in enumerate(b_rows)]
+        return [emit(row, (8 * q) ** m * lcms[m]) for m, row in enumerate(_b_rows(up, weigh, lcms))]
 
     scaled_y = functools.cache(lambda: _bnf(p, n, w))
     return {
         "a": a,
         "b": b,
-        "bnf": lambda: unscale_list(scaled_y(), q, 1),
-        "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), n, w), q, 1),
+        "bnf": lambda: unscale_list(scaled_y(), q),
+        "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), n, w), q),
     }
 
 

@@ -284,14 +284,14 @@ def integrate_list(a: Sequence, zero) -> list:
     return [zero] + [a[n] * Fraction(1, n + 1) for n in range(len(a))]
 
 
-def unscale_list(a: Sequence, q: int, shift: int) -> list:
-    """The coefficients a_n q^(shift - n) of q^shift a(x/q), from those of a(u):
-    one multiplication or division by a power of the integer q per coefficient.
+def unscale_list(a: Sequence, q: int) -> list:
+    """The coefficients a_n q^(1 - n) of q a(x/q), from those of a(u): one
+    multiplication or division by a power of the integer q per coefficient.
     At q = 1 the list comes back unchanged, so a ring without division
     (KappaPoly) passes through."""
     if q == 1:
         return list(a)
-    return [c * q ** (shift - n) if n <= shift else c / q ** (n - shift) for n, c in enumerate(a)]
+    return [c * q ** (1 - n) if n <= 1 else c / q ** (n - 1) for n, c in enumerate(a)]
 
 
 def log_unit_trunc(a: Sequence, order: int, zero) -> list:

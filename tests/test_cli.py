@@ -224,6 +224,14 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         ["verify", "--kappa=1/2", "--format=csv"],
     ):
         assert run_cli(capsys, *argv)[0] == 2, argv
+    # kappa from --theta needs --ell, and params needs both
+    for argv, message in (
+        (["bnf", "--theta=1,2,3"], "--theta needs --ell"),
+        (["params", "--ell=1"], "params needs --theta"),
+        (["params"], "params needs --theta"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and message in err, argv
     for name in COMMANDS:
         assert run_cli(capsys, name, "--help")[0] == 0, name
 
@@ -320,7 +328,12 @@ def test_kappa_exponent_past_the_digit_limit_exits_2(capsys, monkeypatch):
     # Fraction computes 10^exponent (seconds at 1e10000000), and no command
     # prints a kappa past Python's 4300-digit int-to-str limit: the exponent
     # is refused before Fraction runs, and a numerator or denominator past the
-    # limit once it has, also when the limit is switched off
+    # limit once it has, also when the limit is switched off.  A kappa just
+    # under the limit is refused by the cost checks, which name its bit length
+    # rather than print its 4300 digits
+    for argv in (["bnf", "--kappa=1e4299", "--order=3"], ["radius", "--kappa=1e4299", "--nmax=20"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "14281-bit --kappa" in err and len(err) < 300, argv
     for limit in (4300, 0):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
         for kappa in ("1e5000", "-1E-5000", "2e+0_4301", "1e100000000", "1e4300", "123e4299"):

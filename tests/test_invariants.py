@@ -116,8 +116,8 @@ def test_scaled_recurrences_back_substitute_to_the_unscaled(kappa):
     assert sequences["a"]() == [c(kappa) for c in table.a]
     assert sequences["b"]() == [c(kappa) for c in table.b]
     scaled_y, y = _bnf(p, n, w), _bnf(kappa, n, 1)
-    assert unscale_list(scaled_y, q, 1) == y
-    assert unscale_list(_sigma_tail(p, scaled_y, n, w), q, 1) == _sigma_tail(kappa, y, n, 1)
+    assert unscale_list(scaled_y, q) == y
+    assert unscale_list(_sigma_tail(p, scaled_y, n, w), q) == _sigma_tail(kappa, y, n, 1)
 
 
 def test_symbolic_route_gives_the_expected_tables():
@@ -143,12 +143,15 @@ def test_radius_builds_bnf_once(monkeypatch):
     assert len(calls) == 1
     radius_analysis(Fraction(1, 2), 20, ("sigma",))
     assert len(calls) == 2  # nothing is kept between calls
-    # likewise the integer a rows, read by both a and b
-    a_calls = []
-    original_a = picardfuchs._a_rows
-    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: a_calls.append(args) or original_a(*args))
-    radius_analysis(Fraction(1, 2), 20, ("a", "b"))
-    assert len(a_calls) == 1
+
+
+def test_radius_checks_every_target_before_any_table(monkeypatch):
+    calls = []
+    original = picardfuchs._bnf
+    monkeypatch.setattr(picardfuchs, "_bnf", lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(SeriesUsageError, match="'foo'"):
+        radius_analysis(Fraction(1, 2), 20, ("bnf", "foo"))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,18 @@ def test_recursion_equals_closed_form():
     assert recursion.b == closed.b
 
 
-def test_recursion_tables_compute_a_once(monkeypatch):
-    calls = []
-    original = picardfuchs._a_rows
-    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: calls.append(args) or original(*args))
-    picardfuchs.frobenius_table(6, "recursion")
-    picardfuchs.build_action_series(6)
-    assert len(calls) == 2
+def test_sequence_thunks_keep_no_state():
+    # each thunk returns the table it returns alone, whatever ran before it on
+    # the same entry, and a caller that changes the list changes no later one
+    n = 12
+    for kappa in (KP_KAPPA, Fraction(1, 2), Fraction(-5, 4), Fraction(-4028141964097261, 2251799813685248)):
+        alone = {name: _sequences(kappa, n)[name]() for name in ("a", "b", "bnf", "sigma")}
+        for order in (("b", "a"), ("a", "b"), ("a", "a"), ("sigma", "bnf", "sigma")):
+            sequences = _sequences(kappa, n)
+            for name in order:
+                values = sequences[name]()
+                assert values == alone[name], (kappa, order, name)
+                values.clear()
 
 
 def test_inexact_division_is_not_absorbed(monkeypatch):

@@ -34,7 +34,7 @@ from mpmath import mp
 
 from . import invariants, oracle, picardfuchs
 from .normalform import euler_normal_form
-from .series import InternalConsistencyError, KappaPoly, PowerSeries, SeriesUsageError
+from .series import InternalConsistencyError, KappaPoly, PowerSeries, SeriesUsageError, _quoted
 
 
 def _checked(parse, ok, problem: str):
@@ -47,7 +47,7 @@ def _checked(parse, ok, problem: str):
                 return value
         except (ValueError, ZeroDivisionError):
             pass
-        raise argparse.ArgumentTypeError(f"{problem}: {text!r}")
+        raise argparse.ArgumentTypeError(f"{problem}: {_quoted(text)}")
 
     return convert
 
@@ -77,10 +77,10 @@ def _rational(text: str) -> Fraction:
     exponent = re.search(r"e[-+]?[0_]*(\d[\d_]*)\s*$", text, re.I)
     digits = exponent[1].replace("_", "") if exponent else "0"
     if len(digits) > len(str(limit)) or int(digits) > limit:
-        raise argparse.ArgumentTypeError(f"exponent of {text!r} past the {limit}-digit limit")
+        raise argparse.ArgumentTypeError(f"exponent of {_quoted(text)} past the {limit}-digit limit")
     value = Fraction(text)
     if max(abs(value.numerator), value.denominator) >= 10**limit:
-        raise argparse.ArgumentTypeError(f"{text!r} is past the {limit}-digit limit")
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is past the {limit}-digit limit")
     return value
 
 
@@ -98,7 +98,7 @@ def _integer(low: int, needs: str = "need"):
 _kappa = _checked(_rational, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
-_samples = _checked(_sample_floats, _all_finite, "need finite values h1,h2,... that do not underflow")
+_samples = _checked(_sample_floats, _all_finite, "need finite h, no underflow")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
 # the most --grid points: JSON output holds about 1.5 KB of memory per point,

@@ -46,7 +46,7 @@ from .picardfuchs import (
     _sequences,
     assemble_beta_actions,
 )
-from .series import KP_KAPPA, InternalConsistencyError, PowerSeries, SeriesUsageError
+from .series import KP_KAPPA, InternalConsistencyError, PowerSeries, SeriesUsageError, _quoted
 
 __all__ = [
     "InvariantReport",
@@ -69,7 +69,9 @@ def alpha_action(order: int) -> PowerSeries:
 
 
 def bnf_via_reversion(order: int) -> PowerSeries:
-    """Normal form B(J) as the compositional inverse of the regular action."""
+    """Normal form B(J), the compositional inverse of the regular action, read from
+    the O(n^2) recurrence picardfuchs._bnf, not from a reversion: series.revert_trunc
+    is the independent reversion that the tests check it against."""
     return PowerSeries("J", tuple(_sequences(KP_KAPPA, order)["bnf"]()))
 
 
@@ -194,7 +196,7 @@ def radius_analysis(
     targets = tuple(targets)
     for name in targets:  # every name, before any table is built
         if name not in sequences:
-            raise SeriesUsageError(f"unknown sequence {name!r}")
+            raise SeriesUsageError(f"unknown sequence {_quoted(name)}")
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")

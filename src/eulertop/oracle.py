@@ -479,7 +479,7 @@ def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
 
 
 def power_series_value(series: PowerSeries, kappa, x):
-    return horner([c(kappa) for c in series.coeffs], x, mp.mpf(0))
+    return horner([c(kappa) for c in series.coeffs], x)
 
 
 def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50):

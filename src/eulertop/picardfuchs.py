@@ -130,7 +130,7 @@ def derive_pf_coefficients() -> PFCoefficients:
 
     def rhs(j: int) -> list:
         acc = [c * Fraction(3, 2) for c in _coeff_at_2h(w2, j)]
-        return add_list(acc, _coeff_at_2h(wwp, j - 1), KP_ZERO) if j else acc
+        return add_list(acc, _coeff_at_2h(wwp, j - 1)) if j else acc
 
     def as_series(hp):
         hp = strip_list(hp)
@@ -209,9 +209,9 @@ def _b_rows(up, weigh, lcms: list):
         yield row
 
 
-# _bnf and _sigma_tail run over KP_KAPPA with w = 1 or over p with w = q^2,
-# and derive their zero from kappa.  Every sum over coefficients already known
-# is one series._cauchy call on an online list (y', y'', G', ...).
+# _bnf and _sigma_tail run over KP_KAPPA with w = 1 or over p with w = q^2.
+# Every sum over coefficients already known is one series._cauchy call on an
+# online list (y', y'', G', ...); the zero of kappa's ring only seeds the lists.
 
 
 def _bnf(kappa, order: int, w) -> list:
@@ -235,15 +235,15 @@ def _bnf(kappa, order: int, w) -> list:
     p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
     for m in range(1, order):
         # y_m is known: extend every product through the coefficients it fixes
-        y2.append(_cauchy(y, y, m, 1, zero))
-        y3.append(_cauchy(y2, y, m, 1, zero))
+        y2.append(_cauchy(y, y, m, 1))
+        y3.append(_cauchy(y2, y, m, 1))
         c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * (4 * w))
         mint.append(y[m] * Fraction(3 * w, m + 1))
         p.append(y[m] * m)
-        p2.append(_cauchy(p, p, m - 1, 0, zero))
-        p3.append(_cauchy(p2, p, m - 1, 0, zero))
+        p2.append(_cauchy(p, p, m - 1, 0))
+        p3.append(_cauchy(p2, p, m - 1, 0))
         # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
-        known = _cauchy(c3y, ypp, m, 2, zero) - _cauchy(mint, p3, m, 1, zero)
+        known = _cauchy(c3y, ypp, m, 2) - _cauchy(mint, p3, m, 1)
         y.append(known * Fraction(1, m * (m + 1)))
         ypp.append(y[m + 1] * ((m + 1) * m))
     return y
@@ -268,22 +268,20 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
     y = bnf[: order + 1]
     n = order - 1
     p = deriv_list(y)
-    a = recip_trunc(p, n, zero)
-    k = add_list(
-        [c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n, zero), y)], [zero - 1], zero
-    )
-    ka = mul_trunc(k, a, n, zero)
-    c = mul_trunc(y, ka, n, zero)
-    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y], zero), p, n, zero)
+    a = recip_trunc(p, n)
+    k = add_list([c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n), y)], [zero - 1])
+    ka = mul_trunc(k, a, n)
+    c = mul_trunc(y, ka, n)
+    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y]), p, n)
     # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8 w y + 2 kappa since A y' = 1
-    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))], zero)
+    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))])
     g, gp = [zero], []  # G, G'
     for m in range(1, n + 1):
-        known = _cauchy(c, gp, m, 2, zero) * m + _cauchy(d, g, m - 1, 0, zero)
+        known = _cauchy(c, gp, m, 2) * m + _cauchy(d, g, m - 1, 0)
         g.append((known - f[m - 1]) * Fraction(1, m * m))
         gp.append(g[m] * m)
-    log_unit = log_unit_trunc(y[1:], n, zero)
-    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n, zero))], zero)
+    log_unit = log_unit_trunc(y[1:], n)
+    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n))])
 
 
 def _sequences(kappa, n: int) -> dict:
@@ -348,6 +346,7 @@ def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
 
 
 def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
+    """b_n evaluated at an exact rational kappa (fast path for long tables)."""
     return _sequences(kappa, order)["b"]()
 
 
@@ -536,13 +535,13 @@ def pf_residual(series: PowerSeries | LogSeries, which: str = "action") -> PFRes
     # so every exponent stays non-negative
     falling = [(L, R)]
     for j in range(top):
-        L, R = _theta_minus(L, j), add_list(L, _theta_minus(R, j), KP_ZERO)
+        L, R = _theta_minus(L, j), add_list(L, _theta_minus(R, j))
         falling.append((L, R))
     channels = []
     for ch in (0, 1):
         out: list = []
         for poly, k in weights:
             shifted = [KP_ZERO] * (top - k) + list(poly.coeffs)
-            out = add_list(out, mul_trunc(shifted, falling[k][ch], cutoff + top, KP_ZERO), KP_ZERO)
+            out = add_list(out, mul_trunc(shifted, falling[k][ch], cutoff + top))
         channels.append({e - top: c for e, c in enumerate(out) if c})
     return PFResidual(*channels, cutoff)

@@ -53,6 +53,11 @@ class InternalConsistencyError(RuntimeError):
     """Two routes that must agree by construction failed to do so."""
 
 
+def _quoted(text: str) -> str:
+    """text quoted for an error message: a long text by its head and its length."""
+    return repr(text) if len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -104,7 +109,7 @@ class KappaPoly:
             other = KappaPoly.constant(other)
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        return KappaPoly(tuple(add_list(self.coeffs, other.coeffs, Fraction(0))))
+        return KappaPoly(tuple(add_list(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -121,7 +126,7 @@ class KappaPoly:
         if not isinstance(other, KappaPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        return KappaPoly(tuple(mul_trunc(a, b, len(a) + len(b) - 2, Fraction(0))))
+        return KappaPoly(tuple(mul_trunc(a, b, len(a) + len(b) - 2)))
 
     __rmul__ = __mul__
 
@@ -131,7 +136,7 @@ class KappaPoly:
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is a Fraction."""
-        return horner(self.coeffs, kappa, kappa * 0)
+        return horner(self.coeffs, kappa)
 
     def __str__(self):
         if not self.coeffs:
@@ -164,7 +169,7 @@ def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction
             diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
     p: list = []
     for i in range(len(diffs) - 1, -1, -1):
-        p = add_list(mul_trunc(p, (-xs[i], 1), len(p), Fraction(0)), (diffs[i],), Fraction(0))
+        p = add_list(mul_trunc(p, (-xs[i], 1), len(p)), (diffs[i],))
     coeffs = [Fraction(0)] * (2 * len(p) + odd)
     coeffs[odd::2] = p
     poly = KappaPoly(tuple(coeffs))
@@ -178,9 +183,10 @@ def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction
 # ---------------------------------------------------------------------------
 # generic truncated-series helpers on plain coefficient lists
 #
-# These work over any exact coefficient ring with +, -, * and a falsy zero;
-# in practice: KappaPoly for the symbolic pipeline and Fraction for series
-# evaluated at a fixed rational kappa.
+# These work over any coefficient ring with +, -, * and a falsy zero, which
+# each function takes from its inputs (a coefficient times 0, or the constant
+# term a composition or reversion requires to vanish); in practice KappaPoly
+# for the symbolic pipeline and Fraction for series at a fixed rational kappa.
 # ---------------------------------------------------------------------------
 
 
@@ -198,18 +204,15 @@ def _unit_inverse(c):
     raise TypeError(f"cannot invert {type(c).__name__}")
 
 
-def _at(a: Sequence, n: int, zero):
-    return a[n] if n < len(a) else zero
+def add_list(a: Sequence, b: Sequence) -> list:
+    """Coefficient-wise sum of two lists of any lengths; the longer one's tail is copied."""
+    n = min(len(a), len(b))
+    return [x + y for x, y in zip(a, b)] + [*a[n:], *b[n:]]
 
 
-def add_list(a: Sequence, b: Sequence, zero) -> list:
-    """Coefficient-wise sum of two lists of any lengths."""
-    return [_at(a, n, zero) + _at(b, n, zero) for n in range(max(len(a), len(b)))]
-
-
-def horner(coeffs: Sequence, x, zero):
+def horner(coeffs: Sequence, x):
     """The value of sum_n coeffs[n] x^n, accumulated from the top coefficient down."""
-    acc = zero
+    acc = x * 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -228,9 +231,9 @@ def strip_list(a: Sequence) -> list:
     return a
 
 
-def mul_trunc(a: Sequence, b: Sequence, order: int, zero) -> list:
+def mul_trunc(a: Sequence, b: Sequence, order: int) -> list:
     """Cauchy product of coefficient lists, truncated at ``order``."""
-    out = [zero] * (order + 1)
+    out = [(a or b)[0] * 0] * (order + 1) if order >= 0 else []
     for i, ai in enumerate(a):
         if i > order:
             break
@@ -242,37 +245,37 @@ def mul_trunc(a: Sequence, b: Sequence, order: int, zero) -> list:
     return out
 
 
-def _cauchy(a: Sequence, b: Sequence, n: int, lo: int, zero):
+def _cauchy(a: Sequence, b: Sequence, n: int, lo: int):
     """sum_{i=lo}^{n} a[i] b[n-i], with a read as zero past its end: one
     coefficient of an online product, for which b is known through b[n-lo]."""
-    acc = zero
+    acc = (a or b)[0] * 0
     for i in range(lo, min(n, len(a) - 1) + 1):
         if a[i]:
             acc = acc + a[i] * b[n - i]
     return acc
 
 
-def compose_trunc(outer: Sequence, inner: Sequence, order: int, zero) -> list:
+def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
     """Horner composition outer(inner(x)); inner must have zero constant term."""
-    if inner and inner[0]:
+    if inner[0]:
         raise SeriesUsageError("inner series must vanish at 0")
-    res = [zero] * (order + 1)
+    res = [inner[0]] * (order + 1)
     if not outer:
         return res
     res[0] = outer[-1]
     for k in range(len(outer) - 2, -1, -1):
-        res = mul_trunc(res, inner, order, zero)
+        res = mul_trunc(res, inner, order)
         res[0] = res[0] + outer[k]
     return res
 
 
-def recip_trunc(a: Sequence, order: int, zero) -> list:
+def recip_trunc(a: Sequence, order: int) -> list:
     """Multiplicative inverse of a series with invertible constant term."""
     inv0 = _unit_inverse(a[0])
-    out = [zero] * (order + 1)
+    out = [a[0] * 0] * (order + 1)
     out[0] = inv0
     for n in range(1, order + 1):
-        out[n] = -(inv0 * _cauchy(a, out, n, 1, zero))
+        out[n] = -(inv0 * _cauchy(a, out, n, 1))
     return out
 
 
@@ -280,8 +283,8 @@ def deriv_list(a: Sequence) -> list:
     return [a[n] * n for n in range(1, len(a))]
 
 
-def integrate_list(a: Sequence, zero) -> list:
-    return [zero] + [a[n] * Fraction(1, n + 1) for n in range(len(a))]
+def integrate_list(a: Sequence) -> list:
+    return [a[0] * 0] + [a[n] * Fraction(1, n + 1) for n in range(len(a))]
 
 
 def unscale_list(a: Sequence, q: int) -> list:
@@ -294,15 +297,15 @@ def unscale_list(a: Sequence, q: int) -> list:
     return [c * q ** (1 - n) if n <= 1 else c / q ** (n - 1) for n, c in enumerate(a)]
 
 
-def log_unit_trunc(a: Sequence, order: int, zero) -> list:
+def log_unit_trunc(a: Sequence, order: int) -> list:
     """log of a series with constant term 1, via integrating a'/a."""
     if not a[0] or a[0] * a[0] != a[0]:
         raise SeriesUsageError("log needs a series with constant term 1")
-    q = mul_trunc(deriv_list(a), recip_trunc(a, order, zero), max(order - 1, 0), zero)
-    return integrate_list(q, zero)[: order + 1]
+    q = mul_trunc(deriv_list(a), recip_trunc(a, order), max(order - 1, 0))
+    return integrate_list(q)[: order + 1]
 
 
-def revert_trunc(a: Sequence, order: int, zero) -> list:
+def revert_trunc(a: Sequence, order: int) -> list:
     """Compositional inverse by Newton iteration.
 
     The generic reversion behind PowerSeries.revert, for any series.
@@ -315,17 +318,17 @@ def revert_trunc(a: Sequence, order: int, zero) -> list:
         raise SingularReversionError("series must vanish at 0 to be reverted")
     if len(a) < 2 or not a[1]:
         raise SingularReversionError("zero linear coefficient")
-    ident = [zero] * (order + 1)
+    ident = [a[0]] * (order + 1)
     ident[1] = _unit_inverse(a[1]) * a[1]
-    g = [zero] * (order + 1)
+    g = [a[0]] * (order + 1)
     g[1] = _unit_inverse(a[1])
     ap = deriv_list(a)
     for _ in range(order.bit_length() + 2):
-        fg = compose_trunc(a, g, order, zero)
+        fg = compose_trunc(a, g, order)
         err = [fg[n] - ident[n] for n in range(order + 1)]
         if not any(err):
             return g
-        corr = mul_trunc(err, recip_trunc(compose_trunc(ap, g, order, zero), order, zero), order, zero)
+        corr = mul_trunc(err, recip_trunc(compose_trunc(ap, g, order), order), order)
         g = [g[n] - corr[n] for n in range(order + 1)]
     raise InternalConsistencyError("series reversion did not converge")
 
@@ -430,9 +433,7 @@ class PowerSeries:
             return NotImplemented
         self._check_var(other)
         n = min(self.order, other.order)
-        return PowerSeries(
-            self.var, tuple(mul_trunc(self.coeffs, other.coeffs, n, KP_ZERO))
-        )
+        return PowerSeries(self.var, tuple(mul_trunc(self.coeffs, other.coeffs, n)))
 
     __rmul__ = __mul__
 
@@ -441,13 +442,11 @@ class PowerSeries:
         if inner.coefficient(0):
             raise SeriesUsageError("inner series must have zero constant term")
         n = min(self.order, inner.order)
-        return PowerSeries(
-            inner.var, tuple(compose_trunc(self.coeffs, inner.coeffs, n, KP_ZERO))
-        )
+        return PowerSeries(inner.var, tuple(compose_trunc(self.coeffs, inner.coeffs, n)))
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse, returned in the complementary variable."""
-        g = revert_trunc(list(self.coeffs), self.order, KP_ZERO)
+        g = revert_trunc(list(self.coeffs), self.order)
         return PowerSeries(_OTHER_VAR[self.var], tuple(g))
 
     def differentiate(self) -> "PowerSeries":
@@ -457,7 +456,7 @@ class PowerSeries:
 
     def integrate(self) -> "PowerSeries":
         """Termwise antiderivative with zero constant; order increases by one."""
-        return PowerSeries(self.var, tuple(integrate_list(self.coeffs, KP_ZERO)))
+        return PowerSeries(self.var, tuple(integrate_list(self.coeffs)))
 
     def reflect(self) -> "PowerSeries":
         """The series of x -> f(-x)."""
@@ -523,9 +522,7 @@ class LogSeries:
             )
         n = min(self.order, inner.order - 1)
         unit = PowerSeries(inner.var, inner.coeffs[1:]).pad(n)
-        log_unit = PowerSeries(
-            inner.var, tuple(log_unit_trunc(unit.coeffs, n, KP_ZERO))
-        )
+        log_unit = PowerSeries(inner.var, tuple(log_unit_trunc(unit.coeffs, n)))
         l_comp = self.log_part.truncate(n).compose(inner.truncate(n))
         r_comp = self.regular_part.truncate(n).compose(inner.truncate(n))
         return LogSeries(l_comp, l_comp * log_unit + r_comp)

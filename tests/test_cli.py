@@ -234,6 +234,17 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert (code, out) == (2, "") and message in err, argv
     for name in COMMANDS:
         assert run_cli(capsys, name, "--help")[0] == 0, name
+    # a long value is quoted by its head and its length; argparse wraps its
+    # usage lines to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (
+        ["bnf", "--kappa=" + "1" * 5000, "--order=3"],
+        ["verify", "--kappa=1/2", "--samples=" + "x" * 5000],
+        ["bnf", "--kappa=1/" + "0" * 5000],
+        ["radius", "--kappa=1/2", "--targets=" + "x" * 5000],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and len(err.encode()) < 300, (argv[0], len(err))
 
 
 def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeypatch):

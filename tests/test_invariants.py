@@ -93,11 +93,11 @@ def test_recurrences_match_reversion_and_composition(kappa):
     n, zero = 20, Fraction(0)
     sequences = _sequences(kappa, n)
     a, b = frobenius_a_at(kappa, n - 1), frobenius_b_at(kappa, n - 1)
-    bnf = revert_trunc(integrate_list(a, zero), n, zero)
+    bnf = revert_trunc(integrate_list(a), n)
     assert sequences["bnf"]() == bnf
-    q = integrate_list([b[k] - a[k] / (k + 1) for k in range(n)], zero)
-    j_log_unit = [zero] + log_unit_trunc(bnf[1:], n - 1, zero)
-    tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, n, zero))]
+    q = integrate_list([b[k] - a[k] / (k + 1) for k in range(n)])
+    j_log_unit = [zero] + log_unit_trunc(bnf[1:], n - 1)
+    tail = [-(x + y) for x, y in zip(j_log_unit, compose_trunc(q, bnf, n))]
     tail[1] -= 1
     assert sequences["sigma"]() == tail
 

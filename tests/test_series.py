@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp
 
 from eulertop.series import (
     InternalConsistencyError,
@@ -13,10 +14,15 @@ from eulertop.series import (
     SeriesUsageError,
     SingularReversionError,
     _cauchy,
+    add_list,
+    compose_trunc,
+    horner,
+    integrate_list,
     interpolate_kappa_poly,
     log_unit_trunc,
     mul_trunc,
     recip_trunc,
+    revert_trunc,
 )
 
 K = KappaPoly.of(0, 1)
@@ -61,15 +67,33 @@ def test_recip_round_trip():
         ([KappaPoly.constant(2), K, KP_ZERO, K * K], KP_ZERO, KP_ONE),
         ([Fraction(-3), HALF], Fraction(0), Fraction(1)),  # shorter than the order
     ):
-        assert mul_trunc(a, recip_trunc(a, 6, zero), 6, zero) == [one] + [zero] * 6
+        assert mul_trunc(a, recip_trunc(a, 6), 6) == [one] + [zero] * 6
 
 
 def test_log_unit_low_orders():
     a = [KP_ONE, K, K * K]
-    assert log_unit_trunc(a, 0, KP_ZERO) == [KP_ZERO]
-    assert log_unit_trunc(a, 1, KP_ZERO) == [KP_ZERO, K]
+    assert log_unit_trunc(a, 0) == [KP_ZERO]
+    assert log_unit_trunc(a, 1) == [KP_ZERO, K]
     # log(1 + K x + K^2 x^2) = K x + (K^2 - K^2 / 2) x^2 + ...
-    assert log_unit_trunc(a, 2, KP_ZERO) == [KP_ZERO, K, K * K * HALF]
+    assert log_unit_trunc(a, 2) == [KP_ZERO, K, K * K * HALF]
+
+
+def test_list_results_stay_in_the_coefficient_ring():
+    # each list function takes its zero from its inputs, padding included
+    for ring, b in ((Fraction, [Fraction(2), HALF, Fraction(-3)]), (KappaPoly, [KP_ONE, K, K * K])):
+        a = b[:1]
+        for out in (
+            mul_trunc(a, b, len(a) + len(b)),  # past the last product coefficient
+            add_list(a, b),
+            add_list(b, a),
+            mul_trunc([], b, 3),
+            [_cauchy([], b, 2, 0)],
+            integrate_list(b),
+        ):
+            assert out and all(type(x) is ring for x in out), ring
+    assert mul_trunc((), (), -2) == []
+    assert type(KP_ZERO * KP_ZERO) is KappaPoly and not KP_ZERO * KP_ZERO
+    assert isinstance(horner([Fraction(3)], mp.mpf("0.5")), mp.mpf)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +115,23 @@ def test_compose_binomial():
 def test_compose_rejects_nonzero_constant():
     with pytest.raises(SeriesUsageError):
         ps("J", 0, 1).compose(ps("h", 1, 1))
+
+
+def test_list_functions_refuse_a_bad_constant_term():
+    # PowerSeries checks first, so only direct calls reach these refusals; the
+    # zero of compose_trunc and revert_trunc is the constant term they refuse
+    for zero, one, other in ((Fraction(0), Fraction(1), Fraction(-3)), (KP_ZERO, KP_ONE, K)):
+        for c in (one, other):
+            with pytest.raises(SeriesUsageError, match="vanish"):
+                compose_trunc([one, one], [c, one], 3)
+            with pytest.raises(SingularReversionError, match="vanish"):
+                revert_trunc([c, one], 3)
+        for c in (zero, other):
+            with pytest.raises(SeriesUsageError, match="constant term 1"):
+                log_unit_trunc([c, one], 3)
+    for c in (Fraction(0), KP_ZERO, K):  # not invertible
+        with pytest.raises(SingularReversionError):
+            recip_trunc([c, c], 3)
 
 
 def _revert_by_substitution(f: PowerSeries) -> PowerSeries:
@@ -231,7 +272,7 @@ def short_and_full_lists(draw):
 @given(short_and_full_lists())
 def test_online_coefficient_is_product_coefficient(case):
     n, a, b = case
-    assert _cauchy(a, b, n, 0, KP_ZERO) == mul_trunc(a, b, n, KP_ZERO)[n]
+    assert _cauchy(a, b, n, 0) == mul_trunc(a, b, n)[n]
 
 
 @given(st.lists(kappa_polys, min_size=1, max_size=7))

@@ -10,9 +10,9 @@ options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
 --order, --nmax, --precision or --grid count outside the command's range
 (the ceiling bounds the cost of a run) and a --tol that is not positive
-exit 2; so does a table whose exact values would pass Python's limit on
-int-to-str digits, and a radius run of bnf or sigma whose --nmax and bits
-of kappa would take it past a minute.
+exit 2; so does a JSON table whose exact values would pass Python's limit
+on int-to-str digits, and a radius run whose --nmax and bits of kappa would
+take it past a minute.
 
 Exit codes: 0 success, 2 validation error, 3 internal consistency or
 numeric failure, 64 unknown command.
@@ -336,45 +336,27 @@ def _cmd_params(args):
     return doc, None
 
 
-_KAPPA = ("kappa", "theta", "ell")
+_KAPPA = dict.fromkeys(("kappa", "theta", "ell"))
 _SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
 
-# digits of the numeric fields: default, ceiling
-_PRECISION = {"precision": (17, 100)}
-
-# name: (handler, options it reads, {integer option: (default, ceiling)},
-#        CSV header, or None for a JSON-only command without --format).
+# name: (handler, {option it reads: (default, ceiling) of an integer option,
+#        else None}, CSV header, or None for a JSON-only command without
+#        --format).  --precision sets the digits of the numeric fields.
 # At a kappa of a few bits a run at the ceiling takes under a minute on a
 # 2-CPU machine; the exact tables also grow with the bits of kappa.
 _COMMANDS = {
-    "bnf": (_cmd_bnf, _KAPPA + ("order",), {"order": (7, 24)}, _SERIES_HEADER),
-    "frobenius": (_cmd_frobenius, _KAPPA + ("order",), {"order": (40, 200)}, _SERIES_HEADER),
-    "actions": (
-        _cmd_actions,
-        _KAPPA + ("order", "precision"),
-        {"order": (12, 200), **_PRECISION},
-        _SERIES_HEADER,
-    ),
-    "invariant": (
-        _cmd_invariant,
-        _KAPPA + ("order", "precision"),
-        {"order": (7, 30), **_PRECISION},
-        _SERIES_HEADER,
-    ),
+    "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24)}, _SERIES_HEADER),
+    "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200)}, _SERIES_HEADER),
+    "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200), "precision": (17, 100)}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30), "precision": (17, 100)}, _SERIES_HEADER),
     "verify": (
         _cmd_verify,
-        _KAPPA + ("order", "tol", "precision", "samples"),
-        {"order": (30, 100), **_PRECISION},
+        {**_KAPPA, "order": (30, 100), "tol": None, "precision": (17, 100), "samples": None},
         None,
     ),
-    "radius": (
-        _cmd_radius,
-        _KAPPA + ("nmax", "targets"),
-        {"nmax": (60, 400)},
-        ("sequence", "n", "ratio"),
-    ),
-    "pendulum": (_cmd_pendulum, ("grid",), {}, ("kappa", "euler_leading", "margin")),
-    "params": (_cmd_params, ("theta", "ell"), {}, None),
+    "radius": (_cmd_radius, {**_KAPPA, "nmax": (60, 400), "targets": None}, ("sequence", "n", "ratio")),
+    "pendulum": (_cmd_pendulum, {"grid": None}, ("kappa", "euler_leading", "margin")),
+    "params": (_cmd_params, {"theta": None, "ell": None}, None),
 }
 
 COMMANDS = tuple(_COMMANDS)
@@ -383,18 +365,18 @@ COMMANDS = tuple(_COMMANDS)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eulertop", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, (_, options, limits, header) in _COMMANDS.items():
+    for name, (_, options, header) in _COMMANDS.items():
         p = sub.add_parser(name)
-        for option in options + (("format",) if header else ()):
+        for option in (*options, *(("format",) if header else ())):
             kwargs = dict(_ARGS.get(option, {}))
-            if option in _INTEGERS:
-                default, ceiling = limits[option]
+            if options.get(option):
+                default, ceiling = options[option]
                 kwargs.update(type=_INTEGERS[option](ceiling), default=default)
             p.add_argument(f"--{option}", **kwargs)
         if "precision" in options:
             # argparse passes a string default through type=, so PRECISION
             # is read now and checked like --precision
-            p.set_defaults(precision=os.environ.get("PRECISION", str(limits["precision"][0])))
+            p.set_defaults(precision=os.environ.get("PRECISION", str(options["precision"][0])))
     return parser
 
 
@@ -412,12 +394,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def _derive_kappa(args) -> None:
     """The checks that span options: a command that reads kappa takes it from
-    --kappa or from --theta with --ell, never both."""
+    --kappa or from --theta with --ell, never both, and reads --ell only with --theta."""
     theta = getattr(args, "theta", None)
     if theta is not None and getattr(args, "kappa", None) is not None:
         raise SeriesUsageError("pass exactly one of --kappa and --theta")
     if theta is not None and args.ell is None:
         raise SeriesUsageError("--theta needs --ell")
+    if hasattr(args, "kappa") and theta is None and args.ell is not None:
+        raise SeriesUsageError("--ell needs --theta")
     if hasattr(args, "kappa") and args.kappa is None:
         if theta is None:
             raise SeriesUsageError(f"{args.command} needs --kappa or --theta/--ell")
@@ -430,11 +414,12 @@ def _kappa_bits(kappa: Fraction) -> int:
 
 
 def _check_value_digits(args) -> None:
-    """Refuse a table command whose values pass Python's int-to-str digit limit,
-    before any table is built: at order n and a kappa of b bits (numerator or
-    denominator) no value has more than n (b + 6) bits (measured to n = 200, b = 100)."""
+    """Refuse a table command whose JSON values pass Python's int-to-str digit
+    limit, before any table is built: at order n and a kappa of b bits (numerator
+    or denominator) no value has more than n (b + 6) bits (measured to n = 200,
+    b = 100).  The CSV rows hold the kappa-polynomial coefficients only, whatever kappa."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or _COMMANDS[args.command][3] is not _SERIES_HEADER:
+    if not limit or _COMMANDS[args.command][2] is not _SERIES_HEADER or args.format != "json":
         return
     bits = _kappa_bits(args.kappa)
     if args.order * (bits + 6) > limit * math.log2(10):
@@ -444,21 +429,35 @@ def _check_value_digits(args) -> None:
         )
 
 
-# the largest nmax^2 (b + 14) that _check_radius_cost admits
+# the largest nmax^2 (b + 14) that _check_radius_cost admits for bnf or sigma,
+# and the largest nmax^3 (b + 14)^2 for every target, a and b alone included
 _RADIUS_BUDGET = 4_000_000
+_RADIUS_AB_BUDGET = 30_000_000_000_000
 
 
 def _check_radius_cost(args) -> None:
-    """Refuse a radius run of the bnf or sigma target that would take about a
-    minute, before any table is built.  At a kappa of b bits their time grows
-    with nmax^2 (b + 14), about as its 1.5th power.  On a 2-CPU machine, runs
-    at 3.7e6 to 4.1e6 took 33-38 s (nmax 400 at b = 9 and 10, 300 at b = 31,
-    250 at b = 52) and one at 4.8e6 took 60 s (nmax 400, b = 16).  The a and
-    b targets are not counted: at b = 52 and nmax 400 they take about 1 s."""
-    if args.command != "radius" or not {"bnf", "sigma"} & set(args.targets):
+    """Refuse a radius run that would take about a minute, before any table is
+    built.  At a kappa of b bits the time of the bnf and sigma targets grows
+    with nmax^2 (b + 14), about as its 1.5th power: on a 2-CPU machine, runs at
+    3.7e6 to 4.1e6 took 33-38 s (nmax 400 at b = 9 and 10, 300 at b = 31, 250
+    at b = 52) and one at 4.8e6 took 60 s (nmax 400, b = 16).  The a and b
+    targets took 0.65, 1.84, 4.62 and 9.39 s at nmax 200 and 1.97, 10.2, 33.4
+    and 75.2 s at nmax 400, with kappa = (2^k + 1)/(2^k - 3) of b = 100, 300,
+    600 and 998 bits; a random 998-bit kappa took 106 s at nmax 400.  Their time
+    grows about as nmax^3 (b + 14)^2: random kappas at 2.4e13 to 3.0e13 took
+    38-46 s (nmax 400 at b = 600, 234 at 1500, 149 at 3000, 52 at 14281) and one
+    at 1.2e14 took 131 s (nmax 83, b = 14281).  A run within the bnf and sigma
+    ceiling is within this one."""
+    if args.command != "radius":
         return
     bits = _kappa_bits(args.kappa)
-    if args.nmax**2 * (bits + 14) > _RADIUS_BUDGET:
+    if args.nmax**3 * (bits + 14) ** 2 > _RADIUS_AB_BUDGET:
+        raise SeriesUsageError(
+            f"--nmax={args.nmax} with a {bits}-bit --kappa passes the cost ceiling "
+            f"of every target, a and b included, nmax^3 (bits + 14)^2 <= {_RADIUS_AB_BUDGET}; "
+            "lower --nmax or shorten --kappa"
+        )
+    if {"bnf", "sigma"} & set(args.targets) and args.nmax**2 * (bits + 14) > _RADIUS_BUDGET:
         raise SeriesUsageError(
             f"--nmax={args.nmax} with a {bits}-bit --kappa passes the cost "
             f"ceiling of bnf and sigma, nmax^2 (bits + 14) <= {_RADIUS_BUDGET}; "
@@ -468,7 +467,7 @@ def _check_radius_cost(args) -> None:
 
 def execute(args) -> str:
     """Run one parsed command; returns the rendered document."""
-    handler, _, _, header = _COMMANDS[args.command]
+    handler, _, header = _COMMANDS[args.command]
     doc, rows = handler(args)
     if getattr(args, "format", "json") == "json":
         return json.dumps(doc(), indent=2) + "\n"

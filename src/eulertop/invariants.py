@@ -208,6 +208,8 @@ def radius_analysis(
         raise SeriesUsageError(
             "|kappa| is too large: rho = (kappa + sqrt(kappa^2 + 4))/2 is not a positive float"
         )
+    if kappa and abs(kappa) < Fraction(1, 2**1000):  # ratio estimates reach about 4 / |kappa|
+        raise SeriesUsageError("|kappa| is too small: its ratio estimates overflow a float")
     known = 0.5 * min(rho, 1.0 / rho)
     reports = []
     for name in targets:

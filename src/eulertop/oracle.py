@@ -40,6 +40,7 @@ from .picardfuchs import (
     BetaAction,
     LOG64_RATIO,
     SymbolicConstant,
+    _SIDES,
     assemble_beta_actions,
 )
 from .series import PowerSeries, horner
@@ -421,10 +422,9 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
 
 def separatrix_action(kappa, side: str, dps: int = 50):
     """Closed-form limit I_beta(0) = atan(rho^{-+1}) / pi."""
-    kinds = {"plus": ATAN_INV_RHO_OVER_PI, "minus": ATAN_RHO_OVER_PI}
-    if side not in kinds:
+    if side not in _SIDES:
         raise ValueError(f"unknown side {side!r}")
-    return constant_value(SymbolicConstant(kinds[side]), kappa, dps)
+    return constant_value(SymbolicConstant(_SIDES[side][1]), kappa, dps)
 
 
 def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e-12, dps: int = 50) -> QuadratureResult:

@@ -449,29 +449,27 @@ class BetaAction:
     series: ActionSeries
 
 
+# each side of the separatrix: k2, the tag of k3 = I_beta(0), the tag of its area
+_SIDES = {"plus": (1, ATAN_INV_RHO_OVER_PI, ATAN_INV_RHO), "minus": (-1, ATAN_RHO_OVER_PI, ATAN_RHO)}
+
+
 def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
     """The two separatrix-side actions through h^(order+1).
 
     I_beta(+-) = -+ (1/2) log(64/(kappa^2+4)) I_r +- I_s + atan(rho^(-+1))/pi.
     """
     series = build_action_series(order)
-    plus = BetaAction(
-        side="plus",
-        k1=SymbolicConstant(LOG64_RATIO, Fraction(-1, 2)),
-        k2=1,
-        k3=SymbolicConstant(ATAN_INV_RHO_OVER_PI),
-        area=SymbolicConstant(ATAN_INV_RHO, Fraction(2)),
-        series=series,
+    return tuple(
+        BetaAction(
+            side=side,
+            k1=SymbolicConstant(LOG64_RATIO, Fraction(-k2, 2)),
+            k2=k2,
+            k3=SymbolicConstant(k3),
+            area=SymbolicConstant(area, Fraction(2)),
+            series=series,
+        )
+        for side, (k2, k3, area) in _SIDES.items()
     )
-    minus = BetaAction(
-        side="minus",
-        k1=SymbolicConstant(LOG64_RATIO, Fraction(1, 2)),
-        k2=-1,
-        k3=SymbolicConstant(ATAN_RHO_OVER_PI),
-        area=SymbolicConstant(ATAN_RHO, Fraction(2)),
-        series=series,
-    )
-    return plus, minus
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +507,11 @@ def pf_residual(series: PowerSeries | LogSeries, which: str = "action") -> PFRes
     truncation order of the input.
     """
     pf = derive_pf_coefficients()
-    if which == "action":
-        weights = [(pf.c1 * 2, 1), (pf.c2 * 2, 2), (pf.c3 * 2, 3)]
-    elif which == "period":
-        weights = [(pf.c1 * 2, 0), (pf.c2 * 2, 1), (pf.c3 * 2, 2)]
-    else:
+    # the period equation is the action equation with one derivative fewer
+    s = {"action": 1, "period": 0}.get(which)
+    if s is None:
         raise SeriesUsageError(f"unknown equation {which!r}")
+    weights = [(pf.c1 * 2, s), (pf.c2 * 2, s + 1), (pf.c3 * 2, s + 2)]
     if series.order < 4:
         raise SeriesUsageError("need a series of order >= 4")
     if isinstance(series, LogSeries):

@@ -217,6 +217,9 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         # rho overflows: float(kappa) itself, or kappa * kappa
         ["radius", "--kappa=1e400", "--nmax=20"],
         ["radius", "--kappa=1e200", "--targets=a", "--nmax=20"],
+        # a ratio estimate near 4/|kappa| overflows a float
+        ["radius", "--kappa=1e-400", "--targets=a", "--nmax=20"],
+        ["radius", "--kappa=1e-400", "--targets=bnf", "--nmax=20"],
         # options the command does not read
         ["bnf", "--kappa=1/2", "--nmax=5"],
         ["pendulum", "--kappa=1/2"],
@@ -224,9 +227,10 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         ["verify", "--kappa=1/2", "--format=csv"],
     ):
         assert run_cli(capsys, *argv)[0] == 2, argv
-    # kappa from --theta needs --ell, and params needs both
+    # kappa from --theta needs --ell, --ell needs --theta, and params needs both
     for argv, message in (
         (["bnf", "--theta=1,2,3"], "--theta needs --ell"),
+        (["bnf", "--kappa=1/2", "--ell=1"], "--ell needs --theta"),
         (["params", "--ell=1"], "params needs --theta"),
         (["params"], "params needs --theta"),
     ):
@@ -248,19 +252,25 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
 
 
 def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeypatch):
-    # a 100-bit kappa at order 200 gives values of ~21000 bits, past the
-    # 4300 digits Python prints; CSV prints no values but is refused as well
+    # a 100-bit kappa at order 200 gives JSON values of ~21000 bits, past the
+    # 4300 digits Python prints
     tables = []
     with monkeypatch.context() as m:
         for name in ("frobenius_table", "assemble_beta_actions"):
             m.setattr(picardfuchs, name, lambda *args: tables.append(args))
         for argv in (
             ["frobenius", "--kappa=1/1000000000000000000000000000000", "--order=200"],
-            ["actions", "--kappa=1/1000000000000000000000000000000", "--order=200", "--format=csv"],
+            ["actions", "--kappa=1/1000000000000000000000000000000", "--order=200"],
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "") and "--order" in err and "--kappa" in err, argv
     assert tables == []
+    # the CSV rows are the kappa-polynomial coefficients, the same at any kappa
+    csv_rows = [
+        run_cli(capsys, "frobenius", f"--kappa={kappa}", "--order=200", "--format=csv")
+        for kappa in ("1/1000000000000000000000000000000", "1/2")
+    ]
+    assert csv_rows[0][0] == 0 and csv_rows[0] == csv_rows[1]
     # a 52-bit kappa from --theta stays below the limit at the same order
     code, out, _ = run_cli(capsys, "frobenius", "--theta=1,2,2.5", "--ell=1", "--order=200")
     assert code == 0 and json.loads(out)["methods_agree"] is True
@@ -280,7 +290,14 @@ def test_radius_ceiling_counts_the_bits_of_kappa(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "radius", *argv)
         assert (code, out) == (2, "") and "--nmax" in err and "--targets=a,b" in err, argv
     assert calls == []
-    # the runs that stay within a minute, and a and b alone at any kappa
+    # a and b alone have a ceiling of their own, far above: a 998-bit kappa
+    # at nmax 400 took 75 s
+    k = 2**997
+    argv = [f"--kappa={k + 1}/{k - 3}", "--nmax=400", "--targets=a,b"]
+    code, out, err = run_cli(capsys, "radius", *argv)
+    assert (code, out) == (2, "") and "998-bit --kappa" in err and "--nmax" in err
+    assert calls == []
+    # the runs that stay within a minute, a and b alone also at nmax 400 and 100 bits
     for argv in (
         ["--kappa=1/2", "--nmax=400"],
         ["--kappa=255/256", "--nmax=400"],
@@ -326,7 +343,7 @@ def test_csv_output_builds_no_json_document(capsys, monkeypatch):
         for argv in (*tables, ["radius", "--kappa=1/2", "--nmax=20", "--targets=a"]):
             code, out, err = run_cli(capsys, *argv, "--format=csv")
             assert (code, err) == (0, ""), argv
-            assert out.startswith(",".join(_COMMANDS[argv[0]][3]) + "\n"), argv
+            assert out.startswith(",".join(_COMMANDS[argv[0]][2]) + "\n"), argv
         assert run_cli(capsys, *tables[0])[0] == 3
     monkeypatch.setattr(cli, "_series_rows", refuse("CSV rows"))
     for argv in tables:
@@ -365,7 +382,7 @@ def test_ceilings_admit_the_documented_workloads():
         "verify": {"order": 30, "precision": 60},
     }
     for name, sizes in needed.items():
-        limits = _COMMANDS[name][2]
+        limits = _COMMANDS[name][1]
         for option, size in sizes.items():
             default, ceiling = limits[option]
             assert default <= ceiling and size <= ceiling, (name, option)

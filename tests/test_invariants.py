@@ -249,6 +249,10 @@ def test_radius_rejects_small_nmax():
         radius_analysis(0.1, 20)
     with pytest.raises(SeriesUsageError):
         frobenius_a_at(0.1, 20)
+    # ratio estimates near 4/|kappa| overflow a float below |kappa| = 2^-1000
+    with pytest.raises(SeriesUsageError, match="too small"):
+        radius_analysis(Fraction(-1, 2**1001), 20, ("a",))
+    assert radius_analysis(Fraction(1, 10**300), 20, ("a",))[0].ratios
 
 
 def test_bnf_and_sigma_radii_exceed_action_radius():

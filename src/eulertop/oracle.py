@@ -117,12 +117,18 @@ def params_from_inertia(theta1: float, theta2: float, theta3: float, ell: float)
         raise ParameterError(
             f"triangle inequality theta3 <= theta1 + theta2 violated: {theta3} > {theta1 + theta2}"
         )
-    rho = math.sqrt(theta1 * (theta3 - theta2) / (theta3 * (theta2 - theta1)))
-    kappa = kappa_for_rho(rho)
-    lam = (ell / theta2) * math.sqrt(
-        (theta2 - theta1) * (theta3 - theta2) / (theta1 * theta3)
-    )
-    return TopParams(theta1, theta2, theta3, ell, rho, kappa, lam)
+    theta = f"theta ({theta1}, {theta2}, {theta3})"
+    try:
+        rho = math.sqrt(theta1 * (theta3 - theta2) / (theta3 * (theta2 - theta1)))
+        lam = (ell / theta2) * math.sqrt(
+            (theta2 - theta1) * (theta3 - theta2) / (theta1 * theta3)
+        )
+    except ZeroDivisionError:
+        raise ParameterError(f"a product of {theta} underflows a float to 0") from None
+    for name, value in (("rho", rho), ("lambda", lam)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} = {value} is out of a float's range for {theta} and ell {ell}")
+    return TopParams(theta1, theta2, theta3, ell, rho, kappa_for_rho(rho), lam)
 
 
 def rho_for_kappa(kappa):
@@ -342,9 +348,11 @@ def _angle_form(rho, h):
 
         top = mp.asinh(mp.pi / (2 * c))
     if top > 400:
-        # |h| below about 1e-340, out of a float's reach: the lowest
-        # degrees would miss the mass near t = top and agree on 0
-        raise DomainError(f"|h| = {mp.nstr(abs(h), 3)} is too small for the gauss scheme")
+        # |h| below about 1e-340, or at h = 0 rho below about 1e-173, out of
+        # a float's reach: the lowest degrees would miss the mass near t = top
+        # and agree on 0
+        small = f"|h| = {mp.nstr(abs(h), 3)}" if h else f"rho = {mp.nstr(rho, 3)} at h = 0"
+        raise DomainError(f"{small} is too small for the gauss scheme")
     return top, point
 
 

@@ -220,6 +220,11 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         # a ratio estimate near 4/|kappa| overflows a float
         ["radius", "--kappa=1e-400", "--targets=a", "--nmax=20"],
         ["radius", "--kappa=1e-400", "--targets=bnf", "--nmax=20"],
+        # the inertia products underflow, or lambda overflows, a float
+        ["params", "--theta=1e-300,2e-300,3e-300", "--ell=1"],
+        ["params", "--theta=1e-170,2e-170,2.5e-170", "--ell=1"],
+        ["bnf", "--theta=1e-300,2e-300,3e-300", "--ell=1", "--order=2"],
+        ["params", "--theta=1e-150,2e-150,2.5e-150", "--ell=1e300"],
         # options the command does not read
         ["bnf", "--kappa=1/2", "--nmax=5"],
         ["pendulum", "--kappa=1/2"],
@@ -233,6 +238,8 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         (["bnf", "--kappa=1/2", "--ell=1"], "--ell needs --theta"),
         (["params", "--ell=1"], "params needs --theta"),
         (["params"], "params needs --theta"),
+        # at h = 0 it is rho, not h, that the gauss scheme cannot reach
+        (["verify", "--kappa=-1e300", "--samples=0", "--order=2"], "rho = 1.0e-300"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "") and message in err, argv

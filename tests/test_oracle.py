@@ -57,6 +57,15 @@ def test_params_rejects_degenerate_and_disordered():
         params_from_inertia(-1.0, 2.0, 2.5, 1.0)
     with pytest.raises(ParameterError, match="finite"):
         params_from_inertia(1.0, 2.0, 2.5, math.inf)
+    # finite input whose products leave a float's range
+    with pytest.raises(ParameterError, match="underflows"):
+        params_from_inertia(1e-300, 2e-300, 3e-300, 1.0)
+    with pytest.raises(ParameterError, match="underflows"):
+        params_from_inertia(1e-170, 2e-170, 2.5e-170, 1.0)
+    with pytest.raises(ParameterError, match="lambda = inf"):
+        params_from_inertia(1e-150, 2e-150, 2.5e-150, 1e300)
+    with pytest.raises(ParameterError, match="rho = nan"):
+        params_from_inertia(1e300, 1.5e300, 2e300, 1.0)
 
 
 def test_rho_kappa_maps_invert():
@@ -149,6 +158,11 @@ def test_gauss_beyond_its_degree_cap_raises():
         action_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
     with pytest.raises(DomainError, match="too small"):
         period_quadrature(0.5, Fraction(1, 10**1000), dps=20, scheme="gauss")
+    # at h = 0 the range grows as rho shrinks, so the message names rho, not
+    # h; the mirror kappa = 1e300 runs
+    with pytest.raises(DomainError, match=r"rho = 1\.0e-300 at h = 0 is too small"):
+        verify_series_numerics(-1e300, [0], order=2)
+    assert verify_series_numerics(1e300, [0], order=2).passed
 
 
 # ---------------------------------------------------------------------------

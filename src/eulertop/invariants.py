@@ -160,13 +160,15 @@ def _ratio_estimates(coeffs: Sequence[Fraction]):
     ) if nonzero else ()
     ns, ratios = [], []
     for n1, n2 in zip(nonzero, nonzero[1:]):
-        gap = n2 - n1
-        c1, c2 = coeffs[n1], coeffs[n2]
-        # int true division rounds correctly, as float(c1 / c2) does, without its gcds
-        est = (abs(c1.numerator * c2.denominator) / abs(c1.denominator * c2.numerator)) ** (1.0 / gap)
         ns.append(n1)
-        ratios.append(est)
+        ratios.append(_root_ratio(coeffs[n1], coeffs[n2], n2 - n1))
     return tuple(ns), tuple(ratios), skipped
+
+
+def _root_ratio(c1: Fraction, c2: Fraction, gap: int) -> float:
+    """|c1 / c2|^(1/gap) for nonzero c1 and c2."""
+    # int true division rounds correctly, as float(c1 / c2) does, without its gcds
+    return (abs(c1.numerator * c2.denominator) / abs(c1.denominator * c2.numerator)) ** (1.0 / gap)
 
 
 def _aitken(xs: Sequence[float]) -> list[float]:
@@ -186,11 +188,16 @@ def radius_analysis(
 ) -> list[RadiusReport]:
     """Ratio-test radius estimates at an exact rational kappa, an int or a Fraction.
 
-    Coefficient sequences are computed exactly, converted to floats, and the
-    consecutive-ratio estimates |c_n / c_{n+1}| are accelerated by a single
-    Aitken delta-squared step.  The a and b sequences carry the known radius
-    min(rho, 1/rho) / 2 for comparison.  The bnf and sigma targets share
-    one B(J) within the call; nothing is kept between calls.
+    Coefficient sequences are computed exactly.  Each report carries the
+    consecutive-ratio estimates |c_n / c_{n+1}| over the nonzero terms, and
+    ``extrapolated`` is a single Aitken delta-squared step on the last
+    three two-step estimates |c_n / c_{n+2}|^(1/2).  Near kappa = 0 the a
+    sequence has two singularities of nearly equal modulus, at 2h = -rho
+    and 2h = 1/rho, so the one-step ratios alternate between large and
+    small values until n >> 1/|kappa|; the two-step ones do not.  The a and
+    b sequences carry the known radius min(rho, 1/rho) / 2 for comparison.
+    The bnf and sigma targets share one B(J) within the call; nothing is
+    kept between calls.
     """
     sequences = _sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
     targets = tuple(targets)
@@ -215,8 +222,11 @@ def radius_analysis(
     for name in targets:
         coeffs = sequences[name]()
         ns, ratios, skipped = _ratio_estimates(coeffs)
-        accelerated = _aitken(ratios)
-        extrapolated = accelerated[-1] if accelerated else (ratios[-1] if ratios else float("nan"))
+        pairs = [n for n in range(len(coeffs) - 2) if coeffs[n] and coeffs[n + 2]]
+        # the step reads the last three estimates, so only those are computed
+        two_step = [_root_ratio(coeffs[n], coeffs[n + 2], 2) for n in pairs[-3:]]
+        accelerated = _aitken(two_step)
+        extrapolated = accelerated[-1] if accelerated else (two_step[-1] if two_step else float("nan"))
         reports.append(
             RadiusReport(
                 name=name,

@@ -12,9 +12,12 @@ normal form H*(J) as a series in the action J = q*p.
 
 The Lie route runs on exact rationals at one rational rho.  The linear map
 scales by sqrt(rho), but every monomial in the pipeline has a - b even, so
-only integral powers of rho enter.  ``euler_normal_form`` runs the route at
-several rho and interpolates each J^n coefficient as a polynomial in
-kappa = rho - 1/rho.
+only integral powers of rho enter.  The expansion and the linear map run
+over Fraction.  The Lie transforms run fraction-free: a Hamiltonian is int
+numerators over one common int denominator, every division is exact, and
+each normal form value becomes one Fraction at the end.
+``euler_normal_form`` runs the route at several rho and interpolates each
+J^n coefficient as a polynomial in kappa = rho - 1/rho.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class PreconditionError(ValueError):
 
 
 Terms = dict[tuple[int, int], Fraction]
+IntTerms = dict[tuple[int, int], int]
+# int numerators over one positive int denominator
+ScaledTerms = tuple[IntTerms, int]
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,11 @@ class PolyHamiltonian:
     rho: Fraction
 
     def __post_init__(self):
+        for (a, b), v in self.terms.items():
+            if not _is_rational(v):
+                raise PreconditionError(
+                    f"coefficient of q^{a} p^{b} must be an int or Fraction, got {v!r}"
+                )
         cleaned = {k: v for k, v in self.terms.items() if v}
         for (a, b) in cleaned:
             if a + b > self.degree:
@@ -72,9 +83,13 @@ class PolyHamiltonian:
         return {k: v for k, v in self.terms.items() if k[0] + k[1] == 2}
 
 
+def _is_rational(x) -> bool:
+    # a float would turn the exact pipeline into floating point; True is an int
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _exact_rho(rho) -> Fraction:
-    # a float rho would turn the exact pipeline into floating point
-    if not isinstance(rho, (int, Fraction)) or rho <= 0:
+    if not _is_rational(rho) or rho <= 0:
         raise PreconditionError(f"rho must be a positive int or Fraction, got {rho!r}")
     return Fraction(rho)
 
@@ -142,35 +157,54 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
     return PolyHamiltonian(out, ham.degree, rho)
 
 
-def _poisson(f: Terms, g: Terms, max_degree: int) -> Terms:
+def _poisson(f: IntTerms, g: IntTerms, max_degree: int) -> IntTerms:
     # {q^a p^b, q^c p^d} = (a d - b c) q^(a+c-1) p^(b+d-1)
-    out: Terms = {}
+    out: IntTerms = {}
     for (a, b), cf in f.items():
+        room = max_degree + 2 - a - b  # the largest c + d the truncation keeps
         for (c, d), cg in g.items():
             factor = a * d - b * c
-            if not factor:
-                continue
-            key = (a + c - 1, b + d - 1)
-            if key[0] + key[1] > max_degree:
-                continue
-            _accumulate(out, key, cf * cg * factor)
+            if factor and c + d <= room:
+                _accumulate(out, (a + c - 1, b + d - 1), cf * cg * factor)
     return out
 
 
-def _lie_transform(terms: Terms, generator: Terms, max_degree: int) -> Terms:
-    """Time-1 flow of the generator: sum_k ad_W^k(H) / k! truncated in degree."""
-    out = dict(terms)
-    current = terms
-    k = 0
-    while current:
-        k += 1
-        current = _poisson(current, generator, max_degree)
-        for key, c in current.items():
-            _accumulate(out, key, c / math.factorial(k))
+def _lie_transform(terms: ScaledTerms, generator: ScaledTerms, max_degree: int) -> ScaledTerms:
+    """Time-1 flow of the generator: sum_k ad_W^k(H) / k! truncated in degree.
+
+    With H = N / den and W = G / gden, the k-th bracket is P_k / (den gden^k)
+    for integer P_k, so the sum through K is
+
+        sum_k P_k gden^(K-k) K!/k!  over  den gden^K K!,
+
+    reduced by one content gcd.
+    """
+    nums, den = terms
+    gens, gden = generator
+    brackets = [nums]
+    while brackets[-1]:
+        brackets.append(_poisson(brackets[-1], gens, max_degree))
         # generators start at degree >= 3, so each bracket raises the degree
-        if k > max_degree:
+        if len(brackets) > max_degree + 1:
             raise InternalConsistencyError("Lie transform failed to terminate")
-    return out
+    K = len(brackets) - 2  # the last bracket is empty
+    out: IntTerms = {}
+    weight = 1  # gden^(K-k) K!/k!, from k = K down
+    for k in range(K, -1, -1):
+        for key, c in brackets[k].items():
+            _accumulate(out, key, c * weight)
+        weight *= gden * k
+    return _reduced(out, den * gden**K * math.factorial(K))
+
+
+def _reduced(nums: IntTerms, den: int) -> ScaledTerms:
+    """nums / den with the content gcd of the numerators and den divided out."""
+    g = den
+    for c in nums.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            return nums, den
+    return {k: c // g for k, c in nums.items()}, den // g
 
 
 def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]:
@@ -181,6 +215,12 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     non-resonant monomial c q^a p^b present (minimal generator, no resonant
     part), since {qp, q^a p^b} = (b - a) q^a p^b.  Resonant monomials (qp)^k
     accumulate into the values of H*(J).
+
+    The loop runs fraction-free: the Hamiltonian is int numerators N over
+    one int denominator den, and the generator at degree d is N (L/(a-b))
+    over den L, with L the lcm of the |a - b| at that degree, reduced by
+    its content gcd.  Every division is exact, and each value becomes one
+    Fraction at the end.
     """
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
@@ -191,19 +231,25 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
         raise PreconditionError(
             f"need the expansion through degree {max_degree}, got {ham.degree}"
         )
-    terms: Terms = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
+    kept = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
+    den = math.lcm(*(v.denominator for v in kept.values()))
+    terms: ScaledTerms = ({k: v.numerator * (den // v.denominator) for k, v in kept.items()}, den)
     for d in range(3, max_degree + 1):
-        generator = {(a, b): c / (a - b) for (a, b), c in terms.items() if a + b == d and a != b}
-        if generator:
+        nums, den = terms
+        shifts = {(a, b): a - b for (a, b) in nums if a + b == d and a != b}
+        if shifts:
+            lcm = math.lcm(*shifts.values())
+            generator = _reduced({k: nums[k] * (lcm // s) for k, s in shifts.items()}, den * lcm)
             terms = _lie_transform(terms, generator, max_degree)
-    leftover = [k for k in terms if k[0] != k[1]]
+    nums, den = terms
+    leftover = [k for k in nums if k[0] != k[1]]
     if leftover:
         raise InternalConsistencyError(
             f"non-resonant monomials survived normalization: {sorted(leftover)}"
         )
     values = [Fraction(0)] * (order + 1)
-    for (a, _), c in terms.items():
-        values[a] = c
+    for (a, _), c in nums.items():
+        values[a] = Fraction(c, den)
     if values[1] != 1:
         raise InternalConsistencyError("normal form is not J + O(J^2)")
     return tuple(values)

@@ -130,6 +130,14 @@ def test_radius_command(capsys):
     assert abs(float(a["extrapolated"]) - float(a["theoretical"])) < 1e-2
 
 
+def test_radius_near_the_symmetric_top(capsys):
+    code, out, _ = run_cli(capsys, "radius", "--kappa=1e-3", "--nmax=20")
+    assert code == 0
+    a = json.loads(out)["reports"][0]
+    assert a["sequence"] == "a"
+    assert abs(float(a["extrapolated"]) - 0.4998) < 0.1 * 0.4998  # false for nan and inf
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -241,6 +241,13 @@ def test_symmetric_top_skips_odd_coefficients():
     assert abs(report.extrapolated - 0.5) < 2e-2
 
 
+@pytest.mark.parametrize("kappa", [Fraction(1, 100), Fraction(-1, 100), Fraction(1, 1000)])
+def test_radius_holds_near_the_symmetric_top(kappa):
+    # the one-step ratios alternate here, between about 17.7 and 0.0146 at kappa = 1/1000
+    report = radius_analysis(kappa, 60, targets=("a",))[0]
+    assert abs(report.extrapolated - report.theoretical) < 2e-2
+
+
 def test_radius_rejects_small_nmax():
     with pytest.raises(SeriesUsageError):
         radius_analysis(Fraction(1, 2), 10)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -12,6 +12,7 @@ from eulertop.normalform import (
     williamson_reduce,
 )
 from eulertop import normalform
+from eulertop.invariants import bnf_via_reversion
 from eulertop.series import InternalConsistencyError
 
 from expected_tables import BNF_TABLE
@@ -46,12 +47,23 @@ def test_expand_rejects_bad_degree(bad):
         expand_hamiltonian(bad, RHOS[0])
 
 
-@pytest.mark.parametrize("bad", [0, -2, 0.5, "2"])
+@pytest.mark.parametrize("bad", [0, -2, 0.5, "2", True])
 def test_expand_rejects_bad_rho(bad):
     with pytest.raises(PreconditionError):
         expand_hamiltonian(4, bad)
     with pytest.raises(PreconditionError):
         PolyHamiltonian({(1, 1): Fraction(1)}, 2, bad)
+
+
+def test_hamiltonian_rejects_inexact_coefficients():
+    # a float coefficient would come back as a float normal form value
+    with pytest.raises(PreconditionError, match="q\\^3 p\\^1"):
+        PolyHamiltonian({(1, 1): 1, (3, 1): 0.5, (2, 2): Fraction(1, 4)}, 4, 2)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(PreconditionError, match="int or Fraction"):
+            PolyHamiltonian({(1, 1): bad}, 2, 2)
+    values = birkhoff_normalize(PolyHamiltonian({(1, 1): 1, (3, 1): Fraction(1, 2), (2, 2): 1}, 4, 2), 2)
+    assert values == (0, 1, 1) and all(type(v) is Fraction for v in values)
 
 
 def test_williamson_quadratic_is_qp():
@@ -131,3 +143,49 @@ def test_normalize_checks_that_every_step_cleared_its_degree(monkeypatch):
 def test_normal_form_kappa_parity():
     series = euler_normal_form(7)
     assert series.flip_kappa() == -series.reflect()
+
+
+def _bracket(f, g, max_degree):
+    out = {}
+    for (a, b), cf in f.items():
+        for (c, d), cg in g.items():
+            key = (a + c - 1, b + d - 1)
+            if key[0] + key[1] <= max_degree:
+                out[key] = out.get(key, 0) + (a * d - b * c) * cf * cg
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_normalize(ham, order):
+    # the Lie loop of birkhoff_normalize over Fraction: the oracle for its int body
+    max_degree = 2 * order
+    terms = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
+    for d in range(3, max_degree + 1):
+        generator = {(a, b): c / (a - b) for (a, b), c in terms.items() if a + b == d and a != b}
+        flowed, current, k = dict(terms), terms, 0
+        while current:
+            k += 1
+            current = _bracket(current, generator, max_degree)
+            for key, c in current.items():
+                flowed[key] = flowed.get(key, 0) + c / factorial(k)
+        terms = {key: c for key, c in flowed.items() if c}
+    assert all(a == b for a, b in terms)
+    values = [Fraction(0)] * (order + 1)
+    for (a, _), c in terms.items():
+        values[a] = c
+    return tuple(values)
+
+
+@pytest.mark.parametrize("rho", [1, 2, Fraction(3, 5), Fraction(7, 3), Fraction(1, 7)])
+def test_normalize_equals_fraction_reference(rho):
+    for order in range(1, 11):
+        ham = williamson_reduce(expand_hamiltonian(2 * order, rho))
+        values = birkhoff_normalize(ham, order)
+        assert values == _reference_normalize(ham, order), order
+        assert all(type(v) is Fraction for v in values), order
+
+
+def test_normalize_equals_reversion_off_the_nodes():
+    # euler_normal_form(12) interpolates at rho = 2..8; 7/3 is none of them
+    rho = Fraction(7, 3)
+    values = birkhoff_normalize(williamson_reduce(expand_hamiltonian(24, rho)), 12)
+    assert values == tuple(c(rho - 1 / rho) for c in bnf_via_reversion(12).coeffs)

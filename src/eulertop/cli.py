@@ -8,7 +8,7 @@ first, and tagged symbolic constants as {"sym": ..., "factor": ..., "numeric": .
 One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
 options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
---order, --nmax, --precision or --grid count outside the command's range
+--order, --nmax, --precision, --grid or --samples count outside its range
 (the ceiling bounds the cost of a run) and a --tol that is not positive
 exit 2; so does a JSON table whose exact values would pass Python's limit
 on int-to-str digits, and a radius run whose --nmax and bits of kappa would
@@ -98,7 +98,6 @@ def _integer(low: int, needs: str = "need"):
 _kappa = _checked(_rational, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
-_samples = _checked(_sample_floats, _all_finite, "need finite h, no underflow")
 _theta = _checked(_floats, lambda t: len(t) == 3 and _all_finite(t), "need finite t1,t2,t3")
 _targets = _checked(lambda t: tuple(x for x in t.split(",") if x), bool, "need a sequence")
 # the most --grid points: JSON output holds about 1.5 KB of memory per point,
@@ -108,6 +107,15 @@ _grid = _checked(
     _lo_hi_count,
     lambda g: _all_finite(g) and 2 <= g[2] <= _GRID_POINTS,
     f"need finite lo:hi:n with n from 2 to {_GRID_POINTS}",
+)
+# the most --samples values: each costs two quadratures, up to about 1.1 s at
+# order 100 and 100 digits (|h| near 1e-30), so 40 take under a minute on a
+# 2-CPU machine
+_SAMPLES = 40
+_samples = _checked(
+    _sample_floats,
+    lambda s: _all_finite(s) and len(s) <= _SAMPLES,
+    f"need 1-{_SAMPLES} finite h, no underflow",
 )
 
 # the integer options, whose default and ceiling each command sets in _COMMANDS

@@ -29,7 +29,8 @@ checks on that route stay independent of it: B equals the Lie normal
 form (tests), the negative side composes the actions with B, must invert
 to J and must give the same sigma (_extract_minus), and the oracle
 compares with quadrature.  series.revert_trunc remains the generic
-reversion behind PowerSeries.revert.
+reversion behind PowerSeries.revert: Lagrange inversion, O(n) truncated
+products.
 """
 
 from __future__ import annotations

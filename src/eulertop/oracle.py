@@ -17,9 +17,11 @@ the separatrix limit at h = 0:
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
-Floats live only in this module; callers hand in exact series and get mpmath
-numbers back.  ``rho_for_kappa`` and ``log64_ratio`` take a float or an
-mpmath number.
+mpmath arithmetic lives only in this module; callers hand in exact series
+and get mpmath numbers back, which the CLI only formats.  ``rho_for_kappa``
+and ``log64_ratio`` take a float or an mpmath number, so
+invariants.radius_analysis and pendulum_compare compute in floats through
+them.
 """
 
 from __future__ import annotations

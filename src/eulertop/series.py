@@ -306,31 +306,28 @@ def log_unit_trunc(a: Sequence, order: int) -> list:
 
 
 def revert_trunc(a: Sequence, order: int) -> list:
-    """Compositional inverse by Newton iteration.
+    """Compositional inverse by Lagrange inversion (Knuth, TAOCP 2, 4.7).
 
     The generic reversion behind PowerSeries.revert, for any series.
-    Requires a[0] = 0 and an invertible linear coefficient; the iteration
-    doubles the number of correct orders per step, so convergence is exact.
-    Each step composes at full order, O(n^3) ring operations; the normal
-    form itself comes from an O(n^2) recurrence (picardfuchs._bnf).
+    Requires a[0] = 0, an invertible linear coefficient and order >= 1.
+    With phi = x / a(x), the inverse has g_n = [x^(n-1)] phi^n / n; one pass
+    multiplies the running power by phi, O(n) truncated products and
+    O(n^3) ring operations.  The normal form itself comes from an O(n^2)
+    recurrence (picardfuchs._bnf).
     """
     if a[0]:
         raise SingularReversionError("series must vanish at 0 to be reverted")
     if len(a) < 2 or not a[1]:
         raise SingularReversionError("zero linear coefficient")
-    ident = [a[0]] * (order + 1)
-    ident[1] = _unit_inverse(a[1]) * a[1]
-    g = [a[0]] * (order + 1)
-    g[1] = _unit_inverse(a[1])
-    ap = deriv_list(a)
-    for _ in range(order.bit_length() + 2):
-        fg = compose_trunc(a, g, order)
-        err = [fg[n] - ident[n] for n in range(order + 1)]
-        if not any(err):
-            return g
-        corr = mul_trunc(err, recip_trunc(compose_trunc(ap, g, order), order), order)
-        g = [g[n] - corr[n] for n in range(order + 1)]
-    raise InternalConsistencyError("series reversion did not converge")
+    if order < 1:
+        raise SeriesUsageError("need order >= 1")
+    phi = recip_trunc(a[1:], order - 1)
+    g, power = [a[0]] * (order + 1), phi
+    g[1] = phi[0]
+    for n in range(2, order + 1):
+        power = mul_trunc(power, phi, order - 1)
+        g[n] = power[n - 1] * Fraction(1, n)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import math
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from eulertop import cli, invariants, picardfuchs
+from eulertop import cli, invariants, oracle, picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
@@ -335,6 +336,25 @@ def test_pendulum_grid_count_has_a_ceiling(capsys, monkeypatch):
     assert calls == []
     assert run_cli(capsys, "pendulum", "--grid=0:1:100000", "--format=csv")[0] == 0
     assert len(calls) == 1 and len(calls[0]) == 100_000
+
+
+def test_verify_sample_count_has_a_ceiling(capsys, monkeypatch):
+    # each sample costs two quadratures, up to about 1.1 s at order 100 and
+    # 100 digits; a count past the ceiling exits 2 before any table or quadrature
+    calls = []
+    report = SimpleNamespace(
+        rows=[], max_deviation=0, area_sum_deviation=0, side_sum_deviation=0, passed=True
+    )
+    monkeypatch.setattr(
+        oracle, "verify_series_numerics", lambda kappa, samples, **kw: calls.append(samples) or report
+    )
+    samples = lambda count: "--samples=" + ",".join(["0.01"] * count)
+    for count in (41, 10**4):
+        code, out, err = run_cli(capsys, "verify", "--kappa=1/2", samples(count))
+        assert (code, out) == (2, "") and "--samples" in err and "1-40" in err, count
+    assert calls == []
+    assert run_cli(capsys, "verify", "--kappa=1/2", samples(40))[0] == 0
+    assert len(calls) == 1 and len(calls[0]) == 40
 
 
 def test_csv_output_builds_no_json_document(capsys, monkeypatch):

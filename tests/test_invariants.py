@@ -88,7 +88,7 @@ def test_singular_action_log_channel_composes_to_identity():
 @example(Fraction(-4028141964097261, 2251799813685248))  # kappa of a float inertia triple
 def test_recurrences_match_reversion_and_composition(kappa):
     """B(J) and the sigma tail from the recurrences, through J^20, against
-    Newton reversion of alpha and the composition form of the tail,
+    Lagrange reversion of alpha and the composition form of the tail,
     -J - J log(B/J) - Q(B) with 2 pi I_s = alpha log h + Q."""
     n, zero = 20, Fraction(0)
     sequences = _sequences(kappa, n)

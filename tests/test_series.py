@@ -126,6 +126,9 @@ def test_list_functions_refuse_a_bad_constant_term():
                 compose_trunc([one, one], [c, one], 3)
             with pytest.raises(SingularReversionError, match="vanish"):
                 revert_trunc([c, one], 3)
+        for order in (0, -1):
+            with pytest.raises(SeriesUsageError, match="order >= 1"):
+                revert_trunc([zero, one], order)
         for c in (zero, other):
             with pytest.raises(SeriesUsageError, match="constant term 1"):
                 log_unit_trunc([c, one], 3)
@@ -247,6 +250,16 @@ def test_reversion_round_trip(f):
     g = f.revert()
     assert f.compose(g) == PowerSeries.identity("J", 6)
     assert g.compose(f) == PowerSeries.identity("h", 6)
+
+
+@given(rationals.filter(bool), st.lists(rationals, max_size=12), st.integers(1, 14))
+def test_fraction_reversion_round_trip(linear, tail, n):
+    # uneven lengths: the order n runs both above and below len(a) - 1
+    a = [Fraction(0), linear, *tail]
+    g = revert_trunc(a, n)
+    identity = [0, 1] + [0] * (n - 1)
+    assert compose_trunc(a, g, n) == identity
+    assert compose_trunc(g, a, n) == identity
 
 
 @given(

@@ -144,7 +144,7 @@ def _num(x, precision: int) -> str:
 
 
 def _poly_json(poly: KappaPoly) -> list[str]:
-    return [str(c) for c in poly.coeffs] if poly.coeffs else ["0"]
+    return [str(c) for c in poly.coeffs] if poly else ["0"]
 
 
 def _constant_json(const, kappa, precision):

@@ -60,6 +60,7 @@ from .series import (
     PowerSeries,
     SeriesUsageError,
     _cauchy,
+    _kappa_poly,
     add_list,
     deriv_list,
     integrate_list,
@@ -147,9 +148,6 @@ def derive_pf_coefficients() -> PFCoefficients:
 # ---------------------------------------------------------------------------
 
 
-_ZERO = Fraction(0)  # the one zero coefficient of every emitted a/b table
-
-
 def _exact(num: int, den: int) -> int:
     """num / den, which a denominator law makes an integer."""
     quo, rem = divmod(num, den)
@@ -162,11 +160,6 @@ def _lcm_table(order: int) -> list[int]:
     """L_0..L_order with L_n = lcm(1, ..., 2n-1) and L_0 = 1."""
     pairs = ((2 * n - 2 or 1) * (2 * n - 1) for n in range(1, order + 1))  # coprime factors
     return list(itertools.accumulate(pairs, math.lcm, initial=1))
-
-
-def _kappa_poly(row: list, den: int) -> KappaPoly:
-    """The kappa-polynomial of an int row over den, one Fraction per nonzero coefficient."""
-    return KappaPoly(tuple(Fraction(c, den) if c else _ZERO for c in row))
 
 
 def _combine(den: int, *terms) -> list:

@@ -3,15 +3,20 @@
 Rationals, polynomials in the shape parameter kappa (with their
 interpolation from values at rational kappa), truncated power series, and
 log-augmented series, together with the calculus / composition / reversion
-operations the rest of the package builds on.  Every coefficient of the
-series and kappa-polynomials is a ``fractions.Fraction``; the list kernel
-is generic over the ring, so ``horner`` also evaluates at floats and mpmath
-numbers (oracle.power_series_value).  Truncation order is explicit state
-and binary operations truncate to the minimum order of their inputs.
+operations the rest of the package builds on.  A kappa-polynomial is
+stored fraction-free, as int numerators over one positive int denominator,
+and reads its coefficients out as ``fractions.Fraction``; a series at a
+fixed rational kappa has ``Fraction`` coefficients.  The list kernel is
+generic over the ring: it runs on KappaPoly and Fraction lists, on the int
+numerators of a KappaPoly product, and ``horner`` also evaluates at floats
+and mpmath numbers (oracle.power_series_value).  Truncation order is
+explicit state and binary operations truncate to the minimum order of
+their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -59,6 +64,8 @@ def _quoted(text: str) -> str:
 
 
 def _frac(x) -> Fraction:
+    if isinstance(x, bool):
+        raise TypeError("expected an exact rational, got bool")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -70,51 +77,67 @@ def _frac(x) -> Fraction:
 # polynomials in kappa
 # ---------------------------------------------------------------------------
 
+_ZERO = Fraction(0)  # the one zero coefficient that ``KappaPoly.coeffs`` hands out
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class KappaPoly:
     """Polynomial in kappa with exact rational coefficients, lowest power first.
 
-    The zero polynomial stores an empty tuple and reports degree -inf.
+    Stored fraction-free: the coefficient of kappa^n is num[n] / den, with
+    den > 0, no trailing zero in num and gcd(den, *num) = 1, so equal
+    polynomials have equal fields.  The zero polynomial has num = () and
+    den = 1 and reports degree -inf.  ``coeffs``, the coefficients as
+    Fractions, is computed on each read.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        cs = tuple(_frac(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, coeffs: Iterable = ()):
+        cs = [_frac(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        _settle(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def of(*coeffs) -> "KappaPoly":
-        return KappaPoly(tuple(coeffs))
+        return KappaPoly(coeffs)
 
     @staticmethod
     def constant(c) -> "KappaPoly":
-        return KappaPoly((_frac(c),))
+        return KappaPoly((c,))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) if c else _ZERO for c in self.num)
 
     @property
     def degree(self) -> float:
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self.num) - 1 if self.num else float("-inf")
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[n], self.den) if 0 <= n < len(self.num) else _ZERO
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = KappaPoly.constant(other)
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        return KappaPoly(tuple(add_list(self.coeffs, other.coeffs)))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if da != db:  # over the lcm of the two denominators
+            g = math.gcd(da, db)
+            a, b = [c * (db // g) for c in a], [c * (da // g) for c in b]
+            da = da // g * db
+        return _kappa_poly(add_list(a, b), da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KappaPoly(tuple(-c for c in self.coeffs))
+        return _kappa_poly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, KappaPoly) else KappaPoly.constant(-_frac(other)))
@@ -122,24 +145,34 @@ class KappaPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
-            return KappaPoly(tuple(c * f for c in self.coeffs))
+            return _kappa_poly([c * f.numerator for c in self.num], self.den * f.denominator)
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return KappaPoly(tuple(mul_trunc(a, b, len(a) + len(b) - 2)))
+        a, b = self.num, other.num
+        return _kappa_poly(mul_trunc(a, b, len(a) + len(b) - 2), self.den * other.den)
 
     __rmul__ = __mul__
 
     def flip_kappa(self) -> "KappaPoly":
         """The polynomial with kappa replaced by -kappa."""
-        return KappaPoly(tuple(_alternate(self.coeffs)))
+        return _kappa_poly(_alternate(self.num), self.den)
 
     def __call__(self, kappa):
-        """Horner evaluation; exact when ``kappa`` is a Fraction."""
+        """Horner evaluation; exact when ``kappa`` is an int or a Fraction."""
+        if isinstance(kappa, (int, Fraction)):
+            # q^d P(p/q) for P of degree d, by Horner over the ints; one division at the end
+            p, q = kappa.numerator, kappa.denominator
+            acc, qk = 0, 1
+            for c in reversed(self.num):
+                acc, qk = acc * p + c * qk, qk * q
+            return Fraction(acc * q, self.den * qk)
         return horner(self.coeffs, kappa)
 
+    def __repr__(self):
+        return f"KappaPoly(coeffs={self.coeffs!r})"
+
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -148,9 +181,20 @@ class KappaPoly:
         return " + ".join(parts)
 
 
-KP_ZERO = KappaPoly()
-KP_ONE = KappaPoly.constant(1)
-KP_KAPPA = KappaPoly.of(0, 1)
+def _settle(poly: KappaPoly, num: Sequence[int], den: int) -> None:
+    """Store num / den in poly: trailing zeros stripped, one gcd reduction."""
+    num = strip_list(num)
+    g = math.gcd(den, *num)
+    object.__setattr__(poly, "num", tuple([c // g for c in num] if g > 1 else num))
+    object.__setattr__(poly, "den", den // g)
+
+
+def _kappa_poly(num: Sequence[int], den: int) -> KappaPoly:
+    """The KappaPoly with coefficients num[n] / den, for int num and a positive
+    int den; the one constructor of internal results, with no _frac pass."""
+    poly = object.__new__(KappaPoly)
+    _settle(poly, num, den)
+    return poly
 
 
 def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction], odd: int) -> KappaPoly:
@@ -200,7 +244,8 @@ def _unit_inverse(c):
             raise SingularReversionError(
                 "coefficient is not an invertible constant: %s" % c
             )
-        return KappaPoly.constant(1 / c.coeffs[0])
+        n = c.num[0]
+        return _kappa_poly([c.den if n > 0 else -c.den], abs(n))
     raise TypeError(f"cannot invert {type(c).__name__}")
 
 
@@ -333,6 +378,11 @@ def revert_trunc(a: Sequence, order: int) -> list:
 # ---------------------------------------------------------------------------
 # power series over KappaPoly
 # ---------------------------------------------------------------------------
+
+# built once the list kernel that KappaPoly runs on is defined
+KP_ZERO = KappaPoly()
+KP_ONE = KappaPoly.constant(1)
+KP_KAPPA = KappaPoly.of(0, 1)
 
 _VARS = ("h", "J")
 _OTHER_VAR = {"h": "J", "J": "h"}

@@ -1,3 +1,5 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,10 @@ from eulertop.series import (
     mul_trunc,
     recip_trunc,
     revert_trunc,
+    strip_list,
 )
+from eulertop.picardfuchs import frobenius_table
+from expected_tables import A_TABLE, B_TABLE
 
 K = KappaPoly.of(0, 1)
 HALF = Fraction(1, 2)
@@ -323,3 +328,81 @@ def test_kappa_poly_ring_matches_evaluation(p, q, k):
     assert (p * q)(k) == p(k) * q(k)
     assert (p * k)(k) == p(k) * k
     assert p.flip_kappa()(k) == p(-k)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free KappaPoly against Fraction lists
+# ---------------------------------------------------------------------------
+
+# coefficient lists of uneven lengths, empty ones and trailing zeros included
+raw_lists = st.builds(
+    lambda cs, zeros: cs + [Fraction(0)] * zeros,
+    st.lists(rationals, max_size=4),
+    st.integers(0, 2),
+)
+
+
+def _stripped(cs) -> tuple:
+    return tuple(strip_list(cs))
+
+
+@given(raw_lists, raw_lists, rationals, st.integers(-3, 3), st.integers(-1, 6))
+def test_kappa_poly_matches_the_fraction_list_kernel(a, b, c, m, n):
+    # reference: the list kernel run on the Fraction coefficients, then stripped
+    p, q = KappaPoly(a), KappaPoly(b)
+    assert p.coeffs == _stripped(a)
+    assert all(type(x) is Fraction for x in p.coeffs)
+    assert p.coefficient(n) == (_stripped(a)[n] if 0 <= n < len(_stripped(a)) else 0)
+    assert (p + q).coeffs == _stripped(add_list(a, b))
+    assert (p - q).coeffs == _stripped(add_list(a, [-x for x in b]))
+    assert (p * q).coeffs == _stripped(mul_trunc(a, b, len(a) + len(b) - 2))
+    assert (p * c).coeffs == (c * p).coeffs == _stripped([x * c for x in a])
+    assert (p * m).coeffs == (m * p).coeffs == _stripped([x * m for x in a])
+    assert p.flip_kappa().coeffs == _stripped([-x if i % 2 else x for i, x in enumerate(a)])
+    assert p(c) == horner(_stripped(a), c) and p(m) == horner(_stripped(a), Fraction(m))
+
+
+@given(raw_lists, st.integers(1, 12))
+def test_kappa_poly_is_canonical(a, m):
+    p = KappaPoly(a)
+    same = KappaPoly([x * m for x in a]) * Fraction(1, m)
+    assert same == p and hash(same) == hash(p)
+    assert (same.num, same.den) == (p.num, p.den)
+    assert p.den > 0 and math.gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1])
+    assert pickle.loads(pickle.dumps(p)) == p
+
+
+def test_kappa_poly_canonical_examples():
+    assert KappaPoly((Fraction(2, 4), 0)) == KappaPoly((Fraction(1, 2),))
+    assert hash(KappaPoly((Fraction(2, 4), 0))) == hash(KappaPoly.of(Fraction(1, 2)))
+    assert (KP_ZERO.num, KP_ZERO.den, KP_ZERO.degree) == ((), 1, float("-inf"))
+    assert K * 2 - K - K == KP_ZERO and not K * 2 - K - K
+    assert repr(KappaPoly.of(HALF, 0, 1)) == (
+        "KappaPoly(coeffs=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1)))"
+    )
+    assert str(KappaPoly.of(HALF, 0, -1)) == "1/2 + -1*k^2"
+    assert pickle.loads(pickle.dumps(KP_ZERO)) == KP_ZERO
+
+
+def test_kappa_poly_refuses_what_is_not_an_exact_rational():
+    # a bool is an int to Python, but never a coefficient
+    for make in (
+        lambda: KappaPoly.of(True),
+        lambda: KappaPoly.constant(False),
+        lambda: KappaPoly.of(1) * True,
+        lambda: KappaPoly.of(1) + True,
+        lambda: KappaPoly.of(1) - True,
+        lambda: KappaPoly.of(0.5),
+        lambda: KappaPoly.of(1) * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+@pytest.mark.parametrize("method", ["recursion", "closed_form"])
+def test_expected_tables_equal_both_routes(method):
+    table = frobenius_table(5, method)
+    assert (table.a[0], table.b[0]) == (KP_ONE, KP_ZERO)
+    for got, want in ((table.a, A_TABLE), (table.b, B_TABLE)):
+        for n, poly in want.items():
+            assert got[n] == poly and got[n].coeffs == poly.coeffs, (method, n)

@@ -89,9 +89,10 @@ def _all_finite(values) -> bool:
 
 
 def _integer(low: int, needs: str = "need"):
-    """The converter factory of an integer option: a command passes its ceiling."""
-    return lambda ceiling: _checked(
-        int, lambda n: low <= n <= ceiling, f"{needs} an integer from {low} to {ceiling}"
+    """The converter factory of an integer option: a command passes its ceiling
+    and may raise the floor."""
+    return lambda ceiling, floor=low: _checked(
+        int, lambda n: floor <= n <= ceiling, f"{needs} an integer from {floor} to {ceiling}"
     )
 
 
@@ -118,7 +119,8 @@ _samples = _checked(
     f"need 1-{_SAMPLES} finite h, no underflow",
 )
 
-# the integer options, whose default and ceiling each command sets in _COMMANDS
+# the integer options, whose default, ceiling and any higher floor each
+# command sets in _COMMANDS
 _INTEGERS = {
     "order": _integer(1),
     "nmax": _integer(20),
@@ -347,16 +349,17 @@ def _cmd_params(args):
 _KAPPA = dict.fromkeys(("kappa", "theta", "ell"))
 _SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
 
-# name: (handler, {option it reads: (default, ceiling) of an integer option,
-#        else None}, CSV header, or None for a JSON-only command without
-#        --format).  --precision sets the digits of the numeric fields.
+# name: (handler, {option it reads: (default, ceiling) or (default, ceiling,
+#        floor) of an integer option, else None}, CSV header, or None for a
+#        JSON-only command without --format).  --precision sets the digits of
+#        the numeric fields.
 # At a kappa of a few bits a run at the ceiling takes under a minute on a
 # 2-CPU machine; the exact tables also grow with the bits of kappa.
 _COMMANDS = {
     "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24)}, _SERIES_HEADER),
     "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200)}, _SERIES_HEADER),
     "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200), "precision": (17, 100)}, _SERIES_HEADER),
-    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30), "precision": (17, 100)}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30, 2), "precision": (17, 100)}, _SERIES_HEADER),
     "verify": (
         _cmd_verify,
         {**_KAPPA, "order": (30, 100), "tol": None, "precision": (17, 100), "samples": None},
@@ -378,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         for option in (*options, *(("format",) if header else ())):
             kwargs = dict(_ARGS.get(option, {}))
             if options.get(option):
-                default, ceiling = options[option]
-                kwargs.update(type=_INTEGERS[option](ceiling), default=default)
+                default, *bounds = options[option]
+                kwargs.update(type=_INTEGERS[option](*bounds), default=default)
             p.add_argument(f"--{option}", **kwargs)
         if "precision" in options:
             # argparse passes a string default through type=, so PRECISION

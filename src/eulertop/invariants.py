@@ -8,29 +8,19 @@ separatrix-side actions with B and stripping the universal singular part
 
 leaves the invariant sigma.  Its linear coefficient is the symbolic constant
 (1/2) log(64/(kappa^2+4)); the higher coefficients are exact polynomials in
-kappa.
+kappa.  For J of either sign log|B(J)| = log|J| + log(B(J)/J), so one
+composition in J serves both sides; the negative side's own conventions
+(k2 = -1, log(-h), its k1 and k3) are checked by the oracle's h < 0 rows.
 
-Sign bookkeeping on the negative-energy side: with J = -J' (J' > 0 formally)
-the inner series becomes C(J') = -B(-J') and log(-h) = log J' + log(C/J'),
-so the extraction runs entirely in J' and maps back by J' -> -J.  Side by
-side:
-
-    quantity          positive side            negative side (in J')
-    inner series      B(J)                     C(J') = -B(-J')
-    log channel       +[P o B] log J           -[P o B(-J')] log J' = +J' log J'
-    singular weight   k2 = +1                  k2 = -1
-    defining split    A+ + J log J - J - s     A- + J' log J' - J' + s(-J')
-
-Both branches must produce the same sigma; the report carries that check.
-
-B(J) and the positive-side tail come from recurrences of the period
-equation (picardfuchs._sequences), not from reversion or composition.  The
-checks on that route stay independent of it: B equals the Lie normal
-form (tests), the negative side composes the actions with B, must invert
-to J and must give the same sigma (_extract_minus), and the oracle
-compares with quadrature.  series.revert_trunc remains the generic
-reversion behind PowerSeries.revert: Lagrange inversion, O(n) truncated
-products.
+sigma comes by two routes that must agree.  The recurrences of the period
+equation (picardfuchs._sequences) give B(J) and the sigma tail, with no
+reversion or composition; that tail is the output.  The composition route
+substitutes B into the singular action with its log channel
+(LogSeries.compose_with_log), must invert the regular action to J and must
+give the same tail (extract_sigma).  B also equals the Lie normal form
+(tests), and the oracle compares the actions with quadrature.
+series.revert_trunc remains the generic reversion behind PowerSeries.revert:
+Lagrange inversion, O(n) truncated products.
 """
 
 from __future__ import annotations
@@ -42,7 +32,6 @@ from typing import Iterable, Sequence
 
 from .oracle import log64_ratio, rho_for_kappa
 from .picardfuchs import (
-    BetaAction,
     SymbolicConstant,
     _sequences,
     assemble_beta_actions,
@@ -88,46 +77,34 @@ class InvariantReport:
     branch_consistent: bool
 
 
-def _extract_minus(beta: BetaAction, bnf: PowerSeries, order: int):
-    bundle = beta.series
-    inner = -bnf.reflect()  # J' -> -B(-J'), the positive formal variable
-    outer_log = -bundle.action_regular.reflect()
-    outer_reg = -bundle.action_singular.regular_part.reflect()
-    composed = type(bundle.action_singular)(outer_log, outer_reg).compose_with_log(inner)
-    ident = PowerSeries.identity("J", order)
-    if composed.log_part != ident:
-        raise InternalConsistencyError("regular action did not invert to J")
-    sigma_at_minus = ident + composed.regular_part.truncate(order)
-    # the symbolic channel rides on -k1 * J' which reflects back to +k1 * J
-    return beta.k1, sigma_at_minus.reflect()
-
-
 def extract_sigma(order: int) -> InvariantReport:
-    """Invariant through J^order, extracted on both sides of the separatrix.
+    """Invariant through J^order by two routes that must agree.
 
-    The positive-side result is the canonical output; the negative side is a
-    mandatory consistency assertion.
+    The tail comes from the recurrence picardfuchs._sigma_tail and is the
+    output.  The check composes the singular action with B in J: its log
+    channel, the regular action of B, must be J, and -(J + its regular part)
+    must equal the recurrence's tail, with the two sides' k1 opposite.
     """
     if order < 2:
         raise SeriesUsageError("need order >= 2")
     plus, minus = assemble_beta_actions(order + 1)
     sequences = _sequences(KP_KAPPA, order + 1)
     bnf = PowerSeries("J", tuple(sequences["bnf"]()))
-    lin_plus = -plus.k1
     # the tail through J^order does not depend on the truncation at J^(order+1)
-    tail_plus = PowerSeries("J", tuple(sequences["sigma"]()[: order + 1]))
-    lin_minus, tail_minus = _extract_minus(minus, bnf, order)
-    consistent = (tail_plus == tail_minus) and (lin_plus == lin_minus)
+    tail = PowerSeries("J", tuple(sequences["sigma"]()[: order + 1]))
+    composed = plus.series.action_singular.compose_with_log(bnf)
+    ident = PowerSeries.identity("J", order)
+    if composed.log_part != ident:
+        raise InternalConsistencyError("regular action did not invert to J")
+    consistent = tail == -(ident + composed.regular_part.truncate(order)) and -plus.k1 == minus.k1
     if not consistent:
-        raise InternalConsistencyError(
-            "separatrix-side extractions produced different invariants"
-        )
-    if tail_plus.coefficient(0) or tail_plus.coefficient(1):
+        raise InternalConsistencyError("composition and recurrence produced different invariants")
+    if tail.coefficient(0) or tail.coefficient(1):
         raise InternalConsistencyError("invariant tail leaked into J^0 or J^1")
     return InvariantReport(
         order=order,
-        linear_log=lin_plus,
-        tail=tail_plus,
+        linear_log=-plus.k1,
+        tail=tail,
         area_plus=plus.area,
         area_minus=minus.area,
         branch_consistent=consistent,
@@ -201,6 +178,8 @@ def radius_analysis(
     kept between calls.
     """
     sequences = _sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
+    if isinstance(targets, str):  # tuple() would split it into one-letter names
+        raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")
     targets = tuple(targets)
     for name in targets:  # every name, before any table is built
         if name not in sequences:

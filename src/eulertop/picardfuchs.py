@@ -282,14 +282,14 @@ def _sequences(kappa, n: int) -> dict:
     (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
     the four recurrences.  a and b keep no state, so each call builds its
     table anew (b runs its own A rows); bnf and sigma share one Y."""
-    if isinstance(kappa, (int, Fraction)):
+    if isinstance(kappa, (int, Fraction)) and not isinstance(kappa, bool):
         p, q = Fraction(kappa).as_integer_ratio()
         up, weigh = (lambda row: [c * p for c in row]), (lambda row: [c * w for c in row])
         emit = lambda row, den: Fraction(row[0], den)
     elif kappa == KP_KAPPA:
         p, q = KP_KAPPA, 1
         up, weigh, emit = (lambda row: [0, *row]), (lambda row: row), _kappa_poly
-    else:  # a float kappa would run silently at its 53-bit binary value
+    else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     if n < 0:
         raise SeriesUsageError("table order must be non-negative")

@@ -159,6 +159,8 @@ class KappaPoly:
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is an int or a Fraction."""
+        if isinstance(kappa, bool):
+            raise TypeError("kappa must be a number, got bool")
         if isinstance(kappa, (int, Fraction)):
             # q^d P(p/q) for P of degree d, by Horner over the ints; one division at the end
             p, q = kappa.numerator, kappa.denominator
@@ -304,6 +306,8 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
     """Horner composition outer(inner(x)); inner must have zero constant term."""
     if inner[0]:
         raise SeriesUsageError("inner series must vanish at 0")
+    if order < 0:
+        raise SeriesUsageError("need order >= 0")
     res = [inner[0]] * (order + 1)
     if not outer:
         return res
@@ -317,6 +321,8 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
 def recip_trunc(a: Sequence, order: int) -> list:
     """Multiplicative inverse of a series with invertible constant term."""
     inv0 = _unit_inverse(a[0])
+    if order < 0:
+        raise SeriesUsageError("need order >= 0")
     out = [a[0] * 0] * (order + 1)
     out[0] = inv0
     for n in range(1, order + 1):
@@ -346,6 +352,8 @@ def log_unit_trunc(a: Sequence, order: int) -> list:
     """log of a series with constant term 1, via integrating a'/a."""
     if not a[0] or a[0] * a[0] != a[0]:
         raise SeriesUsageError("log needs a series with constant term 1")
+    if order < 0:
+        raise SeriesUsageError("need order >= 0")
     q = mul_trunc(deriv_list(a), recip_trunc(a, order), max(order - 1, 0))
     return integrate_list(q)[: order + 1]
 

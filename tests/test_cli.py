@@ -210,6 +210,9 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and f"to {limit}:" in err, argv
+    # invariant's floor: extract_sigma needs order >= 2
+    code, _, err = run_cli(capsys, "invariant", "--kappa=1/2", "--order=1")
+    assert code == 2 and "from 2 to 30:" in err
     monkeypatch.setenv("PRECISION", "101")
     code, _, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=2")
     assert code == 2 and "PRECISION" in err and "to 100:" in err
@@ -419,7 +422,7 @@ def test_ceilings_admit_the_documented_workloads():
     for name, sizes in needed.items():
         limits = _COMMANDS[name][1]
         for option, size in sizes.items():
-            default, ceiling = limits[option]
+            default, ceiling = limits[option][:2]
             assert default <= ceiling and size <= ceiling, (name, option)
 
 

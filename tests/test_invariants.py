@@ -256,6 +256,17 @@ def test_radius_rejects_small_nmax():
         radius_analysis(0.1, 20)
     with pytest.raises(SeriesUsageError):
         frobenius_a_at(0.1, 20)
+    # a bool is not taken as the int 0 or 1
+    with pytest.raises(SeriesUsageError):
+        radius_analysis(True, 20, ("a",))
+    with pytest.raises(SeriesUsageError):
+        frobenius_a_at(True, 3)
+    with pytest.raises(TypeError):
+        KappaPoly.of(1, 1)(True)
+    # a bare string would be split into one-letter names
+    for targets in ("bnf", "ab"):
+        with pytest.raises(SeriesUsageError, match="sequence of names"):
+            radius_analysis(Fraction(1, 2), 20, targets)
     # ratio estimates near 4/|kappa| overflow a float below |kappa| = 2^-1000
     with pytest.raises(SeriesUsageError, match="too small"):
         radius_analysis(Fraction(-1, 2**1001), 20, ("a",))

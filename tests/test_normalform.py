@@ -189,3 +189,21 @@ def test_normalize_equals_reversion_off_the_nodes():
     rho = Fraction(7, 3)
     values = birkhoff_normalize(williamson_reduce(expand_hamiltonian(24, rho)), 12)
     assert values == tuple(c(rho - 1 / rho) for c in bnf_via_reversion(12).coeffs)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: PolyHamiltonian({(3, 0): 1}, 2, 1), "exceeds the stated degree"),
+        (
+            lambda: williamson_reduce(
+                PolyHamiltonian({(2, 0): Fraction(1, 4), (0, 2): -1, (3, 0): 1}, 3, 2)
+            ),
+            "odd parity",
+        ),
+        (lambda: euler_normal_form(0), "order must be >= 1"),
+    ],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()

@@ -14,6 +14,7 @@ from eulertop.oracle import (
     QuadratureError,
     action_quadrature,
     action_unscaled_quadrature,
+    beta_action_value,
     constant_value,
     kappa_for_rho,
     params_from_inertia,
@@ -23,7 +24,7 @@ from eulertop.oracle import (
     separatrix_action,
     verify_series_numerics,
 )
-from eulertop.picardfuchs import ATAN_RHO, SymbolicConstant
+from eulertop.picardfuchs import ATAN_RHO, SymbolicConstant, assemble_beta_actions
 
 from expected_tables import (
     ORACLE_ACTION_MINUS_002,
@@ -352,3 +353,25 @@ def test_verify_deviation_shrinks_with_order():
 def test_verify_rejects_samples_outside_disc():
     with pytest.raises(DomainError, match="radius"):
         verify_series_numerics(0.5, [0.5], order=10)
+
+
+def _unscaled_at(h_sans):
+    # theta = (1, 2, 3) at ell = 1: the separatrix at h = 1/(2 theta2), the
+    # elliptic equilibria at 1/(2 theta1) and 1/(2 theta3)
+    return action_unscaled_quadrature(params_from_inertia(1, 2, 3, 1), h_sans)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: kappa_for_rho(0), ParameterError, "rho must be positive"),
+        (lambda: _unscaled_at(0.25), DomainError, "separatrix"),
+        (lambda: _unscaled_at(1.0), DomainError, "above"),
+        (lambda: _unscaled_at(0.1), DomainError, "below"),
+        (lambda: beta_action_value(assemble_beta_actions(4)[1], 0.5, 0.01), DomainError, "needs -1h > 0"),
+        (lambda: action_quadrature(0.5, 0.01, scheme="simpson"), ValueError, "unknown scheme"),
+    ],
+)
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from eulertop import picardfuchs
 from eulertop.invariants import bnf_via_reversion, extract_sigma
 from eulertop.picardfuchs import (
+    _bnf,
     _sequences,
     assemble_beta_actions,
     build_action_series,
@@ -276,3 +277,17 @@ def test_beta_action_structure():
     assert plus.k1.kind == minus.k1.kind
     assert plus.k3.kind != minus.k3.kind
     assert plus.area.factor == minus.area.factor == 2
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: _bnf(KP_KAPPA, 0, 1), "order >= 1"),
+        (lambda: _sequences(KP_KAPPA, -1), "non-negative"),
+        (lambda: build_action_series(0), "order >= 1"),
+        (lambda: pf_residual(PowerSeries("h", (KP_ZERO, KP_ONE, KP_ZERO, KP_ZERO))), "order >= 4"),
+    ],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(SeriesUsageError, match=match):
+        call()

@@ -137,6 +137,13 @@ def test_list_functions_refuse_a_bad_constant_term():
         for c in (zero, other):
             with pytest.raises(SeriesUsageError, match="constant term 1"):
                 log_unit_trunc([c, one], 3)
+        for call in (
+            lambda: recip_trunc([one], -1),
+            lambda: log_unit_trunc([one, one], -1),
+            lambda: compose_trunc([one, one], [zero, one], -1),
+        ):
+            with pytest.raises(SeriesUsageError, match="order >= 0"):
+                call()
     for c in (Fraction(0), KP_ZERO, K):  # not invertible
         with pytest.raises(SingularReversionError):
             recip_trunc([c, c], 3)
@@ -406,3 +413,24 @@ def test_expected_tables_equal_both_routes(method):
     for got, want in ((table.a, A_TABLE), (table.b, B_TABLE)):
         for n, poly in want.items():
             assert got[n] == poly and got[n].coeffs == poly.coeffs, (method, n)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: PowerSeries("x", (1,)), "unknown series variable"),
+        (lambda: PowerSeries("h", ()), "at least the constant"),
+        (lambda: PowerSeries.identity("h", 0), "order >= 1"),
+        (lambda: LogSeries(PowerSeries.zero("h", 2), PowerSeries.zero("J", 2)), "share a variable"),
+        (lambda: LogSeries(PowerSeries.zero("h", 2), PowerSeries.zero("h", 3)), "share an order"),
+        (
+            lambda: LogSeries(PowerSeries.zero("h", 2), PowerSeries.zero("h", 2)).compose_with_log(
+                PowerSeries("J", (KP_ONE, KP_ONE, KP_ZERO))
+            ),
+            "zero constant term",
+        ),
+    ],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(SeriesUsageError, match=match):
+        call()

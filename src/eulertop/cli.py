@@ -9,7 +9,8 @@ One table, ``_COMMANDS``, defines the subcommands.  Each accepts only the
 options it reads, and argparse checks every value: an option the command
 does not read, a malformed or non-finite number, an empty --targets, an
 --order, --nmax, --precision, --grid or --samples count outside its range
-(the ceiling bounds the cost of a run) and a --tol that is not positive
+(_COMMANDS gives each integer option its default, ceiling and floor; the
+ceiling bounds the cost of a run) and a --tol that is not positive
 exit 2; so does a JSON table whose exact values would pass Python's limit
 on int-to-str digits, and a radius run whose --nmax and bits of kappa would
 take it past a minute.
@@ -88,14 +89,6 @@ def _all_finite(values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _integer(low: int, needs: str = "need"):
-    """The converter factory of an integer option: a command passes its ceiling
-    and may raise the floor."""
-    return lambda ceiling, floor=low: _checked(
-        int, lambda n: floor <= n <= ceiling, f"{needs} an integer from {floor} to {ceiling}"
-    )
-
-
 _kappa = _checked(_rational, lambda k: True, "cannot parse kappa as a rational")
 _finite = _checked(float, math.isfinite, "need a finite number")
 _tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "must be positive and finite")
@@ -118,14 +111,6 @@ _samples = _checked(
     lambda s: _all_finite(s) and len(s) <= _SAMPLES,
     f"need 1-{_SAMPLES} finite h, no underflow",
 )
-
-# the integer options, whose default, ceiling and any higher floor each
-# command sets in _COMMANDS
-_INTEGERS = {
-    "order": _integer(1),
-    "nmax": _integer(20),
-    "precision": _integer(1, "--precision and PRECISION need"),
-}
 
 # add_argument keywords of every option
 _ARGS = {
@@ -349,23 +334,22 @@ def _cmd_params(args):
 _KAPPA = dict.fromkeys(("kappa", "theta", "ell"))
 _SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
 
-# name: (handler, {option it reads: (default, ceiling) or (default, ceiling,
-#        floor) of an integer option, else None}, CSV header, or None for a
-#        JSON-only command without --format).  --precision sets the digits of
-#        the numeric fields.
+# name: (handler, {option it reads: (default, ceiling, floor) of an integer
+#        option, else None}, CSV header, or None for a JSON-only command
+#        without --format).  --precision sets the digits of the numeric fields.
 # At a kappa of a few bits a run at the ceiling takes under a minute on a
 # 2-CPU machine; the exact tables also grow with the bits of kappa.
 _COMMANDS = {
-    "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24)}, _SERIES_HEADER),
-    "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200)}, _SERIES_HEADER),
-    "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200), "precision": (17, 100)}, _SERIES_HEADER),
-    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30, 2), "precision": (17, 100)}, _SERIES_HEADER),
+    "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24, 1)}, _SERIES_HEADER),
+    "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200, 1)}, _SERIES_HEADER),
+    "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200, 1), "precision": (17, 100, 1)}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),
     "verify": (
         _cmd_verify,
-        {**_KAPPA, "order": (30, 100), "tol": None, "precision": (17, 100), "samples": None},
+        {**_KAPPA, "order": (30, 100, 1), "tol": None, "precision": (17, 100, 1), "samples": None},
         None,
     ),
-    "radius": (_cmd_radius, {**_KAPPA, "nmax": (60, 400), "targets": None}, ("sequence", "n", "ratio")),
+    "radius": (_cmd_radius, {**_KAPPA, "nmax": (60, 400, 20), "targets": None}, ("sequence", "n", "ratio")),
     "pendulum": (_cmd_pendulum, {"grid": None}, ("kappa", "euler_leading", "margin")),
     "params": (_cmd_params, {"theta": None, "ell": None}, None),
 }
@@ -381,13 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
         for option in (*options, *(("format",) if header else ())):
             kwargs = dict(_ARGS.get(option, {}))
             if options.get(option):
-                default, *bounds = options[option]
-                kwargs.update(type=_INTEGERS[option](*bounds), default=default)
+                default, ceiling, floor = options[option]
+                needs = "need"
+                if option == "precision":
+                    # argparse passes a string default through type=, so
+                    # PRECISION is read now and checked like --precision
+                    default = os.environ.get("PRECISION", str(default))
+                    needs = "--precision and PRECISION need"
+                ok = range(floor, ceiling + 1).__contains__
+                convert = _checked(int, ok, f"{needs} an integer from {floor} to {ceiling}")
+                kwargs.update(type=convert, default=default)
             p.add_argument(f"--{option}", **kwargs)
-        if "precision" in options:
-            # argparse passes a string default through type=, so PRECISION
-            # is read now and checked like --precision
-            p.set_defaults(precision=os.environ.get("PRECISION", str(options["precision"][0])))
     return parser
 
 

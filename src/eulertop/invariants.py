@@ -36,7 +36,14 @@ from .picardfuchs import (
     _sequences,
     assemble_beta_actions,
 )
-from .series import KP_KAPPA, InternalConsistencyError, PowerSeries, SeriesUsageError, _quoted
+from .series import (
+    KP_KAPPA,
+    InternalConsistencyError,
+    PowerSeries,
+    SeriesUsageError,
+    _is_exact_rational,
+    _quoted,
+)
 
 __all__ = [
     "InvariantReport",
@@ -254,8 +261,11 @@ def log64_ratio_log2_exact(kappa: Fraction) -> Fraction | None:
 
     Returns None when 64/(kappa^2+4) is not an exact power of two; at
     kappa = 0 the ratio is 16 and the result is the exact exponent 2
-    (the leading invariant term log 4, in units of log 2).
+    (the leading invariant term log 4, in units of log 2).  kappa is an int
+    or a Fraction; a float or a bool raises SeriesUsageError.
     """
+    if not _is_exact_rational(kappa):
+        raise SeriesUsageError(f"kappa must be an int or a Fraction, got {kappa!r}")
     ratio = Fraction(64) / (Fraction(kappa) ** 2 + 4)
     num, den = ratio.numerator, ratio.denominator
     if num & (num - 1) or den & (den - 1):

@@ -30,6 +30,7 @@ from typing import Mapping
 from .series import (
     InternalConsistencyError,
     PowerSeries,
+    _is_exact_rational,
     interpolate_kappa_poly,
 )
 
@@ -63,7 +64,7 @@ class PolyHamiltonian:
 
     def __post_init__(self):
         for (a, b), v in self.terms.items():
-            if not _is_rational(v):
+            if not _is_exact_rational(v):
                 raise PreconditionError(
                     f"coefficient of q^{a} p^{b} must be an int or Fraction, got {v!r}"
                 )
@@ -83,13 +84,8 @@ class PolyHamiltonian:
         return {k: v for k, v in self.terms.items() if k[0] + k[1] == 2}
 
 
-def _is_rational(x) -> bool:
-    # a float would turn the exact pipeline into floating point; True is an int
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def _exact_rho(rho) -> Fraction:
-    if not _is_rational(rho) or rho <= 0:
+    if not _is_exact_rational(rho) or rho <= 0:
         raise PreconditionError(f"rho must be a positive int or Fraction, got {rho!r}")
     return Fraction(rho)
 

@@ -60,6 +60,7 @@ from .series import (
     PowerSeries,
     SeriesUsageError,
     _cauchy,
+    _is_exact_rational,
     _kappa_poly,
     add_list,
     deriv_list,
@@ -282,7 +283,7 @@ def _sequences(kappa, n: int) -> dict:
     (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
     the four recurrences.  a and b keep no state, so each call builds its
     table anew (b runs its own A rows); bnf and sigma share one Y."""
-    if isinstance(kappa, (int, Fraction)) and not isinstance(kappa, bool):
+    if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         up, weigh = (lambda row: [c * p for c in row]), (lambda row: [c * w for c in row])
         emit = lambda row, den: Fraction(row[0], den)

@@ -63,14 +63,16 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
 
 
+def _is_exact_rational(x) -> bool:
+    """An int or a Fraction: a float would run the exact pipeline in floating
+    point, and a bool, an int to Python, is refused too."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 def _frac(x) -> Fraction:
-    if isinstance(x, bool):
-        raise TypeError("expected an exact rational, got bool")
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    if not _is_exact_rational(x):
+        raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +161,15 @@ class KappaPoly:
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is an int or a Fraction."""
-        if isinstance(kappa, bool):
-            raise TypeError("kappa must be a number, got bool")
-        if isinstance(kappa, (int, Fraction)):
+        if _is_exact_rational(kappa):
             # q^d P(p/q) for P of degree d, by Horner over the ints; one division at the end
             p, q = kappa.numerator, kappa.denominator
             acc, qk = 0, 1
             for c in reversed(self.num):
                 acc, qk = acc * p + c * qk, qk * q
             return Fraction(acc * q, self.den * qk)
+        if isinstance(kappa, bool):
+            raise TypeError("kappa must be a number, got bool")
         return horner(self.coeffs, kappa)
 
     def __repr__(self):

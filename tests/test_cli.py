@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,6 +86,20 @@ def test_frobenius_methods_agree(capsys):
     doc = json.loads(out)
     assert doc["methods_agree"] is True
     assert doc["a"][1]["kappa_poly"] == ["0", "1/2"]
+
+
+def test_frobenius_routes_that_disagree_exit_3(capsys, monkeypatch):
+    original = picardfuchs._closed_form
+
+    def closed_form(order):
+        a, b = original(order)
+        a[1] += Fraction(1, 10**40)
+        return a, b
+
+    monkeypatch.setattr(picardfuchs, "_closed_form", closed_form)
+    code, out, err = run_cli(capsys, "frobenius", "--kappa=1/2", "--order=3")
+    assert code == 3 and out == ""
+    assert "recursion and closed form disagree" in err
 
 
 def test_actions_beta_signs(capsys):
@@ -210,9 +225,15 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and f"to {limit}:" in err, argv
-    # invariant's floor: extract_sigma needs order >= 2
-    code, _, err = run_cli(capsys, "invariant", "--kappa=1/2", "--order=1")
-    assert code == 2 and "from 2 to 30:" in err
+    # the floors, each named in its message; extract_sigma needs order >= 2
+    for argv, message in (
+        (["invariant", "--kappa=1/2", "--order=1"], "from 2 to 30:"),
+        (["radius", "--kappa=1/2", "--nmax=19"], "from 20 to 400:"),
+        (["bnf", "--kappa=1/2", "--order=0"], "from 1 to 24:"),
+        (["actions", "--kappa=1/2", "--precision=0"], "--precision and PRECISION need an integer from 1 to 100:"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err, argv
     monkeypatch.setenv("PRECISION", "101")
     code, _, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=2")
     assert code == 2 and "PRECISION" in err and "to 100:" in err

@@ -30,7 +30,10 @@ from eulertop.picardfuchs import (
     frobenius_table,
 )
 from eulertop.series import (
+    InternalConsistencyError,
     KappaPoly,
+    LogSeries,
+    PowerSeries,
     SeriesUsageError,
     compose_trunc,
     integrate_list,
@@ -182,6 +185,57 @@ def test_sigma_order_precondition():
         extract_sigma(1)
 
 
+EPS = Fraction(1, 10**40)
+
+
+def _perturb_sequence(monkeypatch, name, index):
+    """Move coefficient `index` of the `name` recurrence that extract_sigma reads by EPS."""
+    original = invariants._sequences
+
+    def sequences(kappa, n):
+        out = original(kappa, n)
+        thunk = out[name]
+
+        def perturbed():
+            values = list(thunk())
+            values[index] += EPS
+            return values
+
+        return {**out, name: perturbed}
+
+    monkeypatch.setattr(invariants, "_sequences", sequences)
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("bnf", "regular action did not invert to J"),
+        ("sigma", "composition and recurrence produced different invariants"),
+    ],
+)
+def test_sigma_cross_checks_catch_a_perturbed_route(monkeypatch, name, message):
+    _perturb_sequence(monkeypatch, name, 2)
+    with pytest.raises(InternalConsistencyError, match=message):
+        extract_sigma(4)
+
+
+def test_sigma_leak_check_catches_a_linear_term_both_routes_share(monkeypatch):
+    # the recurrence's tail and the composed regular part moved alike at J^1,
+    # so the two routes still agree: only the leak check can see it
+    _perturb_sequence(monkeypatch, "sigma", 1)
+    original = LogSeries.compose_with_log
+
+    def compose_with_log(self, inner):
+        out = original(self, inner)
+        regular = list(out.regular_part.coeffs)
+        regular[1] -= EPS  # the tail is -(J + regular part)
+        return LogSeries(out.log_part, PowerSeries(out.var, tuple(regular)))
+
+    monkeypatch.setattr(LogSeries, "compose_with_log", compose_with_log)
+    with pytest.raises(InternalConsistencyError, match=r"leaked into J\^0 or J\^1"):
+        extract_sigma(4)
+
+
 def test_sigma_parity():
     tail = extract_sigma(7).tail
     assert tail.flip_kappa() == -tail.reflect()
@@ -315,3 +369,11 @@ def test_symmetric_top_leading_term_is_exactly_log4():
     # 64/(0+4) = 16 = 2^4, so the linear term is exactly 2 log 2 = log 4
     assert log64_ratio_log2_exact(Fraction(0)) == Fraction(2)
     assert log64_ratio_log2_exact(Fraction(1, 2)) is None
+
+
+@pytest.mark.parametrize("kappa", [0.0, 2.0, True])
+def test_log2_exact_refuses_a_float_or_bool_kappa(kappa):
+    # unchecked, 0.0 would give 2, 2.0 would give 3/2 and True would run at kappa = 1
+    with pytest.raises(SeriesUsageError, match="int or a Fraction"):
+        log64_ratio_log2_exact(kappa)
+    assert log64_ratio_log2_exact(int(kappa)) == log64_ratio_log2_exact(Fraction(int(kappa)))

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from eulertop import picardfuchs
 from eulertop.invariants import bnf_via_reversion, extract_sigma
 from eulertop.picardfuchs import (
+    FrobeniusTable,
     _bnf,
     _sequences,
     assemble_beta_actions,
@@ -80,6 +81,15 @@ def test_recursion_equals_closed_form():
     recursion, closed = frobenius_table(200, "recursion"), frobenius_table(200, "closed_form")
     assert recursion.a == closed.a
     assert recursion.b == closed.b
+
+
+def test_table_normalization_is_checked():
+    table = frobenius_table(3)
+    eps = Fraction(1, 10**40)
+    with pytest.raises(InternalConsistencyError, match="table normalization broken"):
+        FrobeniusTable(3, (table.a[0] + eps, *table.a[1:]), table.b)
+    with pytest.raises(InternalConsistencyError, match="table normalization broken"):
+        FrobeniusTable(3, table.a, (table.b[0] + eps, *table.b[1:]))
 
 
 def test_sequence_thunks_keep_no_state():

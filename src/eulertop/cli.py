@@ -31,8 +31,6 @@ import re
 import sys
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import invariants, oracle, picardfuchs
 from .normalform import euler_normal_form
 from .series import InternalConsistencyError, KappaPoly, PowerSeries, SeriesUsageError, _quoted
@@ -102,9 +100,9 @@ _grid = _checked(
     lambda g: _all_finite(g) and 2 <= g[2] <= _GRID_POINTS,
     f"need finite lo:hi:n with n from 2 to {_GRID_POINTS}",
 )
-# the most --samples values: each costs two quadratures, up to about 1.1 s at
-# order 100 and 100 digits (|h| near 1e-30), so 40 take under a minute on a
-# 2-CPU machine
+# the most --samples values: each costs two quadratures, up to about 0.5 s at
+# order 100 and 100 digits (|h| from 1e-25 to 1e-50), so 40 take under half a
+# minute on a 2-CPU machine
 _SAMPLES = 40
 _samples = _checked(
     _sample_floats,
@@ -127,6 +125,8 @@ _ARGS = {
 
 
 def _num(x, precision: int) -> str:
+    from mpmath import mp  # only the commands that print mpmath numbers load it
+
     return mp.nstr(mp.mpf(x) if not hasattr(x, "_mpf_") else x, precision)
 
 

@@ -21,7 +21,9 @@ mpmath arithmetic lives only in this module; callers hand in exact series
 and get mpmath numbers back, which the CLI only formats.  ``rho_for_kappa``
 and ``log64_ratio`` take a float or an mpmath number, so
 invariants.radius_analysis and pendulum_compare compute in floats through
-them.
+them.  mpmath is imported on first use, so a process that computes only in
+exact numbers and floats never loads it; the Gauss-Legendre rule class and
+the rules are built on the first quadrature.
 """
 
 from __future__ import annotations
@@ -31,21 +33,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from mpmath import mp
-from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
-
 from .picardfuchs import (
     ATAN_INV_RHO,
     ATAN_INV_RHO_OVER_PI,
     ATAN_RHO,
     ATAN_RHO_OVER_PI,
+    ActionSeries,
     BetaAction,
     LOG64_RATIO,
     SymbolicConstant,
     _SIDES,
     assemble_beta_actions,
 )
-from .series import PowerSeries, horner
+from .series import horner
+
+
+class _MpmathOnFirstUse:
+    """Stands in for mpmath's ``mp`` until the first attribute is read, which
+    imports mpmath and binds the real ``mp`` in this module."""
+
+    def __getattr__(self, name):
+        global mp
+        import mpmath
+
+        mp = mpmath.mp
+        return getattr(mp, name)
+
+
+mp = _MpmathOnFirstUse()
+
+
+def __getattr__(name):
+    # PEP 562: the Gauss-Legendre rule class and the rules exist once the
+    # first quadrature has built them
+    if name in ("_NewtonGaussLegendre", "_RULES"):
+        _quadrature_rules()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ParameterError",
@@ -64,7 +89,6 @@ __all__ = [
     "action_unscaled_quadrature",
     "scaled_energy",
     "constant_value",
-    "power_series_value",
     "beta_action_value",
     "verify_series_numerics",
 ]
@@ -135,7 +159,7 @@ def params_from_inertia(theta1: float, theta2: float, theta3: float, ell: float)
 
 def rho_for_kappa(kappa):
     """The unique rho > 0 with kappa = rho - 1/rho, for a float or an mpmath number."""
-    root = (mp.sqrt if isinstance(kappa, mp.mpf) else math.sqrt)(kappa * kappa + 4)
+    root = (mp.sqrt if hasattr(kappa, "_mpf_") else math.sqrt)(kappa * kappa + 4)
     # for kappa < 0 the sum kappa + root cancels; 2/(root - kappa) is the same rho
     return (kappa + root) / 2 if kappa >= 0 else 2 / (root - kappa)
 
@@ -143,7 +167,7 @@ def rho_for_kappa(kappa):
 def log64_ratio(kappa):
     """log(64/(kappa^2 + 4)), twice the leading invariant coefficient, for a
     float or an mpmath number."""
-    if isinstance(kappa, mp.mpf):
+    if hasattr(kappa, "_mpf_"):
         return mp.log(64 / (kappa * kappa + 4))
     square = kappa * kappa
     if math.isinf(square):
@@ -212,35 +236,42 @@ def _legendre_newton(n, x, prec):
     return new, weight
 
 
-class _NewtonGaussLegendre(GaussLegendre):
-    """mpmath's Gauss-Legendre rule, with its nodes found by Newton's method
-    in fixed-point integers instead of mpf.
+def _newton_gauss_legendre():
+    """The class of the gauss scheme's rule, built once mpmath is loaded, since
+    it subclasses mpmath's."""
+    from mpmath.calculus.quadrature import GaussLegendre
 
-    Degrees, ladder and error estimate are mpmath's: degree m is the
-    3 * 2^(m-1) point rule, and degree 1 is mpmath's own.  Each root starts
-    from a float root, then takes one Newton step per rung of a precision
-    ladder that doubles up to mpmath's working precision 1.5 prec, plus guard
-    bits for the rounding of the recurrence and of 1 - x^2 near the ends.
-    """
+    class _NewtonGaussLegendre(GaussLegendre):
+        """mpmath's Gauss-Legendre rule, with its nodes found by Newton's method
+        in fixed-point integers instead of mpf.
 
-    def calc_nodes(self, degree, prec, verbose=False):
-        if degree == 1:
-            return super().calc_nodes(degree, prec, verbose)
-        n = 3 * 2 ** (degree - 1)
-        rungs = [int(prec * 1.5) + 24 + n.bit_length()]
-        while rungs[-1] > 96:  # the float start carries about 48 bits
-            rungs.append(rungs[-1] // 2 + 8)
-        rungs.reverse()
-        nodes = []
-        with self.ctx.workprec(int(prec * 1.5)):
-            for j in range(1, n // 2 + 1):
-                x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
-                for rung in rungs:
-                    x, w = _legendre_newton(n, x << (rung - scale), rung)
-                    scale = rung
-                x, w = self.ctx.ldexp(x, -scale), self.ctx.ldexp(w, -scale)
-                nodes += [(x, w), (-x, w)]
-        return nodes
+        Degrees, ladder and error estimate are mpmath's: degree m is the
+        3 * 2^(m-1) point rule, and degree 1 is mpmath's own.  Each root starts
+        from a float root, then takes one Newton step per rung of a precision
+        ladder that doubles up to mpmath's working precision 1.5 prec, plus guard
+        bits for the rounding of the recurrence and of 1 - x^2 near the ends.
+        """
+
+        def calc_nodes(self, degree, prec, verbose=False):
+            if degree == 1:
+                return super().calc_nodes(degree, prec, verbose)
+            n = 3 * 2 ** (degree - 1)
+            rungs = [int(prec * 1.5) + 24 + n.bit_length()]
+            while rungs[-1] > 96:  # the float start carries about 48 bits
+                rungs.append(rungs[-1] // 2 + 8)
+            rungs.reverse()
+            nodes = []
+            with self.ctx.workprec(int(prec * 1.5)):
+                for j in range(1, n // 2 + 1):
+                    x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
+                    for rung in rungs:
+                        x, w = _legendre_newton(n, x << (rung - scale), rung)
+                        scale = rung
+                    x, w = self.ctx.ldexp(x, -scale), self.ctx.ldexp(w, -scale)
+                    nodes += [(x, w), (-x, w)]
+            return nodes
+
+    return _NewtonGaussLegendre
 
 
 # The gauss schemes stop at Gauss-Legendre degree 8 (765 evaluations): the
@@ -249,9 +280,18 @@ class _NewtonGaussLegendre(GaussLegendre):
 # would double and quadruple the evaluations for a few digits more of |h|.
 _GAUSS_MAXDEGREE = 8
 
-# One rule per scheme and process, so its node cache outlives each call,
-# with the highest degree mp.quad may climb to.
-_RULES = {"gauss": (_NewtonGaussLegendre(mp), _GAUSS_MAXDEGREE), "tanh-sinh": (TanhSinh(mp), 10)}
+
+def _quadrature_rules() -> dict:
+    """One rule per scheme and process, so its node cache outlives each call,
+    with the highest degree mp.quad may climb to; built on the first call."""
+    global _NewtonGaussLegendre, _RULES
+    if "_RULES" not in globals():
+        from mpmath import mp as ctx
+        from mpmath.calculus.quadrature import TanhSinh
+
+        _NewtonGaussLegendre = _newton_gauss_legendre()
+        _RULES = {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (TanhSinh(ctx), 10)}
+    return _RULES
 
 
 def _quad(integrand, interval, scheme, wdps):
@@ -264,7 +304,7 @@ def _quad(integrand, interval, scheme, wdps):
         count += 1
         return integrand(*args)
 
-    rule, maxdegree = _RULES[scheme]
+    rule, maxdegree = _quadrature_rules()[scheme]
     cached = len(rule.standard_cache)
     value, err = mp.quad(counted, interval, method=lambda ctx: rule, error=True, maxdegree=maxdegree)
     floor = (abs(value) + 1) * mp.mpf(10) ** (-(wdps - 5))
@@ -488,18 +528,23 @@ def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
         return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
 
 
-def power_series_value(series: PowerSeries, kappa, x):
-    return horner([c(kappa) for c in series.coeffs], x)
+def _action_coefficients(series: ActionSeries, kq) -> tuple[list, list]:
+    """The coefficients at kq of the two series an action sums: the regular
+    action and the regular part of the singular one."""
+    return tuple([c(kq) for c in s.coeffs] for s in (series.action_regular, series.action_singular.regular_part))
 
 
-def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50):
-    """I_beta(h) from the exact series channel plus the symbolic constants."""
+def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients=None):
+    """I_beta(h) from the exact series channel plus the symbolic constants.
+
+    A caller that evaluates many h at one kappa may pass ``coefficients``,
+    the _action_coefficients of beta.series at kappa at dps digits.
+    """
     with mp.workdps(dps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         if beta.k2 * hq <= 0:
             raise DomainError(f"side {beta.side!r} needs {beta.k2:+d}h > 0")
-        p_val = power_series_value(beta.series.action_regular, kq, hq)
-        q_val = power_series_value(beta.series.action_singular.regular_part, kq, hq)
+        p_val, q_val = (horner(c, hq) for c in coefficients or _action_coefficients(beta.series, kq))
         k1 = constant_value(beta.k1, kq, dps)
         k3 = constant_value(beta.k3, kq, dps)
         singular = p_val * mp.log(beta.k2 * hq) + q_val
@@ -561,6 +606,8 @@ def verify_series_numerics(
         rows = []
         max_dev = mp.mpf(0)
         quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(dps - 8)))
+        # both sides share one ActionSeries: its coefficients at kappa serve every sample
+        coefficients = _action_coefficients(plus.series, kq)
         for h in h_samples:
             hq = _to_mp(h)
             if abs(hq) >= disc:
@@ -572,7 +619,7 @@ def verify_series_numerics(
                     series_val = constant_value(beta.k3, kq, dps)
                     main, other = (_integral(kq, 0, beta.side, "action", s, quad_tol, dps) for s in _SCHEMES)
                 else:
-                    series_val = beta_action_value(beta, kq, hq, dps)
+                    series_val = beta_action_value(beta, kq, hq, dps, coefficients=coefficients)
                     main, other = (action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme=s) for s in _SCHEMES)
                 dev = abs(series_val - main.value)
                 max_dev = max(max_dev, dev)

@@ -9,7 +9,7 @@ and reads its coefficients out as ``fractions.Fraction``; a series at a
 fixed rational kappa has ``Fraction`` coefficients.  The list kernel is
 generic over the ring: it runs on KappaPoly and Fraction lists, on the int
 numerators of a KappaPoly product, and ``horner`` also evaluates at floats
-and mpmath numbers (oracle.power_series_value).  Truncation order is
+and mpmath numbers (oracle.beta_action_value).  Truncation order is
 explicit state and binary operations truncate to the minimum order of
 their inputs.
 """

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -449,3 +451,46 @@ def test_ceilings_admit_the_documented_workloads():
 
 def test_missing_command_exits_64(capsys):
     assert run_cli(capsys)[0] == 64
+
+
+# the commands whose output holds only exact numbers and floats, each with
+# --kappa and, where it reads kappa, with --theta/--ell
+_WITHOUT_MPMATH = (
+    ["bnf", "--kappa=1/2", "--order=5"],
+    ["bnf", "--theta=1,2,2.5", "--ell=1", "--order=5"],
+    ["frobenius", "--kappa=-5/4", "--order=10"],
+    ["frobenius", "--theta=1,2,2.5", "--ell=1", "--order=10", "--format=csv"],
+    ["radius", "--kappa=1/2", "--nmax=20"],
+    ["radius", "--theta=1,2,2.5", "--ell=1", "--nmax=20"],
+    ["pendulum", "--grid=-1:1:3"],
+    ["params", "--theta=1,2,3", "--ell=1"],
+)
+
+_MODULE_CHECK = """
+import contextlib, io, json, sys
+import eulertop.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "eulertop")
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = eulertop.cli.main(argv)
+    runs.append([argv[0], code, "mpmath" in sys.modules])
+print(json.dumps([loaded, runs]))
+"""
+
+
+def test_exact_and_float_commands_never_load_mpmath():
+    # a fresh interpreter: this one has mpmath loaded already
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _MODULE_CHECK, json.dumps(_WITHOUT_MPMATH)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    loaded, runs = json.loads(out)
+    modules = ("cli", "invariants", "normalform", "oracle", "picardfuchs", "series")
+    assert loaded == ["eulertop", *(f"eulertop.{m}" for m in modules)]
+    assert runs == [[argv[0], 0, False] for argv in _WITHOUT_MPMATH]

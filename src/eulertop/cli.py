@@ -436,17 +436,20 @@ _RADIUS_AB_BUDGET = 30_000_000_000_000
 
 def _check_radius_cost(args) -> None:
     """Refuse a radius run that would take about a minute, before any table is
-    built.  At a kappa of b bits the time of the bnf and sigma targets grows
-    with nmax^2 (b + 14), about as its 1.5th power: on a 2-CPU machine, runs at
-    3.7e6 to 4.1e6 took 33-38 s (nmax 400 at b = 9 and 10, 300 at b = 31, 250
-    at b = 52) and one at 4.8e6 took 60 s (nmax 400, b = 16).  The a and b
-    targets took 0.65, 1.84, 4.62 and 9.39 s at nmax 200 and 1.97, 10.2, 33.4
-    and 75.2 s at nmax 400, with kappa = (2^k + 1)/(2^k - 3) of b = 100, 300,
-    600 and 998 bits; a random 998-bit kappa took 106 s at nmax 400.  Their time
-    grows about as nmax^3 (b + 14)^2: random kappas at 2.4e13 to 3.0e13 took
-    38-46 s (nmax 400 at b = 600, 234 at 1500, 149 at 3000, 52 at 14281) and one
-    at 1.2e14 took 131 s (nmax 83, b = 14281).  A run within the bnf and sigma
-    ceiling is within this one."""
+    built.  The bnf and sigma targets are bounded by nmax^2 (b + 14), b the
+    bits of kappa: on a 2-CPU machine, runs at 3.7e6 to 4.1e6 took 12-21 s
+    (nmax 400 at b = 9 and 10, 300 at b = 31, 250 at b = 52) and one at 4.8e6
+    took 26-29 s (nmax 400, b = 16): a run within the ceiling takes under half
+    the minute it aims at.  At the same bound a longer kappa costs less, since
+    the integer scales of the recurrences, about 2 nmax log2(nmax) bits,
+    outweigh the bits of kappa.  The a and b targets took 0.65, 1.84, 4.62
+    and 9.39 s at nmax 200 and 1.97, 10.2, 33.4 and 75.2 s at nmax 400, with
+    kappa = (2^k + 1)/(2^k - 3) of b = 100, 300, 600 and 998 bits; a random
+    998-bit kappa took 106 s at nmax 400.  Their time grows about as
+    nmax^3 (b + 14)^2: random kappas at 2.4e13 to 3.0e13 took 38-46 s (nmax 400
+    at b = 600, 234 at 1500, 149 at 3000, 52 at 14281) and one at 1.2e14 took
+    131 s (nmax 83, b = 14281).  A run within the bnf and sigma ceiling is
+    within this one."""
     if args.command != "radius":
         return
     bits = _kappa_bits(args.kappa)

@@ -28,9 +28,17 @@ C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of a_n, T(n, k) =
 (2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in b_n, with
 f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So A_n = 8^n a_n,
 B_n = 8^n L_n b_n, q^n A_n(p/q) and q^n B_n(p/q) are integral: a and b run
-over ints, every division checked exact.  The weight w is a parameter of
-_bnf and _sigma_tail only, whose Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1)
-are back-substituted once (series.unscale_list).
+over ints, every division checked exact.
+
+B(J) and sigma run over ints too, one body each for every ring, with the
+few operations that differ read off kappa by _ring.  Each series is held at
+its own per-index scale, Y_n = y_n 4^n n! (n-1)! for B and
+4^(n+e) (n+r)! (n+t)! for each helper series, under which a Cauchy product
+has binomial weights (_bnf, _sigma_tail).  The weight w = q^2 is a
+parameter of _bnf and _sigma_tail, which return y_n q^(n-1) and
+sigma_n q^(n-1); _sequences divides out q^(n-1) once (series.unscale_list).
+The 1/(n+1) of sigma's last integral and the 1/n of its log enter the
+denominator with which each coefficient is emitted.
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
@@ -47,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,15 +68,11 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
-    _cauchy,
     _is_exact_rational,
     _kappa_poly,
     add_list,
     deriv_list,
-    integrate_list,
-    log_unit_trunc,
     mul_trunc,
-    recip_trunc,
     strip_list,
     unscale_list,
 )
@@ -153,7 +158,7 @@ def _exact(num: int, den: int) -> int:
     """num / den, which a denominator law makes an integer."""
     quo, rem = divmod(num, den)
     if rem:
-        raise InternalConsistencyError("a Frobenius denominator law failed: inexact division")
+        raise InternalConsistencyError("a denominator law failed: inexact division")
     return quo
 
 
@@ -203,9 +208,94 @@ def _b_rows(up, weigh, lcms: list):
         yield row
 
 
-# _bnf and _sigma_tail run over KP_KAPPA with w = 1 or over p with w = q^2.
-# Every sum over coefficients already known is one series._cauchy call on an
-# online list (y', y'', G', ...); the zero of kappa's ring only seeds the lists.
+# _bnf and _sigma_tail run one body over three rings, which _ring picks from
+# kappa: ints at kappa = p with w = q^2, _Row at KP_KAPPA with w = 1, and
+# Fractions at a Fraction kappa with w = 1.  Each series x of a body is held
+# as X_k = x_k D(k) with D(k) = 4^(k+e) (k+r)! (k+t)!, which the denominator
+# laws in the docstrings make integral (checked at 60 random 40-bit kappas to
+# n = 60 and at four kappas to n = 150).  Its product with a series of
+# offsets (e', r', t') at (e+e', r+r', t+t') has the integer weights
+# C(k+r+r', i+r) C(k+t+t', i+t), so every new coefficient is one weighted dot
+# product over coefficients already known, divided exactly by a small pivot,
+# and becomes a Fraction or a KappaPoly once, when it is emitted.
+
+
+class _Row(tuple):
+    """A polynomial in kappa with int coefficients, lowest power first: the
+    symbolic ring element of _bnf and _sigma_tail, with the sums and int
+    multiples that their bodies take."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Row(add_list(self, other))
+
+    def __neg__(self):
+        return _Row(-c for c in self)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, c: int):
+        return _Row(c * x for x in self)
+
+    __rmul__ = __mul__
+
+
+def _dot(ws, xs, ys):
+    """sum w x y over three sequences of ints or Fractions."""
+    return sum(map(operator.mul, map(operator.mul, ws, xs), ys))
+
+
+def _row_dot(ws, xs, ys) -> _Row:
+    """sum w x y over int weights and two sequences of _Row."""
+    out = []
+    for c, x, y in zip(ws, xs, ys):
+        out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+        for i, xi in enumerate(x):
+            if xi:
+                cx = c * xi
+                for j, yj in enumerate(y, i):
+                    out[j] += cx * yj
+    return _Row(out)
+
+
+def _row_div(x: _Row, d: int) -> _Row:
+    return _Row(_exact(c, d) for c in x)
+
+
+def _ring(kappa, w) -> tuple:
+    """one, up (times kappa), weigh (times w), dot, div and emit for the
+    bodies of _bnf and _sigma_tail.  At an int kappa the elements are ints
+    and div is _exact; at KP_KAPPA they are _Row, up shifts and div is _exact
+    on each coefficient; at a Fraction kappa they are Fractions and div is
+    Fraction.  emit(x, d) is the coefficient x / d as a Fraction or KappaPoly."""
+    if _is_exact_rational(kappa):
+        div = _exact if isinstance(kappa, int) else Fraction
+        return 1, (lambda x: x * kappa), (lambda x: x * w), _dot, div, Fraction
+    if kappa == KP_KAPPA:
+        return _Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x * w), _row_dot, _row_div, _kappa_poly
+    raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
+
+
+def _split(value) -> tuple:
+    """A coefficient that _bnf emitted, as (numerator in its ring, int denominator)."""
+    if isinstance(value, KappaPoly):
+        return _Row(value.num), value.den
+    return value.numerator, value.denominator
+
+
+def _binomials(n: int) -> list[list[int]]:
+    """Rows 0..n of Pascal's triangle: C(k, i) = _binomials(n)[k][i]."""
+    rows = [[1]]
+    for _ in range(n):
+        rows.append([1, *map(operator.add, rows[-1], rows[-1][1:]), 1])
+    return rows
+
+
+def _y_scales(order: int) -> list[int]:
+    """s_0..s_order with s_k = 4^k k! (k-1)! and s_0 = 1."""
+    return list(itertools.accumulate(range(1, order + 1), lambda s, k: s * 4 * k * max(k - 1, 1), initial=1))
 
 
 def _bnf(kappa, order: int, w) -> list:
@@ -217,30 +307,46 @@ def _bnf(kappa, order: int, w) -> list:
         c3(y) y'' = y'^3 M,    M = int_0^J c1(y),
 
     c3(h) = -h + 2 kappa h^2 + 4 w h^3 and c1(h) = kappa/2 + 3 w h.  Its
-    J^m coefficient fixes y_{m+1} with pivot -m(m+1); every other term is a
+    J^m coefficient fixes y_(m+1) with pivot -m(m+1); every other term is a
     coefficient of an online product of coefficients already known.
+
+    The body runs on Y_k = y_k s_k, s_k = 4^k k! (k-1)!: the law
+    den(y_k) | s_k makes Y_k an integer at kappa = p with w = q^2, where
+    y_k is the coefficient of B scaled by q^(k-1).  y^2 and y^3 are held at
+    4^k k! (k-2)! and 4^k k! (k-3)!, c3(y) at s_k, y' at 4^(k+1) k!^2 (its
+    J^k coefficient is Y_(k+1)), y'^2 and y'^3 at 4^(k+2) k!^2 and
+    4^(k+3) k!^2.  Twice the J^m coefficient times 4^(m+2) m! (m-1)! reads
+
+        8 Y_(m+1) = 2 sum_(i=2..m) N(m, i) C3_i Y_(m+2-i) - m kappa P3_(m-1)
+                    - 6 (m-1) w sum_(k=2..m) C(m, k) C(m-2, k-2) Y_(k-1) P3_(m-k),
+
+    so the pivot m(m+1) is absorbed by the scale and the 8 is the slack
+    that the kappa/2 of c1 and the 4 in Y_1 = 4 leave.  The weight of the
+    c3 y'' term is the Narayana number N(m, i) = C(m, i) C(m, i-1) / m, the
+    natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.  Each
+    y_k = Y_k / s_k is emitted once.
     """
     if order < 1:
         raise SeriesUsageError("need order >= 1")
-    zero = kappa * Fraction(0)
-    y = [zero, zero + 1]
-    y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
-    mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3 w y
-    p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
+    one, up, weigh, dot, div, emit = _ring(kappa, w)
+    c, mul, zero = _binomials(order), operator.mul, 0 * one
+    y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
+    p2, p3 = [], []  # y'^2, y'^3
     for m in range(1, order):
-        # y_m is known: extend every product through the coefficients it fixes
-        y2.append(_cauchy(y, y, m, 1))
-        y3.append(_cauchy(y2, y, m, 1))
-        c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * (4 * w))
-        mint.append(y[m] * Fraction(3 * w, m + 1))
-        p.append(y[m] * m)
-        p2.append(_cauchy(p, p, m - 1, 0))
-        p3.append(_cauchy(p2, p, m - 1, 0))
-        # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
-        known = _cauchy(c3y, ypp, m, 2) - _cauchy(mint, p3, m, 1)
-        y.append(known * Fraction(1, m * (m + 1)))
-        ypp.append(y[m + 1] * ((m + 1) * m))
-    return y
+        # Y_m is known: extend every product through the coefficients it fixes
+        if m > 1:
+            y2.append(dot(map(mul, c[m][1:m], c[m - 2]), y[1:m], y[m - 1 : 0 : -1]))
+        if m > 2:
+            y3.append(dot(map(mul, c[m][2:m], c[m - 3]), y2[2:m], y[m - 2 : 0 : -1]))
+        c3y.append(-y[m] + 2 * (m - 1) * up(y2[m]) + 4 * (m - 1) * (m - 2) * weigh(y3[m]))
+        square = [b * b for b in c[m - 1]]
+        p2.append(dot(square, y[1 : m + 1], y[m:0:-1]))
+        p3.append(dot(square, p2, y[m:0:-1]))
+        narayana = [_exact(a * b, m) for a, b in zip(c[m][2:], c[m][1:m])]
+        mp3 = dot(map(mul, c[m][2:], c[m - 2]), y[1:m], p3[: m - 1][::-1])
+        known = 2 * dot(narayana, c3y[2:], y[m:1:-1]) - m * up(p3[m - 1]) - 6 * (m - 1) * weigh(mp3)
+        y.append(div(known, 8))
+    return [emit(v, s) for v, s in zip(y, _y_scales(order))]
 
 
 def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
@@ -257,25 +363,49 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
     y = B, A = 1/y', K = c3(y)/y = 4 w y^2 + 2 kappa y - 1 and C = y K A =
     -J + ...; its J^(m-1) coefficient fixes G_m with pivot -m^2, G_0 = 0.
     The weight w is that of _bnf, which gave bnf.
+
+    The body runs on _bnf's Y_k = y_k s_k, read back exactly from bnf, and
+    holds A, K and K A at 4^k k!^2, C at s_k, 2 c1(y) y' = kappa y' +
+    3 w (y^2)' at 4^(k+1) k!^2, F = -K A' - (K A)' = 2 kappa + 8 w y -
+    2 (K A)' at 4^(k+1) k! (k+1)!, G at 4^k (k-1)! k! and
+    lambda = J (log(B/J))' at 4^k k!^2.  The pivots left after scaling are
+    4 for A (from A y' = 1), 4 m^2 for G and 4 (k+1) for lambda (from
+    (B/J) lambda = J (B/J)'), each division checked exact.  The tail's
+    coefficient sigma_(k+1) = -(lambda_k / k + (G y')_k) / (k+1) is emitted
+    once, over k s_(k+1): the 1/k of the log and the 1/(k+1) of the last
+    integral go there, with no lcm(1..k) inside the loop.
     """
-    zero = kappa * Fraction(0)
-    y = bnf[: order + 1]
-    n = order - 1
-    p = deriv_list(y)
-    a = recip_trunc(p, n)
-    k = add_list([c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n), y)], [zero - 1])
-    ka = mul_trunc(k, a, n)
-    c = mul_trunc(y, ka, n)
-    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y]), p, n)
-    # -K A' - (K A)' = K' A - 2 (K A)', and K' A = 8 w y + 2 kappa since A y' = 1
-    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))])
-    g, gp = [zero], []  # G, G'
+    one, up, weigh, dot, div, emit = _ring(kappa, w)
+    c, mul, zero, n = _binomials(order), operator.mul, 0 * one, order - 1
+    scales = _y_scales(order)
+    y = [div(x * s, d) for (x, d), s in zip(map(_split, bnf[: order + 1]), scales)]
+    a = [one]
+    for j in range(1, n + 1):
+        a.append(div(-dot([b * b for b in c[j][1:]], y[2 : j + 2], a[::-1]), 4))
+    y2 = [zero, zero]
+    y2 += [dot(map(mul, c[j][1:j], c[j - 2]), y[1:j], y[j - 1 : 0 : -1]) for j in range(2, n + 1)]
+    k = [-one] + [4 * j * (j - 1) * weigh(y2[j]) + 2 * j * up(y[j]) for j in range(1, n + 1)]
+    ka = [dot([b * b for b in c[j]], k[: j + 1], a[j::-1]) for j in range(n + 1)]
+    cy = [zero] + [dot(map(mul, c[j][1:], c[j - 1]), y[1 : j + 1], ka[j - 1 :: -1]) for j in range(1, n + 1)]
+    d = [up(y[j + 1]) + 3 * j * weigh(y2[j + 1]) for j in range(n - 1)]
+    f = [32 * j * (j + 1) * weigh(y[j]) - 2 * ka[j + 1] for j in range(n)]
+    if f:
+        f[0] += 8 * up(one)  # the constant 2 kappa
+    g, lam = [zero], [zero]
     for m in range(1, n + 1):
-        known = _cauchy(c, gp, m, 2) * m + _cauchy(d, g, m - 1, 0)
-        g.append((known - f[m - 1]) * Fraction(1, m * m))
-        gp.append(g[m] * m)
-    log_unit = log_unit_trunc(y[1:], n)
-    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n))])
+        # J^(m-1) times 4^(m+1) m! (m-1)!: 4 m^2 G_m = m (sum over C G' and
+        # 2 (m-1) sum over D G, both against G_(m-1)..G_1) - 4 F_(m-1)
+        back = g[m - 1 : 0 : -1]
+        known = dot(map(mul, c[m][2:], c[m - 1][1:]), cy[2 : m + 1], back)
+        known += 2 * (m - 1) * dot(map(mul, c[m - 2], c[m - 1]), d[: m - 1], back)
+        g.append(div(m * known - 4 * f[m - 1], 4 * m * m))
+        known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
+        lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
+    tail = [emit(zero, 1)] * 2
+    for j in range(1, n + 1):
+        gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
+        tail.append(emit(-(4 * lam[j] + j * j * gp), j * scales[j + 1]))
+    return tail
 
 
 def _sequences(kappa, n: int) -> dict:

@@ -26,6 +26,13 @@ from eulertop.series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
+    _cauchy,
+    add_list,
+    deriv_list,
+    integrate_list,
+    log_unit_trunc,
+    mul_trunc,
+    recip_trunc,
 )
 
 from expected_tables import A_TABLE, B_TABLE
@@ -177,6 +184,122 @@ def test_a_coefficients_positive():
                 assert c > 0, f"a_{n} coefficient of kappa^{m}"
             else:
                 assert c == 0
+
+
+# ---------------------------------------------------------------------------
+# B(J) and sigma against the Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_bnf(kappa, order, w):
+    # the B(J) recurrence on Fraction or KappaPoly coefficients: the oracle for _bnf's int body
+    if order < 1:
+        raise SeriesUsageError("need order >= 1")
+    zero = kappa * Fraction(0)
+    y = [zero, zero + 1]
+    y2, y3, c3y = [zero], [zero], [zero]  # y^2, y^3, c3(y)
+    mint = [zero, kappa * Fraction(1, 2)]  # M, with M' = c1(y) = kappa/2 + 3 w y
+    p, p2, p3, ypp = [], [], [], []  # y', y'^2, y'^3, y''
+    for m in range(1, order):
+        y2.append(_cauchy(y, y, m, 1))
+        y3.append(_cauchy(y2, y, m, 1))
+        c3y.append(-y[m] + kappa * 2 * y2[m] + y3[m] * (4 * w))
+        mint.append(y[m] * Fraction(3 * w, m + 1))
+        p.append(y[m] * m)
+        p2.append(_cauchy(p, p, m - 1, 0))
+        p3.append(_cauchy(p2, p, m - 1, 0))
+        # J^m: -m(m+1) y_{m+1} + sum_{i>=2} c3(y)_i y''_{m-i} = (M y'^3)_m
+        known = _cauchy(c3y, ypp, m, 2) - _cauchy(mint, p3, m, 1)
+        y.append(known * Fraction(1, m * (m + 1)))
+        ypp.append(y[m + 1] * ((m + 1) * m))
+    return y
+
+
+def _reference_sigma_tail(kappa, bnf, order, w):
+    # the sigma recurrence on Fraction or KappaPoly coefficients: the oracle for _sigma_tail
+    zero = kappa * Fraction(0)
+    y = bnf[: order + 1]
+    n = order - 1
+    p = deriv_list(y)
+    a = recip_trunc(p, n)
+    k = add_list([c * (4 * w) + kappa * 2 * d for c, d in zip(mul_trunc(y, y, n), y)], [zero - 1])
+    ka = mul_trunc(k, a, n)
+    c = mul_trunc(y, ka, n)
+    d = mul_trunc(add_list([kappa * Fraction(1, 2)], [x * (3 * w) for x in y]), p, n)
+    f = add_list([kappa * 2], [u * (8 * w) - v * 2 for u, v in zip(y, deriv_list(ka))])
+    g, gp = [zero], []  # G, G'
+    for m in range(1, n + 1):
+        known = _cauchy(c, gp, m, 2) * m + _cauchy(d, g, m - 1, 0)
+        g.append((known - f[m - 1]) * Fraction(1, m * m))
+        gp.append(g[m] * m)
+    log_unit = log_unit_trunc(y[1:], n)
+    return integrate_list([-(u + v) for u, v in zip(log_unit, mul_trunc(g, p, n))])
+
+
+@pytest.mark.parametrize(
+    "kappa",
+    [Fraction(0), Fraction(1, 2), Fraction(-5, 4), Fraction(7, 3), Fraction(-4028141964097261, 2251799813685248)],
+)
+def test_bnf_and_sigma_equal_the_fraction_reference(kappa):
+    # through J^60, twice the order of the other checks of the denominator laws,
+    # with the reference run at kappa itself, not at p with w = q^2
+    for n in (1, 2, 3, 60):
+        sequences = _sequences(kappa, n)
+        bnf, sigma = sequences["bnf"](), sequences["sigma"]()
+        expected = _reference_bnf(kappa, n, 1)
+        assert bnf == expected, n
+        assert sigma == _reference_sigma_tail(kappa, expected, n, 1), n
+        assert all(type(c) is Fraction for c in bnf + sigma), n
+
+
+def test_symbolic_bnf_and_sigma_equal_the_reference():
+    n = 16
+    sequences = _sequences(KP_KAPPA, n)
+    bnf, sigma = sequences["bnf"](), sequences["sigma"]()
+    expected = _reference_bnf(KP_KAPPA, n, 1)
+    assert bnf == expected
+    assert sigma == _reference_sigma_tail(KP_KAPPA, expected, n, 1)
+    assert all(type(c) is KappaPoly for c in bnf + sigma)
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), KP_KAPPA])
+def test_bnf_and_sigma_need_order_one(kappa):
+    with pytest.raises(SeriesUsageError, match="order >= 1"):
+        _bnf(kappa, 0, 1)
+    for name in ("bnf", "sigma"):
+        with pytest.raises(SeriesUsageError, match="order >= 1"):
+            _sequences(kappa, 0)[name]()
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), KP_KAPPA])
+def test_bnf_and_sigma_divisions_are_checked(monkeypatch, kappa):
+    # every product coefficient one unit off: the first pivot division is
+    # inexact, and the bodies raise instead of rounding
+    original = picardfuchs._ring
+
+    def ring(kappa, w):
+        one, up, weigh, dot, div, emit = original(kappa, w)
+        return one, up, weigh, (lambda *terms: dot(*terms) + one), div, emit
+
+    monkeypatch.setattr(picardfuchs, "_ring", ring)
+    for name in ("bnf", "sigma"):
+        with pytest.raises(InternalConsistencyError):
+            _sequences(kappa, 12)[name]()
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), KP_KAPPA])
+def test_sigma_refuses_a_bnf_off_its_denominator_law(monkeypatch, kappa):
+    # y_5 + 1e-40 has no integer Y_5 = y_5 4^5 5! 4!, which sigma reads back
+    original = picardfuchs._bnf
+
+    def bnf(*args):
+        values = original(*args)
+        values[5] += Fraction(1, 10**40)
+        return values
+
+    monkeypatch.setattr(picardfuchs, "_bnf", bnf)
+    with pytest.raises(InternalConsistencyError):
+        _sequences(kappa, 12)["sigma"]()
 
 
 # ---------------------------------------------------------------------------

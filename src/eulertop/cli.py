@@ -172,6 +172,8 @@ def _coefficient_table(series: PowerSeries, kappa: Fraction):
 
 def _cmd_bnf(args):
     series = euler_normal_form(args.order)
+    if series != invariants.bnf_via_reversion(args.order):
+        raise InternalConsistencyError("Lie normal form and reversion disagree")
     doc = lambda: _document(args, coefficients=_coefficient_table(series, args.kappa))
     return doc, lambda: _series_rows("bnf", series)
 

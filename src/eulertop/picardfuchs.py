@@ -20,25 +20,24 @@ O(n^2) ring operations: the a/b recursions of the Frobenius basis, and
 B(J) (the Birkhoff normal form, the compositional inverse of
 alpha = 2 pi I_r) and the sigma tail, which carry (c3 T')' + c1 T = 0 to
 J one coefficient at a time (online series solving, van der Hoeven 2002).
-_sequences is their one entry and the one place that picks the ring: the
-symbolic tables, or their values at kappa = p/q, where h = q Y and J = q u
-turn kappa into p and put w = q^2 on the n-2 terms of a and b and on the
-constants 3, 4, 8 of c1, c3, K and K'A.  The closed form puts
-C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of a_n, T(n, k) =
-(2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in b_n, with
-f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So A_n = 8^n a_n,
-B_n = 8^n L_n b_n, q^n A_n(p/q) and q^n B_n(p/q) are integral: a and b run
-over ints, every division checked exact.
+_sequences is their one entry and the one place that reads kappa and picks
+the one ring all four run on: the symbolic tables, or their values at
+kappa = p/q, where h = q Y and J = q u turn kappa into p and put w = q^2 on
+the n-2 terms of a and b and on the constants 3, 4, 8 of c1, c3, K and K'A.
+The closed form puts C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of
+a_n, T(n, k) = (2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in
+b_n, with f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So
+A_n = 8^n a_n, B_n = 8^n L_n b_n, q^n A_n(p/q) and q^n B_n(p/q) are
+integral: a and b run over ints, every division checked exact.
 
-B(J) and sigma run over ints too, one body each for every ring, with the
-few operations that differ read off kappa by _ring.  Each series is held at
-its own per-index scale, Y_n = y_n 4^n n! (n-1)! for B and
-4^(n+e) (n+r)! (n+t)! for each helper series, under which a Cauchy product
-has binomial weights (_bnf, _sigma_tail).  The weight w = q^2 is a
-parameter of _bnf and _sigma_tail, which return y_n q^(n-1) and
-sigma_n q^(n-1); _sequences divides out q^(n-1) once (series.unscale_list).
-The 1/(n+1) of sigma's last integral and the 1/n of its log enter the
-denominator with which each coefficient is emitted.
+B(J) and sigma run over ints too, on the same ring as a and b.  Each
+series is held at its own per-index scale, Y_n = y_n 4^n n! (n-1)! for B
+and 4^(n+e) (n+r)! (n+t)! for each helper series, under which a Cauchy
+product has binomial weights (_bnf, _sigma_tail).  At kappa = p/q, Y_n
+carries y_n q^(n-1), so y_n is emitted once over s_n q^(n-1), as a_n is over
+(8q)^n; sigma_(n+1) is emitted over n s_(n+1) q^n, which takes the 1/(n+1)
+of its last integral and the 1/n of its log too.  Nothing is unscaled after
+emission.
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
@@ -74,7 +73,6 @@ from .series import (
     deriv_list,
     mul_trunc,
     strip_list,
-    unscale_list,
 )
 
 __all__ = [
@@ -168,61 +166,25 @@ def _lcm_table(order: int) -> list[int]:
     return list(itertools.accumulate(pairs, math.lcm, initial=1))
 
 
-def _combine(den: int, *terms) -> list:
-    """The row sum(c * row for c, row in terms), divided exactly by den."""
-    out = [0] * max(len(row) for _, row in terms)
-    for c, row in terms:
-        for i, x in enumerate(row):
-            out[i] += c * x
-    return [_exact(x, den) for x in out]
-
-
-def _a_rows(up, weigh, order: int):
-    """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}).
-    A row of ints is the coefficients of kappa^0..kappa^n, which up (times
-    kappa) shifts, or the one value at kappa = p/q, which up multiplies by p."""
-    prev, row = [], [1]
-    yield row
-    for n in range(1, order + 1):
-        m = 2 * n - 1
-        prev, row = row, _combine(n * n, (4 * m * m, up(row)), (64 * m * (m - 2), weigh(prev)))
-        yield row
-
-
-def _b_rows(up, weigh, lcms: list):
-    """B_0..B_order, order = len(lcms) - 1, from n^3 B_n = (2n-1) [8 L_n kappa
-    A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2})
-    w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with A_0..A_(order-1) from _a_rows
-    run in lockstep."""
-    a_prev, b_prev, row = [], [], [0]
-    yield row
-    for n, a_row in zip(range(1, len(lcms)), _a_rows(up, weigh, len(lcms) - 2)):
-        ln, m = lcms[n], 2 * n - 1
-        terms = (
-            (8 * m * ln, up(a_row)),
-            (4 * n * m * m * _exact(ln, lcms[n - 1]), up(row)),
-            (64 * n * m * (m - 2) * _exact(ln, lcms[max(n - 2, 0)]), weigh(b_prev)),
-            (64 * (8 * n - 6) * ln, weigh(a_prev)),
-        )
-        a_prev, b_prev, row = a_row, row, _combine(n**3, *terms)
-        yield row
-
-
-# _bnf and _sigma_tail run one body over three rings, which _ring picks from
-# kappa: ints at kappa = p with w = q^2, _Row at KP_KAPPA with w = 1, and
-# Fractions at a Fraction kappa with w = 1.  Each series x of a body is held
-# as X_k = x_k D(k) with D(k) = 4^(k+e) (k+r)! (k+t)!, which the denominator
+# The four recurrences run one body each over the ring that _sequences picks
+# from kappa, (one, up, weigh, dot, div, emit): ints at kappa = p/q, where up
+# multiplies by p, weigh by w = q^2 and div is _exact, or _Row at KP_KAPPA,
+# where up shifts, weigh is the identity and div is _exact on each
+# coefficient.  Each series x of _bnf and _sigma_tail is held as
+# X_k = x_k D(k) with D(k) = 4^(k+e) (k+r)! (k+t)!, which the denominator
 # laws in the docstrings make integral (checked at 60 random 40-bit kappas to
 # n = 60 and at four kappas to n = 150).  Its product with a series of
 # offsets (e', r', t') at (e+e', r+r', t+t') has the integer weights
 # C(k+r+r', i+r) C(k+t+t', i+t), so every new coefficient is one weighted dot
-# product over coefficients already known, divided exactly by a small pivot,
-# and becomes a Fraction or a KappaPoly once, when it is emitted.
+# product over coefficients already known, divided exactly by a small pivot.
+# emit makes each value a Fraction or a KappaPoly once, over its scale times
+# the power of q that h = q Y and J = q u leave on it: (8q)^n for a_n,
+# s_k q^(k-1) for y_k and k s_(k+1) q^k for sigma_(k+1).
 
 
 class _Row(tuple):
     """A polynomial in kappa with int coefficients, lowest power first: the
-    symbolic ring element of _bnf and _sigma_tail, with the sums and int
+    symbolic ring element of the four recurrences, with the sums and int
     multiples that their bodies take."""
 
     __slots__ = ()
@@ -231,19 +193,19 @@ class _Row(tuple):
         return _Row(add_list(self, other))
 
     def __neg__(self):
-        return _Row(-c for c in self)
+        return _Row([-c for c in self])
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, c: int):
-        return _Row(c * x for x in self)
+        return _Row([c * x for x in self])
 
     __rmul__ = __mul__
 
 
 def _dot(ws, xs, ys):
-    """sum w x y over three sequences of ints or Fractions."""
+    """sum w x y over three sequences of ints."""
     return sum(map(operator.mul, map(operator.mul, ws, xs), ys))
 
 
@@ -261,28 +223,40 @@ def _row_dot(ws, xs, ys) -> _Row:
 
 
 def _row_div(x: _Row, d: int) -> _Row:
-    return _Row(_exact(c, d) for c in x)
+    return _Row([_exact(c, d) for c in x])
 
 
-def _ring(kappa, w) -> tuple:
-    """one, up (times kappa), weigh (times w), dot, div and emit for the
-    bodies of _bnf and _sigma_tail.  At an int kappa the elements are ints
-    and div is _exact; at KP_KAPPA they are _Row, up shifts and div is _exact
-    on each coefficient; at a Fraction kappa they are Fractions and div is
-    Fraction.  emit(x, d) is the coefficient x / d as a Fraction or KappaPoly."""
-    if _is_exact_rational(kappa):
-        div = _exact if isinstance(kappa, int) else Fraction
-        return 1, (lambda x: x * kappa), (lambda x: x * w), _dot, div, Fraction
-    if kappa == KP_KAPPA:
-        return _Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x * w), _row_dot, _row_div, _kappa_poly
-    raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
+def _a_rows(ring, order: int):
+    """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}),
+    each a ring element: the coefficients of kappa^0..kappa^n as a _Row, or
+    the one int value at kappa = p/q."""
+    one, up, weigh, _, div, _ = ring
+    prev, row = 0 * one, one
+    yield row
+    for n in range(1, order + 1):
+        m = 2 * n - 1
+        prev, row = row, div(4 * m * m * up(row) + 64 * m * (m - 2) * weigh(prev), n * n)
+        yield row
 
 
-def _split(value) -> tuple:
-    """A coefficient that _bnf emitted, as (numerator in its ring, int denominator)."""
-    if isinstance(value, KappaPoly):
-        return _Row(value.num), value.den
-    return value.numerator, value.denominator
+def _b_rows(ring, lcms: list):
+    """B_0..B_order, order = len(lcms) - 1, from n^3 B_n = (2n-1) [8 L_n kappa
+    A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2})
+    w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with A_0..A_(order-1) from _a_rows
+    run in lockstep."""
+    one, up, weigh, _, div, _ = ring
+    a_prev = b_prev = row = 0 * one
+    yield row
+    for n, a_row in zip(range(1, len(lcms)), _a_rows(ring, len(lcms) - 2)):
+        ln, m = lcms[n], 2 * n - 1
+        known = (
+            8 * m * ln * up(a_row)
+            + 4 * n * m * m * _exact(ln, lcms[n - 1]) * up(row)
+            + 64 * n * m * (m - 2) * _exact(ln, lcms[max(n - 2, 0)]) * weigh(b_prev)
+            + 64 * (8 * n - 6) * ln * weigh(a_prev)
+        )
+        a_prev, b_prev, row = a_row, row, div(known, n**3)
+        yield row
 
 
 def _binomials(n: int) -> list[list[int]]:
@@ -298,17 +272,18 @@ def _y_scales(order: int) -> list[int]:
     return list(itertools.accumulate(range(1, order + 1), lambda s, k: s * 4 * k * max(k - 1, 1), initial=1))
 
 
-def _bnf(kappa, order: int, w) -> list:
-    """B(J) through J^order, the compositional inverse of alpha.
+def _bnf(ring, order: int) -> list:
+    """Y_0..Y_order of B(J), the compositional inverse of alpha, each
+    Y_k = y_k s_k a ring element.
 
     With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
     (c3 T')' + c1 T = 0 integrates once to
 
         c3(y) y'' = y'^3 M,    M = int_0^J c1(y),
 
-    c3(h) = -h + 2 kappa h^2 + 4 w h^3 and c1(h) = kappa/2 + 3 w h.  Its
-    J^m coefficient fixes y_(m+1) with pivot -m(m+1); every other term is a
-    coefficient of an online product of coefficients already known.
+    c3(h) = -h + 2 kappa h^2 + 4 w h^3 and c1(h) = kappa/2 + 3 w h, w = 1.
+    Its J^m coefficient fixes y_(m+1) with pivot -m(m+1); every other term
+    is a coefficient of an online product of coefficients already known.
 
     The body runs on Y_k = y_k s_k, s_k = 4^k k! (k-1)!: the law
     den(y_k) | s_k makes Y_k an integer at kappa = p with w = q^2, where
@@ -323,12 +298,11 @@ def _bnf(kappa, order: int, w) -> list:
     so the pivot m(m+1) is absorbed by the scale and the 8 is the slack
     that the kappa/2 of c1 and the 4 in Y_1 = 4 leave.  The weight of the
     c3 y'' term is the Narayana number N(m, i) = C(m, i) C(m, i-1) / m, the
-    natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.  Each
-    y_k = Y_k / s_k is emitted once.
+    natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.
     """
     if order < 1:
         raise SeriesUsageError("need order >= 1")
-    one, up, weigh, dot, div, emit = _ring(kappa, w)
+    one, up, weigh, dot, div, _ = ring
     c, mul, zero = _binomials(order), operator.mul, 0 * one
     y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
     p2, p3 = [], []  # y'^2, y'^3
@@ -346,11 +320,12 @@ def _bnf(kappa, order: int, w) -> list:
         mp3 = dot(map(mul, c[m][2:], c[m - 2]), y[1:m], p3[: m - 1][::-1])
         known = 2 * dot(narayana, c3y[2:], y[m:1:-1]) - m * up(p3[m - 1]) - 6 * (m - 1) * weigh(mp3)
         y.append(div(known, 8))
-    return [emit(v, s) for v, s in zip(y, _y_scales(order))]
+    return y
 
 
-def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
-    """sigma(J) - linear_log * J through J^order, from B(J) through J^order or beyond.
+def _sigma_tail(ring, y: list, order: int, q: int) -> list:
+    """sigma(J) - linear_log * J through J^order, from _bnf's Y in the same
+    ring through J^order or beyond, at kappa = p/q (q = 1 at KP_KAPPA).
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
@@ -362,23 +337,20 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
 
     y = B, A = 1/y', K = c3(y)/y = 4 w y^2 + 2 kappa y - 1 and C = y K A =
     -J + ...; its J^(m-1) coefficient fixes G_m with pivot -m^2, G_0 = 0.
-    The weight w is that of _bnf, which gave bnf.
 
-    The body runs on _bnf's Y_k = y_k s_k, read back exactly from bnf, and
-    holds A, K and K A at 4^k k!^2, C at s_k, 2 c1(y) y' = kappa y' +
-    3 w (y^2)' at 4^(k+1) k!^2, F = -K A' - (K A)' = 2 kappa + 8 w y -
-    2 (K A)' at 4^(k+1) k! (k+1)!, G at 4^k (k-1)! k! and
-    lambda = J (log(B/J))' at 4^k k!^2.  The pivots left after scaling are
-    4 for A (from A y' = 1), 4 m^2 for G and 4 (k+1) for lambda (from
-    (B/J) lambda = J (B/J)'), each division checked exact.  The tail's
-    coefficient sigma_(k+1) = -(lambda_k / k + (G y')_k) / (k+1) is emitted
-    once, over k s_(k+1): the 1/k of the log and the 1/(k+1) of the last
-    integral go there, with no lcm(1..k) inside the loop.
+    The body runs on _bnf's Y_k = y_k s_k and holds A, K and K A at
+    4^k k!^2, C at s_k, 2 c1(y) y' = kappa y' + 3 w (y^2)' at
+    4^(k+1) k!^2, F = -K A' - (K A)' = 2 kappa + 8 w y - 2 (K A)' at
+    4^(k+1) k! (k+1)!, G at 4^k (k-1)! k! and lambda = J (log(B/J))' at
+    4^k k!^2.  The pivots left after scaling are 4 for A (from A y' = 1),
+    4 m^2 for G and 4 (k+1) for lambda (from (B/J) lambda = J (B/J)'), each
+    division checked exact.  The tail's coefficient sigma_(k+1) =
+    -(lambda_k / k + (G y')_k) / (k+1), scaled by q^k, is emitted once,
+    over k s_(k+1) q^k: the 1/k of the log, the 1/(k+1) of the last
+    integral and the scale go there, with no lcm(1..k) inside the loop.
     """
-    one, up, weigh, dot, div, emit = _ring(kappa, w)
+    one, up, weigh, dot, div, emit = ring
     c, mul, zero, n = _binomials(order), operator.mul, 0 * one, order - 1
-    scales = _y_scales(order)
-    y = [div(x * s, d) for (x, d), s in zip(map(_split, bnf[: order + 1]), scales)]
     a = [one]
     for j in range(1, n + 1):
         a.append(div(-dot([b * b for b in c[j][1:]], y[2 : j + 2], a[::-1]), 4))
@@ -401,45 +373,46 @@ def _sigma_tail(kappa, bnf: list, order: int, w) -> list:
         g.append(div(m * known - 4 * f[m - 1], 4 * m * m))
         known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
         lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
-    tail = [emit(zero, 1)] * 2
+    scales, tail = _y_scales(order), [emit(zero, 1)] * 2
     for j in range(1, n + 1):
         gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
-        tail.append(emit(-(4 * lam[j] + j * j * gp), j * scales[j + 1]))
+        tail.append(emit(-(4 * lam[j] + j * j * gp), j * scales[j + 1] * q**j))
     return tail
 
 
 def _sequences(kappa, n: int) -> dict:
     """The a, b, bnf and sigma-tail coefficients through index n at kappa
     (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
-    the four recurrences.  a and b keep no state, so each call builds its
-    table anew (b runs its own A rows); bnf and sigma share one Y."""
+    the four recurrences and the one place that reads kappa's type, which
+    picks the one ring all four run on.  a and b keep no state, so each
+    call builds its table anew (b runs its own A rows); bnf and sigma share
+    one Y."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
-        up, weigh = (lambda row: [c * p for c in row]), (lambda row: [c * w for c in row])
-        emit = lambda row, den: Fraction(row[0], den)
+        w = q * q
+        ring = 1, (lambda x: x * p), (lambda x: x * w), _dot, _exact, Fraction
     elif kappa == KP_KAPPA:
-        p, q = KP_KAPPA, 1
-        up, weigh, emit = (lambda row: [0, *row]), (lambda row: row), _kappa_poly
+        q = 1
+        ring = _Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x), _row_dot, _row_div, _kappa_poly
     else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     if n < 0:
         raise SeriesUsageError("table order must be non-negative")
-    w = q * q
+    emit = ring[-1]
 
     def a():
-        return [emit(row, (8 * q) ** m) for m, row in enumerate(_a_rows(up, weigh, n))]
+        return [emit(x, (8 * q) ** m) for m, x in enumerate(_a_rows(ring, n))]
 
     def b():
         lcms = _lcm_table(n)
-        return [emit(row, (8 * q) ** m * lcms[m]) for m, row in enumerate(_b_rows(up, weigh, lcms))]
+        return [emit(x, (8 * q) ** m * lcms[m]) for m, x in enumerate(_b_rows(ring, lcms))]
 
-    scaled_y = functools.cache(lambda: _bnf(p, n, w))
-    return {
-        "a": a,
-        "b": b,
-        "bnf": lambda: unscale_list(scaled_y(), q),
-        "sigma": lambda: unscale_list(_sigma_tail(p, scaled_y(), n, w), q),
-    }
+    scaled_y = functools.cache(lambda: _bnf(ring, n))
+
+    def bnf():
+        return [emit(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(scaled_y(), _y_scales(n)))]
+
+    return {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, scaled_y(), n, q)}
 
 
 def _closed_form(order: int) -> tuple[list, list]:

@@ -42,7 +42,6 @@ __all__ = [
     "integrate_list",
     "log_unit_trunc",
     "revert_trunc",
-    "unscale_list",
 ]
 
 
@@ -338,16 +337,6 @@ def deriv_list(a: Sequence) -> list:
 
 def integrate_list(a: Sequence) -> list:
     return [a[0] * 0] + [a[n] * Fraction(1, n + 1) for n in range(len(a))]
-
-
-def unscale_list(a: Sequence, q: int) -> list:
-    """The coefficients a_n q^(1 - n) of q a(x/q), from those of a(u): one
-    multiplication or division by a power of the integer q per coefficient.
-    At q = 1 the list comes back unchanged, so a ring without division
-    (KappaPoly) passes through."""
-    if q == 1:
-        return list(a)
-    return [c * q ** (1 - n) if n <= 1 else c / q ** (n - 1) for n, c in enumerate(a)]
 
 
 def log_unit_trunc(a: Sequence, order: int) -> list:

@@ -12,6 +12,7 @@ import pytest
 
 from eulertop import cli, invariants, oracle, picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
+from eulertop.series import PowerSeries
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 
@@ -102,6 +103,21 @@ def test_frobenius_routes_that_disagree_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "frobenius", "--kappa=1/2", "--order=3")
     assert code == 3 and out == ""
     assert "recursion and closed form disagree" in err
+
+
+def test_bnf_routes_that_disagree_exit_3(capsys, monkeypatch):
+    original = invariants.bnf_via_reversion
+
+    def bnf_via_reversion(order):
+        series = original(order)
+        coeffs = list(series.coeffs)
+        coeffs[2] += Fraction(1, 10**40)
+        return PowerSeries(series.var, tuple(coeffs))
+
+    monkeypatch.setattr(invariants, "bnf_via_reversion", bnf_via_reversion)
+    code, out, err = run_cli(capsys, "bnf", "--kappa=1/2", "--order=3")
+    assert code == 3 and out == ""
+    assert "Lie normal form and reversion disagree" in err
 
 
 def test_actions_beta_signs(capsys):

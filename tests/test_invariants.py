@@ -21,9 +21,7 @@ from eulertop.normalform import euler_normal_form
 from eulertop.oracle import constant_value, rho_for_kappa
 from eulertop.picardfuchs import (
     LOG64_RATIO,
-    _bnf,
     _sequences,
-    _sigma_tail,
     build_action_series,
     frobenius_a_at,
     frobenius_b_at,
@@ -39,10 +37,10 @@ from eulertop.series import (
     integrate_list,
     log_unit_trunc,
     revert_trunc,
-    unscale_list,
 )
 
 from expected_tables import A_TABLE, B_TABLE, BNF_TABLE, SIGMA_TABLE
+from test_picardfuchs import _reference_bnf, _reference_sigma_tail
 
 K = KappaPoly.of(0, 1)
 
@@ -109,18 +107,16 @@ def test_recurrences_match_reversion_and_composition(kappa):
 @example(Fraction(-4028141964097261, 2251799813685248))  # kappa of a float inertia triple
 def test_scaled_recurrences_back_substitute_to_the_unscaled(kappa):
     """At kappa = p/q the integer a and b rows give the symbolic tables at
-    kappa, and the bnf and sigma recurrences over p with weight q^2 give
-    Y_n = y_n q^(n-1) and T_n = sigma_n q^(n-1), through n = 30, against the
-    same recurrences at kappa with weight 1."""
+    kappa, and the bnf and sigma recurrences, run over p with weight q^2 and
+    emitted over q^(n-1), give the Fraction recurrences run at kappa with
+    weight 1, through n = 30."""
     n = 30
-    p, q = kappa.as_integer_ratio()
-    w = q * q
     sequences, table = _sequences(kappa, n), frobenius_table(n)
     assert sequences["a"]() == [c(kappa) for c in table.a]
     assert sequences["b"]() == [c(kappa) for c in table.b]
-    scaled_y, y = _bnf(p, n, w), _bnf(kappa, n, 1)
-    assert unscale_list(scaled_y, q) == y
-    assert unscale_list(_sigma_tail(p, scaled_y, n, w), q) == _sigma_tail(kappa, y, n, 1)
+    y = _reference_bnf(kappa, n, 1)
+    assert sequences["bnf"]() == y
+    assert sequences["sigma"]() == _reference_sigma_tail(kappa, y, n, 1)
 
 
 def test_symbolic_route_gives_the_expected_tables():

@@ -345,7 +345,7 @@ _COMMANDS = {
     "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24, 1)}, _SERIES_HEADER),
     "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200, 1)}, _SERIES_HEADER),
     "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200, 1), "precision": (17, 100, 1)}, _SERIES_HEADER),
-    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 30, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 80, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),
     "verify": (
         _cmd_verify,
         {**_KAPPA, "order": (30, 100, 1), "tol": None, "precision": (17, 100, 1), "samples": None},

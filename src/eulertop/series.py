@@ -304,18 +304,38 @@ def _cauchy(a: Sequence, b: Sequence, n: int, lo: int):
 
 
 def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
-    """Horner composition outer(inner(x)); inner must have zero constant term."""
-    if inner[0]:
+    """The composition outer(inner(x)) truncated at ``order``; inner must have
+    zero constant term.
+
+    Baby steps and giant steps (Brent & Kung 1978, "Fast algorithms for
+    manipulating formal power series", J. ACM 25).  Outer coefficients past
+    ``order`` are dropped, since inner^k starts at x^k.  With m = isqrt of
+    the n left, form inner^1 ... inner^m, take each block of m outer
+    coefficients as a combination of those powers plus its constant term,
+    and run Horner over the blocks with inner^m as the step.  That is about
+    2 sqrt(n) truncated products, against n for Horner on single
+    coefficients (the case m = 1).
+    """
+    zero = inner[0]
+    if zero:
         raise SeriesUsageError("inner series must vanish at 0")
     if order < 0:
         raise SeriesUsageError("need order >= 0")
-    res = [inner[0]] * (order + 1)
-    if not outer:
-        return res
-    res[0] = outer[-1]
-    for k in range(len(outer) - 2, -1, -1):
-        res = mul_trunc(res, inner, order)
-        res[0] = res[0] + outer[k]
+    outer = outer[: order + 1]
+    m = max(math.isqrt(len(outer)), 1)
+    powers = [inner[: order + 1]]
+    while len(powers) < m:
+        powers.append(mul_trunc(powers[-1], inner, order))
+    res = [zero] * (order + 1)
+    for start in reversed(range(0, len(outer), m)):
+        if start + m < len(outer):
+            res = mul_trunc(res, powers[-1], order)
+        res[0] = res[0] + outer[start]
+        for c, power in zip(outer[start + 1 : start + m], powers):
+            if c:
+                for i, x in enumerate(power):
+                    if x:
+                        res[i] = res[i] + c * x
     return res
 
 

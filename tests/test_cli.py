@@ -233,7 +233,7 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     # the ceilings: one above exits 2 with a message that names the limit
     for argv, limit in (
         (["bnf", "--kappa=1/2", "--order=100000000"], "24"),
-        (["invariant", "--kappa=1/2", "--order=31"], "30"),
+        (["invariant", "--kappa=1/2", "--order=81"], "80"),
         (["frobenius", "--kappa=1/2", "--order=201"], "200"),
         (["actions", "--kappa=1/2", "--order=201"], "200"),
         (["verify", "--kappa=1/2", "--order=101"], "100"),
@@ -245,7 +245,7 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert code == 2 and f"to {limit}:" in err, argv
     # the floors, each named in its message; extract_sigma needs order >= 2
     for argv, message in (
-        (["invariant", "--kappa=1/2", "--order=1"], "from 2 to 30:"),
+        (["invariant", "--kappa=1/2", "--order=1"], "from 2 to 80:"),
         (["radius", "--kappa=1/2", "--nmax=19"], "from 20 to 400:"),
         (["bnf", "--kappa=1/2", "--order=0"], "from 1 to 24:"),
         (["actions", "--kappa=1/2", "--precision=0"], "--precision and PRECISION need an integer from 1 to 100:"),
@@ -427,6 +427,17 @@ def test_csv_output_builds_no_json_document(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "") and json.loads(out)["command"] == argv[0], argv
     assert run_cli(capsys, *tables[0], "--format=csv")[0] == 3
+
+
+def test_invariant_at_its_ceiling_with_a_long_kappa_exits_2_before_any_table(capsys, monkeypatch):
+    # a 300-digit (997-bit) kappa at the order ceiling gives JSON values far
+    # past the 4300 digits Python prints
+    ceiling = _COMMANDS["invariant"][1]["order"][1]
+    tables = []
+    monkeypatch.setattr(invariants, "extract_sigma", lambda *args: tables.append(args))
+    code, out, err = run_cli(capsys, "invariant", "--kappa=" + "7" * 300, f"--order={ceiling}")
+    assert (code, out) == (2, "") and "--order" in err and "--kappa" in err
+    assert tables == []
 
 
 def test_kappa_exponent_past_the_digit_limit_exits_2(capsys, monkeypatch):

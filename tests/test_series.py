@@ -3,7 +3,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 from eulertop.series import (
@@ -272,6 +272,45 @@ def test_fraction_reversion_round_trip(linear, tail, n):
     identity = [0, 1] + [0] * (n - 1)
     assert compose_trunc(a, g, n) == identity
     assert compose_trunc(g, a, n) == identity
+
+
+def power_sum(outer, inner, order):
+    """sum_k outer[k] inner^k through x^order, each power one more mul_trunc."""
+    total = [inner[0]] * (order + 1)
+    if outer:
+        total[0] = outer[0]
+    power = inner[: order + 1]
+    for c in outer[1:]:
+        total = add_list(total, [c * x for x in power])
+        power = mul_trunc(power, inner, order)
+    return total
+
+
+@st.composite
+def compositions(draw):
+    """outer, inner with a zero constant term, and an order, over Fraction or
+    KappaPoly; the lengths run above and below order + 1."""
+    coeffs, zero = draw(st.sampled_from([(rationals, Fraction(0)), (kappa_polys, KP_ZERO)]))
+    outer = draw(st.lists(coeffs, max_size=14))
+    inner = [zero, *draw(st.lists(coeffs, max_size=11))]
+    return outer, inner, draw(st.integers(0, 10))
+
+
+FRACTIONS = [Fraction(c, 3) for c in range(-4, 6)]
+POLYS = [KappaPoly.of(c, 1 - c) for c in range(-4, 6)]
+
+
+@given(compositions())
+@example((FRACTIONS[:0], [0, *FRACTIONS[:3]], 3))  # empty outer
+@example((POLYS[:1], [KP_ZERO, K], 2))  # one coefficient, no power of inner
+@example((FRACTIONS[:4], [0, 1, -1], 5))  # 4 and 9 coefficients: m = 2 and 3, full blocks
+@example((POLYS[:9], [KP_ZERO, KP_ONE, K], 9))
+@example((FRACTIONS[:9], [0, *FRACTIONS[1:5]], 2))  # outer past order + 1
+@example((POLYS[:6], [KP_ZERO, K], 8))  # inner shorter than order + 1
+@example((FRACTIONS[:7], [0, 1, 2], 0))  # order 0
+def test_compose_is_the_sum_of_powers(case):
+    outer, inner, order = case
+    assert compose_trunc(outer, inner, order) == power_sum(outer, inner, order)
 
 
 @given(

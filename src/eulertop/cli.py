@@ -444,14 +444,14 @@ def _check_radius_cost(args) -> None:
     took 26-29 s (nmax 400, b = 16): a run within the ceiling takes under half
     the minute it aims at.  At the same bound a longer kappa costs less, since
     the integer scales of the recurrences, about 2 nmax log2(nmax) bits,
-    outweigh the bits of kappa.  The a and b targets took 0.65, 1.84, 4.62
-    and 9.39 s at nmax 200 and 1.97, 10.2, 33.4 and 75.2 s at nmax 400, with
+    outweigh the bits of kappa.  The a and b targets took 0.035, 0.19, 0.57
+    and 1.36 s at nmax 200 and 0.12, 0.79, 2.84 and 6.23 s at nmax 400, with
     kappa = (2^k + 1)/(2^k - 3) of b = 100, 300, 600 and 998 bits; a random
-    998-bit kappa took 106 s at nmax 400.  Their time grows about as
-    nmax^3 (b + 14)^2: random kappas at 2.4e13 to 3.0e13 took 38-46 s (nmax 400
-    at b = 600, 234 at 1500, 149 at 3000, 52 at 14281) and one at 1.2e14 took
-    131 s (nmax 83, b = 14281).  A run within the bnf and sigma ceiling is
-    within this one."""
+    998-bit kappa took 6.1 s at nmax 400.  Their time grows about as
+    nmax^3 (b + 14)^2: random kappas at 2.4e13 to 3.0e13 took 1.7-3.8 s (nmax
+    400 at b = 600, 234 at 1500, 149 at 3000, 52 at 14281) and one at 1.2e14
+    took 11.9 s (nmax 83, b = 14281), so this ceiling is far below the minute.
+    A run within the bnf and sigma ceiling is within this one."""
     if args.command != "radius":
         return
     bits = _kappa_bits(args.kappa)

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 from .oracle import log64_ratio, rho_for_kappa
 from .picardfuchs import (
     SymbolicConstant,
+    _scaled_sequences,
     _sequences,
     assemble_beta_actions,
 )
@@ -136,24 +137,30 @@ class RadiusReport:
     skipped: tuple[int, ...]
 
 
-def _ratio_estimates(coeffs: Sequence[Fraction]):
-    nonzero = [n for n, c in enumerate(coeffs) if c]
+def _ratio_estimates(pairs: Sequence[tuple[int, int]]):
+    """ns, one-step ratio estimates and skipped indices of a sequence of (X, S) pairs."""
+    nonzero = [n for n, (x, _) in enumerate(pairs) if x]
     skipped = tuple(
         n
         for n in range(nonzero[0], nonzero[-1] + 1)
-        if not coeffs[n]
+        if not pairs[n][0]
     ) if nonzero else ()
     ns, ratios = [], []
     for n1, n2 in zip(nonzero, nonzero[1:]):
         ns.append(n1)
-        ratios.append(_root_ratio(coeffs[n1], coeffs[n2], n2 - n1))
+        ratios.append(_root_ratio(pairs[n1], pairs[n2], n2 - n1))
     return tuple(ns), tuple(ratios), skipped
 
 
-def _root_ratio(c1: Fraction, c2: Fraction, gap: int) -> float:
-    """|c1 / c2|^(1/gap) for nonzero c1 and c2."""
-    # int true division rounds correctly, as float(c1 / c2) does, without its gcds
-    return (abs(c1.numerator * c2.denominator) / abs(c1.denominator * c2.numerator)) ** (1.0 / gap)
+def _root_ratio(c1: tuple[int, int], c2: tuple[int, int], gap: int) -> float:
+    """|c1 / c2|^(1/gap) for values c = X / S given as (X, S) pairs, X nonzero
+    and S positive."""
+    (x1, s1), (x2, s2) = c1, c2
+    # int true division rounds correctly, so either form is the float of the
+    # reduced quotient; the scales of a, b and bnf divide their successors'
+    step, rest = divmod(s2, s1)
+    quotient = abs(x1 * step) / abs(x2) if not rest else abs(x1 * s2) / abs(s1 * x2)
+    return quotient ** (1.0 / gap)
 
 
 def _aitken(xs: Sequence[float]) -> list[float]:
@@ -173,7 +180,9 @@ def radius_analysis(
 ) -> list[RadiusReport]:
     """Ratio-test radius estimates at an exact rational kappa, an int or a Fraction.
 
-    Coefficient sequences are computed exactly.  Each report carries the
+    Coefficient sequences are computed exactly, each as integer numerators
+    over integer scales, and every ratio is read from those integers: no
+    value is reduced to a Fraction.  Each report carries the
     consecutive-ratio estimates |c_n / c_{n+1}| over the nonzero terms, and
     ``extrapolated`` is a single Aitken delta-squared step on the last
     three two-step estimates |c_n / c_{n+2}|^(1/2).  Near kappa = 0 the a
@@ -184,7 +193,7 @@ def radius_analysis(
     The bnf and sigma targets share one B(J) within the call; nothing is
     kept between calls.
     """
-    sequences = _sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
+    _, sequences = _scaled_sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
     if isinstance(targets, str):  # tuple() would split it into one-letter names
         raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")
     targets = tuple(targets)
@@ -202,16 +211,17 @@ def radius_analysis(
         raise SeriesUsageError(
             "|kappa| is too large: rho = (kappa + sqrt(kappa^2 + 4))/2 is not a positive float"
         )
-    if kappa and abs(kappa) < Fraction(1, 2**1000):  # ratio estimates reach about 4 / |kappa|
+    p, q = kappa.as_integer_ratio()
+    if p and abs(p) << 1000 < q:  # ratio estimates reach about 4 / |kappa|
         raise SeriesUsageError("|kappa| is too small: its ratio estimates overflow a float")
     known = 0.5 * min(rho, 1.0 / rho)
     reports = []
     for name in targets:
-        coeffs = sequences[name]()
-        ns, ratios, skipped = _ratio_estimates(coeffs)
-        pairs = [n for n in range(len(coeffs) - 2) if coeffs[n] and coeffs[n + 2]]
+        pairs = sequences[name]()
+        ns, ratios, skipped = _ratio_estimates(pairs)
+        steps = [n for n in range(len(pairs) - 2) if pairs[n][0] and pairs[n + 2][0]]
         # the step reads the last three estimates, so only those are computed
-        two_step = [_root_ratio(coeffs[n], coeffs[n + 2], 2) for n in pairs[-3:]]
+        two_step = [_root_ratio(pairs[n], pairs[n + 2], 2) for n in steps[-3:]]
         accelerated = _aitken(two_step)
         extrapolated = accelerated[-1] if accelerated else (two_step[-1] if two_step else float("nan"))
         reports.append(

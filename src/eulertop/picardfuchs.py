@@ -20,10 +20,11 @@ O(n^2) ring operations: the a/b recursions of the Frobenius basis, and
 B(J) (the Birkhoff normal form, the compositional inverse of
 alpha = 2 pi I_r) and the sigma tail, which carry (c3 T')' + c1 T = 0 to
 J one coefficient at a time (online series solving, van der Hoeven 2002).
-_sequences is their one entry and the one place that reads kappa and picks
-the one ring all four run on: the symbolic tables, or their values at
-kappa = p/q, where h = q Y and J = q u turn kappa into p and put w = q^2 on
-the n-2 terms of a and b and on the constants 3, 4, 8 of c1, c3, K and K'A.
+_scaled_sequences is their one entry and the one place that reads kappa
+and picks the one ring all four run on: the symbolic tables, or their
+values at kappa = p/q, where h = q Y and J = q u turn kappa into p and put
+w = q^2 on the n-2 terms of a and b and on the constants 3, 4, 8 of c1, c3,
+K and K'A.
 The closed form puts C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of
 a_n, T(n, k) = (2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in
 b_n, with f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So
@@ -34,10 +35,13 @@ B(J) and sigma run over ints too, on the same ring as a and b.  Each
 series is held at its own per-index scale, Y_n = y_n 4^n n! (n-1)! for B
 and 4^(n+e) (n+r)! (n+t)! for each helper series, under which a Cauchy
 product has binomial weights (_bnf, _sigma_tail).  At kappa = p/q, Y_n
-carries y_n q^(n-1), so y_n is emitted once over s_n q^(n-1), as a_n is over
-(8q)^n; sigma_(n+1) is emitted over n s_(n+1) q^n, which takes the 1/(n+1)
-of its last integral and the 1/n of its log too.  Nothing is unscaled after
-emission.
+carries y_n q^(n-1), so y_n is X_n / S_n with S_n = s_n q^(n-1), as a_n is
+over (8q)^n and b_n over (8q)^n L_n; sigma_(n+1) is over n s_(n+1) q^n,
+which takes the 1/(n+1) of its last integral and the 1/n of its log too.
+Each sequence comes out as these (X_n, S_n) pairs, X_n a ring element and
+S_n a positive int.  _sequences emits each value from its pair once, as a
+Fraction or a KappaPoly, and nothing is unscaled after that; the ratio test
+of invariants.radius_analysis reads the pairs and reduces no value.
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
@@ -166,8 +170,8 @@ def _lcm_table(order: int) -> list[int]:
     return list(itertools.accumulate(pairs, math.lcm, initial=1))
 
 
-# The four recurrences run one body each over the ring that _sequences picks
-# from kappa, (one, up, weigh, dot, div, emit): ints at kappa = p/q, where up
+# The four recurrences run one body each over the ring that _scaled_sequences
+# picks from kappa, (one, up, weigh, dot, div): ints at kappa = p/q, where up
 # multiplies by p, weigh by w = q^2 and div is _exact, or _Row at KP_KAPPA,
 # where up shifts, weigh is the identity and div is _exact on each
 # coefficient.  Each series x of _bnf and _sigma_tail is held as
@@ -177,9 +181,9 @@ def _lcm_table(order: int) -> list[int]:
 # offsets (e', r', t') at (e+e', r+r', t+t') has the integer weights
 # C(k+r+r', i+r) C(k+t+t', i+t), so every new coefficient is one weighted dot
 # product over coefficients already known, divided exactly by a small pivot.
-# emit makes each value a Fraction or a KappaPoly once, over its scale times
-# the power of q that h = q Y and J = q u leave on it: (8q)^n for a_n,
-# s_k q^(k-1) for y_k and k s_(k+1) q^k for sigma_(k+1).
+# Each value is X / S: its ring element over its scale times the power of q
+# that h = q Y and J = q u leave on it, S = (8q)^n for a_n, (8q)^n L_n for
+# b_n, s_k q^(k-1) for y_k and k s_(k+1) q^k for sigma_(k+1).
 
 
 class _Row(tuple):
@@ -230,7 +234,7 @@ def _a_rows(ring, order: int):
     """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}),
     each a ring element: the coefficients of kappa^0..kappa^n as a _Row, or
     the one int value at kappa = p/q."""
-    one, up, weigh, _, div, _ = ring
+    one, up, weigh, _, div = ring
     prev, row = 0 * one, one
     yield row
     for n in range(1, order + 1):
@@ -244,7 +248,7 @@ def _b_rows(ring, lcms: list):
     A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2})
     w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with A_0..A_(order-1) from _a_rows
     run in lockstep."""
-    one, up, weigh, _, div, _ = ring
+    one, up, weigh, _, div = ring
     a_prev = b_prev = row = 0 * one
     yield row
     for n, a_row in zip(range(1, len(lcms)), _a_rows(ring, len(lcms) - 2)):
@@ -302,7 +306,7 @@ def _bnf(ring, order: int) -> list:
     """
     if order < 1:
         raise SeriesUsageError("need order >= 1")
-    one, up, weigh, dot, div, _ = ring
+    one, up, weigh, dot, div = ring
     c, mul, zero = _binomials(order), operator.mul, 0 * one
     y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
     p2, p3 = [], []  # y'^2, y'^3
@@ -324,8 +328,9 @@ def _bnf(ring, order: int) -> list:
 
 
 def _sigma_tail(ring, y: list, order: int, q: int) -> list:
-    """sigma(J) - linear_log * J through J^order, from _bnf's Y in the same
-    ring through J^order or beyond, at kappa = p/q (q = 1 at KP_KAPPA).
+    """sigma(J) - linear_log * J through J^order as (X, S) pairs, from _bnf's
+    Y in the same ring through J^order or beyond, at kappa = p/q (q = 1 at
+    KP_KAPPA).
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
@@ -345,11 +350,11 @@ def _sigma_tail(ring, y: list, order: int, q: int) -> list:
     4^k k!^2.  The pivots left after scaling are 4 for A (from A y' = 1),
     4 m^2 for G and 4 (k+1) for lambda (from (B/J) lambda = J (B/J)'), each
     division checked exact.  The tail's coefficient sigma_(k+1) =
-    -(lambda_k / k + (G y')_k) / (k+1), scaled by q^k, is emitted once,
-    over k s_(k+1) q^k: the 1/k of the log, the 1/(k+1) of the last
-    integral and the scale go there, with no lcm(1..k) inside the loop.
+    -(lambda_k / k + (G y')_k) / (k+1), scaled by q^k, is one pair over
+    k s_(k+1) q^k: the 1/k of the log, the 1/(k+1) of the last integral
+    and the scale go there, with no lcm(1..k) inside the loop.
     """
-    one, up, weigh, dot, div, emit = ring
+    one, up, weigh, dot, div = ring
     c, mul, zero, n = _binomials(order), operator.mul, 0 * one, order - 1
     a = [one]
     for j in range(1, n + 1):
@@ -373,46 +378,58 @@ def _sigma_tail(ring, y: list, order: int, q: int) -> list:
         g.append(div(m * known - 4 * f[m - 1], 4 * m * m))
         known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
         lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
-    scales, tail = _y_scales(order), [emit(zero, 1)] * 2
+    scales, tail = _y_scales(order), [(zero, 1)] * 2
     for j in range(1, n + 1):
         gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
-        tail.append(emit(-(4 * lam[j] + j * j * gp), j * scales[j + 1] * q**j))
+        tail.append((-(4 * lam[j] + j * j * gp), j * scales[j + 1] * q**j))
     return tail
 
 
-def _sequences(kappa, n: int) -> dict:
+def _scaled_sequences(kappa, n: int) -> tuple:
     """The a, b, bnf and sigma-tail coefficients through index n at kappa
-    (KP_KAPPA, an int or a Fraction), each behind a thunk: the one entry to
-    the four recurrences and the one place that reads kappa's type, which
-    picks the one ring all four run on.  a and b keep no state, so each
-    call builds its table anew (b runs its own A rows); bnf and sigma share
-    one Y."""
+    (KP_KAPPA, an int or a Fraction) as (X, S) pairs, each list behind a
+    thunk, with the emit that makes X / S one value of the ring: the one
+    entry to the four recurrences and the one place that reads kappa's
+    type, which picks the one ring all four run on.  a and b keep no state,
+    so each call builds its table anew (b runs its own A rows); bnf and
+    sigma share one Y."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         w = q * q
-        ring = 1, (lambda x: x * p), (lambda x: x * w), _dot, _exact, Fraction
+        ring, emit = (1, (lambda x: x * p), (lambda x: x * w), _dot, _exact), Fraction
     elif kappa == KP_KAPPA:
         q = 1
-        ring = _Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x), _row_dot, _row_div, _kappa_poly
+        ring, emit = (_Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x), _row_dot, _row_div), _kappa_poly
     else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     if n < 0:
         raise SeriesUsageError("table order must be non-negative")
-    emit = ring[-1]
 
     def a():
-        return [emit(x, (8 * q) ** m) for m, x in enumerate(_a_rows(ring, n))]
+        return [(x, (8 * q) ** m) for m, x in enumerate(_a_rows(ring, n))]
 
     def b():
         lcms = _lcm_table(n)
-        return [emit(x, (8 * q) ** m * lcms[m]) for m, x in enumerate(_b_rows(ring, lcms))]
+        return [(x, (8 * q) ** m * lcms[m]) for m, x in enumerate(_b_rows(ring, lcms))]
 
     scaled_y = functools.cache(lambda: _bnf(ring, n))
 
     def bnf():
-        return [emit(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(scaled_y(), _y_scales(n)))]
+        return [(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(scaled_y(), _y_scales(n)))]
 
-    return {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, scaled_y(), n, q)}
+    return emit, {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, scaled_y(), n, q)}
+
+
+def _sequences(kappa, n: int) -> dict:
+    """The a, b, bnf and sigma-tail coefficients through index n at kappa,
+    each behind a thunk: the pairs of _scaled_sequences, each emitted as one
+    Fraction or KappaPoly."""
+    emit, scaled = _scaled_sequences(kappa, n)
+
+    def emitted(pairs):
+        return lambda: list(itertools.starmap(emit, pairs()))
+
+    return {name: emitted(pairs) for name, pairs in scaled.items()}
 
 
 def _closed_form(order: int) -> tuple[list, list]:

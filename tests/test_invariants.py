@@ -272,16 +272,81 @@ def test_a_sequence_ratio_approaches_known_radius():
 _BIG = st.integers(-2**400, 2**400)
 
 
-@given(st.lists(st.one_of(st.just(Fraction(0)), st.builds(Fraction, _BIG, st.integers(1, 2**400))), max_size=12))
-@example([Fraction(3, 7), Fraction(0), Fraction(-2**300 + 1, 3**180), Fraction(5, 2**1000)])
-def test_ratio_estimates_round_as_the_fraction_quotient(coeffs):
-    ns, ratios, _ = invariants._ratio_estimates(coeffs)
+def _pairs(draws, chained):
+    """(x k, s k) pairs, a common factor k in both; chained makes each scale
+    divide the next, as the scales of a, b and bnf do."""
+    out, run = [], 1
+    for x, s, k in draws:
+        run = (run if chained else 1) * s * k
+        out.append((x * k, run))
+    return out
+
+
+_DRAW = st.tuples(st.one_of(st.just(0), _BIG), st.integers(1, 2**400), st.integers(1, 2**64))
+
+
+@given(st.builds(_pairs, st.lists(_DRAW, max_size=12), st.booleans()))
+@example([(3 * 5, 7 * 5), (0, 9), (-2**300 + 1, 3**180), (5 * 3, 2**1000 * 3)])
+@example([(6, 8), (0, 64), (-10 * 2**200, 2**200 * 512), (2**70, 4096 * 2**70)])
+def test_ratio_estimates_round_as_the_fraction_quotient(pairs):
+    ns, ratios, _ = invariants._ratio_estimates(pairs)
+    coeffs = [Fraction(x, s) for x, s in pairs]
     nonzero = [n for n, c in enumerate(coeffs) if c]
     assert ns == tuple(nonzero[:-1])
     assert ratios == tuple(
         float(abs(Fraction(coeffs[n1], 1) / coeffs[n2])) ** (1.0 / (n2 - n1))
         for n1, n2 in zip(nonzero, nonzero[1:])
     )
+
+
+KAPPA_52 = Fraction(-4028141964097261, 2251799813685248)  # of --theta=1,2,2.5 --ell=1
+
+
+def _reference_radius(kappa, nmax, name):
+    """ns, ratios, extrapolated and skipped of one report, by the Fraction
+    quotients of the emitted values: the reference for the pairs' ratios."""
+    coeffs = _sequences(kappa, nmax)[name]()
+
+    def root_ratio(c1, c2, gap):
+        return (abs(c1.numerator * c2.denominator) / abs(c1.denominator * c2.numerator)) ** (1.0 / gap)
+
+    nonzero = [n for n, c in enumerate(coeffs) if c]
+    ns = tuple(nonzero[:-1])
+    ratios = tuple(root_ratio(coeffs[i], coeffs[j], j - i) for i, j in zip(nonzero, nonzero[1:]))
+    skipped = tuple(n for n in range(nonzero[0], nonzero[-1] + 1) if not coeffs[n])
+    steps = [n for n in range(len(coeffs) - 2) if coeffs[n] and coeffs[n + 2]]
+    x = [root_ratio(coeffs[n], coeffs[n + 2], 2) for n in steps[-3:]]
+    d2 = x[2] - 2 * x[1] + x[0]
+    extrapolated = x[0] - (x[1] - x[0]) ** 2 / d2 if d2 else x[-1]
+    return ns, ratios, extrapolated, skipped
+
+
+@pytest.mark.parametrize(
+    "kappa,nmax_ab,nmax_bs",
+    [
+        (Fraction(0), 400, 60),
+        (Fraction(1, 2), 400, 60),
+        (Fraction(-5, 4), 400, 60),
+        (Fraction(7, 3), 400, 60),
+        (Fraction(1, 1000), 400, 60),
+        (KAPPA_52, 400, 60),
+        (Fraction(2**300 + 1, 2**300 - 3), 100, 30),
+    ],
+)
+def test_radius_reads_the_pairs_as_the_fraction_quotients(kappa, nmax_ab, nmax_bs):
+    for targets, nmax in ((("a", "b"), nmax_ab), (("bnf", "sigma"), nmax_bs)):
+        for report in radius_analysis(kappa, nmax, targets):
+            expected = _reference_radius(kappa, nmax, report.name)
+            assert (report.ns, report.ratios, report.extrapolated, report.skipped) == expected, report.name
+
+
+def test_radius_reduces_no_value(monkeypatch):
+    # Fraction reduces every value it builds by math.gcd; the ratios need none
+    gcd, calls = math.gcd, []
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    reports = radius_analysis(KAPPA_52, 60)
+    assert [r.name for r in reports] == ["a", "b", "bnf", "sigma"]
+    assert not calls
 
 
 def test_symmetric_top_skips_odd_coefficients():

@@ -197,9 +197,9 @@ def radius_analysis(
     if isinstance(targets, str):  # tuple() would split it into one-letter names
         raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")
     targets = tuple(targets)
-    for name in targets:  # every name, before any table is built
-        if name not in sequences:
-            raise SeriesUsageError(f"unknown sequence {_quoted(name)}")
+    for i, name in enumerate(targets):  # every name, before any table is built
+        if name not in sequences or name in targets[:i]:  # a repeat would build its table again
+            raise SeriesUsageError(f"{'repeated' if name in sequences else 'unknown'} sequence {_quoted(name)}")
     kappa = Fraction(kappa)
     if nmax < 20:
         raise SeriesUsageError("need nmax >= 20 for a stable estimate")

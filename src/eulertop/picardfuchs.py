@@ -71,8 +71,10 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
+    _Row,
     _is_exact_rational,
     _kappa_poly,
+    _row_dot,
     add_list,
     deriv_list,
     mul_trunc,
@@ -173,8 +175,8 @@ def _lcm_table(order: int) -> list[int]:
 # The four recurrences run one body each over the ring that _scaled_sequences
 # picks from kappa, (one, up, weigh, dot, div): ints at kappa = p/q, where up
 # multiplies by p, weigh by w = q^2 and div is _exact, or _Row at KP_KAPPA,
-# where up shifts, weigh is the identity and div is _exact on each
-# coefficient.  Each series x of _bnf and _sigma_tail is held as
+# where up shifts, weigh is the identity, dot is _row_dot and div is _exact
+# on each coefficient.  Each series x of _bnf and _sigma_tail is held as
 # X_k = x_k D(k) with D(k) = 4^(k+e) (k+r)! (k+t)!, which the denominator
 # laws in the docstrings make integral (checked at 60 random 40-bit kappas to
 # n = 60 and at four kappas to n = 150).  Its product with a series of
@@ -186,44 +188,9 @@ def _lcm_table(order: int) -> list[int]:
 # b_n, s_k q^(k-1) for y_k and k s_(k+1) q^k for sigma_(k+1).
 
 
-class _Row(tuple):
-    """A polynomial in kappa with int coefficients, lowest power first: the
-    symbolic ring element of the four recurrences, with the sums and int
-    multiples that their bodies take."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Row(add_list(self, other))
-
-    def __neg__(self):
-        return _Row([-c for c in self])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, c: int):
-        return _Row([c * x for x in self])
-
-    __rmul__ = __mul__
-
-
 def _dot(ws, xs, ys):
     """sum w x y over three sequences of ints."""
     return sum(map(operator.mul, map(operator.mul, ws, xs), ys))
-
-
-def _row_dot(ws, xs, ys) -> _Row:
-    """sum w x y over int weights and two sequences of _Row."""
-    out = []
-    for c, x, y in zip(ws, xs, ys):
-        out.extend([0] * (len(x) + len(y) - 1 - len(out)))
-        for i, xi in enumerate(x):
-            if xi:
-                cx = c * xi
-                for j, yj in enumerate(y, i):
-                    out[j] += cx * yj
-    return _Row(out)
 
 
 def _row_div(x: _Row, d: int) -> _Row:

@@ -6,12 +6,12 @@ log-augmented series, together with the calculus / composition / reversion
 operations the rest of the package builds on.  A kappa-polynomial is
 stored fraction-free, as int numerators over one positive int denominator,
 and reads its coefficients out as ``fractions.Fraction``; a series at a
-fixed rational kappa has ``Fraction`` coefficients.  The list kernel is
-generic over the ring: it runs on KappaPoly and Fraction lists, on the int
-numerators of a KappaPoly product, and ``horner`` also evaluates at floats
-and mpmath numbers (oracle.beta_action_value).  Truncation order is
-explicit state and binary operations truncate to the minimum order of
-their inputs.
+fixed rational kappa has ``Fraction`` coefficients.  The numerators are
+a _Row, whose one product _row_dot the recurrences of picardfuchs share.
+The list kernel is generic over the ring: it runs on KappaPoly and Fraction
+lists, and ``horner`` also evaluates at floats and mpmath numbers
+(oracle.beta_action_value).  Truncation order is explicit state and binary
+operations truncate to the minimum order of their inputs.
 """
 
 from __future__ import annotations
@@ -81,6 +81,41 @@ def _frac(x) -> Fraction:
 _ZERO = Fraction(0)  # the one zero coefficient that ``KappaPoly.coeffs`` hands out
 
 
+class _Row(tuple):
+    """A polynomial in kappa with int coefficients, lowest power first: the
+    numerators of a KappaPoly and the symbolic ring element of the
+    recurrences, with their sums and int multiples."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Row(add_list(self, other))
+
+    def __neg__(self):
+        return _Row([-c for c in self])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, c: int):
+        return self if c == 1 else _Row([c * x for x in self])
+
+    __rmul__ = __mul__
+
+
+def _row_dot(ws, xs, ys) -> _Row:
+    """sum w x y over int weights and two sequences of _Row: the one product of int rows."""
+    out = []
+    for c, x, y in zip(ws, xs, ys):
+        out.extend([0] * (len(x) + len(y) - 1 - len(out)))
+        for i, xi in enumerate(x):
+            if xi:
+                cx = c * xi
+                for j, yj in enumerate(y, i):
+                    out[j] += cx * yj
+    return _Row(out)
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class KappaPoly:
     """Polynomial in kappa with exact rational coefficients, lowest power first.
@@ -92,7 +127,7 @@ class KappaPoly:
     Fractions, is computed on each read.
     """
 
-    num: tuple[int, ...]
+    num: _Row
     den: int
 
     def __init__(self, coeffs: Iterable = ()):
@@ -131,14 +166,13 @@ class KappaPoly:
         a, da, b, db = self.num, self.den, other.num, other.den
         if da != db:  # over the lcm of the two denominators
             g = math.gcd(da, db)
-            a, b = [c * (db // g) for c in a], [c * (da // g) for c in b]
-            da = da // g * db
-        return _kappa_poly(add_list(a, b), da)
+            a, b, da = a * (db // g), b * (da // g), da // g * db
+        return _kappa_poly(a + b, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _kappa_poly([-c for c in self.num], self.den)
+        return _kappa_poly(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, KappaPoly) else KappaPoly.constant(-_frac(other)))
@@ -146,11 +180,10 @@ class KappaPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _frac(other)
-            return _kappa_poly([c * f.numerator for c in self.num], self.den * f.denominator)
+            return _kappa_poly(self.num * f.numerator, self.den * f.denominator)
         if not isinstance(other, KappaPoly):
             return NotImplemented
-        a, b = self.num, other.num
-        return _kappa_poly(mul_trunc(a, b, len(a) + len(b) - 2), self.den * other.den)
+        return _kappa_poly(_row_dot((1,), (self.num,), (other.num,)), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -188,7 +221,7 @@ def _settle(poly: KappaPoly, num: Sequence[int], den: int) -> None:
     """Store num / den in poly: trailing zeros stripped, one gcd reduction."""
     num = strip_list(num)
     g = math.gcd(den, *num)
-    object.__setattr__(poly, "num", tuple([c // g for c in num] if g > 1 else num))
+    object.__setattr__(poly, "num", _Row([c // g for c in num] if g > 1 else num))
     object.__setattr__(poly, "den", den // g)
 
 

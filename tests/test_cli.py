@@ -367,6 +367,18 @@ def test_radius_ceiling_counts_the_bits_of_kappa(capsys, monkeypatch):
     assert len(calls) == 5
 
 
+def test_radius_refuses_a_repeated_target_before_any_table(capsys, monkeypatch):
+    # the cost ceiling prices each target once; sigma,sigma at nmax 400 would
+    # build its table twice, about 13 s
+    calls = []
+    for name in ("_a_rows", "_b_rows", "_bnf", "_sigma_tail"):
+        original = getattr(picardfuchs, name)
+        monkeypatch.setattr(picardfuchs, name, lambda *args, f=original: calls.append(args) or f(*args))
+    code, out, err = run_cli(capsys, "radius", "--kappa=1/2", "--nmax=400", "--targets=sigma,sigma")
+    assert (code, out) == (2, "") and "repeated sequence 'sigma'" in err
+    assert calls == []
+
+
 def test_pendulum_grid_count_has_a_ceiling(capsys, monkeypatch):
     # 10^5 points take about 2 s and 200 MB as JSON, growing with the count;
     # a count past the ceiling exits 2 before any row is computed

@@ -150,6 +150,10 @@ def test_radius_checks_every_target_before_any_table(monkeypatch):
     monkeypatch.setattr(picardfuchs, "_bnf", lambda *args: calls.append(args) or original(*args))
     with pytest.raises(SeriesUsageError, match="'foo'"):
         radius_analysis(Fraction(1, 2), 20, ("bnf", "foo"))
+    # a repeat would build its table again, past the CLI's cost ceiling
+    for targets, name in ((("a", "a"), "'a'"), (("bnf", "sigma", "bnf"), "'bnf'")):
+        with pytest.raises(SeriesUsageError, match=f"repeated sequence {name}"):
+            radius_analysis(Fraction(1, 2), 20, targets)
     assert calls == []
 
 

@@ -15,7 +15,9 @@ from eulertop.series import (
     PowerSeries,
     SeriesUsageError,
     SingularReversionError,
+    _Row,
     _cauchy,
+    _row_dot,
     add_list,
     compose_trunc,
     horner,
@@ -422,12 +424,28 @@ def test_kappa_poly_canonical_examples():
     assert KappaPoly((Fraction(2, 4), 0)) == KappaPoly((Fraction(1, 2),))
     assert hash(KappaPoly((Fraction(2, 4), 0))) == hash(KappaPoly.of(Fraction(1, 2)))
     assert (KP_ZERO.num, KP_ZERO.den, KP_ZERO.degree) == ((), 1, float("-inf"))
+    assert type(KP_ZERO.num) is type(KappaPoly.of(1, 2).num) is _Row
     assert K * 2 - K - K == KP_ZERO and not K * 2 - K - K
     assert repr(KappaPoly.of(HALF, 0, 1)) == (
         "KappaPoly(coeffs=(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1)))"
     )
     assert str(KappaPoly.of(HALF, 0, -1)) == "1/2 + -1*k^2"
     assert pickle.loads(pickle.dumps(KP_ZERO)) == KP_ZERO
+
+
+# int rows with zero coefficients and negative values, empty ones included
+int_rows = st.lists(st.integers(-5, 5), max_size=5)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), int_rows, int_rows), max_size=4))
+def test_row_dot_is_the_weighted_sum_of_products(terms):
+    # reference: mul_trunc on plain int lists, each product scaled by its
+    # weight and the products summed with add_list
+    expected = []
+    for w, x, y in terms:
+        expected = add_list(expected, [w * c for c in mul_trunc(x, y, len(x) + len(y) - 2)])
+    got = _row_dot([w for w, _, _ in terms], [_Row(x) for _, x, _ in terms], [_Row(y) for _, _, y in terms])
+    assert type(got) is _Row and strip_list(got) == strip_list(expected)
 
 
 def test_kappa_poly_refuses_what_is_not_an_exact_rational():

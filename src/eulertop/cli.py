@@ -125,8 +125,7 @@ _ARGS = {
 
 
 def _num(x, precision: int) -> str:
-    from mpmath import mp  # only the commands that print mpmath numbers load it
-
+    mp = oracle.mp  # mpmath loads on first use: only the commands that print mpmath numbers load it
     return mp.nstr(mp.mpf(x) if not hasattr(x, "_mpf_") else x, precision)
 
 

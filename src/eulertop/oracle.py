@@ -18,16 +18,17 @@ the separatrix limit at h = 0:
   endpoint singularities handled by double-exponential quadrature.
 
 mpmath arithmetic lives only in this module; callers hand in exact series
-and get mpmath numbers back, which the CLI only formats.  ``rho_for_kappa``
-and ``log64_ratio`` take a float or an mpmath number, so
+and get mpmath numbers back, which the CLI only formats, through ``mp``.
+``rho_for_kappa`` and ``log64_ratio`` take a float or an mpmath number, so
 invariants.radius_analysis and pendulum_compare compute in floats through
-them.  mpmath is imported on first use, so a process that computes only in
-exact numbers and floats never loads it; the Gauss-Legendre rule class and
-the rules are built on the first quadrature.
+them.  This is the one module that imports mpmath, on the first use of
+``mp``, so a process that computes only in exact numbers and floats never
+loads it; the first quadrature builds the rules, once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,15 +62,6 @@ class _MpmathOnFirstUse:
 
 
 mp = _MpmathOnFirstUse()
-
-
-def __getattr__(name):
-    # PEP 562: the Gauss-Legendre rule class and the rules exist once the
-    # first quadrature has built them
-    if name in ("_NewtonGaussLegendre", "_RULES"):
-        _quadrature_rules()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -236,10 +228,20 @@ def _legendre_newton(n, x, prec):
     return new, weight
 
 
-def _newton_gauss_legendre():
-    """The class of the gauss scheme's rule, built once mpmath is loaded, since
-    it subclasses mpmath's."""
-    from mpmath.calculus.quadrature import GaussLegendre
+# The gauss schemes stop at Gauss-Legendre degree 8 (765 evaluations): the
+# action reaches full precision with it down to |h| = 1e-100 at 50 digits and
+# 1e-20 at 100 digits.  Closer in, a tight tolerance fails: degrees 9 and 10
+# would double and quadruple the evaluations for a few digits more of |h|.
+_GAUSS_MAXDEGREE = 8
+
+
+@functools.cache
+def _quadrature_rules() -> dict:
+    """One rule per scheme and process, so its node cache outlives each call,
+    with the highest degree mp.quad may climb to; built on the first
+    quadrature, since the gauss rule subclasses mpmath's."""
+    from mpmath import mp as ctx
+    from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
     class _NewtonGaussLegendre(GaussLegendre):
         """mpmath's Gauss-Legendre rule, with its nodes found by Newton's method
@@ -271,27 +273,7 @@ def _newton_gauss_legendre():
                     nodes += [(x, w), (-x, w)]
             return nodes
 
-    return _NewtonGaussLegendre
-
-
-# The gauss schemes stop at Gauss-Legendre degree 8 (765 evaluations): the
-# action reaches full precision with it down to |h| = 1e-100 at 50 digits and
-# 1e-20 at 100 digits.  Closer in, a tight tolerance fails: degrees 9 and 10
-# would double and quadruple the evaluations for a few digits more of |h|.
-_GAUSS_MAXDEGREE = 8
-
-
-def _quadrature_rules() -> dict:
-    """One rule per scheme and process, so its node cache outlives each call,
-    with the highest degree mp.quad may climb to; built on the first call."""
-    global _NewtonGaussLegendre, _RULES
-    if "_RULES" not in globals():
-        from mpmath import mp as ctx
-        from mpmath.calculus.quadrature import TanhSinh
-
-        _NewtonGaussLegendre = _newton_gauss_legendre()
-        _RULES = {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (TanhSinh(ctx), 10)}
-    return _RULES
+    return {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (TanhSinh(ctx), 10)}
 
 
 def _quad(integrand, interval, scheme, wdps):

@@ -243,9 +243,10 @@ def _y_scales(order: int) -> list[int]:
     return list(itertools.accumulate(range(1, order + 1), lambda s, k: s * 4 * k * max(k - 1, 1), initial=1))
 
 
-def _bnf(ring, order: int) -> list:
+def _bnf(ring, order: int) -> tuple:
     """Y_0..Y_order of B(J), the compositional inverse of alpha, each
-    Y_k = y_k s_k a ring element.
+    Y_k = y_k s_k a ring element, with the Y^2 and the binomial table
+    _binomials(order) of its pass, which _sigma_tail reads too.
 
     With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
     (c3 T')' + c1 T = 0 integrates once to
@@ -291,13 +292,13 @@ def _bnf(ring, order: int) -> list:
         mp3 = dot(map(mul, c[m][2:], c[m - 2]), y[1:m], p3[: m - 1][::-1])
         known = 2 * dot(narayana, c3y[2:], y[m:1:-1]) - m * up(p3[m - 1]) - 6 * (m - 1) * weigh(mp3)
         y.append(div(known, 8))
-    return y
+    return y, y2, c
 
 
-def _sigma_tail(ring, y: list, order: int, q: int) -> list:
-    """sigma(J) - linear_log * J through J^order as (X, S) pairs, from _bnf's
-    Y in the same ring through J^order or beyond, at kappa = p/q (q = 1 at
-    KP_KAPPA).
+def _sigma_tail(ring, y: list, y2: list, c: list, q: int) -> list:
+    """sigma(J) - linear_log * J through J^order as (X, S) pairs, from the
+    pass of _bnf(ring, order) in the same ring, its Y, Y^2 and binomial
+    table c, at kappa = p/q (q = 1 at KP_KAPPA).
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
@@ -322,12 +323,10 @@ def _sigma_tail(ring, y: list, order: int, q: int) -> list:
     and the scale go there, with no lcm(1..k) inside the loop.
     """
     one, up, weigh, dot, div = ring
-    c, mul, zero, n = _binomials(order), operator.mul, 0 * one, order - 1
+    mul, zero, n = operator.mul, 0 * one, len(c) - 2  # n = order - 1
     a = [one]
     for j in range(1, n + 1):
         a.append(div(-dot([b * b for b in c[j][1:]], y[2 : j + 2], a[::-1]), 4))
-    y2 = [zero, zero]
-    y2 += [dot(map(mul, c[j][1:j], c[j - 2]), y[1:j], y[j - 1 : 0 : -1]) for j in range(2, n + 1)]
     k = [-one] + [4 * j * (j - 1) * weigh(y2[j]) + 2 * j * up(y[j]) for j in range(1, n + 1)]
     ka = [dot([b * b for b in c[j]], k[: j + 1], a[j::-1]) for j in range(n + 1)]
     cy = [zero] + [dot(map(mul, c[j][1:], c[j - 1]), y[1 : j + 1], ka[j - 1 :: -1]) for j in range(1, n + 1)]
@@ -345,7 +344,7 @@ def _sigma_tail(ring, y: list, order: int, q: int) -> list:
         g.append(div(m * known - 4 * f[m - 1], 4 * m * m))
         known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
         lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
-    scales, tail = _y_scales(order), [(zero, 1)] * 2
+    scales, tail = _y_scales(n + 1), [(zero, 1)] * 2
     for j in range(1, n + 1):
         gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
         tail.append((-(4 * lam[j] + j * j * gp), j * scales[j + 1] * q**j))
@@ -359,7 +358,7 @@ def _scaled_sequences(kappa, n: int) -> tuple:
     entry to the four recurrences and the one place that reads kappa's
     type, which picks the one ring all four run on.  a and b keep no state,
     so each call builds its table anew (b runs its own A rows); bnf and
-    sigma share one Y."""
+    sigma share one pass of _bnf."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         w = q * q
@@ -379,12 +378,12 @@ def _scaled_sequences(kappa, n: int) -> tuple:
         lcms = _lcm_table(n)
         return [(x, (8 * q) ** m * lcms[m]) for m, x in enumerate(_b_rows(ring, lcms))]
 
-    scaled_y = functools.cache(lambda: _bnf(ring, n))
+    bnf_pass = functools.cache(lambda: _bnf(ring, n))
 
     def bnf():
-        return [(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(scaled_y(), _y_scales(n)))]
+        return [(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(bnf_pass()[0], _y_scales(n)))]
 
-    return emit, {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, scaled_y(), n, q)}
+    return emit, {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, *bnf_pass(), q)}
 
 
 def _sequences(kappa, n: int) -> dict:

@@ -182,7 +182,7 @@ def test_gauss_nodes_match_mpmath(dps):
     # 2^-(prec + 8), which its weights just meet; the nodes hold to the
     # 1.5 prec bits mpmath works at, less 2
     prec = _prec(dps)
-    rule = oracle._NewtonGaussLegendre(mp)
+    rule = type(oracle._quadrature_rules()["gauss"][0])(mp)
     for degree in range(1, 8 if dps == 100 else 9):
         nodes = rule.calc_nodes(degree, prec)
         reference = GaussLegendre(mp).calc_nodes(degree, prec + 64)
@@ -196,7 +196,7 @@ def test_gauss_nodes_match_mpmath(dps):
 def test_gauss_rule_integrates_even_powers_exactly():
     # degree m has n = 3 * 2^(m-1) points: exact on x^(2k) for 2k < 2n
     prec = _prec(50)
-    rule = oracle._NewtonGaussLegendre(mp)
+    rule = type(oracle._quadrature_rules()["gauss"][0])(mp)
     with mp.workprec(prec + 20):
         for degree in range(1, 9):
             nodes = rule.calc_nodes(degree, prec)
@@ -215,7 +215,7 @@ def test_gauss_rule_integrates_even_powers_exactly():
 @pytest.mark.parametrize("kappa, h, dps", [(0.5, 0.02, 50), (0.5, -0.02, 30), (-2, 1e-6, 30), (-20, -1e-5, 30)])
 def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
     ours = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
-    monkeypatch.setitem(oracle._RULES, "gauss", (GaussLegendre(mp), oracle._GAUSS_MAXDEGREE))
+    monkeypatch.setitem(oracle._quadrature_rules(), "gauss", (GaussLegendre(mp), oracle._GAUSS_MAXDEGREE))
     stock = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
     with mp.workdps(dps):
         assert abs(ours.value - stock.value) < mp.mpf(10) ** -(dps - 2)
@@ -224,16 +224,18 @@ def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
 
 def test_gauss_nodes_are_cheap_cold():
     # calc_nodes itself, never a cache: mpmath's own takes about 1.4 s here
-    rule, prec = oracle._NewtonGaussLegendre(mp), _prec(60)
+    rule, prec = type(oracle._quadrature_rules()["gauss"][0])(mp), _prec(60)
     start = time.perf_counter()
     for degree in range(1, 8):
         rule.calc_nodes(degree, prec)
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("scheme, rule", [("gauss", oracle._NewtonGaussLegendre), ("tanh-sinh", TanhSinh)])
+@pytest.mark.parametrize(
+    "scheme, rule", [("gauss", type(oracle._quadrature_rules()["gauss"][0])), ("tanh-sinh", TanhSinh)]
+)
 def test_quadrature_reports_cold_nodes(monkeypatch, scheme, rule):
-    monkeypatch.setitem(oracle._RULES, scheme, (rule(mp), oracle._RULES[scheme][1]))
+    monkeypatch.setitem(oracle._quadrature_rules(), scheme, (rule(mp), oracle._quadrature_rules()[scheme][1]))
     first = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     again = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     assert first.nodes_cold and not again.nodes_cold

@@ -280,6 +280,21 @@ def test_bnf_and_sigma_divisions_are_checked(monkeypatch, kappa):
             _sequences(kappa, 12)[name]()
 
 
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), KP_KAPPA])
+def test_sigma_reads_the_pass_of_bnf(monkeypatch, kappa):
+    # sigma takes Y^2 and the binomial table from the one pass of _bnf, after
+    # bnf on the same object or alone on a fresh one, and builds neither again
+    calls = []
+    binomials = picardfuchs._binomials
+    monkeypatch.setattr(picardfuchs, "_binomials", lambda n: calls.append(n) or binomials(n))
+    sequences = _sequences(kappa, 30)
+    sequences["bnf"]()
+    sequences["sigma"]()
+    assert calls == [30]
+    _sequences(kappa, 30)["sigma"]()
+    assert calls == [30, 30]
+
+
 # ---------------------------------------------------------------------------
 # action series
 # ---------------------------------------------------------------------------

@@ -341,7 +341,7 @@ _SERIES_HEADER = ("series", "n", "kappa_power", "numerator", "denominator")
 # At a kappa of a few bits a run at the ceiling takes under a minute on a
 # 2-CPU machine; the exact tables also grow with the bits of kappa.
 _COMMANDS = {
-    "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 24, 1)}, _SERIES_HEADER),
+    "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 40, 1)}, _SERIES_HEADER),
     "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200, 1)}, _SERIES_HEADER),
     "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200, 1), "precision": (17, 100, 1)}, _SERIES_HEADER),
     "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 80, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),

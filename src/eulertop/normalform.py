@@ -12,10 +12,11 @@ normal form H*(J) as a series in the action J = q*p.
 
 The Lie route runs on exact rationals at one rational rho.  The linear map
 scales by sqrt(rho), but every monomial in the pipeline has a - b even, so
-only integral powers of rho enter.  The expansion and the linear map run
-over Fraction.  The Lie transforms run fraction-free: a Hamiltonian is int
-numerators over one common int denominator, every division is exact, and
-each normal form value becomes one Fraction at the end.
+only integral powers of rho enter.  The linear map and the Lie transforms
+run fraction-free on graded int rows, rows[m][a] the numerator of
+q^a p^(m-a) over one common int denominator: the Poisson bracket is one
+dense product per pair of degrees, every division is exact, and each
+coefficient becomes one Fraction at the end of the step.
 ``euler_normal_form`` runs the route at several rho and interpolates each
 J^n coefficient as a polynomial in kappa = rho - 1/rho.
 """
@@ -49,9 +50,9 @@ class PreconditionError(ValueError):
 
 
 Terms = dict[tuple[int, int], Fraction]
-IntTerms = dict[tuple[int, int], int]
-# int numerators over one positive int denominator
-ScaledTerms = tuple[IntTerms, int]
+# graded int rows: rows[m][a] is the numerator of q^a p^(m-a), m = 0..max_degree
+Rows = list[list[int]]
+ScaledRows = tuple[Rows, int]  # over one positive int denominator
 
 
 @dataclass(frozen=True)
@@ -116,15 +117,6 @@ def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
     return PolyHamiltonian(terms, max_degree, rho)
 
 
-def _accumulate(out: Terms, key: tuple[int, int], c: Fraction) -> None:
-    """Add c into out[key], dropping the key when the sum is zero."""
-    acc = out.get(key, 0) + c
-    if acc:
-        out[key] = acc
-    else:
-        out.pop(key, None)
-
-
 def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
     """Apply the linear symplectic map that turns the quadratic part into q*p.
 
@@ -132,75 +124,89 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
     rotation by -pi/4; on a monomial q^a p^b it acts as
 
         q^a p^b -> rho^((a-b)/2) 2^(-(a+b)/2) (q + p)^a (p - q)^b.
+
+    With rho = r/s, it runs on int rows over den 2^(D/2) (r s)^e: den the lcm
+    of the denominators, D the top degree and e the largest |a - b|/2.
     """
-    rho = ham.rho
+    rho, r, s = ham.rho, ham.rho.numerator, ham.rho.denominator
     if ham.quadratic_part() != {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}:
-        raise PreconditionError(
-            "quadratic part is not (1/2)(q^2/rho - rho p^2)"
-        )
-    out: Terms = {}
-    for (a, b), c in ham.terms.items():
-        if (a - b) % 2 or (a + b) % 2:
-            raise PreconditionError(
-                f"monomial q^{a} p^{b} has odd parity; the map would need sqrt factors"
-            )
-        base = c * rho ** ((a - b) // 2) / 2 ** ((a + b) // 2)
+        raise PreconditionError("quadratic part is not (1/2)(q^2/rho - rho p^2)")
+    top = max(a + b for a, b in ham.terms)
+    e = max(abs(a - b) for a, b in ham.terms) // 2
+    den = math.lcm(*(v.denominator for v in ham.terms.values()))
+    out = [[0] * (m + 1) for m in range(top + 1)]
+    for (a, b), v in ham.terms.items():
+        if (a + b) % 2:
+            raise PreconditionError(f"monomial q^{a} p^{b} has odd parity; the map would need sqrt factors")
+        k = (a - b) // 2
+        base = v.numerator * (den // v.denominator) * 2 ** ((top - a - b) // 2) * r ** (e + k) * s ** (e - k)
+        weights = [0] * (a + b + 1)  # the q^t coefficients of (q + p)^a (p - q)^b
         for i in range(a + 1):
-            ca = math.comb(a, i)
             for j in range(b + 1):
-                coeff = base * (ca * math.comb(b, j) * (-1) ** (b - j))
-                _accumulate(out, (i + b - j, a - i + j), coeff)
-    return PolyHamiltonian(out, ham.degree, rho)
+                weights[i + j] += math.comb(a, i) * math.comb(b, j) * (-1) ** j
+        out[a + b] = [x + base * w for x, w in zip(out[a + b], weights)]
+    den *= 2 ** (top // 2) * (r * s) ** e
+    terms = {(a, m - a): Fraction(c, den) for m, row in enumerate(out) for a, c in enumerate(row) if c}
+    return PolyHamiltonian(terms, ham.degree, rho)
 
 
-def _poisson(f: IntTerms, g: IntTerms, max_degree: int) -> IntTerms:
-    # {q^a p^b, q^c p^d} = (a d - b c) q^(a+c-1) p^(b+d-1)
-    out: IntTerms = {}
-    for (a, b), cf in f.items():
-        room = max_degree + 2 - a - b  # the largest c + d the truncation keeps
-        for (c, d), cg in g.items():
-            factor = a * d - b * c
-            if factor and c + d <= room:
-                _accumulate(out, (a + c - 1, b + d - 1), cf * cg * factor)
-    return out
+def _bracket(f: Rows, g: Rows, max_degree: int) -> Rows:
+    """The Poisson bracket {F, G} of graded int rows, truncated at max_degree.
+
+    {q^a p^(m-a), q^c p^(n-c)} = (a n - m c) q^(a+c-1) p^(m+n-1-a-c), so each
+    pair of degrees m, n is one dense product into degree m + n - 2.
+    """
+    # out[e][a + c] for e = m + n - 2; the ends a + c = 0 and e + 2 have weight 0
+    out = [[0] * (e + 3) for e in range(max_degree + 1)]
+    for n, grow in enumerate(g):
+        if not any(grow):
+            continue
+        gz = [(c, v) for c, v in enumerate(grow) if v]
+        for m, frow in enumerate(f[:max_degree + 3 - n]):
+            if m + n >= 2 and any(frow):
+                acc = out[m + n - 2]
+                for a, fa in enumerate(frow):
+                    if fa:
+                        an = a * n
+                        for c, gc in gz:
+                            acc[a + c] += (an - m * c) * fa * gc
+    return [acc[1:-1] for acc in out]
 
 
-def _lie_transform(terms: ScaledTerms, generator: ScaledTerms, max_degree: int) -> ScaledTerms:
+def _lie_transform(terms: ScaledRows, generator: ScaledRows, max_degree: int) -> ScaledRows:
     """Time-1 flow of the generator: sum_k ad_W^k(H) / k! truncated in degree.
 
-    With H = N / den and W = G / gden, the k-th bracket is P_k / (den gden^k)
-    for integer P_k, so the sum through K is
+    H = N / den and W = G / gden are graded int rows.  The k-th bracket is
+    P_k / (den gden^k) for integer rows P_k, so the sum through K is
 
         sum_k P_k gden^(K-k) K!/k!  over  den gden^K K!,
 
     reduced by one content gcd.
     """
-    nums, den = terms
-    gens, gden = generator
-    brackets = [nums]
-    while brackets[-1]:
-        brackets.append(_poisson(brackets[-1], gens, max_degree))
+    (rows, den), (gens, gden) = terms, generator
+    brackets = [rows]
+    while any(map(any, brackets[-1])):
+        brackets.append(_bracket(brackets[-1], gens, max_degree))
         # generators start at degree >= 3, so each bracket raises the degree
         if len(brackets) > max_degree + 1:
             raise InternalConsistencyError("Lie transform failed to terminate")
-    K = len(brackets) - 2  # the last bracket is empty
-    out: IntTerms = {}
+    K = len(brackets) - 2  # the last bracket is zero
+    out = [[0] * (m + 1) for m in range(max_degree + 1)]
     weight = 1  # gden^(K-k) K!/k!, from k = K down
     for k in range(K, -1, -1):
-        for key, c in brackets[k].items():
-            _accumulate(out, key, c * weight)
+        out = [[x + c * weight for x, c in zip(xs, cs)] if any(cs) else xs for xs, cs in zip(out, brackets[k])]
         weight *= gden * k
     return _reduced(out, den * gden**K * math.factorial(K))
 
 
-def _reduced(nums: IntTerms, den: int) -> ScaledTerms:
-    """nums / den with the content gcd of the numerators and den divided out."""
+def _reduced(rows: Rows, den: int) -> ScaledRows:
+    """rows / den with the content gcd of the numerators and den divided out."""
     g = den
-    for c in nums.values():
-        g = math.gcd(g, c)
+    for row in rows:
+        g = math.gcd(g, *row)
         if g == 1:
-            return nums, den
-    return {k: c // g for k, c in nums.items()}, den // g
+            return rows, den
+    return [[c // g for c in row] if any(row) else row for row in rows], den // g
 
 
 def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]:
@@ -212,11 +218,10 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     part), since {qp, q^a p^b} = (b - a) q^a p^b.  Resonant monomials (qp)^k
     accumulate into the values of H*(J).
 
-    The loop runs fraction-free: the Hamiltonian is int numerators N over
-    one int denominator den, and the generator at degree d is N (L/(a-b))
-    over den L, with L the lcm of the |a - b| at that degree, reduced by
-    its content gcd.  Every division is exact, and each value becomes one
-    Fraction at the end.
+    The loop runs fraction-free on graded int rows over one denominator den.
+    The generator at degree d is row d times L/(a-b) over den L, with L the
+    lcm of the |a - b| in that row, reduced by its content gcd.  Every
+    division is exact, and each value becomes one Fraction at the end.
     """
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
@@ -224,28 +229,23 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
         raise PreconditionError("quadratic part must be exactly q*p")
     max_degree = 2 * order
     if ham.degree < max_degree:
-        raise PreconditionError(
-            f"need the expansion through degree {max_degree}, got {ham.degree}"
-        )
+        raise PreconditionError(f"need the expansion through degree {max_degree}, got {ham.degree}")
     kept = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
     den = math.lcm(*(v.denominator for v in kept.values()))
-    terms: ScaledTerms = ({k: v.numerator * (den // v.denominator) for k, v in kept.items()}, den)
+    rows = [[0] * (m + 1) for m in range(max_degree + 1)]
+    for (a, b), v in kept.items():
+        rows[a + b][a] = v.numerator * (den // v.denominator)
     for d in range(3, max_degree + 1):
-        nums, den = terms
-        shifts = {(a, b): a - b for (a, b) in nums if a + b == d and a != b}
-        if shifts:
-            lcm = math.lcm(*shifts.values())
-            generator = _reduced({k: nums[k] * (lcm // s) for k, s in shifts.items()}, den * lcm)
-            terms = _lie_transform(terms, generator, max_degree)
-    nums, den = terms
-    leftover = [k for k in nums if k[0] != k[1]]
+        shifts = [2 * a - d if c else 0 for a, c in enumerate(rows[d])]
+        if any(shifts):
+            lcm = math.lcm(*filter(None, shifts))
+            gens = [[0] * (m + 1) for m in range(max_degree + 1)]
+            gens[d] = [c * (lcm // s) if s else 0 for c, s in zip(rows[d], shifts)]
+            rows, den = _lie_transform((rows, den), _reduced(gens, den * lcm), max_degree)
+    leftover = [(a, m - a) for m, row in enumerate(rows) for a, c in enumerate(row) if c and 2 * a != m]
     if leftover:
-        raise InternalConsistencyError(
-            f"non-resonant monomials survived normalization: {sorted(leftover)}"
-        )
-    values = [Fraction(0)] * (order + 1)
-    for (a, _), c in nums.items():
-        values[a] = Fraction(c, den)
+        raise InternalConsistencyError(f"non-resonant monomials survived normalization: {sorted(leftover)}")
+    values = [Fraction(rows[2 * n][n], den) for n in range(order + 1)]
     if values[1] != 1:
         raise InternalConsistencyError("normal form is not J + O(J^2)")
     return tuple(values)

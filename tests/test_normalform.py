@@ -18,8 +18,8 @@ from eulertop.series import InternalConsistencyError
 from expected_tables import BNF_TABLE
 
 # each test runs at every rho here: one above 1, one below, neither an
-# interpolation node of euler_normal_form
-RHOS = (Fraction(2), Fraction(3, 5))
+# interpolation node of euler_normal_form (rho = 2, 3, ...)
+RHOS = (Fraction(5, 2), Fraction(3, 5))
 
 
 def test_expand_quadratic_part():
@@ -91,6 +91,37 @@ def test_williamson_quartic_matches_expected_form():
         out = williamson_reduce(expand_hamiltonian(4, rho))
         quartic = {k: v for k, v in out.terms.items() if k[0] + k[1] == 4}
         assert quartic == _expected_quartic(rho)
+
+
+def _reference_williamson(ham):
+    # the linear map of williamson_reduce over Fraction: the oracle for its int-row body
+    rho, out = ham.rho, {}
+    for (a, b), c in ham.terms.items():
+        base = c * rho ** ((a - b) // 2) / 2 ** ((a + b) // 2)
+        for i in range(a + 1):
+            for j in range(b + 1):
+                key = (i + b - j, a - i + j)
+                out[key] = out.get(key, 0) + base * (comb(a, i) * comb(b, j) * (-1) ** (b - j))
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("rho", [2, Fraction(3, 5), Fraction(7, 3), Fraction(1, 7)])
+def test_williamson_equals_fraction_reference(rho):
+    rho = Fraction(rho)
+    for degree in range(2, 17, 2):
+        ham = expand_hamiltonian(degree, rho)
+        out = williamson_reduce(ham)
+        assert out.terms == _reference_williamson(ham), degree
+        assert (out.degree, out.rho) == (degree, rho)
+        assert all(type(v) is Fraction for v in out.terms.values())
+    # every monomial of degree 4..8, odd powers of q and p among them:
+    # a - b runs over -8..8, so rho enters to the powers -4..4
+    terms = {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}
+    terms.update({
+        (a, m - a): Fraction(a + 1, m + 3 * a + 1) for m in range(4, 9, 2) for a in range(m + 1)
+    })
+    ham = PolyHamiltonian(terms, 8, rho)
+    assert williamson_reduce(ham).terms == _reference_williamson(ham)
 
 
 def test_williamson_rejects_wrong_quadratic():
@@ -173,6 +204,23 @@ def _reference_normalize(ham, order):
     for (a, _), c in terms.items():
         values[a] = c
     return tuple(values)
+
+
+def test_normalize_generic_hamiltonian_equals_fraction_reference():
+    # every monomial of degree 3..12, q^3, q^2 p, q p^2, p^3 and all other odd
+    # parities among them: the graded kernel is not tied to the top's even rows
+    terms = {(1, 1): Fraction(1)}
+    terms.update({
+        (a, m - a): Fraction((-1) ** a * (1 + a * (m - a) + m), 1 + a + 2 * (m - a))
+        for m in range(3, 13)
+        for a in range(m + 1)
+    })
+    ham = PolyHamiltonian(terms, 12, 1)
+    assert all(ham.coefficient(a, 3 - a) for a in range(4))
+    for order in range(1, 7):
+        values = birkhoff_normalize(ham, order)
+        assert values == _reference_normalize(ham, order), order
+        assert all(type(v) is Fraction for v in values), order
 
 
 @pytest.mark.parametrize("rho", [1, 2, Fraction(3, 5), Fraction(7, 3), Fraction(1, 7)])

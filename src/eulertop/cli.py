@@ -181,13 +181,12 @@ def _cmd_frobenius(args):
     kappa = args.kappa
     rec = picardfuchs.frobenius_table(args.order, "recursion")
     closed = picardfuchs.frobenius_table(args.order, "closed_form")
-    agree = rec.a == closed.a and rec.b == closed.b
-    if not agree:
+    if (rec.a, rec.b) != (closed.a, closed.b):
         raise InternalConsistencyError("recursion and closed form disagree")
     a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
     doc = lambda: _document(
         args,
-        methods_agree=agree,
+        methods_agree=True,
         a=_coefficient_table(a, kappa),
         b=_coefficient_table(b, kappa),
     )
@@ -198,6 +197,9 @@ def _cmd_actions(args):
     kappa = args.kappa
     plus, minus = picardfuchs.assemble_beta_actions(args.order)
     bundle = plus.series
+    closed = picardfuchs.frobenius_table(args.order, "closed_form")
+    if (bundle.period_regular.coeffs, bundle.period_singular.regular_part.coeffs) != (closed.a, closed.b):
+        raise InternalConsistencyError("recursion and closed form disagree")
     named = {
         "t_regular": bundle.period_regular,
         "t_singular_log_part": bundle.period_singular.log_part,

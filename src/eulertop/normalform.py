@@ -128,6 +128,13 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
     With rho = r/s, it runs on int rows over den 2^(D/2) (r s)^e: den the lcm
     of the denominators, D the top degree and e the largest |a - b|/2.
     """
+    out, den = _williamson_rows(ham)
+    terms = {(a, m - a): Fraction(c, den) for m, row in enumerate(out) for a, c in enumerate(row) if c}
+    return PolyHamiltonian(terms, ham.degree, ham.rho)
+
+
+def _williamson_rows(ham: PolyHamiltonian) -> ScaledRows:
+    """The graded int rows of williamson_reduce(ham) and their denominator."""
     rho, r, s = ham.rho, ham.rho.numerator, ham.rho.denominator
     if ham.quadratic_part() != {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}:
         raise PreconditionError("quadratic part is not (1/2)(q^2/rho - rho p^2)")
@@ -145,9 +152,7 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
             for j in range(b + 1):
                 weights[i + j] += math.comb(a, i) * math.comb(b, j) * (-1) ** j
         out[a + b] = [x + base * w for x, w in zip(out[a + b], weights)]
-    den *= 2 ** (top // 2) * (r * s) ** e
-    terms = {(a, m - a): Fraction(c, den) for m, row in enumerate(out) for a, c in enumerate(row) if c}
-    return PolyHamiltonian(terms, ham.degree, rho)
+    return out, den * 2 ** (top // 2) * (r * s) ** e
 
 
 def _bracket(f: Rows, g: Rows, max_degree: int) -> Rows:
@@ -235,13 +240,18 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     rows = [[0] * (m + 1) for m in range(max_degree + 1)]
     for (a, b), v in kept.items():
         rows[a + b][a] = v.numerator * (den // v.denominator)
-    for d in range(3, max_degree + 1):
+    return _normalize_rows(rows, den, order)
+
+
+def _normalize_rows(rows: Rows, den: int, order: int) -> tuple[Fraction, ...]:
+    """birkhoff_normalize on rows over den; a quadratic part other than q p fails its checks."""
+    for d in range(3, len(rows)):
         shifts = [2 * a - d if c else 0 for a, c in enumerate(rows[d])]
         if any(shifts):
             lcm = math.lcm(*filter(None, shifts))
-            gens = [[0] * (m + 1) for m in range(max_degree + 1)]
+            gens = [[0] * len(row) for row in rows]
             gens[d] = [c * (lcm // s) if s else 0 for c, s in zip(rows[d], shifts)]
-            rows, den = _lie_transform((rows, den), _reduced(gens, den * lcm), max_degree)
+            rows, den = _lie_transform((rows, den), _reduced(gens, den * lcm), 2 * order)
     leftover = [(a, m - a) for m, row in enumerate(rows) for a, c in enumerate(row) if c and 2 * a != m]
     if leftover:
         raise InternalConsistencyError(f"non-resonant monomials survived normalization: {sorted(leftover)}")
@@ -261,10 +271,7 @@ def euler_normal_form(order: int) -> PowerSeries:
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
     rhos = [Fraction(r) for r in range(2, (order - 1) // 2 + 4)]
-    rows = [
-        birkhoff_normalize(williamson_reduce(expand_hamiltonian(2 * order, rho)), order)
-        for rho in rhos
-    ]
+    rows = [_normalize_rows(*_williamson_rows(expand_hamiltonian(2 * order, rho)), order) for rho in rhos]
     kappas = [rho - 1 / rho for rho in rhos]
     return PowerSeries("J", tuple(
         interpolate_kappa_poly(kappas, [row[n] for row in rows], (n + 1) % 2)

@@ -27,8 +27,8 @@ w = q^2 on the n-2 terms of a and b and on the constants 3, 4, 8 of c1, c3,
 K and K'A.
 The closed form puts C(2n, n) T(n, k) / (4^n 2^(n-2k)) at kappa^(n-2k) of
 a_n, T(n, k) = (2n-2k)! / (k! (n-k)! (n-2k)!), and f_{n,k} times that in
-b_n, with f_{n,k} L_n even for L_n = lcm(1, ..., 2n-1), L_0 = 1.  So
-A_n = 8^n a_n, B_n = 8^n L_n b_n, q^n A_n(p/q) and q^n B_n(p/q) are
+b_n, with f_{n,k} lcm(1, ..., 2n-1) even.  So A_n = 8^n a_n, B_n = 8^n L_n b_n
+for L_n = lcm(1, ..., n) (_b_rows), q^n A_n(p/q) and q^n B_n(p/q) are
 integral: a and b run over ints, every division checked exact.
 
 B(J) and sigma run over ints too, on the same ring as a and b.  Each
@@ -39,9 +39,9 @@ carries y_n q^(n-1), so y_n is X_n / S_n with S_n = s_n q^(n-1), as a_n is
 over (8q)^n and b_n over (8q)^n L_n; sigma_(n+1) is over n s_(n+1) q^n,
 which takes the 1/(n+1) of its last integral and the 1/n of its log too.
 Each sequence comes out as these (X_n, S_n) pairs, X_n a ring element and
-S_n a positive int.  _sequences emits each value from its pair once, as a
-Fraction or a KappaPoly, and nothing is unscaled after that; the ratio test
-of invariants.radius_analysis reads the pairs and reduces no value.
+S_n a positive int.  _sequences and frobenius_table emit each value from its
+pair once, as a Fraction or a KappaPoly, and nothing is unscaled after that;
+the ratio test of invariants.radius_analysis reads the pairs and reduces none.
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
@@ -167,9 +167,8 @@ def _exact(num: int, den: int) -> int:
 
 
 def _lcm_table(order: int) -> list[int]:
-    """L_0..L_order with L_n = lcm(1, ..., 2n-1) and L_0 = 1."""
-    pairs = ((2 * n - 2 or 1) * (2 * n - 1) for n in range(1, order + 1))  # coprime factors
-    return list(itertools.accumulate(pairs, math.lcm, initial=1))
+    """lcm(1, ..., n) for n = 0..order, with lcm() = 1."""
+    return list(itertools.accumulate(range(1, order + 1), math.lcm, initial=1))
 
 
 # The four recurrences run one body each over the ring that _scaled_sequences
@@ -211,23 +210,28 @@ def _a_rows(ring, order: int):
 
 
 def _b_rows(ring, lcms: list):
-    """B_0..B_order, order = len(lcms) - 1, from n^3 B_n = (2n-1) [8 L_n kappa
-    A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} + 64n (2n-3) (L_n/L_{n-2})
-    w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with A_0..A_(order-1) from _a_rows
-    run in lockstep."""
+    """(A_n, B_n) for n = 0..order, order = len(lcms) - 1, from n^3 B_n =
+    (2n-1) [8 L_n kappa A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} +
+    64n (2n-3) (L_n/L_{n-2}) w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with the
+    A rows of _a_rows run in lockstep.  B_n = 8^n L_n b_n is integral for
+    L_n = lcms[n] = lcm(1, ..., n): b_n has 4^k C(2n, n) T(n, k) f_{n,k} / 8^n
+    at kappa^(n-2k) (_closed_form), with denominators up to n in H_n and up to
+    2n - 1 in the odd sums.  L_n lacks one p of each odd prime power p^e in
+    (n, 2n-1], and C(2n, n) has it, as n + n carries in base p (for p > n,
+    against the 1/p of O_n or O_(n-k))."""
     one, up, weigh, _, div = ring
-    a_prev = b_prev = row = 0 * one
-    yield row
-    for n, a_row in zip(range(1, len(lcms)), _a_rows(ring, len(lcms) - 2)):
+    a_rows = _a_rows(ring, len(lcms) - 1)
+    a_prev, a_row, b_prev, row = 0 * one, next(a_rows), 0 * one, 0 * one
+    yield a_row, row
+    for n, a_next in zip(range(1, len(lcms)), a_rows):
         ln, m = lcms[n], 2 * n - 1
         known = (
-            8 * m * ln * up(a_row)
+            ln * (8 * m * up(a_row) + 64 * (8 * n - 6) * weigh(a_prev))
             + 4 * n * m * m * _exact(ln, lcms[n - 1]) * up(row)
             + 64 * n * m * (m - 2) * _exact(ln, lcms[max(n - 2, 0)]) * weigh(b_prev)
-            + 64 * (8 * n - 6) * ln * weigh(a_prev)
         )
-        a_prev, b_prev, row = a_row, row, div(known, n**3)
-        yield row
+        a_prev, a_row, b_prev, row = a_row, a_next, row, div(known, n**3)
+        yield a_row, row
 
 
 def _binomials(n: int) -> list[list[int]]:
@@ -357,8 +361,8 @@ def _scaled_sequences(kappa, n: int) -> tuple:
     thunk, with the emit that makes X / S one value of the ring: the one
     entry to the four recurrences and the one place that reads kappa's
     type, which picks the one ring all four run on.  a and b keep no state,
-    so each call builds its table anew (b runs its own A rows); bnf and
-    sigma share one pass of _bnf."""
+    so each call builds its table anew (b runs its own A rows, and
+    b(with_a=True) yields both pairs); bnf and sigma share one pass of _bnf."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         w = q * q
@@ -374,9 +378,12 @@ def _scaled_sequences(kappa, n: int) -> tuple:
     def a():
         return [(x, (8 * q) ** m) for m, x in enumerate(_a_rows(ring, n))]
 
-    def b():
+    def b(with_a=False):
         lcms = _lcm_table(n)
-        return [(x, (8 * q) ** m * lcms[m]) for m, x in enumerate(_b_rows(ring, lcms))]
+        rows = enumerate(_b_rows(ring, lcms))
+        if with_a:  # b alone makes no a pairs: short-lived ones among the kept b pairs raised peak RSS
+            return (((x, (8 * q) ** m), (y, (8 * q) ** m * lcms[m])) for m, (x, y) in rows)
+        return [(y, (8 * q) ** m * lcms[m]) for m, (_, y) in rows]
 
     bnf_pass = functools.cache(lambda: _bnf(ring, n))
 
@@ -401,18 +408,22 @@ def _sequences(kappa, n: int) -> dict:
 def _closed_form(order: int) -> tuple[list, list]:
     """a_0..a_order and b_0..b_order from the terminating trinomial sum
     a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k}; b_n,
-    the indicial derivative of the deformed a_n at root 0, is the same sum
-    with the harmonic-number factor f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n on
-    each term.  In integers, independent of the recurrences: A_n has
-    4^k C(2n, n) T(n, k) at kappa^(n-2k), and B_n has that times f_{n,k} L_n."""
-    a, b = [], []
-    for n, ln in enumerate(_lcm_table(order)):
-        odd = [*itertools.accumulate((_exact(ln, 2 * j - 1) for j in range(1, n + 1)), initial=0)]
-        harmonic = sum(_exact(ln, j) for j in range(1, n + 1))  # H_n L_n; odd[m] = O_m L_n
+    the indicial derivative of the deformed a_n at root 0, is the same sum with
+    f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n on each term.  In integers, independent
+    of the recurrences: A_n has 4^k C(2n, n) T(n, k) at kappa^(n-2k), B_n that
+    times f_{n,k} L_n, L_n = lcm(1..2n-1), with O_m L_n and H_n L_n running."""
+    a, b = [KP_ONE], [KP_ZERO]
+    lcms, ln, odd, harmonic = _lcm_table(2 * order), 1, [0], 0
+    for n in range(1, order + 1):
+        step = _exact(lcms[2 * n - 1], ln)
+        if step > 1:
+            ln, odd, harmonic = ln * step, [o * step for o in odd], harmonic * step
+        odd.append(odd[-1] + _exact(ln, 2 * n - 1))
+        harmonic += _exact(ln, n)
         row_a, row_b = [0] * (n + 1), [0] * (n + 1)
         t = central = math.comb(2 * n, n)  # T(n, 0)
         for k in range(n // 2 + 1):
-            row_a[n - 2 * k] = c = central * t * 4**k
+            row_a[n - 2 * k] = c = central * t << 2 * k
             row_b[n - 2 * k] = c * 2 * (odd[n] + odd[n - k] - harmonic)
             t = _exact(t * (n - 2 * k) * (n - 2 * k - 1), 2 * (k + 1) * (2 * n - 2 * k - 1))
         a.append(_kappa_poly(row_a, 8**n))
@@ -452,8 +463,8 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     if order < 0:
         raise SeriesUsageError("table order must be non-negative")
     if method == "recursion":
-        sequences = _sequences(KP_KAPPA, order)
-        a, b = sequences["a"](), sequences["b"]()
+        emit, scaled = _scaled_sequences(KP_KAPPA, order)
+        a, b = zip(*((emit(*x), emit(*y)) for x, y in scaled["b"](with_a=True)))
     elif method == "closed_form":
         a, b = _closed_form(order)
     else:

@@ -220,9 +220,14 @@ class KappaPoly:
 def _settle(poly: KappaPoly, num: Sequence[int], den: int) -> None:
     """Store num / den in poly: trailing zeros stripped, one gcd reduction."""
     num = strip_list(num)
-    g = math.gcd(den, *num)
-    object.__setattr__(poly, "num", _Row([c // g for c in num] if g > 1 else num))
-    object.__setattr__(poly, "den", den // g)
+    if den & (den - 1) or den == 1:
+        g = math.gcd(den, *num)
+        num, den = [c // g for c in num] if g > 1 else num, den // g
+    else:  # den = 2^e: the gcd is 2 to the fewest trailing zeros among den and num
+        shift = min([den, *(c & -c for c in num if c)]).bit_length() - 1
+        num, den = [c >> shift for c in num], den >> shift
+    object.__setattr__(poly, "num", _Row(num))
+    object.__setattr__(poly, "den", den)
 
 
 def _kappa_poly(num: Sequence[int], den: int) -> KappaPoly:

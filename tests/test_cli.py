@@ -105,6 +105,22 @@ def test_frobenius_routes_that_disagree_exit_3(capsys, monkeypatch):
     assert "recursion and closed form disagree" in err
 
 
+@pytest.mark.parametrize("table", [0, 1])
+def test_actions_routes_that_disagree_exit_3(capsys, monkeypatch, table):
+    # actions checks its a (table 0) and b (table 1) against the closed form
+    original = picardfuchs._closed_form
+
+    def closed_form(order):
+        tables = original(order)
+        tables[table][2] += Fraction(1, 10**40)
+        return tables
+
+    monkeypatch.setattr(picardfuchs, "_closed_form", closed_form)
+    code, out, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=12")
+    assert code == 3 and out == ""
+    assert "recursion and closed form disagree" in err
+
+
 def test_bnf_routes_that_disagree_exit_3(capsys, monkeypatch):
     original = invariants.bnf_via_reversion
 

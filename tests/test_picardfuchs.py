@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,29 @@ def test_inexact_division_is_not_absorbed(monkeypatch):
             frobenius_table(12, method)
     with pytest.raises(InternalConsistencyError):
         _sequences(Fraction(1, 2), 12)["b"]()
+
+
+def test_b_denominators_divide_8_to_the_n_times_lcm_1_to_n():
+    # the law of _b_rows, read from the closed form, which runs on lcm(1..2n-1)
+    scale = 1
+    for n, poly in enumerate(frobenius_table(200, "closed_form").b):
+        scale = math.lcm(scale, n or 1)
+        assert (8**n * scale) % poly.den == 0, n
+
+
+def test_recursion_table_runs_one_a_pass(monkeypatch):
+    # frobenius_table reads a and b from the one pass of _b_rows, and an
+    # a-only sequence runs no b rows
+    calls = []
+    for name in ("_a_rows", "_b_rows"):
+        original = getattr(picardfuchs, name)
+        monkeypatch.setattr(picardfuchs, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    for n in (0, 1, 30):
+        frobenius_table(n)
+    assert calls == ["_b_rows", "_a_rows"] * 3
+    calls.clear()
+    _sequences(Fraction(1, 2), 30)["a"]()
+    assert calls == ["_a_rows"]
 
 
 @pytest.fixture(scope="module")

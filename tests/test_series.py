@@ -17,6 +17,7 @@ from eulertop.series import (
     SingularReversionError,
     _Row,
     _cauchy,
+    _kappa_poly,
     _row_dot,
     add_list,
     compose_trunc,
@@ -418,6 +419,25 @@ def test_kappa_poly_is_canonical(a, m):
     assert (same.num, same.den) == (p.num, p.den)
     assert p.den > 0 and math.gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1])
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+# numerators with up to 720 trailing zeros, zeros and negatives among them
+shifted_ints = st.builds(lambda c, e: c << e, st.integers(-(2**40), 2**40), st.integers(0, 720))
+
+
+@given(st.lists(shifted_ints, max_size=8), st.one_of(st.integers(0, 700).map(lambda e: 1 << e), st.integers(1, 10**9)))
+@example([], 1 << 700)
+@example([0, 0], 8)
+@example([-3 << 5, 0, 1 << 9, 0], 1 << 7)
+@example([6, -4], 1)
+@example([5 << 800, -(1 << 700)], 1 << 700)
+def test_settle_by_shifts_matches_the_gcd(num, den):
+    # a power-of-two den is reduced by shifts, any other by math.gcd: both
+    # give the one canonical (num, den)
+    poly, stripped = _kappa_poly(num, den), strip_list(num)
+    g = math.gcd(den, *stripped)
+    assert type(poly.num) is _Row
+    assert (poly.num, poly.den) == (tuple(c // g for c in stripped), den // g)
 
 
 def test_kappa_poly_canonical_examples():

@@ -184,6 +184,8 @@ def _cmd_frobenius(args):
     if (rec.a, rec.b) != (closed.a, closed.b):
         raise InternalConsistencyError("recursion and closed form disagree")
     a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
+    # methods_agree is always true: a disagreement exits 3 above, before any
+    # output.  The field stays for the readers of the JSON document.
     doc = lambda: _document(
         args,
         methods_agree=True,
@@ -346,7 +348,7 @@ _COMMANDS = {
     "bnf": (_cmd_bnf, {**_KAPPA, "order": (7, 40, 1)}, _SERIES_HEADER),
     "frobenius": (_cmd_frobenius, {**_KAPPA, "order": (40, 200, 1)}, _SERIES_HEADER),
     "actions": (_cmd_actions, {**_KAPPA, "order": (12, 200, 1), "precision": (17, 100, 1)}, _SERIES_HEADER),
-    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 80, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),
+    "invariant": (_cmd_invariant, {**_KAPPA, "order": (7, 90, 2), "precision": (17, 100, 1)}, _SERIES_HEADER),
     "verify": (
         _cmd_verify,
         {**_KAPPA, "order": (30, 100, 1), "tol": None, "precision": (17, 100, 1), "samples": None},

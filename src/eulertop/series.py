@@ -10,8 +10,13 @@ fixed rational kappa has ``Fraction`` coefficients.  The numerators are
 a _Row, whose one product _row_dot the recurrences of picardfuchs share.
 The list kernel is generic over the ring: it runs on KappaPoly and Fraction
 lists, and ``horner`` also evaluates at floats and mpmath numbers
-(oracle.beta_action_value).  Truncation order is explicit state and binary
-operations truncate to the minimum order of their inputs.
+(oracle.beta_action_value).  Its reduction rule over KappaPoly: one
+reduction (one gcd or shift in _settle) per output coefficient of a
+product, an online coefficient or a block sum of a composition, not one
+per term; each is a sum of products over one common denominator,
+_sum_of_products.
+Truncation order is explicit state and binary operations truncate to the
+minimum order of their inputs.
 """
 
 from __future__ import annotations
@@ -317,28 +322,52 @@ def strip_list(a: Sequence) -> list:
     return a
 
 
+def _zero_of(a: Sequence, b: Sequence):
+    """The zero of the ring of a's coefficients, or of b's if a is empty."""
+    if not (a or b):
+        raise SeriesUsageError("two empty coefficient lists have no ring to take a zero from")
+    x = (a or b)[0]
+    return KP_ZERO if isinstance(x, KappaPoly) else x * 0
+
+
+def _sum_of_products(xs: Iterable, ys: Iterable, zero):
+    """sum x y over the pairs of xs and ys, zero terms skipped, with one reduction.
+
+    In the ring of ``zero``.  KappaPoly terms are scaled to one common
+    denominator D, the lcm of their den_x den_y, summed by one _row_dot with
+    int weights D / (den_x den_y) and settled once.  Other rings (Fraction,
+    ints, floats) keep a plain running sum: Fraction lists carry only the
+    small interpolations of the normal form, where one reduction per
+    coefficient measured no faster.
+    """
+    terms = [(x, y) for x, y in zip(xs, ys) if x and y]
+    if not terms:
+        return zero
+    if isinstance(zero, KappaPoly):
+        dens = [x.den * y.den for x, y in terms]
+        d = math.lcm(*dens)
+        return _kappa_poly(_row_dot([d // e for e in dens], [x.num for x, _ in terms], [y.num for _, y in terms]), d)
+    acc = zero
+    for x, y in terms:
+        acc = acc + x * y
+    return acc
+
+
 def mul_trunc(a: Sequence, b: Sequence, order: int) -> list:
-    """Cauchy product of coefficient lists, truncated at ``order``."""
-    out = [(a or b)[0] * 0] * (order + 1) if order >= 0 else []
-    for i, ai in enumerate(a):
-        if i > order:
-            break
-        if ai:
-            top = min(len(b) - 1, order - i)
-            for j in range(top + 1):
-                if b[j]:
-                    out[i + j] = out[i + j] + ai * b[j]
-    return out
+    """Cauchy product of coefficient lists, truncated at ``order``.
+
+    One empty list gives the other's zeros; two raise SeriesUsageError.
+    """
+    if order < 0:
+        return []
+    return [_cauchy(a, b, n, max(n + 1 - len(b), 0)) for n in range(order + 1)]
 
 
 def _cauchy(a: Sequence, b: Sequence, n: int, lo: int):
     """sum_{i=lo}^{n} a[i] b[n-i], with a read as zero past its end: one
     coefficient of an online product, for which b is known through b[n-lo]."""
-    acc = (a or b)[0] * 0
-    for i in range(lo, min(n, len(a) - 1) + 1):
-        if a[i]:
-            acc = acc + a[i] * b[n - i]
-    return acc
+    bs = b[n - lo :: -1] if lo <= n else ()
+    return _sum_of_products(a[lo : n + 1], bs, _zero_of(a, b))
 
 
 def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
@@ -361,19 +390,20 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
         raise SeriesUsageError("need order >= 0")
     outer = outer[: order + 1]
     m = max(math.isqrt(len(outer)), 1)
-    powers = [inner[: order + 1]]
+    powers = [[*inner[: order + 1], *[zero] * (order + 1 - len(inner))]]
     while len(powers) < m:
         powers.append(mul_trunc(powers[-1], inner, order))
+    # each block sum is one reduction per coefficient: the block's outer
+    # coefficients against inner^0 .. inner^(m-1), and the running res[i] as
+    # one more term, with weight one
+    one = zero + 1
+    steps = [[one] + [zero] * order, *powers[:-1]]
     res = [zero] * (order + 1)
     for start in reversed(range(0, len(outer), m)):
         if start + m < len(outer):
             res = mul_trunc(res, powers[-1], order)
-        res[0] = res[0] + outer[start]
-        for c, power in zip(outer[start + 1 : start + m], powers):
-            if c:
-                for i, x in enumerate(power):
-                    if x:
-                        res[i] = res[i] + c * x
+        block = outer[start : start + m]
+        res = [_sum_of_products((r, *block), (one, *(s[i] for s in steps)), zero) for i, r in enumerate(res)]
     return res
 
 
@@ -382,10 +412,14 @@ def recip_trunc(a: Sequence, order: int) -> list:
     inv0 = _unit_inverse(a[0])
     if order < 0:
         raise SeriesUsageError("need order >= 0")
+    # out[n] = -inv0 sum_{i>=1} a[i] out[n-i]: -inv0 goes into a once, so each
+    # online coefficient is one reduction
+    minus_inv0 = -inv0
+    scaled = [c * minus_inv0 for c in a[: order + 1]]
     out = [a[0] * 0] * (order + 1)
     out[0] = inv0
     for n in range(1, order + 1):
-        out[n] = -(inv0 * _cauchy(a, out, n, 1))
+        out[n] = _cauchy(scaled, out, n, 1)
     return out
 
 

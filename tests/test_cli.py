@@ -249,7 +249,7 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
     # the ceilings: one above exits 2 with a message that names the limit
     for argv, limit in (
         (["bnf", "--kappa=1/2", "--order=100000000"], "40"),
-        (["invariant", "--kappa=1/2", "--order=81"], "80"),
+        (["invariant", "--kappa=1/2", "--order=91"], "90"),
         (["frobenius", "--kappa=1/2", "--order=201"], "200"),
         (["actions", "--kappa=1/2", "--order=201"], "200"),
         (["verify", "--kappa=1/2", "--order=101"], "100"),
@@ -261,7 +261,7 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert code == 2 and f"to {limit}:" in err, argv
     # the floors, each named in its message; extract_sigma needs order >= 2
     for argv, message in (
-        (["invariant", "--kappa=1/2", "--order=1"], "from 2 to 80:"),
+        (["invariant", "--kappa=1/2", "--order=1"], "from 2 to 90:"),
         (["radius", "--kappa=1/2", "--nmax=19"], "from 20 to 400:"),
         (["bnf", "--kappa=1/2", "--order=0"], "from 1 to 40:"),
         (["actions", "--kappa=1/2", "--precision=0"], "--precision and PRECISION need an integer from 1 to 100:"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp
 
+from eulertop import series
 from eulertop.series import (
     InternalConsistencyError,
     KP_ONE,
@@ -102,6 +103,15 @@ def test_list_results_stay_in_the_coefficient_ring():
     assert mul_trunc((), (), -2) == []
     assert type(KP_ZERO * KP_ZERO) is KappaPoly and not KP_ZERO * KP_ZERO
     assert isinstance(horner([Fraction(3)], mp.mpf("0.5")), mp.mpf)
+
+
+def test_mul_of_two_empty_lists_has_no_ring():
+    # one empty operand gives the other's zeros; two give no ring to take a zero from
+    assert mul_trunc([], [Fraction(2)], 2) == [Fraction(0)] * 3
+    assert mul_trunc([K], [], 1) == [KP_ZERO] * 2
+    for order in (0, 3):
+        with pytest.raises(SeriesUsageError, match="no ring"):
+            mul_trunc([], (), order)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +350,105 @@ def short_and_full_lists(draw):
 def test_online_coefficient_is_product_coefficient(case):
     n, a, b = case
     assert _cauchy(a, b, n, 0) == mul_trunc(a, b, n)[n]
+
+
+# ---------------------------------------------------------------------------
+# the kernel against term-by-term reference loops
+# ---------------------------------------------------------------------------
+
+# zeros, negatives, den 1, powers of two and mixed denominators
+kernel_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 1, 2, 8, 1024, 3, 6, 35])),
+)
+# the zero polynomial (empty or all-zero lists) among them
+kernel_polys = st.lists(kernel_rationals, max_size=3).map(KappaPoly)
+RINGS = [(kernel_rationals, Fraction(0)), (kernel_polys, KP_ZERO)]
+
+
+def reference_mul(a, b, order, zero):
+    """The Cauchy product one ring + and * at a time, each a canonical value."""
+    out = []
+    for n in range(order + 1):
+        acc = zero
+        for i in range(max(n + 1 - len(b), 0), min(n, len(a) - 1) + 1):
+            if a[i] and b[n - i]:
+                acc = acc + a[i] * b[n - i]
+        out.append(acc)
+    return out
+
+
+def reference_recip(a, order, zero):
+    inv0 = KappaPoly.constant(1 / a[0].coefficient(0)) if isinstance(a[0], KappaPoly) else 1 / a[0]
+    out = [inv0]
+    for n in range(1, order + 1):
+        acc = zero
+        for i in range(1, min(n, len(a) - 1) + 1):
+            if a[i]:
+                acc = acc + a[i] * out[n - i]
+        out.append(-(inv0 * acc))
+    return out
+
+
+def reference_compose(outer, inner, order, zero):
+    """Horner on single outer coefficients over reference_mul."""
+    res = [zero] * (order + 1)
+    for c in reversed(outer[: order + 1]):
+        res = reference_mul(res, inner, order, zero)
+        res[0] = res[0] + c
+    return res
+
+
+def assert_canonical(out, zero):
+    for c in out:
+        assert type(c) is type(zero)
+        if isinstance(c, KappaPoly):
+            assert type(c.num) is _Row and c.den > 0 and math.gcd(c.den, *c.num) == 1
+            assert not c.num or c.num[-1]
+
+
+@st.composite
+def kernel_cases(draw):
+    """a ring's zero, lists a and b of uneven lengths in it, and an order."""
+    coeffs, zero = draw(st.sampled_from(RINGS))
+    a = draw(st.lists(coeffs, max_size=7))
+    b = draw(st.lists(coeffs, min_size=0 if a else 1, max_size=7))
+    return zero, a, b, draw(st.integers(0, 8))
+
+
+@given(kernel_cases())
+@example((KP_ZERO, [KappaPoly.of(HALF, -1), KP_ZERO, KappaPoly.of(Fraction(3, 1024))], [KappaPoly.of(0, Fraction(-5, 6))] * 3, 4))
+@example((Fraction(0), [Fraction(1, 8), Fraction(-3, 35)], [Fraction(0), Fraction(7, 6), Fraction(-2)], 3))
+def test_kernel_matches_the_term_by_term_loops(case):
+    zero, a, b, order = case
+    got = mul_trunc(a, b, order)
+    assert got == reference_mul(a, b, order, zero)
+    assert_canonical(got, zero)
+    if b:
+        for n in range(min(order, len(b) - 1) + 1):
+            assert _cauchy(a, b, n, 0) == got[n]
+    if a[:1] and (a[0].degree == 0 if isinstance(a[0], KappaPoly) else a[0]):
+        got = recip_trunc(a, order)
+        assert got == reference_recip(a, order, zero)
+        assert_canonical(got, zero)
+    inner = [zero, *b]
+    got = compose_trunc(a, inner, order)
+    assert got == reference_compose(a, inner, order, zero)
+    assert_canonical(got, zero)
+
+
+def test_mul_trunc_builds_one_kappa_poly_per_output_coefficient(monkeypatch):
+    # each output coefficient is one sum of products with one reduction, not a
+    # reduction per term; a coefficient with no nonzero term builds nothing
+    a = [KappaPoly.of(Fraction(c, 3), Fraction(1, 2 + c)) for c in range(1, 6)]
+    b = [KappaPoly.of(Fraction(-1, 4 * c), c) for c in range(1, 5)]
+    calls = []
+    settle = series._settle
+    monkeypatch.setattr(series, "_settle", lambda *args: calls.append(args) or settle(*args))
+    out = mul_trunc(a, b, 9)
+    assert len(calls) == 8 and out[8:] == [KP_ZERO] * 2
+    calls.clear()
+    assert _cauchy(a, b, 3, 0) == out[3] and len(calls) == 1
 
 
 @given(st.lists(kappa_polys, min_size=1, max_size=7))

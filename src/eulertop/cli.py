@@ -396,6 +396,14 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse_empty_values(args) -> None:
+    """Refuse --opt=--: argparse drops a '--' value and stores [] without
+    calling the option's type= converter, so no other check would see it."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise SeriesUsageError(f"argument --{name}: expected a value, got '--'")
+
+
 def _derive_kappa(args) -> None:
     """The checks that span options: a command that reads kappa takes it from
     --kappa or from --theta with --ell, never both, and reads --ell only with --theta."""
@@ -500,6 +508,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 64
     try:
+        _refuse_empty_values(args)
         _derive_kappa(args)
         _check_value_digits(args)
         _check_radius_cost(args)

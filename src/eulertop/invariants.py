@@ -26,9 +26,8 @@ Lagrange inversion, O(n) truncated products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .oracle import log64_ratio, rho_for_kappa
 from .picardfuchs import (
@@ -73,8 +72,7 @@ def bnf_via_reversion(order: int) -> PowerSeries:
     return PowerSeries("J", tuple(_sequences(KP_KAPPA, order)["bnf"]()))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """sigma(J) = linear_log * J + tail(J), with the separatrix areas attached."""
 
     order: int
@@ -124,8 +122,7 @@ def extract_sigma(order: int) -> InvariantReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusReport:
+class RadiusReport(NamedTuple):
     """Ratio-test radius estimates for one coefficient sequence."""
 
     name: str
@@ -246,8 +243,7 @@ PENDULUM_LEADING = math.log(32.0)
 MARGIN_FLOOR = math.log(8.0)
 
 
-@dataclass(frozen=True)
-class PendulumRow:
+class PendulumRow(NamedTuple):
     kappa: float
     euler_leading: float
     margin: float

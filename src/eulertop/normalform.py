@@ -24,13 +24,13 @@ J^n coefficient as a polynomial in kappa = rho - 1/rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .series import (
     InternalConsistencyError,
     PowerSeries,
+    _Frozen,
     _is_exact_rational,
     interpolate_kappa_poly,
 )
@@ -55,28 +55,24 @@ Rows = list[list[int]]
 ScaledRows = tuple[Rows, int]  # over one positive int denominator
 
 
-@dataclass(frozen=True)
-class PolyHamiltonian:
+class PolyHamiltonian(_Frozen):
     """Polynomial Hamiltonian at shape parameter rho: (a, b) -> coefficient of q^a p^b."""
 
-    terms: Mapping[tuple[int, int], Fraction]
-    degree: int
-    rho: Fraction
+    __slots__ = ("terms", "degree", "rho")
 
-    def __post_init__(self):
-        for (a, b), v in self.terms.items():
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction], degree: int, rho: Fraction):
+        for (a, b), v in terms.items():
             if not _is_exact_rational(v):
                 raise PreconditionError(
                     f"coefficient of q^{a} p^{b} must be an int or Fraction, got {v!r}"
                 )
-        cleaned = {k: v for k, v in self.terms.items() if v}
+        cleaned = {k: v for k, v in terms.items() if v}
         for (a, b) in cleaned:
-            if a + b > self.degree:
+            if a + b > degree:
                 raise PreconditionError(
-                    f"monomial q^{a} p^{b} exceeds the stated degree {self.degree}"
+                    f"monomial q^{a} p^{b} exceeds the stated degree {degree}"
                 )
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "rho", _exact_rho(self.rho))
+        self._assign(cleaned, degree, _exact_rho(rho))
 
     def coefficient(self, a: int, b: int) -> Fraction:
         return self.terms.get((a, b), Fraction(0))

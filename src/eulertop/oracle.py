@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .picardfuchs import (
     ATAN_INV_RHO,
@@ -108,8 +107,7 @@ class QuadratureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopParams:
+class TopParams(NamedTuple):
     """Moments of inertia, angular momentum, and the derived shape quantities."""
 
     theta1: float
@@ -321,8 +319,7 @@ def _result(value, estimate, count, cold, tol) -> "QuadratureResult":
     return QuadratureResult(value, estimate, count, cold)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: object
     error_estimate: object
     evaluations: int
@@ -541,8 +538,7 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients
 _SCHEMES = ("gauss", "tanh-sinh")  # the row's quadrature value, then its cross-check
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     h: float
     side: str
     series_value: object
@@ -552,8 +548,7 @@ class VerifyRow:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     kappa: float
     order: int
     rows: tuple[VerifyRow, ...]

@@ -59,8 +59,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import (
     InternalConsistencyError,
@@ -71,6 +71,7 @@ from .series import (
     LogSeries,
     PowerSeries,
     SeriesUsageError,
+    _Frozen,
     _Row,
     _is_exact_rational,
     _kappa_poly,
@@ -108,8 +109,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PFCoefficients:
+class PFCoefficients(NamedTuple):
     """Coefficients c0..c3 of the total-differential identity, polynomials in h."""
 
     c0: PowerSeries
@@ -441,17 +441,15 @@ def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
     return _sequences(kappa, order)["b"]()
 
 
-@dataclass(frozen=True)
-class FrobeniusTable:
+class FrobeniusTable(_Frozen):
     """Paired a_n / b_n tables with the standard normalization a0 = 1, b0 = 0."""
 
-    order: int
-    a: tuple[KappaPoly, ...]
-    b: tuple[KappaPoly, ...]
+    __slots__ = ("order", "a", "b")
 
-    def __post_init__(self):
-        if self.a[0] != KP_ONE or self.b[0] != KP_ZERO:
+    def __init__(self, order: int, a: tuple[KappaPoly, ...], b: tuple[KappaPoly, ...]):
+        if a[0] != KP_ONE or b[0] != KP_ZERO:
             raise InternalConsistencyError("table normalization broken")
+        self._assign(order, a, b)
 
 
 def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
@@ -477,8 +475,7 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionSeries:
+class ActionSeries(NamedTuple):
     """Basis solutions in h.  Action entries carry the 2*pi scaling:
 
     action_regular  = 2 pi I_r = h + O(h^2)
@@ -508,23 +505,23 @@ ATAN_RHO_OVER_PI = "atan_rho_over_pi"        # atan(rho) / pi
 ATAN_INV_RHO_OVER_PI = "atan_inv_rho_over_pi"
 
 
-@dataclass(frozen=True)
-class SymbolicConstant:
+class SymbolicConstant(_Frozen):
     """Rational multiple of a tagged transcendental constant.
 
     Kept symbolic so the polynomial channel stays exact; numeric values come
     from the oracle module on demand.
     """
 
-    kind: str
-    factor: Fraction = Fraction(1)
+    __slots__ = ("kind", "factor")
+
+    def __init__(self, kind: str, factor: Fraction = Fraction(1)):
+        self._assign(kind, factor)
 
     def __neg__(self):
         return SymbolicConstant(self.kind, -self.factor)
 
 
-@dataclass(frozen=True)
-class BetaAction:
+class BetaAction(NamedTuple):
     """One side of the separatrix as k1 * I_r + k2 * I_s + k3.
 
     k2 is +1 on the positive-energy side and -1 on the negative side; the log
@@ -573,8 +570,7 @@ def _theta_minus(a: list, j: int) -> list:
     return [c * (n - j) for n, c in enumerate(a)]
 
 
-@dataclass(frozen=True)
-class PFResidual:
+class PFResidual(NamedTuple):
     """Residual of the ODE applied to a candidate solution, split by channel.
 
     Exponents may be negative (they arise from differentiating the log

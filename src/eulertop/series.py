@@ -22,7 +22,6 @@ minimum order of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,6 +59,52 @@ class SingularReversionError(SeriesUsageError):
 
 class InternalConsistencyError(RuntimeError):
     """Two routes that must agree by construction failed to do so."""
+
+
+class _Frozen:
+    """Base of the value types that define operators or check their arguments.
+
+    Each field is a name in ``__slots__``, set once when the value is made
+    (``_assign``).  Values are equal only within one class, and hash, show
+    and pickle as the tuple of their fields; assigning or deleting a field
+    raises AttributeError.  That is what a frozen dataclass gives, without
+    the about 20 ms that importing ``dataclasses`` and building the classes
+    adds to every process.  Not a tuple, so ``2 * series`` cannot silently
+    repeat one.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        self._assign(*state)
 
 
 def _quoted(text: str) -> str:
@@ -121,8 +166,7 @@ def _row_dot(ws, xs, ys) -> _Row:
     return _Row(out)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class KappaPoly:
+class KappaPoly(_Frozen):
     """Polynomial in kappa with exact rational coefficients, lowest power first.
 
     Stored fraction-free: the coefficient of kappa^n is num[n] / den, with
@@ -132,13 +176,12 @@ class KappaPoly:
     Fractions, is computed on each read.
     """
 
-    num: _Row
-    den: int
+    __slots__ = ("num", "den")  # num: _Row, den: int
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_frac(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        _settle(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        self._assign(*_settle([c.numerator * (den // c.denominator) for c in cs], den))
 
     @staticmethod
     def of(*coeffs) -> "KappaPoly":
@@ -176,8 +219,8 @@ class KappaPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _kappa_poly(-self.num, self.den)
+    def __neg__(self):  # -num over den is canonical already: no _settle
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, KappaPoly) else KappaPoly.constant(-_frac(other)))
@@ -222,8 +265,8 @@ class KappaPoly:
         return " + ".join(parts)
 
 
-def _settle(poly: KappaPoly, num: Sequence[int], den: int) -> None:
-    """Store num / den in poly: trailing zeros stripped, one gcd reduction."""
+def _settle(num: Sequence[int], den: int) -> tuple[_Row, int]:
+    """num / den in canonical form: trailing zeros stripped, one gcd reduction."""
     num = strip_list(num)
     if den & (den - 1) or den == 1:
         g = math.gcd(den, *num)
@@ -231,16 +274,21 @@ def _settle(poly: KappaPoly, num: Sequence[int], den: int) -> None:
     else:  # den = 2^e: the gcd is 2 to the fewest trailing zeros among den and num
         shift = min([den, *(c & -c for c in num if c)]).bit_length() - 1
         num, den = [c >> shift for c in num], den >> shift
-    object.__setattr__(poly, "num", _Row(num))
+    return _Row(num), den
+
+
+def _canonical(num: _Row, den: int) -> KappaPoly:
+    """The KappaPoly num / den for num and den in the canonical form of _settle."""
+    poly = object.__new__(KappaPoly)
+    object.__setattr__(poly, "num", num)
     object.__setattr__(poly, "den", den)
+    return poly
 
 
 def _kappa_poly(num: Sequence[int], den: int) -> KappaPoly:
     """The KappaPoly with coefficients num[n] / den, for int num and a positive
     int den; the one constructor of internal results, with no _frac pass."""
-    poly = object.__new__(KappaPoly)
-    _settle(poly, num, den)
-    return poly
+    return _canonical(*_settle(num, den))
 
 
 def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction], odd: int) -> KappaPoly:
@@ -370,7 +418,21 @@ def _cauchy(a: Sequence, b: Sequence, n: int, lo: int):
     return _sum_of_products(a[lo : n + 1], bs, _zero_of(a, b))
 
 
-def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
+def _baby_steps(inner: Sequence, order: int, size: int) -> list:
+    """inner^1 ... inner^m truncated at ``order``, m = isqrt(size): the powers
+    over which compose_trunc combines an outer series of ``size`` coefficients."""
+    zero = inner[0]
+    if zero:
+        raise SeriesUsageError("inner series must vanish at 0")
+    if order < 0:
+        raise SeriesUsageError("need order >= 0")
+    powers = [[*inner[: order + 1], *[zero] * (order + 1 - len(inner))]]
+    while len(powers) < max(math.isqrt(size), 1):
+        powers.append(mul_trunc(powers[-1], inner, order))
+    return powers
+
+
+def compose_trunc(outer: Sequence, inner: Sequence, order: int, powers: list | None = None) -> list:
     """The composition outer(inner(x)) truncated at ``order``; inner must have
     zero constant term.
 
@@ -381,18 +443,13 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int) -> list:
     coefficients as a combination of those powers plus its constant term,
     and run Horner over the blocks with inner^m as the step.  That is about
     2 sqrt(n) truncated products, against n for Horner on single
-    coefficients (the case m = 1).
+    coefficients (the case m = 1).  ``powers``, the _baby_steps of inner for
+    the n outer coefficients, lets outer series of one length share them.
     """
-    zero = inner[0]
-    if zero:
-        raise SeriesUsageError("inner series must vanish at 0")
-    if order < 0:
-        raise SeriesUsageError("need order >= 0")
     outer = outer[: order + 1]
-    m = max(math.isqrt(len(outer)), 1)
-    powers = [[*inner[: order + 1], *[zero] * (order + 1 - len(inner))]]
-    while len(powers) < m:
-        powers.append(mul_trunc(powers[-1], inner, order))
+    if powers is None:
+        powers = _baby_steps(inner, order, len(outer))
+    m, zero = len(powers), powers[0][0]
     # each block sum is one reduction per coefficient: the block's outer
     # coefficients against inner^0 .. inner^(m-1), and the running res[i] as
     # one more term, with weight one
@@ -487,24 +544,22 @@ def _coerce_kp(c) -> KappaPoly:
     raise TypeError(f"cannot use {type(c).__name__} as a series coefficient")
 
 
-@dataclass(frozen=True, slots=True)
-class PowerSeries:
+class PowerSeries(_Frozen):
     """Power series in one formal variable ('h' or 'J'), truncated at a fixed order.
 
     ``coeffs`` has length order + 1; arithmetic between series requires equal
     variable tags and truncates to the minimum order.
     """
 
-    var: str
-    coeffs: tuple[KappaPoly, ...]
+    __slots__ = ("var", "coeffs")  # coeffs: tuple[KappaPoly, ...]
 
-    def __post_init__(self):
-        if self.var not in _VARS:
-            raise SeriesUsageError(f"unknown series variable {self.var!r}")
-        cs = tuple(_coerce_kp(c) for c in self.coeffs)
+    def __init__(self, var: str, coeffs: Iterable):
+        if var not in _VARS:
+            raise SeriesUsageError(f"unknown series variable {var!r}")
+        cs = tuple(_coerce_kp(c) for c in coeffs)
         if not cs:
             raise SeriesUsageError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        self._assign(var, cs)
 
     @staticmethod
     def from_coeffs(var: str, coeffs: Iterable) -> "PowerSeries":
@@ -604,21 +659,20 @@ class PowerSeries:
         return PowerSeries(self.var, tuple(c.flip_kappa() for c in self.coeffs))
 
 
-@dataclass(frozen=True, slots=True)
-class LogSeries:
+class LogSeries(_Frozen):
     """A pair (L, R) representing L(x)*log(x) + R(x).
 
     Both parts share the variable tag and the truncation order.
     """
 
-    log_part: PowerSeries
-    regular_part: PowerSeries
+    __slots__ = ("log_part", "regular_part")
 
-    def __post_init__(self):
-        if self.log_part.var != self.regular_part.var:
+    def __init__(self, log_part: PowerSeries, regular_part: PowerSeries):
+        if log_part.var != regular_part.var:
             raise SeriesUsageError("log and regular parts must share a variable")
-        if self.log_part.order != self.regular_part.order:
+        if log_part.order != regular_part.order:
             raise SeriesUsageError("log and regular parts must share an order")
+        self._assign(log_part, regular_part)
 
     @property
     def var(self) -> str:
@@ -661,6 +715,11 @@ class LogSeries:
         n = min(self.order, inner.order - 1)
         unit = PowerSeries(inner.var, inner.coeffs[1:]).pad(n)
         log_unit = PowerSeries(inner.var, tuple(log_unit_trunc(unit.coeffs, n)))
-        l_comp = self.log_part.truncate(n).compose(inner.truncate(n))
-        r_comp = self.regular_part.truncate(n).compose(inner.truncate(n))
+        # both parts over one set of baby steps of inner
+        head = inner.coeffs[: n + 1]
+        powers = _baby_steps(head, n, n + 1)
+        l_comp, r_comp = (
+            PowerSeries(inner.var, tuple(compose_trunc(part.coeffs, head, n, powers)))
+            for part in (self.log_part, self.regular_part)
+        )
         return LogSeries(l_comp, l_comp * log_unit + r_comp)

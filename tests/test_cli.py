@@ -325,6 +325,22 @@ def test_validation_errors_exit_2(capsys, monkeypatch):
         assert (code, out) == (2, "") and len(err.encode()) < 300, (argv[0], len(err))
 
 
+# every option of every command, --format where the command has a CSV header
+_OPTIONS = [
+    (name, option)
+    for name, (_, options, header) in _COMMANDS.items()
+    for option in (*options, *(("format",) if header else ()))
+]
+
+
+@pytest.mark.parametrize("name,option", _OPTIONS, ids=[f"{n}--{o}" for n, o in _OPTIONS])
+def test_a_bare_double_dash_value_exits_2(capsys, name, option):
+    # argparse drops the value of --opt=-- and skips its converter
+    code, out, err = run_cli(capsys, name, f"--{option}=--")
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --{option}: expected a value, got '--'\n"
+
+
 def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeypatch):
     # a 100-bit kappa at order 200 gives JSON values of ~21000 bits, past the
     # 4300 digits Python prints
@@ -525,11 +541,13 @@ _MODULE_CHECK = """
 import contextlib, io, json, sys
 import eulertop.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "eulertop")
-runs = []
+# mpmath, and the about 20 ms of start-up that dataclasses and inspect cost
+avoided = lambda: [m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules]
+runs = [["import", 0, avoided()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = eulertop.cli.main(argv)
-    runs.append([argv[0], code, "mpmath" in sys.modules])
+    runs.append([argv[0], code, avoided()])
 print(json.dumps([loaded, runs]))
 """
 
@@ -548,4 +566,4 @@ def test_exact_and_float_commands_never_load_mpmath():
     loaded, runs = json.loads(out)
     modules = ("cli", "invariants", "normalform", "oracle", "picardfuchs", "series")
     assert loaded == ["eulertop", *(f"eulertop.{m}" for m in modules)]
-    assert runs == [[argv[0], 0, False] for argv in _WITHOUT_MPMATH]
+    assert runs == [["import", 0, []], *([argv[0], 0, []] for argv in _WITHOUT_MPMATH)]

@@ -451,6 +451,34 @@ def test_mul_trunc_builds_one_kappa_poly_per_output_coefficient(monkeypatch):
     assert _cauchy(a, b, 3, 0) == out[3] and len(calls) == 1
 
 
+def test_negation_reduces_nothing(monkeypatch):
+    # -p of a canonical p is canonical: only the sum in p - q settles
+    p, q = KappaPoly.of(Fraction(2, 3), Fraction(-5, 6)), KappaPoly.of(Fraction(1, 4), 3)
+    calls = []
+    settle = series._settle
+    monkeypatch.setattr(series, "_settle", lambda *args: calls.append(args) or settle(*args))
+    neg = -p
+    assert len(calls) == 0 and (neg.num, neg.den) == ((-4, 5), 6)
+    diff = p - q
+    assert len(calls) == 1 and diff == KappaPoly.of(Fraction(5, 12), Fraction(-23, 6))
+    assert -KP_ZERO == KP_ZERO and type((-p).num) is _Row
+
+
+def test_compose_with_log_shares_the_baby_steps(monkeypatch):
+    # the log part and the regular part are composed over one set of powers
+    # of inner, with the same result as two separate compositions
+    f = LogSeries(ps("h", 1, K, -K, 3, K * K, 2, 0, 1, K), ps("h", 0, 2, K, 1, -K, 0, 5, K, 1))
+    inner = ps("J", 0, 1, K * Fraction(-1, 4), HALF, K, 1, 0, -K, 2, K * K)
+    steps = []
+    baby_steps = series._baby_steps
+    monkeypatch.setattr(series, "_baby_steps", lambda *args: steps.append(args) or baby_steps(*args))
+    out = f.compose_with_log(inner)
+    assert len(steps) == 1
+    assert out.log_part == f.log_part.compose(inner.truncate(8))
+    unit = PowerSeries("J", log_unit_trunc(inner.coeffs[1:], 8))
+    assert out.regular_part == out.log_part * unit + f.regular_part.compose(inner.truncate(8))
+
+
 @given(st.lists(kappa_polys, min_size=1, max_size=7))
 def test_derivative_inverts_integral(coeffs):
     f = PowerSeries("h", tuple(coeffs))

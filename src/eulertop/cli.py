@@ -267,10 +267,15 @@ def _cmd_verify(args):
         side_sum_deviation=_num(report.side_sum_deviation, 5),
         passed=report.passed,
     )
-    if not report.passed:
+    if report.max_deviation > args.tol:
         raise InternalConsistencyError(
             "series and quadrature disagree beyond tolerance:\n"
             + json.dumps(doc, indent=2)
+        )
+    if not report.passed:
+        raise InternalConsistencyError(
+            "gauss and tanh-sinh quadrature disagree beyond tolerance: cross_scheme_delta "
+            + _num(max(r.cross_scheme_delta for r in report.rows), 5)
         )
     return lambda: doc, None
 

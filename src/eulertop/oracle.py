@@ -17,6 +17,19 @@ the separatrix limit at h = 0:
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
+The rules and their degree ladders are mpmath's, but every integrand runs on
+Python ints at one fixed-point scale 2^P per call (``_fixed_bits``): P is
+mp.quad's working bits (mp.prec + 20) plus _GUARD bits for rounding, plus
+the bits a form needs for the smallest quantity it divides by or takes a
+root of.  Each form cancels its small factors by hand or carries them in an
+exponent, so that only two such quantities are left: cos q0 near the top of
+the plus side's energy range (gauss), and the distances from 2h to the
+cubic's other roots for the period (tanh-sinh); see ``_angle_form`` and
+``_cut_halves``.  The node t comes in through ``mpmath.libmp.to_fixed`` and
+the value goes out through ``from_man_exp``; sinh, cosh and sin come from
+mpmath's fixed-point kernels ``libmp.libelefun.exp_fixed`` and
+``cos_sin_fixed``.
+
 mpmath arithmetic lives only in this module; callers hand in exact series
 and get mpmath numbers back, which the CLI only formats, through ``mp``.
 ``rho_for_kappa`` and ``log64_ratio`` take a float or an mpmath number, so
@@ -291,22 +304,40 @@ def _quad(integrand, interval, scheme, wdps):
     return value, max(err, floor), count, len(rule.standard_cache) > cached
 
 
-def _quad_endpoint_split(g, lo, hi, wdps):
-    """Tanh-sinh over (lo, hi) for an integrand with square-root endpoint
-    behaviour (a root or an inverse square root on each side).
+# Fixed-point rounding allowance of every integrand: each rounds at most a
+# few units of 2^-P in each of at most 16 steps (2^6 units; exp_fixed runs 10
+# bits finer, since its reduction by up to 2^10 multiples of ln 2 would cost
+# that many), and mp.quad sums weights of total at most 400 (2^9, gauss's
+# longest t-range).  24 bits keep the sum's error 2^9 below mp.quad's own
+# rounding at 2^-(prec + 20).
+_GUARD = 24
 
-    ``g(x, d_lo, d_hi)`` receives the distances to the endpoints exactly.
-    Each half-interval is integrated in the local variable u = t^2 measured
-    from its endpoint, which makes the integrand analytic and keeps the
-    distance factors free of cancellation when the nodes cluster.
-    """
-    span = hi - lo
-    root_half = mp.sqrt(span / 2)
-    left = lambda t: 2 * t * g(lo + t * t, t * t, span - t * t)
-    right = lambda t: 2 * t * g(hi - t * t, span - t * t, t * t)
-    v1, e1, c1, cold1 = _quad(left, [0, root_half], "tanh-sinh", wdps)
-    v2, e2, c2, cold2 = _quad(right, [0, root_half], "tanh-sinh", wdps)
-    return v1 + v2, e1 + e2, c1 + c2, cold1 or cold2
+
+def _fixed_bits(extra: int = 0) -> int:
+    """The scale 2^P of a fixed-point integrand: mp.quad's working bits
+    (mp.prec + 20), _GUARD, and ``extra`` bits for a form's small quantity."""
+    return mp.prec + 20 + _GUARD + extra
+
+
+def _ints(x, bits: int) -> int:
+    """floor(x 2^bits) of an mpmath number: x at scale 2^bits."""
+    return int(mp.floor(mp.ldexp(x, bits)))
+
+
+def _relative(x, bits: int):
+    """(m, e) with x = m 2^-e to ``bits`` significant bits, so that the
+    product (m * n) >> e keeps them however small x is."""
+    e = bits + max(0, -mp.mag(x))
+    return _ints(x, e), e
+
+
+def _on_ints(integrand, node_bits: int, value_exp: int):
+    """mp.quad's integrand for one on Python ints: the node t goes in as
+    floor(t 2^node_bits), and the int n it returns comes out as n 2^value_exp."""
+    from mpmath.libmp import from_man_exp, to_fixed
+
+    make = mp.make_mpf
+    return lambda t: make(from_man_exp(integrand(to_fixed(t._mpf_, node_bits)), value_exp))
 
 
 def _result(value, estimate, count, cold, tol) -> "QuadratureResult":
@@ -343,85 +374,193 @@ def _check_energy_range(h, rho) -> str:
     return "minus"
 
 
-def _angle_form(rho, h):
-    """The gauss scheme's substitution q(t) of the real angle on (0, pi/2).
+def _angle_form(rho, h, side: str, which: str):
+    """The gauss scheme's integrand over t in (0, top), on ints, and top.
 
-    Returns the end of the t-range and t -> (sin^2 q, gap, dq/dt), with the
-    gap sin^2 q - 2 rho h free of cancellation.  At h = 0 the integrands are
-    singular at sin^2 q = -rho^2, so c = asinh(rho) puts that at t = +-i pi/2.
+    The real angle is q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho)
+    (h = 0), or q = q0 cosh t at the turning angle q0 = asin(sqrt(2 rho h))
+    (h > 0).  This moves the pinch of width sqrt|h| at the separatrix to
+    about pi/2 off the real t-axis.  At h = 0 the integrand is singular at
+    sin^2 q = -rho^2, which c = asinh(rho) puts at t = +-i pi/2.
+
+    The action integrand is p dq/dt (plus) or (1 - p) dq/dt, with
+    p = sqrt(gap / (rho^2 + sin^2 q)) and gap = sin^2 q - 2 rho h; the period
+    takes 2 dp/dh = -2 rho / sqrt(gap (rho^2 + sin^2 q)).  Both are written in
+    sinc x = sin(x)/x so that the small c or q0 cancels by hand:
+
+    * h <= 0, with Y = sinh t sinc q, r = rho / c and g = 1 (h < 0) or 0:
+      p = sqrt((g + Y^2) / (r^2 + Y^2)), T' = 2 r cosh t / sqrt((1 + Y^2)(r^2 + Y^2));
+    * h > 0, with d = q - q0, r = rho / q0, N = sinc d sinc(q + q0) and
+      B = r^2 + (cosh t sinc q)^2: p = sinh t sqrt(N / B), T' = -2 r / sqrt(N B).
+
+    Every quantity is then a few units of 2^-P absolute, the ratios r >= 1
+    (h <= 0) and B >= sinc^2(pi/2) are never small, and c or q0 multiplies
+    only as a mantissa with its own exponent (``_relative``).  The one small
+    quantity left is sinc(q + q0) >= cos(q0)/pi near the top of the plus
+    side's energy range, where 2 rho h -> 1: P takes log2(1/cos q0) more bits.
+    sinh and cosh come from one ``exp_fixed`` and sin from ``cos_sin_fixed``.
     """
+    from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
+
+    def scale():  # q0 (h > 0) or c
+        if h > 0:
+            return mp.asin(mp.sqrt(2 * h * rho))
+        return mp.sqrt(-2 * h * rho) if h else mp.asinh(rho)
+
+    a = scale()
     if h > 0:
-        q0 = mp.asin(mp.sqrt(2 * h * rho))
-
-        def point(t):
-            d = 2 * q0 * mp.sinh(t / 2) ** 2  # q - q0, free of cancellation
-            q = q0 + d
-            return mp.sin(q) ** 2, mp.sin(d) * mp.sin(q + q0), q0 * mp.sinh(t)
-
-        top = mp.acosh(mp.pi / (2 * q0))
+        top = mp.acosh(mp.pi / (2 * a))
+        bits = _fixed_bits(max(0, -mp.mag(mp.cos(a))))
     else:
-        c = mp.sqrt(-2 * h * rho) if h else mp.asinh(rho)
-        c2 = c * c if h else 0
-
-        def point(t):
-            s2 = mp.sin(c * mp.sinh(t)) ** 2
-            return s2, s2 + c2, c * mp.cosh(t)
-
-        top = mp.asinh(mp.pi / (2 * c))
+        top = mp.asinh(mp.pi / (2 * a))
+        bits = _fixed_bits()
     if top > 400:
         # |h| below about 1e-340, or at h = 0 rho below about 1e-173, out of
         # a float's reach: the lowest degrees would miss the mass near t = top
         # and agree on 0
         small = f"|h| = {mp.nstr(abs(h), 3)}" if h else f"rho = {mp.nstr(rho, 3)} at h = 0"
         raise DomainError(f"{small} is too small for the gauss scheme")
-    return top, point
+    period = which == "period"
+    with mp.workprec(bits):  # the constants to the form's own scale
+        a = scale()
+        am, ae = _relative(a, bits)
+        a0 = _ints(a, bits)
+        r = _ints(rho / a, bits)
+        # p ~ 1/r on the plus side: p 2^lift keeps its P bits when rho is large
+        lift = max(0, mp.mag(rho / a) - 1) if side == "plus" and not period else 0
+    one = 1 << bits
+    r2, lead = r * r, 2 * r
+
+    def sinc(x):
+        """sin(x)/x at scale 2^P for 0 <= x < pi 2^P, to a few units."""
+        if x >> (bits - 16):  # x >= 2^-16: sin to 16 more bits, then divide
+            return (cos_sin_fixed(x << 16, bits + 16)[1] << bits) // (x << 16)
+        x2, term, total, k = x * x >> bits, one, one, 3
+        while term:
+            term = (term * x2 >> bits) // ((k - 1) * k)
+            total += -term if k & 2 else term
+            k += 2
+        return total
+
+    def cosh_sinh(t):
+        e = exp_fixed(t << 10, bits + 10) >> 10
+        ei = (one << bits) // e
+        return (e + ei) >> 1, (e - ei) >> 1
+
+    if h > 0:
+
+        def integrand(t):
+            ch, sh = cosh_sinh(t)
+            q = am * ch >> ae
+            n = sinc(max(q - a0, 0)) * sinc(q + a0)
+            b = r2 + (ch * sinc(q) >> bits) ** 2
+            if period:
+                return -((lead << 2 * bits) // math.isqrt(n * b))
+            return math.isqrt((sh * sh * n << 2 * lift) // b) * (am * sh >> ae) >> bits
+
+    else:
+        g = 1 << 2 * bits if h else 0
+
+        def integrand(t):
+            ch, sh = cosh_sinh(t)
+            y = sh * sinc(am * sh >> ae) >> bits
+            y2 = y * y
+            if period:
+                return (lead * ch << bits) // math.isqrt((g + y2) * (r2 + y2))
+            p = math.isqrt(((g + y2) << 2 * (bits + lift)) // (r2 + y2))
+            return (p if side == "plus" else one - p) * (am * ch >> ae) >> bits
+
+    return top, _on_ints(integrand, bits, -bits - lift)
 
 
 def _cut_form(rho, h, side: str):
     """The tanh-sinh scheme's cut from 2h to the root 1/rho (plus) or -rho
-    (minus) of z (z + rho) (1/rho - z), and the factor of that cubic left
-    once the one vanishing at the root is taken out.  Holds at h = 0 too."""
+    (minus) of z (z + rho) (1/rho - z): its length, then the distances from
+    2h to the cubic's two other roots, 0 first.  Holds at h = 0 too."""
     if side == "plus":
-        return 2 * h, 1 / rho, lambda z: z * (z + rho)
-    return -rho, 2 * h, lambda z: (-z) * (1 / rho - z)
+        return 1 / rho - 2 * h, 2 * h, 2 * h + rho
+    return 2 * h + rho, -2 * h, 1 / rho - 2 * h
+
+
+def _cut_halves(cut, k, which: str):
+    """The two tanh-sinh integrands over t in (0, sqrt(span/2)), on ints, and
+    sqrt(span/2).
+
+    ``cut()`` gives (span, near, far) at the current precision: the cut runs
+    from the energy's end y = 0 to a root of the cubic at y = span, and the
+    cubic's two other roots lie beyond y = 0, at distances ``near`` and
+    ``far``: F(y) = (near + y)(far + y).  The action integrand
+    is k sqrt(y / ((span - y) F(y))), the period's k / sqrt(y (span - y) F(y)).
+    Each half is integrated in u = t^2 measured from its own end, which makes
+    both analytic, with the t of dy = 2t dt cancelled by hand: each half is
+    2k y^a / sqrt(D F(y)), a = 1 (action) or 0 (period), D = span - u, and
+    y = u on the energy's half, y = D on the root's.
+
+    Lengths run in units of 2^s, s even and span = 2^s span' with span' in
+    [1/2, 2), and t in units of 2^(s/2), so each half is 2^(s (a - 3/2)) times
+    a function of t' in [0, 1) whose factor 2^(s (a - 3/2)) goes into the
+    exponent of the value.  u, D and the distances run at scale 2^(2P).  D and
+    the root's half's F are at least 1/2 and 1/4; on the energy's half the
+    action's y^2 / F(y) lies in [0, 1].  So only the period divides by a small
+    quantity, F(u) >= near' far', which 2P bits must hold to P of its own:
+    P takes (log2(1/min(near', far')) - P)/2 more bits when that is positive,
+    which |h| or 1/rho^2 (rho^2 on the plus side) below 2^-P span asks for.
+    """
+    span, near, far = cut()
+    s = 2 * (mp.mag(span) // 2)
+    action = which == "action"
+    bits = _fixed_bits()
+    if not action:
+        bits += max(0, (-mp.mag(min(near, far) / span) - bits + 1) // 2)
+    wide = 2 * bits
+    # each half is about 1/sqrt(F(span')): times 2^lift it keeps its P bits
+    lift = max(0, mp.mag((near + span) * (far + span) / span**2) // 2)
+    end = mp.sqrt(span / 2)
+    with mp.workprec(bits):  # the distances to the form's own scale
+        ends, d1, d2 = (_ints(x, wide - s) for x in cut())
+        km, ke = _relative(k, bits)
+    period_num = 1 << 4 * wide + 2 * lift
+
+    def half(energy_end):
+        def integrand(t):
+            u = t * t
+            d = ends - u
+            y = u if energy_end else d
+            num = y * y << 2 * (wide + lift) if action else period_num
+            # F(y) is 0 only at a node that rounds to the end at h = 0, where
+            # the action's y^2 is 0 too
+            return km * math.isqrt(num // max(d * (d1 + y) * (d2 + y), 1)) >> ke - 1
+
+        return _on_ints(integrand, bits - s // 2, -bits - lift - (s // 2 if action else 3 * s // 2))
+
+    return end, (half(True), half(False))
+
+
+def _quad_cut(cut, k, which: str, wdps):
+    """Tanh-sinh over both halves of a cut (``_cut_halves``), summed."""
+    end, halves = _cut_halves(cut, k, which)
+    (v1, e1, c1, cold1), (v2, e2, c2, cold2) = (_quad(f, [0, end], "tanh-sinh", wdps) for f in halves)
+    return v1 + v2, e1 + e2, c1 + c2, cold1 or cold2
 
 
 def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureResult:
     """The action (which="action") or the period of one side by one scheme.
 
     side=None takes the side from h, which must lie strictly inside one; with
-    a side, h = 0 gives the separatrix limit of the action.  In the angle form
-    the action integrand is p = sqrt(gap / (rho^2 + sin^2 q)) (plus) or 1 - p,
-    and T = 2 pi I' takes 2 dp/dh = -2 rho / sqrt(gap (rho^2 + sin^2 q)).
-    I_beta' < 0 above the separatrix: the area under it shrinks as h grows.
+    a side, h = 0 gives the separatrix limit of the action.  T = 2 pi I' is
+    negative above the separatrix: the area under it shrinks as h grows.
     """
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         rho = rho_for_kappa(kq)
         side = side or _check_energy_range(hq, rho)
-        sign = -1 if side == "plus" else 1
         if scheme == "gauss":
-            top, point = _angle_form(rho, hq)
-            r2, lead = rho * rho, 2 * sign * rho
-
-            def integrand(t):
-                s2, gap, dq = point(t)
-                if which == "period":
-                    return lead / mp.sqrt(gap * (r2 + s2)) * dq
-                p = mp.sqrt(gap / (r2 + s2))
-                return (p if side == "plus" else 1 - p) * dq
-
+            top, integrand = _angle_form(rho, hq, side, which)
             value, err, count, cold = _quad(integrand, [0, top], "gauss", wdps)
             scale = mp.pi
         elif scheme == "tanh-sinh":
-            lo, hi, smooth = _cut_form(rho, hq, side)
-            if which == "period":
-                g = lambda z, dlo, dhi: sign / mp.sqrt(dlo * dhi * smooth(z))
-            elif side == "plus":
-                g = lambda z, dlo, dhi: mp.sqrt(dlo / (smooth(z) * dhi))
-            else:
-                g = lambda z, dlo, dhi: mp.sqrt(dhi / (dlo * smooth(z)))
-            value, err, count, cold = _quad_endpoint_split(g, lo, hi, wdps)
+            sign = -1 if which == "period" and side == "plus" else 1
+            value, err, count, cold = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which, wdps)
             scale = 2 * mp.pi
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -475,15 +614,12 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
         if z_star > r2:
             if not z_star < r1:
                 raise DomainError("energy above the upper elliptic equilibrium")
-            lo, hi = z_star, r1
-            g = lambda z, dlo, dhi: ell * mp.sqrt(dlo / (dhi * (z - r2) * (z - r3)))
+            cut = lambda: (r1 - z_star, z_star - r2, z_star - r3)
         else:
             if not z_star > r3:
                 raise DomainError("energy below the lower elliptic equilibrium")
-            lo, hi = r3, z_star
-            g = lambda z, dlo, dhi: ell * mp.sqrt(dhi / (dlo * (r1 - z) * (r2 - z)))
-
-        value, err, count, cold = _quad_endpoint_split(g, lo, hi, wdps)
+            cut = lambda: (z_star - r3, r2 - z_star, r1 - z_star)
+        value, err, count, cold = _quad_cut(cut, ell, "action", wdps)
         return _result(value / mp.pi, err / mp.pi, count, cold, tol)
 
 
@@ -559,7 +695,9 @@ class VerifyReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tol
+        """The series meets quadrature, and the two schemes meet each other,
+        within tol on every row."""
+        return self.max_deviation <= self.tol and all(r.cross_scheme_delta <= self.tol for r in self.rows)
 
 
 def verify_series_numerics(

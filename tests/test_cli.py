@@ -215,6 +215,21 @@ def test_verify_unreachable_tolerance_exits_3(capsys):
     assert "internal failure" in err
 
 
+def test_verify_exits_3_when_the_schemes_disagree(capsys, monkeypatch):
+    # the series still meets gauss; a tanh-sinh value 1e-6 off must fail the run
+    quadrature = oracle.action_quadrature
+
+    def perturbed(kappa, h, tol=1e-12, dps=50, scheme="gauss"):
+        result = quadrature(kappa, h, tol=tol, dps=dps, scheme=scheme)
+        return result._replace(value=result.value + 1e-6) if scheme == "tanh-sinh" else result
+
+    monkeypatch.setattr(oracle, "action_quadrature", perturbed)
+    code, out, err = run_cli(capsys, "verify", "--kappa=1/2", "--order=20", "--samples=0.01")
+    assert code == 3 and out == ""
+    assert err.startswith("internal failure: gauss and tanh-sinh quadrature disagree")
+    assert len(err.splitlines()) == 1
+
+
 def test_precision_env_override(capsys, monkeypatch):
     monkeypatch.setenv("PRECISION", "30")
     _, out, _ = run_cli(capsys, "actions", "--kappa", "1/2", "--order", "4")

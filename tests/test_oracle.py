@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 
@@ -163,7 +164,16 @@ def test_gauss_beyond_its_degree_cap_raises():
     # h; the mirror kappa = 1e300 runs
     with pytest.raises(DomainError, match=r"rho = 1\.0e-300 at h = 0 is too small"):
         verify_series_numerics(-1e300, [0], order=2)
-    assert verify_series_numerics(1e300, [0], order=2).passed
+    # both schemes at the edges of rho, with the evaluation counts of the mpf
+    # integrands the fixed-point ones replaced
+    for kappa, samples, order, counts in (
+        (1e300, [0], 2, [79, 583]),
+        (1e30, [0, 1e-31, -1e-31], 4, [233, 4783, 375, 4807]),
+    ):
+        report = verify_series_numerics(kappa, samples, order=order)
+        assert report.passed
+        assert [r.evaluations for r in report.rows] == counts
+        assert all(r.cross_scheme_delta <= mp.mpf("1e-45") for r in report.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +296,157 @@ def test_domain_errors():
         period_quadrature(0.5, -5.0)
     with pytest.raises(ValueError):
         separatrix_action(0.5, "plsu")
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point integrands against the mpf forms they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_angle(rho, h, side, which):
+    """The gauss integrand in mpf, as oracle evaluated it before its integrands
+    ran on ints: p = sqrt(gap / (rho^2 + sin^2 q)) dq/dt (plus) or 1 - p, and
+    the period 2 dp/dh dq/dt."""
+    if h > 0:
+        q0 = mp.asin(mp.sqrt(2 * h * rho))
+
+        def point(t):
+            d = 2 * q0 * mp.sinh(t / 2) ** 2  # q - q0, free of cancellation
+            q = q0 + d
+            return mp.sin(q) ** 2, mp.sin(d) * mp.sin(q + q0), q0 * mp.sinh(t)
+
+    else:
+        c = mp.sqrt(-2 * h * rho) if h else mp.asinh(rho)
+        c2 = c * c if h else 0
+
+        def point(t):
+            s2 = mp.sin(c * mp.sinh(t)) ** 2
+            return s2, s2 + c2, c * mp.cosh(t)
+
+    r2, lead = rho * rho, 2 * (-1 if side == "plus" else 1) * rho
+
+    def integrand(t):
+        s2, gap, dq = point(t)
+        if which == "period":
+            return lead / mp.sqrt(gap * (r2 + s2)) * dq
+        p = mp.sqrt(gap / (r2 + s2))
+        return (p if side == "plus" else 1 - p) * dq
+
+    return integrand
+
+
+def _reference_halves(lo, hi, g, energy_at_lo):
+    """The two tanh-sinh halves of g(z, d_lo, d_hi) over (lo, hi) in mpf, in
+    u = t^2 from each end, energy's end first."""
+    span = hi - lo
+    left = lambda t: 2 * t * g(lo + t * t, t * t, span - t * t)
+    right = lambda t: 2 * t * g(hi - t * t, span - t * t, t * t)
+    return (left, right) if energy_at_lo else (right, left)
+
+
+def _reference_cut(rho, h, side, which):
+    """The tanh-sinh integrands in mpf on the cut from 2h to 1/rho or -rho."""
+    if side == "plus":
+        lo, hi, smooth = 2 * h, 1 / rho, lambda z: z * (z + rho)
+    else:
+        lo, hi, smooth = -rho, 2 * h, lambda z: (-z) * (1 / rho - z)
+    if which == "period":
+        sign = -1 if side == "plus" else 1
+        g = lambda z, dlo, dhi: sign / mp.sqrt(dlo * dhi * smooth(z))
+    elif side == "plus":
+        g = lambda z, dlo, dhi: mp.sqrt(dlo / (smooth(z) * dhi))
+    else:
+        g = lambda z, dlo, dhi: mp.sqrt(dhi / (dlo * smooth(z)))
+    return _reference_halves(lo, hi, g, side == "plus")
+
+
+def _reference_unscaled(params, h_sans, dps):
+    """The unscaled action's tanh-sinh integrands in mpf, on the inverse
+    moments and 2h/ell^2 as oracle rounds them at dps digits."""
+    with mp.workdps(dps):
+        ell = mp.mpf(params.ell)
+        r1, r2, r3 = (1 / mp.mpf(x) for x in (params.theta1, params.theta2, params.theta3))
+        z_star = 2 * mp.mpf(h_sans) / ell**2
+    if z_star > r2:
+        g = lambda z, dlo, dhi: ell * mp.sqrt(dlo / (dhi * (z - r2) * (z - r3)))
+        return _reference_halves(z_star, r1, g, True)
+    g = lambda z, dlo, dhi: ell * mp.sqrt(dhi / (dlo * (r1 - z) * (r2 - z)))
+    return _reference_halves(r3, z_star, g, False)
+
+
+def _integrands(call):
+    """The (integrand, end of its t-range) pairs that ``call`` hands mp.quad."""
+    seen = []
+
+    def record(integrand, interval, scheme, wdps):
+        seen.append((integrand, interval[1]))
+        return mp.mpf(0), mp.mpf(0), 0, False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_quad", record)
+        call()
+    return seen
+
+
+def _assert_fixed_matches(seen, references, dps, units, nodes):
+    # Each node is a multiple of 2^-40 of its range's end, so the integrand
+    # reads it exactly at its scale 2^P, P >= mp.prec + 44.  The forms take
+    # rho and h as rounded at dps digits and compute what they derive from
+    # them at P bits, as the mpf reference does 30 digits finer.  Every form
+    # then keeps its value to a few units of 2^-P of its size, or of its
+    # unit: 1 for gauss, span^(a - 3/2) for a cut whose integrand has y^a in
+    # the numerator.  2^(8 - P) bounds that with room.
+    with mp.workdps(dps):
+        bits = oracle._fixed_bits()
+    assert len(seen) == len(references) == len(units)
+    with mp.workdps(dps + 30):
+        for (fixed, end), reference, unit in zip(seen, references, units):
+            for j in nodes:
+                t = mp.ldexp(end * j, -40)
+                ref = reference(t)
+                assert abs(fixed(t) - ref) <= mp.ldexp(max(abs(ref), unit), 8 - bits), (j, ref)
+
+
+@given(
+    kappa=st.one_of(
+        st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9)),
+        st.sampled_from([Fraction(-20), Fraction(10**6)]),
+    ),
+    exponent=st.floats(-100, 0),
+    sign=st.sampled_from([1, -1, 0]),
+    dps=st.sampled_from([15, 50, 100]),
+    nodes=st.lists(st.integers(1, 2**40 - 1), min_size=1, max_size=3),
+)
+def test_fixed_point_integrands_match_the_mpf_forms(kappa, exponent, sign, dps, nodes):
+    # h from +-1e-100 up to +-0.3 of the convergence disc, and h = 0
+    with mp.workdps(dps):
+        rho = rho_for_kappa(oracle._to_mp(kappa))
+        disc = min(rho, 1 / rho) / 2
+        h = sign * min(mp.mpf(10) ** exponent, 0.3 * disc)
+        sides = ("plus", "minus") if sign == 0 else ("plus" if sign > 0 else "minus",)
+    for side in sides:
+        for which in ("action",) if sign == 0 else ("action", "period"):
+            for scheme, reference in (("gauss", _reference_angle), ("tanh-sinh", _reference_cut)):
+                seen = _integrands(lambda: oracle._integral(kappa, h, side, which, scheme, 1, dps))
+                with mp.workdps(dps + 30):
+                    refs = reference(rho, h, side, which)
+                    refs = refs if scheme == "tanh-sinh" else (refs,)
+                    if scheme == "gauss":
+                        units = (1,)
+                    else:
+                        span = oracle._cut_form(rho, h, side)[0]
+                        units = (span ** (-0.5 if which == "action" else -1.5),) * 2
+                _assert_fixed_matches(seen, refs, dps, units, nodes)
+
+
+@pytest.mark.parametrize("h", [0.6, -0.6, 1e-40, -1e-40])
+def test_fixed_point_unscaled_integrand_matches_the_mpf_form(h):
+    p = params_from_inertia(1.0, 1.7, 2.2, 1.3)
+    h_sans = h * min(p.rho, 1 / p.rho) / 2 * p.lam * p.ell + 0.5 * p.ell**2 / p.theta2
+    seen = _integrands(lambda: action_unscaled_quadrature(p, h_sans, dps=50))
+    with mp.workdps(80):
+        span = abs(seen[0][1]) ** 2 * 2
+        _assert_fixed_matches(seen, _reference_unscaled(p, h_sans, 50), 50, (p.ell * span**-0.5,) * 2, [1, 2**20, 2**39, 2**40 - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ normal form H*(J) as a series in the action J = q*p.
 
 The Lie route runs on exact rationals at one rational rho.  The linear map
 scales by sqrt(rho), but every monomial in the pipeline has a - b even, so
-only integral powers of rho enter.  The linear map and the Lie transforms
-run fraction-free on graded int rows, rows[m][a] the numerator of
-q^a p^(m-a) over one common int denominator: the Poisson bracket is one
-dense product per pair of degrees, every division is exact, and each
-coefficient becomes one Fraction at the end of the step.
+only integral powers of rho enter.  A PolyHamiltonian is graded int rows,
+rows[m][a] the numerator of q^a p^(m-a) over one common int denominator,
+and the linear map and the Lie transforms run fraction-free on them: the
+Poisson bracket is one dense product per pair of degrees, every division
+is exact, and each normal form value becomes one Fraction at the end.
 ``euler_normal_form`` runs the route at several rho and interpolates each
 J^n coefficient as a polynomial in kappa = rho - 1/rho.
 """
@@ -49,50 +49,57 @@ class PreconditionError(ValueError):
     """Input Hamiltonian does not have the shape the operation requires."""
 
 
-Terms = dict[tuple[int, int], Fraction]
 # graded int rows: rows[m][a] is the numerator of q^a p^(m-a), m = 0..max_degree
 Rows = list[list[int]]
-ScaledRows = tuple[Rows, int]  # over one positive int denominator
 
 
 class PolyHamiltonian(_Frozen):
-    """Polynomial Hamiltonian at shape parameter rho: (a, b) -> coefficient of q^a p^b."""
+    """Polynomial Hamiltonian at shape parameter rho, from (a, b) -> coefficient of q^a p^b.
 
-    __slots__ = ("terms", "degree", "rho")
+    Stored as graded int rows: rows[m][a] / den is the coefficient of
+    q^a p^(m-a), rows run up to the top nonzero degree, and den > 0 is the
+    lcm of the coefficients' denominators, so gcd(den, every numerator) = 1
+    and equal Hamiltonians have equal fields.
+    ``terms``, the nonzero coefficients as Fractions, is computed on each read.
+    """
+
+    __slots__ = ("rows", "den", "degree", "rho")
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction], degree: int, rho: Fraction):
+        if type(degree) is not int or degree < 0:  # a bool is no degree or exponent
+            raise PreconditionError(f"degree must be a non-negative int, got {degree!r}")
         for (a, b), v in terms.items():
+            if type(a) is not int or type(b) is not int or min(a, b) < 0:
+                raise PreconditionError(f"monomial q^{a!r} p^{b!r} needs non-negative int exponents")
             if not _is_exact_rational(v):
-                raise PreconditionError(
-                    f"coefficient of q^{a} p^{b} must be an int or Fraction, got {v!r}"
-                )
-        cleaned = {k: v for k, v in terms.items() if v}
-        for (a, b) in cleaned:
-            if a + b > degree:
-                raise PreconditionError(
-                    f"monomial q^{a} p^{b} exceeds the stated degree {degree}"
-                )
-        self._assign(cleaned, degree, _exact_rho(rho))
+                raise PreconditionError(f"coefficient of q^{a} p^{b} must be an int or Fraction, got {v!r}")
+            if v and a + b > degree:
+                raise PreconditionError(f"monomial q^{a} p^{b} exceeds the stated degree {degree}")
+        kept = {k: v for k, v in terms.items() if v}
+        den = math.lcm(*(v.denominator for v in kept.values()))
+        rows = [[0] * (m + 1) for m in range(max(map(sum, kept), default=-1) + 1)]
+        for (a, b), v in kept.items():
+            rows[a + b][a] = v.numerator * (den // v.denominator)
+        self._assign(tuple(map(tuple, rows)), den, degree, _exact_rho(rho))
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {(a, m - a): Fraction(c, self.den) for m, row in enumerate(self.rows) for a, c in enumerate(row) if c}
 
     def coefficient(self, a: int, b: int) -> Fraction:
-        return self.terms.get((a, b), Fraction(0))
+        return Fraction(self.rows[a + b][a], self.den) if min(a, b) >= 0 and a + b < len(self.rows) else Fraction(0)
 
-    def quadratic_part(self) -> Terms:
-        return {k: v for k, v in self.terms.items() if k[0] + k[1] == 2}
+    def quadratic_part(self) -> dict[tuple[int, int], Fraction]:
+        return {(a, 2 - a): Fraction(c, self.den) for row in self.rows[2:3] for a, c in enumerate(row) if c}
+
+    def __repr__(self):
+        return f"PolyHamiltonian(terms={self.terms!r}, degree={self.degree!r}, rho={self.rho!r})"
 
 
 def _exact_rho(rho) -> Fraction:
     if not _is_exact_rational(rho) or rho <= 0:
         raise PreconditionError(f"rho must be a positive int or Fraction, got {rho!r}")
     return Fraction(rho)
-
-
-def _sin_sq_coefficients(max_degree: int) -> dict[int, Fraction]:
-    # sin(q)^2 = sum_{m>=1} (-1)^(m+1) 2^(2m-1) / (2m)! q^(2m)
-    return {
-        2 * m: Fraction((-1) ** (m + 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
-        for m in range(1, max_degree // 2 + 1)
-    }
 
 
 def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
@@ -104,12 +111,12 @@ def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
     if max_degree < 2 or max_degree % 2:
         raise PreconditionError("expansion degree must be an even integer >= 2")
     rho = _exact_rho(rho)
-    sin_sq = _sin_sq_coefficients(max_degree)
-    terms: Terms = {(0, 2): -rho / 2}
-    for deg, c in sin_sq.items():
-        terms[(deg, 0)] = c / (2 * rho)
+    terms = {(0, 2): -rho / 2}
+    for deg in range(2, max_degree + 1, 2):  # sin(q)^2 = sum_{m>=1} (-1)^(m+1) 2^(2m-1) / (2m)! q^(2m)
+        c = Fraction((-1) ** (deg // 2 + 1) * 2 ** (deg - 1), 2 * rho * math.factorial(deg))
+        terms[(deg, 0)] = c
         if deg + 2 <= max_degree:
-            terms[(deg, 2)] = -c / (2 * rho)
+            terms[(deg, 2)] = -c
     return PolyHamiltonian(terms, max_degree, rho)
 
 
@@ -121,34 +128,30 @@ def williamson_reduce(ham: PolyHamiltonian) -> PolyHamiltonian:
 
         q^a p^b -> rho^((a-b)/2) 2^(-(a+b)/2) (q + p)^a (p - q)^b.
 
-    With rho = r/s, it runs on int rows over den 2^(D/2) (r s)^e: den the lcm
-    of the denominators, D the top degree and e the largest |a - b|/2.
+    With rho = r/s, it runs on int rows over den 2^(D/2) (r s)^e: den that of
+    ham, D the top degree and e the largest |a - b|/2.
     """
-    out, den = _williamson_rows(ham)
-    terms = {(a, m - a): Fraction(c, den) for m, row in enumerate(out) for a, c in enumerate(row) if c}
-    return PolyHamiltonian(terms, ham.degree, ham.rho)
-
-
-def _williamson_rows(ham: PolyHamiltonian) -> ScaledRows:
-    """The graded int rows of williamson_reduce(ham) and their denominator."""
-    rho, r, s = ham.rho, ham.rho.numerator, ham.rho.denominator
-    if ham.quadratic_part() != {(2, 0): 1 / (2 * rho), (0, 2): -rho / 2}:
+    rho, r, s, den = ham.rho, ham.rho.numerator, ham.rho.denominator, ham.den
+    if ham.rows[2:3] != ((-rho * den / 2, 0, den / (2 * rho)),):
         raise PreconditionError("quadratic part is not (1/2)(q^2/rho - rho p^2)")
-    top = max(a + b for a, b in ham.terms)
-    e = max(abs(a - b) for a, b in ham.terms) // 2
-    den = math.lcm(*(v.denominator for v in ham.terms.values()))
+    top = len(ham.rows) - 1
+    terms = [(a, m - a, c) for m, row in enumerate(ham.rows) for a, c in enumerate(row) if c]
+    e = max(abs(a - b) for a, b, _ in terms) // 2
     out = [[0] * (m + 1) for m in range(top + 1)]
-    for (a, b), v in ham.terms.items():
+    for a, b, c in terms:
         if (a + b) % 2:
             raise PreconditionError(f"monomial q^{a} p^{b} has odd parity; the map would need sqrt factors")
         k = (a - b) // 2
-        base = v.numerator * (den // v.denominator) * 2 ** ((top - a - b) // 2) * r ** (e + k) * s ** (e - k)
+        base = c * 2 ** ((top - a - b) // 2) * r ** (e + k) * s ** (e - k)
         weights = [0] * (a + b + 1)  # the q^t coefficients of (q + p)^a (p - q)^b
         for i in range(a + 1):
             for j in range(b + 1):
                 weights[i + j] += math.comb(a, i) * math.comb(b, j) * (-1) ** j
         out[a + b] = [x + base * w for x, w in zip(out[a + b], weights)]
-    return out, den * 2 ** (top // 2) * (r * s) ** e
+    out, den = _reduced(out, den * 2 ** (top // 2) * (r * s) ** e)
+    reduced = object.__new__(PolyHamiltonian)  # canonical: the map keeps the top row nonzero
+    reduced._assign(tuple(map(tuple, out)), den, ham.degree, rho)
+    return reduced
 
 
 def _bracket(f: Rows, g: Rows, max_degree: int) -> Rows:
@@ -174,7 +177,7 @@ def _bracket(f: Rows, g: Rows, max_degree: int) -> Rows:
     return [acc[1:-1] for acc in out]
 
 
-def _lie_transform(terms: ScaledRows, generator: ScaledRows, max_degree: int) -> ScaledRows:
+def _lie_transform(terms: tuple[Rows, int], generator: tuple[Rows, int], max_degree: int) -> tuple[Rows, int]:
     """Time-1 flow of the generator: sum_k ad_W^k(H) / k! truncated in degree.
 
     H = N / den and W = G / gden are graded int rows.  The k-th bracket is
@@ -200,7 +203,7 @@ def _lie_transform(terms: ScaledRows, generator: ScaledRows, max_degree: int) ->
     return _reduced(out, den * gden**K * math.factorial(K))
 
 
-def _reduced(rows: Rows, den: int) -> ScaledRows:
+def _reduced(rows: Rows, den: int) -> tuple[Rows, int]:
     """rows / den with the content gcd of the numerators and den divided out."""
     g = den
     for row in rows:
@@ -226,21 +229,12 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     """
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
-    if ham.quadratic_part() != {(1, 1): 1}:
+    if ham.rows[2:3] != ((0, ham.den, 0),):
         raise PreconditionError("quadratic part must be exactly q*p")
     max_degree = 2 * order
     if ham.degree < max_degree:
         raise PreconditionError(f"need the expansion through degree {max_degree}, got {ham.degree}")
-    kept = {k: v for k, v in ham.terms.items() if k[0] + k[1] <= max_degree}
-    den = math.lcm(*(v.denominator for v in kept.values()))
-    rows = [[0] * (m + 1) for m in range(max_degree + 1)]
-    for (a, b), v in kept.items():
-        rows[a + b][a] = v.numerator * (den // v.denominator)
-    return _normalize_rows(rows, den, order)
-
-
-def _normalize_rows(rows: Rows, den: int, order: int) -> tuple[Fraction, ...]:
-    """birkhoff_normalize on rows over den; a quadratic part other than q p fails its checks."""
+    rows, den = [ham.rows[m] if m < len(ham.rows) else (0,) * (m + 1) for m in range(max_degree + 1)], ham.den
     for d in range(3, len(rows)):
         shifts = [2 * a - d if c else 0 for a, c in enumerate(rows[d])]
         if any(shifts):
@@ -267,7 +261,7 @@ def euler_normal_form(order: int) -> PowerSeries:
     if order < 1:
         raise PreconditionError("normal form order must be >= 1")
     rhos = [Fraction(r) for r in range(2, (order - 1) // 2 + 4)]
-    rows = [_normalize_rows(*_williamson_rows(expand_hamiltonian(2 * order, rho)), order) for rho in rhos]
+    rows = [birkhoff_normalize(williamson_reduce(expand_hamiltonian(2 * order, rho)), order) for rho in rhos]
     kappas = [rho - 1 / rho for rho in rhos]
     return PowerSeries("J", tuple(
         interpolate_kappa_poly(kappas, [row[n] for row in rows], (n + 1) % 2)

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import comb, factorial
 
@@ -64,6 +65,51 @@ def test_hamiltonian_rejects_inexact_coefficients():
             PolyHamiltonian({(1, 1): bad}, 2, 2)
     values = birkhoff_normalize(PolyHamiltonian({(1, 1): 1, (3, 1): Fraction(1, 2), (2, 2): 1}, 4, 2), 2)
     assert values == (0, 1, 1) and all(type(v) is Fraction for v in values)
+
+
+def test_hamiltonian_refuses_negative_and_bool_exponents():
+    # row index -1 would read q^-1 p^4 as q^3, the last entry of row 3
+    terms = {(1, 1): 1, (0, 3): 1, (1, 2): Fraction(1, 5), (-1, 4): Fraction(1, 3)}
+    with pytest.raises(PreconditionError, match="q\\^-1 p\\^4"):
+        birkhoff_normalize(PolyHamiltonian(terms, 6, 1), 3)
+    terms[(3, 0)] = terms.pop((-1, 4))
+    assert birkhoff_normalize(PolyHamiltonian(terms, 6, 1), 3) == (0, 1, -1, Fraction(-104, 75))
+    for bad in [(True, 2), (2, False), (2.0, 2), (2, -1), (-1, 2)]:
+        for value in (1, 0):
+            with pytest.raises(PreconditionError, match="non-negative int exponents"):
+                PolyHamiltonian({(1, 1): 1, bad: value}, 4, 1)
+    for bad in (-1, True, 4.0):
+        with pytest.raises(PreconditionError, match="degree must be a non-negative int"):
+            PolyHamiltonian({}, bad, 1)
+
+
+def test_hamiltonian_fields_are_canonical():
+    # one polynomial given with int, Fraction and zero-valued terms
+    given = [
+        {(1, 1): 1, (2, 2): Fraction(2, 4), (0, 4): Fraction(-3, 2)},
+        {(0, 4): Fraction(-6, 4), (1, 1): Fraction(1), (2, 2): Fraction(1, 2), (3, 3): 0, (0, 0): Fraction(0)},
+    ]
+    hams = [PolyHamiltonian(terms, 6, rho) for terms, rho in zip(given, (2, Fraction(4, 2)))]
+    hams += [pickle.loads(pickle.dumps(ham)) for ham in hams]
+    first = hams[0]
+    assert first.rows == ((0,), (0, 0), (0, 2, 0), (0, 0, 0, 0), (-3, 0, 1, 0, 0)) and first.den == 2
+    for ham in hams:
+        assert (ham.rows, ham.den, ham.degree, ham.rho) == (first.rows, first.den, first.degree, first.rho)
+        assert ham == first and hash(ham) == hash(first)
+        assert all(type(c) is int for row in ham.rows for c in row)
+    # williamson_reduce's output is reduced as far as its terms allow
+    for rho in RHOS:
+        out = williamson_reduce(expand_hamiltonian(12, rho))
+        assert out == PolyHamiltonian(out.terms, out.degree, out.rho)
+
+
+def test_coefficient_is_zero_off_the_rows():
+    ham = expand_hamiltonian(4, 2)
+    assert ham.coefficient(2, 0) == Fraction(1, 4) and ham.coefficient(4, 0) == Fraction(-1, 12)
+    # a negative exponent must not index a row from its end: rows[2][-1] is q^2
+    assert ham.coefficient(-1, 3) == ham.coefficient(3, -1) == ham.coefficient(-2, 2) == 0
+    assert ham.coefficient(5, 0) == ham.coefficient(3, 3) == 0
+    assert PolyHamiltonian({(1, 1): 1}, 6, 1).coefficient(2, 2) == 0
 
 
 def test_williamson_quadratic_is_qp():
@@ -169,6 +215,22 @@ def test_normalize_checks_that_every_step_cleared_its_degree(monkeypatch):
     ham = williamson_reduce(expand_hamiltonian(10, RHOS[0]))
     with pytest.raises(InternalConsistencyError, match="survived"):
         birkhoff_normalize(ham, 5)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8])
+def test_normal_form_runs_the_public_steps_once_per_node(monkeypatch, order):
+    # the per-layer trace times these two module functions, so the Lie
+    # route must go through them at each interpolation node
+    calls = {"williamson_reduce": 0, "birkhoff_normalize": 0}
+    for name in calls:
+        def counted(*args, _step=getattr(normalform, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(normalform, name, counted)
+    euler_normal_form(order)
+    nodes = (order - 1) // 2 + 2
+    assert calls == {"williamson_reduce": nodes, "birkhoff_normalize": nodes}
 
 
 def test_normal_form_kappa_parity():

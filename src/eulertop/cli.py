@@ -37,9 +37,13 @@ from .series import InternalConsistencyError, KappaPoly, PowerSeries, SeriesUsag
 
 
 def _checked(parse, ok, problem: str):
-    """An argparse type= converter: parse the text and keep the value if ok(value)."""
+    """An argparse type= converter: parse the text and keep the value if ok(value).
+    Non-ASCII text is refused first: Python's int, float and Fraction read any
+    Unicode digit (and Unicode spaces), so '١/٢' would otherwise be 1/2."""
 
     def convert(text: str):
+        if not text.isascii():
+            raise argparse.ArgumentTypeError(f"{problem}: {_quoted(text)} is not ASCII")
         try:
             value = parse(text)
             if ok(value):

@@ -17,18 +17,22 @@ the separatrix limit at h = 0:
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
-The rules and their degree ladders are mpmath's, but every integrand runs on
-Python ints at one fixed-point scale 2^P per call (``_fixed_bits``): P is
-mp.quad's working bits (mp.prec + 20) plus _GUARD bits for rounding, plus
-the bits a form needs for the smallest quantity it divides by or takes a
-root of.  Each form cancels its small factors by hand or carries them in an
-exponent, so that only two such quantities are left: cos q0 near the top of
-the plus side's energy range (gauss), and the distances from 2h to the
-cubic's other roots for the period (tanh-sinh); see ``_angle_form`` and
-``_cut_halves``.  The node t comes in through ``mpmath.libmp.to_fixed`` and
-the value goes out through ``from_man_exp``; sinh, cosh and sin come from
+The rules' degree ladders and error estimate are mpmath's, but mp.quad is
+not called: ``_quad`` is its summation on Python ints.  Each rule builds
+its standard nodes and weights in fixed point (gauss by Newton's method,
+tanh-sinh by mpmath's exp recurrence on ``exp_fixed``) and hands them over
+at scale 2^Q, Q = mp.prec + 20 + _GUARD; ``_quad`` maps each node to the
+interval exactly, sums w f of a degree in one int and makes one mpf of it.
+Every integrand runs at one fixed-point scale 2^P per call
+(``_fixed_bits``): Q plus the bits a form needs for the smallest quantity
+it divides by or takes a root of.  Each form cancels its small factors by
+hand or carries them in an exponent, so that only two such quantities are
+left: cos q0 near the top of the plus side's energy range (gauss), and the
+distances from 2h to the cubic's other roots for the period (tanh-sinh);
+see ``_angle_form`` and ``_cut_halves``.  sinh, cosh and sin come from
 mpmath's fixed-point kernels ``libmp.libelefun.exp_fixed`` and
-``cos_sin_fixed``.
+``cos_sin_fixed``.  The action series' coefficients are exact at kappa,
+then rounded once.
 
 mpmath arithmetic lives only in this module; callers hand in exact series
 and get mpmath numbers back, which the CLI only formats, through ``mp``.
@@ -196,9 +200,18 @@ def scaled_energy(params: TopParams, h_sans: float) -> float:
 
 
 def _to_mp(x):
+    """x as an mpf at the working precision, a Fraction rounded once."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        from mpmath.libmp import from_rational
+
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, "n"))
     return mp.mpf(x)
+
+
+def _exact(x) -> Fraction:
+    """An int, Fraction, float or mpmath number as the Fraction it equals."""
+    man, exp = x.man_exp if hasattr(x, "_mpf_") else (Fraction(x), 0)
+    return man * Fraction(2) ** exp
 
 
 def _working_dps(dps: int) -> int:
@@ -249,74 +262,111 @@ _GAUSS_MAXDEGREE = 8
 @functools.cache
 def _quadrature_rules() -> dict:
     """One rule per scheme and process, so its node cache outlives each call,
-    with the highest degree mp.quad may climb to; built on the first
-    quadrature, since the gauss rule subclasses mpmath's."""
+    with the highest degree ``_quad`` may climb to; built on the first
+    quadrature, since both rules subclass mpmath's.  ``fixed_nodes`` gives a
+    degree's standard (x, w) on [-1, 1] as ints at the driver's scale
+    2^_node_scale(prec), and ``calc_nodes`` the same as mpf, as finely as built.
+    """
     from mpmath import mp as ctx
     from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
+    from mpmath.libmp import from_man_exp
+    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
-    class _NewtonGaussLegendre(GaussLegendre):
-        """mpmath's Gauss-Legendre rule, with its nodes found by Newton's method
-        in fixed-point integers instead of mpf.
+    class _IntNodes:
+        def calc_nodes(self, degree, prec, verbose=False):
+            nodes, scale = self._int_nodes(degree, prec)
+            make = self.ctx.make_mpf
+            return [(make(from_man_exp(x, -scale)), make(from_man_exp(w, -scale))) for x, w in nodes]
 
-        Degrees, ladder and error estimate are mpmath's: degree m is the
-        3 * 2^(m-1) point rule, and degree 1 is mpmath's own.  Each root starts
-        from a float root, then takes one Newton step per rung of a precision
-        ladder that doubles up to mpmath's working precision 1.5 prec, plus guard
-        bits for the rounding of the recurrence and of 1 - x^2 near the ends.
+        def fixed_nodes(self, degree, prec):
+            nodes, scale = self._int_nodes(degree, prec)
+            shift = scale - _node_scale(prec)  # positive: both rules build finer
+            half = 1 << (shift - 1)
+            return [((x + half) >> shift, (w + half) >> shift) for x, w in nodes]
+
+    class _NewtonGaussLegendre(_IntNodes, GaussLegendre):
+        """mpmath's Gauss-Legendre rule, degree m the 3 * 2^(m-1) point rule,
+        with its nodes found by Newton's method in fixed-point integers: each
+        root starts from a float root, then takes one Newton step per rung of a
+        precision ladder that doubles up to mpmath's working precision 1.5 prec,
+        plus guard bits for the rounding of the recurrence and of 1 - x^2.
         """
 
-        def calc_nodes(self, degree, prec, verbose=False):
-            if degree == 1:
-                return super().calc_nodes(degree, prec, verbose)
+        def _int_nodes(self, degree, prec):
             n = 3 * 2 ** (degree - 1)
             rungs = [int(prec * 1.5) + 24 + n.bit_length()]
             while rungs[-1] > 96:  # the float start carries about 48 bits
                 rungs.append(rungs[-1] // 2 + 8)
+            top = rungs[0]
+            if degree == 1:  # sqrt(3/5) with weight 5/9, and 0 with 8/9
+                x, w = math.isqrt((3 << 2 * top) // 5), (5 << top) // 9
+                return [(-x, w), (0, (8 << top) // 9), (x, w)], top
             rungs.reverse()
             nodes = []
-            with self.ctx.workprec(int(prec * 1.5)):
-                for j in range(1, n // 2 + 1):
-                    x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
-                    for rung in rungs:
-                        x, w = _legendre_newton(n, x << (rung - scale), rung)
-                        scale = rung
-                    x, w = self.ctx.ldexp(x, -scale), self.ctx.ldexp(w, -scale)
-                    nodes += [(x, w), (-x, w)]
-            return nodes
+            for j in range(1, n // 2 + 1):
+                x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
+                for rung in rungs:
+                    x, w = _legendre_newton(n, x << (rung - scale), rung)
+                    scale = rung
+                nodes += [(x, w), (-x, w)]
+            return nodes, top
 
-    return {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (TanhSinh(ctx), 10)}
+    class _FixedTanhSinh(_IntNodes, TanhSinh):
+        """mpmath's tanh-sinh rule, with its nodes built by mpmath's recurrence
+        in fixed-point integers: a = pi/4 e^t and b = pi/4 e^-t step by one
+        multiplication each, c = exp(a - b) = exp(pi/2 sinh t), x = (c - 1/c)
+        / (c + 1/c) and w = 4 (a + b) / (c + 1/c)^2, until 1 - x <= 2^-(prec +
+        10).  It runs 24 bits finer than the driver, for the rounding that the
+        steps of a and b and exp_fixed's reduction by multiples of ln 2 add.
+        """
+
+        def _int_nodes(self, degree, prec):
+            bits = _node_scale(prec) + 24
+            one, ln2, pi4, tol = 1 << bits, ln2_fixed(bits), pi_fixed(bits) >> 2, 1 << (bits - prec - 10)
+            t0 = one >> degree
+            nodes = [(0, 2 * pi4)] if degree == 1 else []
+            e0, step = exp_fixed(t0, bits, ln2), exp_fixed(t0 if degree == 1 else 2 * t0, bits, ln2)
+            a, b, step_inv = pi4 * e0 >> bits, (pi4 << bits) // e0, (one << bits) // step
+            for _ in range(20 * 2**degree + 1):
+                c = exp_fixed(a - b, bits, ln2)
+                d = (one << bits) // c
+                co = c + d  # 2 cosh(pi/2 sinh t)
+                x = ((c - d) << bits) // co
+                if one - x <= tol:
+                    break
+                w = ((a + b) << (2 * bits + 2)) // (co * co)
+                nodes += [(x, w), (-x, w)]
+                a, b = a * step >> bits, b * step_inv >> bits
+            return nodes, bits
+
+    return {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (_FixedTanhSinh(ctx), 10)}
 
 
-def _quad(integrand, interval, scheme, wdps):
-    """mp.quad by one scheme: value, error bound, evaluation count, and
-    whether the call computed nodes (cold)."""
-    count = 0
-
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return integrand(*args)
-
-    rule, maxdegree = _quadrature_rules()[scheme]
-    cached = len(rule.standard_cache)
-    value, err = mp.quad(counted, interval, method=lambda ctx: rule, error=True, maxdegree=maxdegree)
-    floor = (abs(value) + 1) * mp.mpf(10) ** (-(wdps - 5))
-    return value, max(err, floor), count, len(rule.standard_cache) > cached
-
-
-# Fixed-point rounding allowance of every integrand: each rounds at most a
-# few units of 2^-P in each of at most 16 steps (2^6 units; exp_fixed runs 10
-# bits finer, since its reduction by up to 2^10 multiples of ln 2 would cost
-# that many), and mp.quad sums weights of total at most 400 (2^9, gauss's
-# longest t-range).  24 bits keep the sum's error 2^9 below mp.quad's own
-# rounding at 2^-(prec + 20).
+# Fixed-point rounding allowance of the integrands and the driver's sum.  Each
+# integrand rounds at most a few units of 2^-P in each of at most 16 steps
+# (2^6 units; exp_fixed runs 10 bits finer, since its reduction by up to 2^10
+# multiples of ln 2 would cost that many), and P >= Q, the scale of the
+# driver's x and w.  A degree's result is c = end/2 <= 2^8 (gauss's longest
+# t-range) times a weighted sum, so with |f| <= 1 and |f'| <= 2^8 in the form's
+# unit it errs by at most 2^8 times: 2^6 units times weights of total 2, plus
+# half a unit per weight times at most 2^8 nodes (gauss degree 8; tanh-sinh's
+# U_k has about 2^(k+3) nodes of total weight 2^(k+1), both scaled by 2^-k),
+# plus |f'| times x's half unit.  That is under 2^17 units of 2^-Q, 2^7 below the rounding of
+# each degree's result to 2^-(prec + 20).  Next to t = 0 the tanh-sinh period
+# near the separatrix exceeds both bounds on f: at 100 digits and h = -1e-100
+# it is off by 1e-64 from the same rule summed exactly (mp.quad, which rounded
+# each t to prec + 20 bits, by more), and by 1e-30 from the integral (item 23).
 _GUARD = 24
 
 
+def _node_scale(prec: int) -> int:
+    """Q, the driver's scale at precision prec: mp.quad's prec + 20, and _GUARD."""
+    return prec + 20 + _GUARD
+
+
 def _fixed_bits(extra: int = 0) -> int:
-    """The scale 2^P of a fixed-point integrand: mp.quad's working bits
-    (mp.prec + 20), _GUARD, and ``extra`` bits for a form's small quantity."""
-    return mp.prec + 20 + _GUARD + extra
+    """The scale 2^P of a fixed-point integrand: Q, and ``extra`` bits for a form's small quantity."""
+    return _node_scale(mp.prec) + extra
 
 
 def _ints(x, bits: int) -> int:
@@ -331,29 +381,55 @@ def _relative(x, bits: int):
     return _ints(x, e), e
 
 
-def _on_ints(integrand, node_bits: int, value_exp: int):
-    """mp.quad's integrand for one on Python ints: the node t goes in as
-    floor(t 2^node_bits), and the int n it returns comes out as n 2^value_exp."""
-    from mpmath.libmp import from_man_exp, to_fixed
+def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str, wdps) -> "QuadratureResult":
+    """mp.quad's summation over (0, end) by one scheme's rule, on ints.
 
-    make = mp.make_mpf
-    return lambda t: make(from_man_exp(integrand(to_fixed(t._mpf_, node_bits)), value_exp))
+    The integrand takes t as floor(t 2^node_bits) and returns n for the value
+    n 2^value_exp.  Per degree, the standard x and w at scale 2^Q map exactly
+    to t = c (1 + x), c = end/2, and Sum w f is one int; tanh-sinh adds each
+    degree's new nodes to those before, R_k = 2^-k c U_k.  Each result is one
+    mpf at prec + 20 bits, estimate_error decides when to stop, and the value
+    is rounded to prec, as mp.quad does.
+    """
+    from mpmath.libmp import from_man_exp
+
+    rule, maxdegree = _quadrature_rules()[scheme]
+    prec, epsilon, reuse = mp.prec, mp.eps / 8, scheme == "tanh-sinh"
+    q = _node_scale(prec)
+    _, man, exp, _ = end._mpf_  # c = man 2^(exp - 1)
+    shift = q - node_bits - exp + 1  # t 2^node_bits = man (2^q + x) 2^-shift
+    tman, shift, one = man << max(0, -shift), max(0, shift), 1 << q
+    cache, results, total, count, cold, err = rule.standard_cache, [], 0, 0, False, mp.zero
+    with mp.workprec(prec + 20):
+        for degree in range(1, maxdegree + 1):
+            cold = cold or (degree, prec) not in cache
+            nodes = cache.get((degree, prec)) or cache.setdefault((degree, prec), rule.fixed_nodes(degree, prec))
+            count += len(nodes)
+            step = sum(w * integrand(tman * (one + x) >> shift) for x, w in nodes)
+            total = total + step if reuse else step  # tanh-sinh's U_k = U_(k-1) + the new nodes' sum
+            results.append(mp.make_mpf(from_man_exp(man * total, exp - 1 + value_exp - q - degree * reuse, prec + 20)))
+            if degree > 1:
+                err = rule.estimate_error(results, prec, epsilon)
+                if err <= epsilon:
+                    break
+    value = +results[-1]
+    floor = (abs(value) + 1) * mp.mpf(10) ** (-(wdps - 5))
+    return QuadratureResult(value, max(err, floor), count, degree, cold)
 
 
-def _result(value, estimate, count, cold, tol) -> "QuadratureResult":
+def _result(q: "QuadratureResult", scale, tol) -> "QuadratureResult":
+    value, estimate = q.value / scale, q.error_estimate / scale
     if estimate > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {mp.nstr(estimate, 5)} exceeds tolerance {tol}",
-            value,
-            estimate,
-        )
-    return QuadratureResult(value, estimate, count, cold)
+        message = f"quadrature error estimate {mp.nstr(estimate, 5)} exceeds tolerance {tol}"
+        raise QuadratureError(message, value, estimate)
+    return q._replace(value=value, error_estimate=estimate)
 
 
 class QuadratureResult(NamedTuple):
     value: object
     error_estimate: object
     evaluations: int
+    degree: int  # where the rule stopped; the higher of a cut's two halves
     nodes_cold: bool  # the call computed nodes for its rule
 
 
@@ -375,7 +451,8 @@ def _check_energy_range(h, rho) -> str:
 
 
 def _angle_form(rho, h, side: str, which: str):
-    """The gauss scheme's integrand over t in (0, top), on ints, and top.
+    """top, and the gauss scheme's integrand over t in (0, top) on ints, as
+    the (integrand, node bits, value exponent) that ``_quad`` takes.
 
     The real angle is q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho)
     (h = 0), or q = q0 cosh t at the turning angle q0 = asin(sqrt(2 rho h))
@@ -470,7 +547,7 @@ def _angle_form(rho, h, side: str, which: str):
             p = math.isqrt(((g + y2) << 2 * (bits + lift)) // (r2 + y2))
             return (p if side == "plus" else one - p) * (am * ch >> ae) >> bits
 
-    return top, _on_ints(integrand, bits, -bits - lift)
+    return top, (integrand, bits, -bits - lift)
 
 
 def _cut_form(rho, h, side: str):
@@ -483,8 +560,8 @@ def _cut_form(rho, h, side: str):
 
 
 def _cut_halves(cut, k, which: str):
-    """The two tanh-sinh integrands over t in (0, sqrt(span/2)), on ints, and
-    sqrt(span/2).
+    """sqrt(span/2), and the two tanh-sinh integrands over t in
+    (0, sqrt(span/2)) on ints, each as ``_quad`` takes it.
 
     ``cut()`` gives (span, near, far) at the current precision: the cut runs
     from the energy's end y = 0 to a root of the cubic at y = span, and the
@@ -531,16 +608,17 @@ def _cut_halves(cut, k, which: str):
             # the action's y^2 is 0 too
             return km * math.isqrt(num // max(d * (d1 + y) * (d2 + y), 1)) >> ke - 1
 
-        return _on_ints(integrand, bits - s // 2, -bits - lift - (s // 2 if action else 3 * s // 2))
+        return integrand, bits - s // 2, -bits - lift - (s // 2 if action else 3 * s // 2)
 
     return end, (half(True), half(False))
 
 
-def _quad_cut(cut, k, which: str, wdps):
+def _quad_cut(cut, k, which: str, wdps) -> QuadratureResult:
     """Tanh-sinh over both halves of a cut (``_cut_halves``), summed."""
     end, halves = _cut_halves(cut, k, which)
-    (v1, e1, c1, cold1), (v2, e2, c2, cold2) = (_quad(f, [0, end], "tanh-sinh", wdps) for f in halves)
-    return v1 + v2, e1 + e2, c1 + c2, cold1 or cold2
+    one, two = (_quad(*form, end, "tanh-sinh", wdps) for form in halves)
+    sums = (one.value + two.value, one.error_estimate + two.error_estimate, one.evaluations + two.evaluations)
+    return QuadratureResult(*sums, max(one.degree, two.degree), one.nodes_cold or two.nodes_cold)
 
 
 def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureResult:
@@ -555,18 +633,18 @@ def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureR
         rho = rho_for_kappa(kq)
         side = side or _check_energy_range(hq, rho)
         if scheme == "gauss":
-            top, integrand = _angle_form(rho, hq, side, which)
-            value, err, count, cold = _quad(integrand, [0, top], "gauss", wdps)
+            top, form = _angle_form(rho, hq, side, which)
+            result = _quad(*form, top, "gauss", wdps)
             scale = mp.pi
         elif scheme == "tanh-sinh":
             sign = -1 if which == "period" and side == "plus" else 1
-            value, err, count, cold = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which, wdps)
+            result = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which, wdps)
             scale = 2 * mp.pi
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         if which == "period":
             scale = 1
-        return _result(value / scale, err / scale, count, cold, tol)
+        return _result(result, scale, tol)
 
 
 def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str = "gauss") -> QuadratureResult:
@@ -619,8 +697,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
             if not z_star > r3:
                 raise DomainError("energy below the lower elliptic equilibrium")
             cut = lambda: (z_star - r3, r2 - z_star, r1 - z_star)
-        value, err, count, cold = _quad_cut(cut, ell, "action", wdps)
-        return _result(value / mp.pi, err / mp.pi, count, cold, tol)
+        return _result(_quad_cut(cut, ell, "action", wdps), mp.pi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +720,12 @@ def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
         return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
 
 
-def _action_coefficients(series: ActionSeries, kq) -> tuple[list, list]:
-    """The coefficients at kq of the two series an action sums: the regular
-    action and the regular part of the singular one."""
-    return tuple([c(kq) for c in s.coeffs] for s in (series.action_regular, series.action_singular.regular_part))
+def _action_coefficients(series: ActionSeries, kappa) -> tuple[list, list]:
+    """The coefficients at kappa of the two series an action sums, the regular
+    action and the regular part of the singular one: each exact at kappa as a
+    rational, then rounded once."""
+    k = _exact(kappa)
+    return tuple([_to_mp(c(k)) for c in s.coeffs] for s in (series.action_regular, series.action_singular.regular_part))
 
 
 def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients=None):
@@ -659,7 +738,7 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients
         kq, hq = _to_mp(kappa), _to_mp(h)
         if beta.k2 * hq <= 0:
             raise DomainError(f"side {beta.side!r} needs {beta.k2:+d}h > 0")
-        p_val, q_val = (horner(c, hq) for c in coefficients or _action_coefficients(beta.series, kq))
+        p_val, q_val = (horner(c, hq) for c in coefficients or _action_coefficients(beta.series, kappa))
         k1 = constant_value(beta.k1, kq, dps)
         k3 = constant_value(beta.k3, kq, dps)
         singular = p_val * mp.log(beta.k2 * hq) + q_val
@@ -722,7 +801,7 @@ def verify_series_numerics(
         max_dev = mp.mpf(0)
         quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(dps - 8)))
         # both sides share one ActionSeries: its coefficients at kappa serve every sample
-        coefficients = _action_coefficients(plus.series, kq)
+        coefficients = _action_coefficients(plus.series, kappa)
         for h in h_samples:
             hq = _to_mp(h)
             if abs(hq) >= disc:

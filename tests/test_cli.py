@@ -356,6 +356,36 @@ def test_a_bare_double_dash_value_exits_2(capsys, name, option):
     assert err == f"error: argument --{option}: expected a value, got '--'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bnf", "--kappa=١/٢"],
+        ["bnf", "--kappa=１/２"],
+        ["bnf", "--kappa=1/2", "--order=٣"],
+        ["params", "--theta=١,2,3", "--ell=1"],
+        ["params", "--theta=1,2,3", "--ell=١"],
+        ["verify", "--kappa=1/2", "--samples=٠.٠١"],
+        ["verify", "--kappa=1/2", "--tol=١e-9"],
+        ["actions", "--kappa=1/2", "--precision=٢٠"],
+        ["radius", "--kappa=1/2", "--nmax=٢٠"],
+        ["pendulum", "--grid=٠:1:3"],
+        ["bnf", "--kappa=1/2\u2003"],
+    ],
+)
+def test_non_ascii_values_exit_2(capsys, argv):
+    # int, float and Fraction read any Unicode digit: --kappa=١/٢ was 1/2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert err.endswith("is not ASCII\n")
+
+
+def test_non_ascii_precision_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PRECISION", "٢٠")
+    code, out, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=2")
+    assert (code, out) == (2, "") and "PRECISION" in err and err.endswith("is not ASCII\n")
+
+
 def test_values_past_the_int_digit_limit_exit_2_before_any_table(capsys, monkeypatch):
     # a 100-bit kappa at order 200 gives JSON values of ~21000 bits, past the
     # 4300 digits Python prints

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
+from mpmath.libmp import from_man_exp, to_fixed
 
 from eulertop import oracle
 from eulertop.oracle import (
@@ -186,6 +187,20 @@ def _prec(dps):
         return mp.prec
 
 
+def _stock(rule):
+    """A stock mpmath rule with the driver's int interface: its own mpf nodes,
+    as mpmath's get_nodes computes them, at the driver's node scale."""
+
+    class Stock(rule):
+        def fixed_nodes(self, degree, prec):
+            scale = oracle._node_scale(prec)
+            with mp.workprec(prec + 20):
+                nodes = self.calc_nodes(degree, prec)
+            return [(to_fixed(x._mpf_, scale), to_fixed(w._mpf_, scale)) for x, w in nodes]
+
+    return Stock(mp)
+
+
 @pytest.mark.parametrize("dps", [15, 50, 60, 100])
 def test_gauss_nodes_match_mpmath(dps):
     # stock mpmath at 64 more bits is the reference.  Its target is
@@ -225,7 +240,7 @@ def test_gauss_rule_integrates_even_powers_exactly():
 @pytest.mark.parametrize("kappa, h, dps", [(0.5, 0.02, 50), (0.5, -0.02, 30), (-2, 1e-6, 30), (-20, -1e-5, 30)])
 def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
     ours = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
-    monkeypatch.setitem(oracle._quadrature_rules(), "gauss", (GaussLegendre(mp), oracle._GAUSS_MAXDEGREE))
+    monkeypatch.setitem(oracle._quadrature_rules(), "gauss", (_stock(GaussLegendre), oracle._GAUSS_MAXDEGREE))
     stock = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
     with mp.workdps(dps):
         assert abs(ours.value - stock.value) < mp.mpf(10) ** -(dps - 2)
@@ -241,11 +256,31 @@ def test_gauss_nodes_are_cheap_cold():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("dps", [15, 30, 50, 60, 100])
+def test_tanh_sinh_nodes_match_mpmath(dps):
+    # the same count at every degree, and each x and w within 2^-(prec + 20)
+    # of stock mpmath's, which works at prec + 40 bits
+    prec = _prec(dps)
+    scale = oracle._node_scale(prec)
+    rule = type(oracle._quadrature_rules()["tanh-sinh"][0])(mp)
+    for degree in range(1, 10 if dps == 100 else 11):
+        nodes = rule.fixed_nodes(degree, prec)
+        with mp.workprec(prec + 20):
+            reference = TanhSinh(mp).calc_nodes(degree, prec)
+        assert len(nodes) == len(reference), degree
+        with mp.workprec(2 * prec):
+            bound = mp.ldexp(1, -(prec + 20))
+            for (x, w), (xr, wr) in zip(nodes, reference):
+                assert abs(mp.ldexp(x, -scale) - xr) < bound, (degree, xr)
+                assert abs(mp.ldexp(w, -scale) - wr) < bound, (degree, xr)
+
+
 @pytest.mark.parametrize(
     "scheme, rule", [("gauss", type(oracle._quadrature_rules()["gauss"][0])), ("tanh-sinh", TanhSinh)]
 )
 def test_quadrature_reports_cold_nodes(monkeypatch, scheme, rule):
-    monkeypatch.setitem(oracle._quadrature_rules(), scheme, (rule(mp), oracle._quadrature_rules()[scheme][1]))
+    fresh = rule(mp) if hasattr(rule, "fixed_nodes") else _stock(rule)
+    monkeypatch.setitem(oracle._quadrature_rules(), scheme, (fresh, oracle._quadrature_rules()[scheme][1]))
     first = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     again = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     assert first.nodes_cold and not again.nodes_cold
@@ -375,17 +410,24 @@ def _reference_unscaled(params, h_sans, dps):
 
 
 def _integrands(call):
-    """The (integrand, end of its t-range) pairs that ``call`` hands mp.quad."""
+    """The (int integrand, node bits, value exponent, end of its t-range)
+    tuples that ``call`` hands the quadrature driver."""
     seen = []
 
-    def record(integrand, interval, scheme, wdps):
-        seen.append((integrand, interval[1]))
-        return mp.mpf(0), mp.mpf(0), 0, False
+    def record(integrand, node_bits, value_exp, end, scheme, wdps):
+        seen.append((integrand, node_bits, value_exp, end))
+        return oracle.QuadratureResult(mp.mpf(0), mp.mpf(0), 0, 0, False)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_quad", record)
         call()
     return seen
+
+
+def _on_mpf(integrand, node_bits, value_exp):
+    """The int integrand as a function of an mpf t: t goes in as
+    floor(t 2^node_bits), and the int n it returns comes out as n 2^value_exp."""
+    return lambda t: mp.make_mpf(from_man_exp(integrand(to_fixed(t._mpf_, node_bits)), value_exp))
 
 
 def _assert_fixed_matches(seen, references, dps, units, nodes):
@@ -400,7 +442,8 @@ def _assert_fixed_matches(seen, references, dps, units, nodes):
         bits = oracle._fixed_bits()
     assert len(seen) == len(references) == len(units)
     with mp.workdps(dps + 30):
-        for (fixed, end), reference, unit in zip(seen, references, units):
+        for (*form, end), reference, unit in zip(seen, references, units):
+            fixed = _on_mpf(*form)
             for j in nodes:
                 t = mp.ldexp(end * j, -40)
                 ref = reference(t)
@@ -445,8 +488,112 @@ def test_fixed_point_unscaled_integrand_matches_the_mpf_form(h):
     h_sans = h * min(p.rho, 1 / p.rho) / 2 * p.lam * p.ell + 0.5 * p.ell**2 / p.theta2
     seen = _integrands(lambda: action_unscaled_quadrature(p, h_sans, dps=50))
     with mp.workdps(80):
-        span = abs(seen[0][1]) ** 2 * 2
+        span = abs(seen[0][3]) ** 2 * 2
         _assert_fixed_matches(seen, _reference_unscaled(p, h_sans, 50), 50, (p.ell * span**-0.5,) * 2, [1, 2**20, 2**39, 2**40 - 1])
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point driver against mp.quad on the mpf forms
+# ---------------------------------------------------------------------------
+
+class _ExactlyMappedTanhSinh(TanhSinh):
+    """Stock tanh-sinh whose nodes mp.quad maps to (0, end) at 200 more bits."""
+
+    def transform_nodes(self, nodes, a, b, verbose=False):
+        with self.ctx.workprec(self.ctx.prec + 200):
+            return super().transform_nodes(nodes, a, b)
+
+
+# mp.quad's rules for the mpf forms: the gauss rule's mpf view of the same
+# Newton roots (stock mpmath's own take seconds at degree 8), and stock
+# tanh-sinh, as mp.quad maps its nodes and exactly
+_MPF_RULES = {
+    "gauss": type(oracle._quadrature_rules()["gauss"][0])(mp),
+    "tanh-sinh": TanhSinh(mp),
+    "exact": _ExactlyMappedTanhSinh(mp),
+}
+
+
+def _driven(call):
+    """The result of ``call``, and the (end, result) of each driver call it made."""
+    seen, drive = [], oracle._quad
+
+    def record(integrand, node_bits, value_exp, end, scheme, wdps):
+        result = drive(integrand, node_bits, value_exp, end, scheme, wdps)
+        seen.append((end, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_quad", record)
+        return call(), seen
+
+
+def _mp_quad(f, end, scheme, rule=None):
+    """mp.quad of f over (0, end) by the scheme's mpf rule (or by ``rule``):
+    value and evaluation count."""
+    count = 0
+
+    def counted(t):
+        nonlocal count
+        count += 1
+        return f(t)
+
+    rule, maxdegree = _MPF_RULES[rule or scheme], oracle._quadrature_rules()[scheme][1]
+    return mp.quad(counted, [0, end], method=lambda ctx: rule, maxdegree=maxdegree), count
+
+
+@pytest.mark.parametrize(
+    "kappa, h, dps",
+    [(0.5, 0.02, 50), (0.5, -0.02, 30), (-20, 1e-3, 30), (-20, -1e-12, 50), (2, 1e-30, 50), (0.5, -1e-50, 50), (0.5, 0, 30)],
+)
+def test_driver_matches_mp_quad_on_the_mpf_forms(kappa, h, dps):
+    # equal evaluation counts, and values within 10^-(dps - 2).  Near the
+    # separatrix, |h| <= 1e-30, the tanh-sinh period's integrand varies on
+    # the scale sqrt|h| next to t = 0 (ROADMAP item 23), where mp.quad rounds
+    # each node t to prec + 20 bits of the range's end: that moves its value
+    # by up to 1e-34 at 50 digits.  There the reference is the same rule with
+    # its nodes mapped exactly, which the driver must match more closely than
+    # mp.quad does.
+    with mp.workdps(dps):
+        rho = rho_for_kappa(oracle._to_mp(kappa))
+    sides = ("plus", "minus") if h == 0 else ("plus" if h > 0 else "minus",)
+    for side in sides:
+        for which in ("action",) if h == 0 else ("action", "period"):
+            for scheme, reference in (("gauss", _reference_angle), ("tanh-sinh", _reference_cut)):
+                _, seen = _driven(lambda: oracle._integral(kappa, h, side, which, scheme, 1, dps))
+                with mp.workdps(dps + 30):
+                    refs = reference(rho, mp.mpf(h), side, which)
+                refs = refs if scheme == "tanh-sinh" else (refs,)
+                assert len(seen) == len(refs)
+                for (end, ours), ref in zip(seen, refs):
+                    with mp.workdps(dps):
+                        value, count = _mp_quad(ref, end, scheme)
+                        bound = mp.mpf(10) ** -(dps - 2)
+                        if scheme == "tanh-sinh" and which == "period" and abs(h) <= 1e-30:
+                            exact, _ = _mp_quad(ref, end, scheme, "exact")
+                            assert abs(ours.value - exact) <= abs(value - exact) + bound, side
+                        else:
+                            assert abs(ours.value - value) <= bound, (side, which, scheme)
+                    assert ours.evaluations == count, (side, which, scheme)
+
+
+def test_quadrature_reports_its_degree():
+    # gauss degree m has 3 * 2^(m-1) nodes: 3 (2^m - 1) evaluations through m
+    for kappa, h, dps in ((0.5, 0.02, 30), (0.5, -1e-12, 50), (-20, 1e-3, 50)):
+        result = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
+        assert result.evaluations == 3 * (2**result.degree - 1)
+    # each tanh-sinh half evaluates the nodes of every degree through its own,
+    # and the cut reports the higher of the two
+    rule = oracle._quadrature_rules()["tanh-sinh"][0]
+    prec, degrees = _prec(50), set()
+    for kappa, h in ((-20, 1e-3), (-20, -1e-12), (0.5, 0.02)):
+        result, halves = _driven(lambda: action_quadrature(kappa, h, tol=1e-20, dps=50, scheme="tanh-sinh"))
+        for _, half in halves:
+            assert half.evaluations == sum(len(rule.standard_cache[d, prec]) for d in range(1, half.degree + 1))
+        assert result.degree == max(half.degree for _, half in halves)
+        assert result.evaluations == sum(half.evaluations for _, half in halves)
+        degrees.add(tuple(half.degree for _, half in halves))
+    assert any(one != two for one, two in degrees)  # a cut whose halves stop apart
 
 
 # ---------------------------------------------------------------------------

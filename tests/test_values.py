@@ -24,7 +24,7 @@ def _values():
         "FrobeniusTable": table,
         "PolyHamiltonian": normalform.expand_hamiltonian(4, Fraction(3, 2)),
         "TopParams": oracle.params_from_inertia(1.0, 2.0, 3.0, 1.0),
-        "QuadratureResult": oracle.QuadratureResult(Fraction(1, 3), 1e-50, 42, True),
+        "QuadratureResult": oracle.QuadratureResult(Fraction(1, 3), 1e-50, 21, 3, True),
         "VerifyRow": row,
         "VerifyReport": oracle.VerifyReport(0.5, 10, (row,), 0.0, 1e-30, 1e-31, 1e-9),
         "InvariantReport": invariants.extract_sigma(3),

@@ -210,8 +210,9 @@ def _to_mp(x):
 
 def _exact(x) -> Fraction:
     """An int, Fraction, float or mpmath number as the Fraction it equals."""
-    man, exp = x.man_exp if hasattr(x, "_mpf_") else (Fraction(x), 0)
-    return man * Fraction(2) ** exp
+    from mpmath.libmp import to_rational
+
+    return Fraction(*to_rational(x._mpf_)) if hasattr(x, "_mpf_") else Fraction(x)
 
 
 def _working_dps(dps: int) -> int:
@@ -261,18 +262,23 @@ _GAUSS_MAXDEGREE = 8
 
 @functools.cache
 def _quadrature_rules() -> dict:
-    """One rule per scheme and process, so its node cache outlives each call,
+    """One rule per scheme and process, so its node caches outlive each call,
     with the highest degree ``_quad`` may climb to; built on the first
     quadrature, since both rules subclass mpmath's.  ``fixed_nodes`` gives a
     degree's standard (x, w) on [-1, 1] as ints at the driver's scale
-    2^_node_scale(prec), and ``calc_nodes`` the same as mpf, as finely as built.
-    """
+    2^_node_scale(prec), which ``_quad`` caches in ``fixed_cache``, and
+    ``calc_nodes`` the same as mpf, as finely as built, which mpmath's own
+    ``get_nodes`` caches in ``standard_cache``, as for a stock rule."""
     from mpmath import mp as ctx
     from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
     from mpmath.libmp import from_man_exp
     from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
     class _IntNodes:
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.fixed_cache = {}
+
         def calc_nodes(self, degree, prec, verbose=False):
             nodes, scale = self._int_nodes(degree, prec)
             make = self.ctx.make_mpf
@@ -289,8 +295,7 @@ def _quadrature_rules() -> dict:
         with its nodes found by Newton's method in fixed-point integers: each
         root starts from a float root, then takes one Newton step per rung of a
         precision ladder that doubles up to mpmath's working precision 1.5 prec,
-        plus guard bits for the rounding of the recurrence and of 1 - x^2.
-        """
+        plus guard bits for the rounding of the recurrence and of 1 - x^2."""
 
         def _int_nodes(self, degree, prec):
             n = 3 * 2 ** (degree - 1)
@@ -317,14 +322,12 @@ def _quadrature_rules() -> dict:
         multiplication each, c = exp(a - b) = exp(pi/2 sinh t), x = (c - 1/c)
         / (c + 1/c) and w = 4 (a + b) / (c + 1/c)^2, until 1 - x <= 2^-(prec +
         10).  It runs 24 bits finer than the driver, for the rounding that the
-        steps of a and b and exp_fixed's reduction by multiples of ln 2 add.
-        """
+        steps of a and b and exp_fixed's reduction by multiples of ln 2 add."""
 
         def _int_nodes(self, degree, prec):
             bits = _node_scale(prec) + 24
             one, ln2, pi4, tol = 1 << bits, ln2_fixed(bits), pi_fixed(bits) >> 2, 1 << (bits - prec - 10)
-            t0 = one >> degree
-            nodes = [(0, 2 * pi4)] if degree == 1 else []
+            t0, nodes = one >> degree, [(0, 2 * pi4)] if degree == 1 else []
             e0, step = exp_fixed(t0, bits, ln2), exp_fixed(t0 if degree == 1 else 2 * t0, bits, ln2)
             a, b, step_inv = pi4 * e0 >> bits, (pi4 << bits) // e0, (one << bits) // step
             for _ in range(20 * 2**degree + 1):
@@ -389,17 +392,15 @@ def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str, wdps) -> 
     to t = c (1 + x), c = end/2, and Sum w f is one int; tanh-sinh adds each
     degree's new nodes to those before, R_k = 2^-k c U_k.  Each result is one
     mpf at prec + 20 bits, estimate_error decides when to stop, and the value
-    is rounded to prec, as mp.quad does.
-    """
+    is rounded to prec, as mp.quad does."""
     from mpmath.libmp import from_man_exp
 
     rule, maxdegree = _quadrature_rules()[scheme]
-    prec, epsilon, reuse = mp.prec, mp.eps / 8, scheme == "tanh-sinh"
-    q = _node_scale(prec)
+    prec, epsilon, reuse, q = mp.prec, mp.eps / 8, scheme == "tanh-sinh", _node_scale(mp.prec)
     _, man, exp, _ = end._mpf_  # c = man 2^(exp - 1)
     shift = q - node_bits - exp + 1  # t 2^node_bits = man (2^q + x) 2^-shift
     tman, shift, one = man << max(0, -shift), max(0, shift), 1 << q
-    cache, results, total, count, cold, err = rule.standard_cache, [], 0, 0, False, mp.zero
+    cache, results, total, count, cold, err = rule.fixed_cache, [], 0, 0, False, mp.zero
     with mp.workprec(prec + 20):
         for degree in range(1, maxdegree + 1):
             cold = cold or (degree, prec) not in cache

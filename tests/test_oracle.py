@@ -192,6 +192,10 @@ def _stock(rule):
     as mpmath's get_nodes computes them, at the driver's node scale."""
 
     class Stock(rule):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.fixed_cache = {}
+
         def fixed_nodes(self, degree, prec):
             scale = oracle._node_scale(prec)
             with mp.workprec(prec + 20):
@@ -276,14 +280,29 @@ def test_tanh_sinh_nodes_match_mpmath(dps):
 
 
 @pytest.mark.parametrize(
-    "scheme, rule", [("gauss", type(oracle._quadrature_rules()["gauss"][0])), ("tanh-sinh", TanhSinh)]
+    "scheme, rule",
+    [(scheme, type(oracle._quadrature_rules()[scheme][0])) for scheme in ("gauss", "tanh-sinh")]
+    + [("tanh-sinh", TanhSinh)],
 )
 def test_quadrature_reports_cold_nodes(monkeypatch, scheme, rule):
+    # the production rules, and stock tanh-sinh through the test-side adapter
     fresh = rule(mp) if hasattr(rule, "fixed_nodes") else _stock(rule)
     monkeypatch.setitem(oracle._quadrature_rules(), scheme, (fresh, oracle._quadrature_rules()[scheme][1]))
     first = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     again = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     assert first.nodes_cold and not again.nodes_cold
+
+
+def test_rules_stay_usable_by_mp_quad_after_the_driver():
+    # the driver caches its int nodes apart from standard_cache, where
+    # mp.quad keeps the mpf nodes it maps: a rule the driver has used at a
+    # precision still integrates correctly by mp.quad at that precision
+    for scheme in ("gauss", "tanh-sinh"):
+        action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
+    with mp.workdps(30):
+        for rule, maxdegree in oracle._quadrature_rules().values():
+            value = mp.quad(mp.exp, [0, 1], method=lambda ctx: rule, maxdegree=maxdegree)
+            assert abs(value - (mp.e - 1)) < mp.mpf(10) ** -25, type(rule).__name__
 
 
 def test_period_asymptotic_constant():
@@ -589,7 +608,7 @@ def test_quadrature_reports_its_degree():
     for kappa, h in ((-20, 1e-3), (-20, -1e-12), (0.5, 0.02)):
         result, halves = _driven(lambda: action_quadrature(kappa, h, tol=1e-20, dps=50, scheme="tanh-sinh"))
         for _, half in halves:
-            assert half.evaluations == sum(len(rule.standard_cache[d, prec]) for d in range(1, half.degree + 1))
+            assert half.evaluations == sum(len(rule.fixed_cache[d, prec]) for d in range(1, half.degree + 1))
         assert result.degree == max(half.degree for _, half in halves)
         assert result.evaluations == sum(half.evaluations for _, half in halves)
         degrees.add(tuple(half.degree for _, half in halves))
@@ -652,6 +671,20 @@ def test_verify_series_against_quadrature():
             # both schemes ran: Gauss-Legendre alone takes 93 evaluations here
             assert r.cross_scheme_delta < mp.mpf("1e-45")
             assert r.evaluations > 93
+
+
+@pytest.mark.parametrize("kappa", [mp.mpf(-5) / 4, -1.25])
+def test_inexact_kappa_gives_the_values_of_its_fraction(kappa):
+    # the series coefficients are evaluated at the Fraction that kappa
+    # equals, sign included, so a negative mpf or float kappa gives exactly
+    # what Fraction(-5, 4) gives
+    exact = Fraction(-5, 4)
+    plus, minus = assemble_beta_actions(12)
+    for beta, h in ((plus, 0.01), (minus, -0.01)):
+        assert beta_action_value(beta, kappa, h) == beta_action_value(beta, exact, h)
+    ours = verify_series_numerics(kappa, [0.005, -0.005], order=20, tol=1e-6, dps=30)
+    reference = verify_series_numerics(exact, [0.005, -0.005], order=20, tol=1e-6, dps=30)
+    assert ours.passed and ours.rows == reference.rows
 
 
 def test_verify_deviation_shrinks_with_order():

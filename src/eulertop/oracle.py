@@ -17,12 +17,13 @@ the separatrix limit at h = 0:
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
-The rules' degree ladders and error estimate are mpmath's, but mp.quad is
-not called: ``_quad`` is its summation on Python ints.  Each rule builds
-its standard nodes and weights in fixed point (gauss by Newton's method,
-tanh-sinh by mpmath's exp recurrence on ``exp_fixed``) and hands them over
-at scale 2^Q, Q = mp.prec + 20 + _GUARD; ``_quad`` maps each node to the
-interval exactly, sums w f of a degree in one int and makes one mpf of it.
+The rules are mpmath's, but mp.quad is not called: ``_quad`` is its
+summation on Python ints.  Two int builders, ``_gauss_nodes`` (Newton's
+method) and ``_tanh_sinh_nodes`` (mpmath's exp recurrence on ``exp_fixed``),
+make each degree's nodes and weights, and one cache, ``_NODES``, holds them
+at scale 2^Q, Q = mp.prec + 20 + _GUARD.  ``_quad`` maps each node to the
+interval exactly, sums w f of a degree in one int, makes one mpf of it and
+stops by ``_estimate_error``, mpmath 1.3's heuristic carried in this module.
 Every integrand runs at one fixed-point scale 2^P per call
 (``_fixed_bits``): Q plus the bits a form needs for the smallest quantity
 it divides by or takes a root of.  Each form cancels its small factors by
@@ -40,12 +41,11 @@ and get mpmath numbers back, which the CLI only formats, through ``mp``.
 invariants.radius_analysis and pendulum_compare compute in floats through
 them.  This is the one module that imports mpmath, on the first use of
 ``mp``, so a process that computes only in exact numbers and floats never
-loads it; the first quadrature builds the rules, once.
+loads it; each rule's nodes are built once per degree and precision.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -66,15 +66,21 @@ from .series import horner
 
 
 class _MpmathOnFirstUse:
-    """Stands in for mpmath's ``mp`` until the first attribute is read, which
-    imports mpmath and binds the real ``mp`` in this module."""
+    """Stands in for mpmath's ``mp`` until an attribute is read or set, which
+    imports mpmath, binds the real ``mp`` here and forwards the read or set."""
 
-    def __getattr__(self, name):
+    def _load(self):
         global mp
         import mpmath
 
         mp = mpmath.mp
-        return getattr(mp, name)
+        return mp
+
+    def __getattr__(self, name):
+        return getattr(self._load(), name)
+
+    def __setattr__(self, name, value):
+        setattr(self._load(), name, value)
 
 
 mp = _MpmathOnFirstUse()
@@ -253,97 +259,67 @@ def _legendre_newton(n, x, prec):
     return new, weight
 
 
+def _gauss_nodes(degree: int, prec: int) -> tuple[list, int]:
+    """mpmath's Gauss-Legendre rule of degree m, the 3 * 2^(m-1) point rule,
+    as int (x, w) at the scale 2^bits it returns with them.  Each root of P_n
+    starts from a float root, then takes one Newton step per rung of a
+    precision ladder that doubles up to mpmath's working precision 1.5 prec,
+    plus guard bits for the rounding of the recurrence and of 1 - x^2."""
+    n = 3 * 2 ** (degree - 1)
+    rungs = [int(prec * 1.5) + 24 + n.bit_length()]
+    while rungs[-1] > 96:  # the float start carries about 48 bits
+        rungs.append(rungs[-1] // 2 + 8)
+    top = rungs[0]
+    if degree == 1:  # sqrt(3/5) with weight 5/9, and 0 with 8/9
+        x, w = math.isqrt((3 << 2 * top) // 5), (5 << top) // 9
+        return [(-x, w), (0, (8 << top) // 9), (x, w)], top
+    rungs.reverse()
+    nodes = []
+    for j in range(1, n // 2 + 1):
+        x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
+        for rung in rungs:
+            x, w = _legendre_newton(n, x << (rung - scale), rung)
+            scale = rung
+        nodes += [(x, w), (-x, w)]
+    return nodes, top
+
+
+def _tanh_sinh_nodes(degree: int, prec: int) -> tuple[list, int]:
+    """mpmath's tanh-sinh rule of degree m, as int (x, w) at the scale 2^bits
+    it returns with them, by mpmath's recurrence: a = pi/4 e^t and b = pi/4
+    e^-t step by one multiplication each, c = exp(a - b) = exp(pi/2 sinh t),
+    x = (c - 1/c) / (c + 1/c) and w = 4 (a + b) / (c + 1/c)^2, until 1 - x <=
+    2^-(prec + 10); 24 bits finer than the driver, for the rounding that the
+    steps of a and b and exp_fixed's reduction by multiples of ln 2 add."""
+    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
+
+    bits = _node_scale(prec) + 24
+    one, ln2, pi4, tol = 1 << bits, ln2_fixed(bits), pi_fixed(bits) >> 2, 1 << (bits - prec - 10)
+    t0, nodes = one >> degree, [(0, 2 * pi4)] if degree == 1 else []
+    e0, step = exp_fixed(t0, bits, ln2), exp_fixed(t0 if degree == 1 else 2 * t0, bits, ln2)
+    a, b, step_inv = pi4 * e0 >> bits, (pi4 << bits) // e0, (one << bits) // step
+    for _ in range(20 * 2**degree + 1):
+        c = exp_fixed(a - b, bits, ln2)
+        d = (one << bits) // c
+        co = c + d  # 2 cosh(pi/2 sinh t)
+        x = ((c - d) << bits) // co
+        if one - x <= tol:
+            break
+        w = ((a + b) << (2 * bits + 2)) // (co * co)
+        nodes += [(x, w), (-x, w)]
+        a, b = a * step >> bits, b * step_inv >> bits
+    return nodes, bits
+
+
 # The gauss schemes stop at Gauss-Legendre degree 8 (765 evaluations): the
 # action reaches full precision with it down to |h| = 1e-100 at 50 digits and
 # 1e-20 at 100 digits.  Closer in, a tight tolerance fails: degrees 9 and 10
 # would double and quadruple the evaluations for a few digits more of |h|.
 _GAUSS_MAXDEGREE = 8
+# Each scheme's node builder, and the highest degree ``_quad`` may climb to.
+_RULES = {"gauss": (_gauss_nodes, _GAUSS_MAXDEGREE), "tanh-sinh": (_tanh_sinh_nodes, 10)}
 
-
-@functools.cache
-def _quadrature_rules() -> dict:
-    """One rule per scheme and process, so its node caches outlive each call,
-    with the highest degree ``_quad`` may climb to; built on the first
-    quadrature, since both rules subclass mpmath's.  ``fixed_nodes`` gives a
-    degree's standard (x, w) on [-1, 1] as ints at the driver's scale
-    2^_node_scale(prec), which ``_quad`` caches in ``fixed_cache``, and
-    ``calc_nodes`` the same as mpf, as finely as built, which mpmath's own
-    ``get_nodes`` caches in ``standard_cache``, as for a stock rule."""
-    from mpmath import mp as ctx
-    from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
-    from mpmath.libmp import from_man_exp
-    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
-
-    class _IntNodes:
-        def __init__(self, ctx):
-            super().__init__(ctx)
-            self.fixed_cache = {}
-
-        def calc_nodes(self, degree, prec, verbose=False):
-            nodes, scale = self._int_nodes(degree, prec)
-            make = self.ctx.make_mpf
-            return [(make(from_man_exp(x, -scale)), make(from_man_exp(w, -scale))) for x, w in nodes]
-
-        def fixed_nodes(self, degree, prec):
-            nodes, scale = self._int_nodes(degree, prec)
-            shift = scale - _node_scale(prec)  # positive: both rules build finer
-            half = 1 << (shift - 1)
-            return [((x + half) >> shift, (w + half) >> shift) for x, w in nodes]
-
-    class _NewtonGaussLegendre(_IntNodes, GaussLegendre):
-        """mpmath's Gauss-Legendre rule, degree m the 3 * 2^(m-1) point rule,
-        with its nodes found by Newton's method in fixed-point integers: each
-        root starts from a float root, then takes one Newton step per rung of a
-        precision ladder that doubles up to mpmath's working precision 1.5 prec,
-        plus guard bits for the rounding of the recurrence and of 1 - x^2."""
-
-        def _int_nodes(self, degree, prec):
-            n = 3 * 2 ** (degree - 1)
-            rungs = [int(prec * 1.5) + 24 + n.bit_length()]
-            while rungs[-1] > 96:  # the float start carries about 48 bits
-                rungs.append(rungs[-1] // 2 + 8)
-            top = rungs[0]
-            if degree == 1:  # sqrt(3/5) with weight 5/9, and 0 with 8/9
-                x, w = math.isqrt((3 << 2 * top) // 5), (5 << top) // 9
-                return [(-x, w), (0, (8 << top) // 9), (x, w)], top
-            rungs.reverse()
-            nodes = []
-            for j in range(1, n // 2 + 1):
-                x, scale = int(math.ldexp(_float_legendre_root(n, j), rungs[0])), rungs[0]
-                for rung in rungs:
-                    x, w = _legendre_newton(n, x << (rung - scale), rung)
-                    scale = rung
-                nodes += [(x, w), (-x, w)]
-            return nodes, top
-
-    class _FixedTanhSinh(_IntNodes, TanhSinh):
-        """mpmath's tanh-sinh rule, with its nodes built by mpmath's recurrence
-        in fixed-point integers: a = pi/4 e^t and b = pi/4 e^-t step by one
-        multiplication each, c = exp(a - b) = exp(pi/2 sinh t), x = (c - 1/c)
-        / (c + 1/c) and w = 4 (a + b) / (c + 1/c)^2, until 1 - x <= 2^-(prec +
-        10).  It runs 24 bits finer than the driver, for the rounding that the
-        steps of a and b and exp_fixed's reduction by multiples of ln 2 add."""
-
-        def _int_nodes(self, degree, prec):
-            bits = _node_scale(prec) + 24
-            one, ln2, pi4, tol = 1 << bits, ln2_fixed(bits), pi_fixed(bits) >> 2, 1 << (bits - prec - 10)
-            t0, nodes = one >> degree, [(0, 2 * pi4)] if degree == 1 else []
-            e0, step = exp_fixed(t0, bits, ln2), exp_fixed(t0 if degree == 1 else 2 * t0, bits, ln2)
-            a, b, step_inv = pi4 * e0 >> bits, (pi4 << bits) // e0, (one << bits) // step
-            for _ in range(20 * 2**degree + 1):
-                c = exp_fixed(a - b, bits, ln2)
-                d = (one << bits) // c
-                co = c + d  # 2 cosh(pi/2 sinh t)
-                x = ((c - d) << bits) // co
-                if one - x <= tol:
-                    break
-                w = ((a + b) << (2 * bits + 2)) // (co * co)
-                nodes += [(x, w), (-x, w)]
-                a, b = a * step >> bits, b * step_inv >> bits
-            return nodes, bits
-
-    return {"gauss": (_NewtonGaussLegendre(ctx), _GAUSS_MAXDEGREE), "tanh-sinh": (_FixedTanhSinh(ctx), 10)}
-
+_NODES: dict = {}  # (scheme, degree, prec): ``_quad``'s standard (x, w) at scale 2^Q
 
 # Fixed-point rounding allowance of the integrands and the driver's sum.  Each
 # integrand rounds at most a few units of 2^-P in each of at most 16 steps
@@ -384,33 +360,57 @@ def _relative(x, bits: int):
     return _ints(x, e), e
 
 
+def _estimate_error(results, prec: int, epsilon):
+    """The error of I_k, the last of the results of degrees 1..k, by Borwein,
+    Bailey and Girgensohn's extrapolation as mpmath 1.3's ``estimate_error``
+    has it: |I_2 - I_1| at k = 2, then 10^min(0, max(D1^2 / D2, 2 D1, -prec))
+    with D1, D2 the log10 distances of I_k from I_(k-1), I_(k-2), if each
+    degree doubles the digits.  A heuristic, not a bound: the gauss action at
+    kappa = -1e30, h = 1e-31, 50 digits stops at degree 6, 7e-43 off, with an
+    estimate of 8e-46."""
+    if len(results) == 2:
+        return abs(results[0] - results[1])
+    try:
+        if results[-1] == results[-2] == results[-3]:
+            return mp.zero
+        d1 = mp.log(abs(results[-1] - results[-2]), 10)
+        d2 = mp.log(abs(results[-1] - results[-3]), 10)
+    except ValueError:
+        return epsilon
+    return mp.mpf(10) ** int(min(0, max(d1**2 / d2, 2 * d1, -prec)))
+
+
 def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str, wdps) -> "QuadratureResult":
     """mp.quad's summation over (0, end) by one scheme's rule, on ints.
 
     The integrand takes t as floor(t 2^node_bits) and returns n for the value
-    n 2^value_exp.  Per degree, the standard x and w at scale 2^Q map exactly
-    to t = c (1 + x), c = end/2, and Sum w f is one int; tanh-sinh adds each
-    degree's new nodes to those before, R_k = 2^-k c U_k.  Each result is one
-    mpf at prec + 20 bits, estimate_error decides when to stop, and the value
-    is rounded to prec, as mp.quad does."""
+    n 2^value_exp.  Per degree, the standard x and w at scale 2^Q map
+    exactly to t = c (1 + x), c = end/2, and Sum w f is one int; tanh-sinh
+    adds each degree's new nodes to those before, R_k = 2^-k c U_k.  Each
+    result is one mpf at prec + 20 bits, ``_estimate_error`` decides when to
+    stop, and the value is rounded to prec, as mp.quad does."""
     from mpmath.libmp import from_man_exp
 
-    rule, maxdegree = _quadrature_rules()[scheme]
+    build, maxdegree = _RULES[scheme]
     prec, epsilon, reuse, q = mp.prec, mp.eps / 8, scheme == "tanh-sinh", _node_scale(mp.prec)
     _, man, exp, _ = end._mpf_  # c = man 2^(exp - 1)
     shift = q - node_bits - exp + 1  # t 2^node_bits = man (2^q + x) 2^-shift
     tman, shift, one = man << max(0, -shift), max(0, shift), 1 << q
-    cache, results, total, count, cold, err = rule.fixed_cache, [], 0, 0, False, mp.zero
+    results, total, count, cold, err = [], 0, 0, False, mp.zero
     with mp.workprec(prec + 20):
         for degree in range(1, maxdegree + 1):
-            cold = cold or (degree, prec) not in cache
-            nodes = cache.get((degree, prec)) or cache.setdefault((degree, prec), rule.fixed_nodes(degree, prec))
+            key = (scheme, degree, prec)
+            if key not in _NODES:  # the builder's ints, rounded once to scale 2^q
+                cold, (built, scale) = True, build(degree, prec)
+                half, drop = 1 << (scale - q) >> 1, scale - q
+                _NODES[key] = [((x + half) >> drop, (w + half) >> drop) for x, w in built]
+            nodes = _NODES[key]
             count += len(nodes)
             step = sum(w * integrand(tman * (one + x) >> shift) for x, w in nodes)
             total = total + step if reuse else step  # tanh-sinh's U_k = U_(k-1) + the new nodes' sum
             results.append(mp.make_mpf(from_man_exp(man * total, exp - 1 + value_exp - q - degree * reuse, prec + 20)))
             if degree > 1:
-                err = rule.estimate_error(results, prec, epsilon)
+                err = _estimate_error(results, prec, epsilon)
                 if err <= epsilon:
                     break
     value = +results[-1]

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +88,22 @@ def test_rho_kappa_maps_invert():
         reference = mp.acot((big + mp.sqrt(big * big + 4)) / 2)
     value = constant_value(SymbolicConstant(ATAN_RHO), -(10**20), 50)
     assert abs(value - reference) / reference < mp.mpf("1e-45")
+
+
+def test_precision_set_before_mpmath_loads_reaches_mpmath():
+    # a fresh interpreter: in this one mpmath is loaded, so oracle.mp is
+    # mpmath's own context already
+    script = "from eulertop.oracle import mp; mp.dps = 60; import mpmath; print(mpmath.mp.dps, mp.sqrt(2))"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    with mp.workdps(60):
+        assert out.split() == ["60", str(mp.sqrt(2))]
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +207,18 @@ def _prec(dps):
         return mp.prec
 
 
-def _stock(rule):
-    """A stock mpmath rule with the driver's int interface: its own mpf nodes,
-    as mpmath's get_nodes computes them, at the driver's node scale."""
+def _mpf(n, scale):
+    """The int n at scale 2^scale as the mpf it equals."""
+    return mp.make_mpf(from_man_exp(n, -scale))
 
-    class Stock(rule):
-        def __init__(self, ctx):
-            super().__init__(ctx)
-            self.fixed_cache = {}
 
-        def fixed_nodes(self, degree, prec):
-            scale = oracle._node_scale(prec)
-            with mp.workprec(prec + 20):
-                nodes = self.calc_nodes(degree, prec)
-            return [(to_fixed(x._mpf_, scale), to_fixed(w._mpf_, scale)) for x, w in nodes]
-
-    return Stock(mp)
+def _stock_gauss_nodes(degree, prec):
+    """Stock mpmath Gauss-Legendre nodes as a node builder: ints at the
+    driver's scale, from mpf nodes as mpmath's get_nodes computes them."""
+    scale = oracle._node_scale(prec)
+    with mp.workprec(prec + 20):
+        nodes = GaussLegendre(mp).calc_nodes(degree, prec)
+    return [(to_fixed(x._mpf_, scale), to_fixed(w._mpf_, scale)) for x, w in nodes], scale
 
 
 @pytest.mark.parametrize("dps", [15, 50, 60, 100])
@@ -211,13 +227,13 @@ def test_gauss_nodes_match_mpmath(dps):
     # 2^-(prec + 8), which its weights just meet; the nodes hold to the
     # 1.5 prec bits mpmath works at, less 2
     prec = _prec(dps)
-    rule = type(oracle._quadrature_rules()["gauss"][0])(mp)
     for degree in range(1, 8 if dps == 100 else 9):
-        nodes = rule.calc_nodes(degree, prec)
+        nodes, scale = oracle._gauss_nodes(degree, prec)
         reference = GaussLegendre(mp).calc_nodes(degree, prec + 64)
         assert len(nodes) == len(reference) == 3 * 2 ** (degree - 1)
         with mp.workprec(2 * prec):
             for (x, w), (xr, wr) in zip(nodes, reference):
+                x, w = _mpf(x, scale), _mpf(w, scale)
                 assert abs(x - xr) < mp.ldexp(1, 2 - int(1.5 * prec)), (degree, x)
                 assert abs(w - wr) < mp.ldexp(1, -(prec + 8)), (degree, x)
 
@@ -225,10 +241,10 @@ def test_gauss_nodes_match_mpmath(dps):
 def test_gauss_rule_integrates_even_powers_exactly():
     # degree m has n = 3 * 2^(m-1) points: exact on x^(2k) for 2k < 2n
     prec = _prec(50)
-    rule = type(oracle._quadrature_rules()["gauss"][0])(mp)
     with mp.workprec(prec + 20):
         for degree in range(1, 9):
-            nodes = rule.calc_nodes(degree, prec)
+            built, scale = oracle._gauss_nodes(degree, prec)
+            nodes = [(_mpf(x, scale), _mpf(w, scale)) for x, w in built]
             n = len(nodes)
             assert abs(mp.fsum(w for _, w in nodes) - 2) < mp.ldexp(1, -prec)
             moments = [mp.mpf(0)] * n
@@ -244,7 +260,8 @@ def test_gauss_rule_integrates_even_powers_exactly():
 @pytest.mark.parametrize("kappa, h, dps", [(0.5, 0.02, 50), (0.5, -0.02, 30), (-2, 1e-6, 30), (-20, -1e-5, 30)])
 def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
     ours = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
-    monkeypatch.setitem(oracle._quadrature_rules(), "gauss", (_stock(GaussLegendre), oracle._GAUSS_MAXDEGREE))
+    monkeypatch.setitem(oracle._RULES, "gauss", (_stock_gauss_nodes, oracle._GAUSS_MAXDEGREE))
+    monkeypatch.setattr(oracle, "_NODES", {})
     stock = action_quadrature(kappa, h, tol=1e-20, dps=dps, scheme="gauss")
     with mp.workdps(dps):
         assert abs(ours.value - stock.value) < mp.mpf(10) ** -(dps - 2)
@@ -252,11 +269,11 @@ def test_gauss_action_matches_stock_gauss_legendre(monkeypatch, kappa, h, dps):
 
 
 def test_gauss_nodes_are_cheap_cold():
-    # calc_nodes itself, never a cache: mpmath's own takes about 1.4 s here
-    rule, prec = type(oracle._quadrature_rules()["gauss"][0])(mp), _prec(60)
+    # the builder itself, never a cache: mpmath's own takes about 1.4 s here
+    prec = _prec(60)
     start = time.perf_counter()
     for degree in range(1, 8):
-        rule.calc_nodes(degree, prec)
+        oracle._gauss_nodes(degree, prec)
     assert time.perf_counter() - start < 1.0
 
 
@@ -265,44 +282,24 @@ def test_tanh_sinh_nodes_match_mpmath(dps):
     # the same count at every degree, and each x and w within 2^-(prec + 20)
     # of stock mpmath's, which works at prec + 40 bits
     prec = _prec(dps)
-    scale = oracle._node_scale(prec)
-    rule = type(oracle._quadrature_rules()["tanh-sinh"][0])(mp)
     for degree in range(1, 10 if dps == 100 else 11):
-        nodes = rule.fixed_nodes(degree, prec)
+        nodes, scale = oracle._tanh_sinh_nodes(degree, prec)
         with mp.workprec(prec + 20):
             reference = TanhSinh(mp).calc_nodes(degree, prec)
         assert len(nodes) == len(reference), degree
         with mp.workprec(2 * prec):
             bound = mp.ldexp(1, -(prec + 20))
             for (x, w), (xr, wr) in zip(nodes, reference):
-                assert abs(mp.ldexp(x, -scale) - xr) < bound, (degree, xr)
-                assert abs(mp.ldexp(w, -scale) - wr) < bound, (degree, xr)
+                assert abs(_mpf(x, scale) - xr) < bound, (degree, xr)
+                assert abs(_mpf(w, scale) - wr) < bound, (degree, xr)
 
 
-@pytest.mark.parametrize(
-    "scheme, rule",
-    [(scheme, type(oracle._quadrature_rules()[scheme][0])) for scheme in ("gauss", "tanh-sinh")]
-    + [("tanh-sinh", TanhSinh)],
-)
-def test_quadrature_reports_cold_nodes(monkeypatch, scheme, rule):
-    # the production rules, and stock tanh-sinh through the test-side adapter
-    fresh = rule(mp) if hasattr(rule, "fixed_nodes") else _stock(rule)
-    monkeypatch.setitem(oracle._quadrature_rules(), scheme, (fresh, oracle._quadrature_rules()[scheme][1]))
+@pytest.mark.parametrize("scheme", ["gauss", "tanh-sinh"])
+def test_quadrature_reports_cold_nodes(monkeypatch, scheme):
+    monkeypatch.setattr(oracle, "_NODES", {})
     first = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     again = action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
     assert first.nodes_cold and not again.nodes_cold
-
-
-def test_rules_stay_usable_by_mp_quad_after_the_driver():
-    # the driver caches its int nodes apart from standard_cache, where
-    # mp.quad keeps the mpf nodes it maps: a rule the driver has used at a
-    # precision still integrates correctly by mp.quad at that precision
-    for scheme in ("gauss", "tanh-sinh"):
-        action_quadrature(0.5, 0.02, tol=1e-20, dps=30, scheme=scheme)
-    with mp.workdps(30):
-        for rule, maxdegree in oracle._quadrature_rules().values():
-            value = mp.quad(mp.exp, [0, 1], method=lambda ctx: rule, maxdegree=maxdegree)
-            assert abs(value - (mp.e - 1)) < mp.mpf(10) ** -25, type(rule).__name__
 
 
 def test_period_asymptotic_constant():
@@ -523,11 +520,19 @@ class _ExactlyMappedTanhSinh(TanhSinh):
             return super().transform_nodes(nodes, a, b)
 
 
-# mp.quad's rules for the mpf forms: the gauss rule's mpf view of the same
-# Newton roots (stock mpmath's own take seconds at degree 8), and stock
-# tanh-sinh, as mp.quad maps its nodes and exactly
+class _BuiltGaussLegendre(GaussLegendre):
+    """mpmath's Gauss-Legendre rule on the Newton roots of oracle's builder."""
+
+    def calc_nodes(self, degree, prec, verbose=False):
+        nodes, scale = oracle._gauss_nodes(degree, prec)
+        return [(_mpf(x, scale), _mpf(w, scale)) for x, w in nodes]
+
+
+# mp.quad's rules for the mpf forms: the gauss builder's Newton roots as mpf
+# (stock mpmath's own take seconds at degree 8), and stock tanh-sinh, as
+# mp.quad maps its nodes and exactly
 _MPF_RULES = {
-    "gauss": type(oracle._quadrature_rules()["gauss"][0])(mp),
+    "gauss": _BuiltGaussLegendre(mp),
     "tanh-sinh": TanhSinh(mp),
     "exact": _ExactlyMappedTanhSinh(mp),
 }
@@ -557,7 +562,7 @@ def _mp_quad(f, end, scheme, rule=None):
         count += 1
         return f(t)
 
-    rule, maxdegree = _MPF_RULES[rule or scheme], oracle._quadrature_rules()[scheme][1]
+    rule, maxdegree = _MPF_RULES[rule or scheme], oracle._RULES[scheme][1]
     return mp.quad(counted, [0, end], method=lambda ctx: rule, maxdegree=maxdegree), count
 
 
@@ -603,12 +608,11 @@ def test_quadrature_reports_its_degree():
         assert result.evaluations == 3 * (2**result.degree - 1)
     # each tanh-sinh half evaluates the nodes of every degree through its own,
     # and the cut reports the higher of the two
-    rule = oracle._quadrature_rules()["tanh-sinh"][0]
     prec, degrees = _prec(50), set()
     for kappa, h in ((-20, 1e-3), (-20, -1e-12), (0.5, 0.02)):
         result, halves = _driven(lambda: action_quadrature(kappa, h, tol=1e-20, dps=50, scheme="tanh-sinh"))
         for _, half in halves:
-            assert half.evaluations == sum(len(rule.fixed_cache[d, prec]) for d in range(1, half.degree + 1))
+            assert half.evaluations == sum(len(oracle._NODES["tanh-sinh", d, prec]) for d in range(1, half.degree + 1))
         assert result.degree == max(half.degree for _, half in halves)
         assert result.evaluations == sum(half.evaluations for _, half in halves)
         degrees.add(tuple(half.degree for _, half in halves))

@@ -41,7 +41,9 @@ from .series import (
     InternalConsistencyError,
     PowerSeries,
     SeriesUsageError,
+    _check_order,
     _is_exact_rational,
+    _keeps_highest,
     _quoted,
 )
 
@@ -62,13 +64,16 @@ __all__ = [
 
 def alpha_action(order: int) -> PowerSeries:
     """The vanishing-cycle action 2 pi I_r(h) = h + O(h^2), through h^order."""
+    _check_order(order, 1)
     return PowerSeries("h", tuple(_sequences(KP_KAPPA, order - 1)["a"]())).integrate()
 
 
+@_keeps_highest(PowerSeries.truncate, 1)
 def bnf_via_reversion(order: int) -> PowerSeries:
     """Normal form B(J), the compositional inverse of the regular action, read from
     the O(n^2) recurrence picardfuchs._bnf, not from a reversion: series.revert_trunc
-    is the independent reversion that the tests check it against."""
+    is the independent reversion that the tests check it against.  The series at
+    the highest order asked for is kept, and a lower order is its truncation."""
     return PowerSeries("J", tuple(_sequences(KP_KAPPA, order)["bnf"]()))
 
 
@@ -83,6 +88,11 @@ class InvariantReport(NamedTuple):
     branch_consistent: bool
 
 
+def _truncate_report(report: InvariantReport, order: int) -> InvariantReport:
+    return report._replace(order=order, tail=report.tail.truncate(order))
+
+
+@_keeps_highest(_truncate_report, 2)
 def extract_sigma(order: int) -> InvariantReport:
     """Invariant through J^order by two routes that must agree.
 
@@ -90,9 +100,9 @@ def extract_sigma(order: int) -> InvariantReport:
     output.  The check composes the singular action with B in J: its log
     channel, the regular action of B, must be J, and -(J + its regular part)
     must equal the recurrence's tail, with the two sides' k1 opposite.
+    The report at the highest order asked for is kept, and a lower order
+    is its truncation, checked by both routes at the kept order.
     """
-    if order < 2:
-        raise SeriesUsageError("need order >= 2")
     plus, minus = assemble_beta_actions(order + 1)
     sequences = _sequences(KP_KAPPA, order + 1)
     bnf = PowerSeries("J", tuple(sequences["bnf"]()))

@@ -32,6 +32,7 @@ from .series import (
     PowerSeries,
     _Frozen,
     _is_exact_rational,
+    _keeps_highest,
     interpolate_kappa_poly,
 )
 
@@ -251,15 +252,17 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     return tuple(values)
 
 
+@_keeps_highest(PowerSeries.truncate, 1, PreconditionError, "normal form order must be >= 1")
 def euler_normal_form(order: int) -> PowerSeries:
     """Normal form H*(J) through J^order, each coefficient a polynomial in kappa.
 
     The J^n coefficient has the form kappa^((n+1) mod 2) p_n(kappa^2) with
     deg p_n <= (n-1)/2.  The Lie route runs at rho = 2, 3, ..., one point more
     than p_order needs, so interpolation checks itself on the last point.
+    No coefficient depends on the order, so the series at the highest order
+    asked for is kept and a lower order is its truncation
+    (series._keeps_highest).
     """
-    if order < 1:
-        raise PreconditionError("normal form order must be >= 1")
     rhos = [Fraction(r) for r in range(2, (order - 1) // 2 + 4)]
     rows = [birkhoff_normalize(williamson_reduce(expand_hamiltonian(2 * order, rho)), order) for rho in rhos]
     kappas = [rho - 1 / rho for rho in rhos]

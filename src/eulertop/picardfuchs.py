@@ -73,7 +73,9 @@ from .series import (
     SeriesUsageError,
     _Frozen,
     _Row,
+    _check_order,
     _is_exact_rational,
+    _keeps_highest,
     _kappa_poly,
     _row_dot,
     add_list,
@@ -247,6 +249,11 @@ def _y_scales(order: int) -> list[int]:
     return list(itertools.accumulate(range(1, order + 1), lambda s, k: s * 4 * k * max(k - 1, 1), initial=1))
 
 
+def _powers(x: int, first: int = 1):
+    """first, first x, first x^2, ...: running products, not a power per index."""
+    return itertools.accumulate(itertools.repeat(x), operator.mul, initial=first)
+
+
 def _bnf(ring, order: int) -> tuple:
     """Y_0..Y_order of B(J), the compositional inverse of alpha, each
     Y_k = y_k s_k a ring element, with the Y^2 and the binomial table
@@ -349,10 +356,11 @@ def _sigma_tail(ring, y: list, y2: list, c: list, q: int) -> list:
         known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
         lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
     scales, tail = _y_scales(n + 1), [(zero, 1)] * 2
-    for j in range(1, n + 1):
+    for j, qj in zip(range(1, n + 1), _powers(q, q)):
         gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
-        tail.append((-(4 * lam[j] + j * j * gp), j * scales[j + 1] * q**j))
+        tail.append((-(4 * lam[j] + j * j * gp), j * scales[j + 1] * qj))
     return tail
+
 
 
 def _scaled_sequences(kappa, n: int) -> tuple:
@@ -376,19 +384,19 @@ def _scaled_sequences(kappa, n: int) -> tuple:
         raise SeriesUsageError("table order must be non-negative")
 
     def a():
-        return [(x, (8 * q) ** m) for m, x in enumerate(_a_rows(ring, n))]
+        return list(zip(_a_rows(ring, n), _powers(8 * q)))
 
     def b(with_a=False):
         lcms = _lcm_table(n)
-        rows = enumerate(_b_rows(ring, lcms))
+        rows = zip(_b_rows(ring, lcms), _powers(8 * q), lcms)
         if with_a:  # b alone makes no a pairs: short-lived ones among the kept b pairs raised peak RSS
-            return (((x, (8 * q) ** m), (y, (8 * q) ** m * lcms[m])) for m, (x, y) in rows)
-        return [(y, (8 * q) ** m * lcms[m]) for m, (_, y) in rows]
+            return (((x, s), (y, s * lcm)) for (x, y), s, lcm in rows)
+        return [(y, s * lcm) for (_, y), s, lcm in rows]
 
     bnf_pass = functools.cache(lambda: _bnf(ring, n))
 
-    def bnf():
-        return [(x, s * q ** max(k - 1, 0)) for k, (x, s) in enumerate(zip(bnf_pass()[0], _y_scales(n)))]
+    def bnf():  # Y_k over s_k q^(k-1), and Y_0 = 0 over 1
+        return list(zip(bnf_pass()[0], map(operator.mul, _y_scales(n), itertools.chain((1,), _powers(q)))))
 
     return emit, {"a": a, "b": b, "bnf": bnf, "sigma": lambda: _sigma_tail(ring, *bnf_pass(), q)}
 
@@ -458,8 +466,7 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     by the two independent routes: 'recursion' runs the a recursion from
     a_0 = 1 and the b recursion on it, 'closed_form' the trinomial sums.
     """
-    if order < 0:
-        raise SeriesUsageError("table order must be non-negative")
+    _check_order(order, 0)
     if method == "recursion":
         emit, scaled = _scaled_sequences(KP_KAPPA, order)
         a, b = zip(*((emit(*x), emit(*y)) for x, y in scaled["b"](with_a=True)))
@@ -490,8 +497,7 @@ class ActionSeries(NamedTuple):
 
 def build_action_series(order: int) -> ActionSeries:
     """T_r, T_s through h^order and their termwise integrals (one order higher)."""
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
+    _check_order(order, 1)
     table = frobenius_table(order)
     t_reg = PowerSeries("h", table.a)
     t_sing = LogSeries(t_reg, PowerSeries("h", table.b))
@@ -541,10 +547,26 @@ class BetaAction(NamedTuple):
 _SIDES = {"plus": (1, ATAN_INV_RHO_OVER_PI, ATAN_INV_RHO), "minus": (-1, ATAN_RHO_OVER_PI, ATAN_RHO)}
 
 
+def _truncate_actions(pair: tuple[BetaAction, BetaAction], order: int) -> tuple[BetaAction, BetaAction]:
+    """Both sides at a lower order, sharing one ActionSeries: the periods
+    through h^order, the actions one order higher."""
+    s = pair[0].series
+    series = ActionSeries(
+        s.period_regular.truncate(order),
+        s.period_singular.truncate(order),
+        s.action_regular.truncate(order + 1),
+        s.action_singular.truncate(order + 1),
+    )
+    return tuple(side._replace(series=series) for side in pair)
+
+
+@_keeps_highest(_truncate_actions, 1)
 def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
     """The two separatrix-side actions through h^(order+1).
 
     I_beta(+-) = -+ (1/2) log(64/(kappa^2+4)) I_r +- I_s + atan(rho^(-+1))/pi.
+    The pair at the highest order asked for is kept, and a lower order is
+    its truncation.
     """
     series = build_action_series(order)
     return tuple(

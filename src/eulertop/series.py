@@ -21,6 +21,7 @@ minimum order of their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -105,6 +106,48 @@ class _Frozen:
 
     def __setstate__(self, state):
         self._assign(*state)
+
+
+def _check_order(order, floor: int, error: type = SeriesUsageError, message: str = "") -> None:
+    """Refuse an order that is not an int, a bool included, or is below floor."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise error(f"order must be an int, got {order!r}")
+    if order < floor:
+        raise error(message or f"need order >= {floor}")
+
+
+def _keeps_highest(truncate, floor: int, error: type = SeriesUsageError, message: str = ""):
+    """Decorator for a function of one order whose coefficients do not change
+    as the order rises: it keeps the result at the highest order computed so
+    far and answers any order at or below it by ``truncate(kept, order)``.
+
+    The order is checked (_check_order) before the kept result is read, so a
+    refused order raises the same error whatever is kept; a call that raises
+    keeps nothing.  ``cache_clear()`` drops the kept result.
+    """
+
+    def wrap(fn):
+        kept = None  # (order, result)
+
+        @functools.wraps(fn)
+        def keeping(order):
+            nonlocal kept
+            _check_order(order, floor, error, message)
+            top = kept
+            if top is not None and order <= top[0]:
+                return truncate(top[1], order)
+            result = fn(order)
+            kept = (order, result)
+            return result
+
+        def cache_clear() -> None:
+            nonlocal kept
+            kept = None
+
+        keeping.cache_clear = cache_clear
+        return keeping
+
+    return wrap
 
 
 def _quoted(text: str) -> str:
@@ -681,6 +724,11 @@ class LogSeries(_Frozen):
     @property
     def order(self) -> int:
         return self.log_part.order
+
+    def truncate(self, order: int) -> "LogSeries":
+        if order >= self.order:
+            return self
+        return LogSeries(self.log_part.truncate(order), self.regular_part.truncate(order))
 
     def integrate(self) -> "LogSeries":
         """Termwise antiderivative, constants fixed so the value tends to 0 at 0.

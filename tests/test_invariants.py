@@ -219,6 +219,14 @@ def test_sigma_cross_checks_catch_a_perturbed_route(monkeypatch, name, message):
         extract_sigma(4)
 
 
+@pytest.mark.parametrize("name", ["bnf", "sigma"])
+def test_a_perturbed_sigma_keeps_nothing(monkeypatch, name):
+    _perturb_sequence(monkeypatch, name, 2)
+    for order in (6, 4):  # the failed order 6 left nothing to answer order 4
+        with pytest.raises(InternalConsistencyError):
+            extract_sigma(order)
+
+
 def test_sigma_leak_check_catches_a_linear_term_both_routes_share(monkeypatch):
     # the recurrence's tail and the composed regular part moved alike at J^1,
     # so the two routes still agree: only the leak check can see it

@@ -217,6 +217,13 @@ def test_normalize_checks_that_every_step_cleared_its_degree(monkeypatch):
         birkhoff_normalize(ham, 5)
 
 
+def test_a_normal_form_that_fails_its_check_keeps_nothing(monkeypatch):
+    monkeypatch.setattr(normalform, "_lie_transform", lambda terms, generator, max_degree: terms)
+    for order in (5, 3):  # the failed order 5 left nothing to answer order 3
+        with pytest.raises(InternalConsistencyError, match="survived"):
+            euler_normal_form(order)
+
+
 @pytest.mark.parametrize("order", [1, 2, 7, 8])
 def test_normal_form_runs_the_public_steps_once_per_node(monkeypatch, order):
     # the per-layer trace times these two module functions, so the Lie

@@ -104,9 +104,9 @@ _grid = _checked(
     lambda g: _all_finite(g) and 2 <= g[2] <= _GRID_POINTS,
     f"need finite lo:hi:n with n from 2 to {_GRID_POINTS}",
 )
-# the most --samples values: each costs two quadratures, up to about 0.5 s at
-# order 100 and 100 digits (|h| from 1e-25 to 1e-50), so 40 take under half a
-# minute on a 2-CPU machine
+# the most --samples values: each costs two quadratures, about 0.15 s at order
+# 100 and 100 digits in the costly band |h| = 1e-31, where 40 took 5.5-7.1 s
+# (whole process, five runs) on a 2-CPU machine
 _SAMPLES = 40
 _samples = _checked(
     _sample_floats,

@@ -208,8 +208,7 @@ def radius_analysis(
         if name not in sequences or name in targets[:i]:  # a repeat would build its table again
             raise SeriesUsageError(f"{'repeated' if name in sequences else 'unknown'} sequence {_quoted(name)}")
     kappa = Fraction(kappa)
-    if nmax < 20:
-        raise SeriesUsageError("need nmax >= 20 for a stable estimate")
+    _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate")
     try:
         rho = rho_for_kappa(float(kappa))
     except OverflowError:

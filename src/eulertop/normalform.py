@@ -31,6 +31,7 @@ from .series import (
     InternalConsistencyError,
     PowerSeries,
     _Frozen,
+    _check_order,
     _is_exact_rational,
     _keeps_highest,
     interpolate_kappa_poly,
@@ -109,7 +110,8 @@ def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
     The quadratic part is (1/2)(q^2/rho - rho p^2); all monomials are even in
     q and in p separately.  rho must be a positive int or Fraction.
     """
-    if max_degree < 2 or max_degree % 2:
+    _check_order(max_degree, 2, PreconditionError, "expansion degree must be an even integer >= 2")
+    if max_degree % 2:
         raise PreconditionError("expansion degree must be an even integer >= 2")
     rho = _exact_rho(rho)
     terms = {(0, 2): -rho / 2}
@@ -228,8 +230,7 @@ def birkhoff_normalize(ham: PolyHamiltonian, order: int) -> tuple[Fraction, ...]
     lcm of the |a - b| in that row, reduced by its content gcd.  Every
     division is exact, and each value becomes one Fraction at the end.
     """
-    if order < 1:
-        raise PreconditionError("normal form order must be >= 1")
+    _check_order(order, 1, PreconditionError, "normal form order must be >= 1")
     if ham.rows[2:3] != ((0, ham.den, 0),):
         raise PreconditionError("quadratic part must be exactly q*p")
     max_degree = 2 * order

@@ -62,7 +62,7 @@ from .picardfuchs import (
     _SIDES,
     assemble_beta_actions,
 )
-from .series import horner
+from .series import _check_order, horner
 
 
 class _MpmathOnFirstUse:
@@ -222,6 +222,7 @@ def _exact(x) -> Fraction:
 
 
 def _working_dps(dps: int) -> int:
+    _check_order(dps, 1, ValueError, "need dps >= 1")
     # dps is authoritative: a tolerance finer than the precision allows is
     # reported as a quadrature failure, not silently upgraded
     return max(15, dps)
@@ -715,6 +716,7 @@ _CONSTANT_FORMS = {
 
 
 def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
+    _check_order(dps, 1, ValueError, "need dps >= 1")
     with mp.workdps(dps):
         kq = _to_mp(kappa)
         rho = rho_for_kappa(kq)
@@ -735,6 +737,7 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients
     A caller that evaluates many h at one kappa may pass ``coefficients``,
     the _action_coefficients of beta.series at kappa at dps digits.
     """
+    _check_order(dps, 1, ValueError, "need dps >= 1")
     with mp.workdps(dps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         if beta.k2 * hq <= 0:
@@ -793,6 +796,7 @@ def verify_series_numerics(
     h = 0 rows compare the closed-form limit constants on both sides with
     both quadrature schemes at h = 0.
     """
+    _check_order(dps, 1, ValueError, "need dps >= 1")
     plus, minus = assemble_beta_actions(order)
     with mp.workdps(dps):
         kq = _to_mp(kappa)

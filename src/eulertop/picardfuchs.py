@@ -283,8 +283,7 @@ def _bnf(ring, order: int) -> tuple:
     c3 y'' term is the Narayana number N(m, i) = C(m, i) C(m, i-1) / m, the
     natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.
     """
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
+    _check_order(order, 1)
     one, up, weigh, dot, div = ring
     c, mul, zero = _binomials(order), operator.mul, 0 * one
     y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
@@ -380,8 +379,7 @@ def _scaled_sequences(kappa, n: int) -> tuple:
         ring, emit = (_Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x), _row_dot, _row_div), _kappa_poly
     else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
-    if n < 0:
-        raise SeriesUsageError("table order must be non-negative")
+    _check_order(n, 0, SeriesUsageError, "table order must be non-negative")
 
     def a():
         return list(zip(_a_rows(ring, n), _powers(8 * q)))

@@ -109,7 +109,8 @@ class _Frozen:
 
 
 def _check_order(order, floor: int, error: type = SeriesUsageError, message: str = "") -> None:
-    """Refuse an order that is not an int, a bool included, or is below floor."""
+    """Refuse an order that is not an int, a bool included, or is below floor
+    (with ``message``, if given): the one rule of an order or precision argument."""
     if not isinstance(order, int) or isinstance(order, bool):
         raise error(f"order must be an int, got {order!r}")
     if order < floor:
@@ -467,8 +468,6 @@ def _baby_steps(inner: Sequence, order: int, size: int) -> list:
     zero = inner[0]
     if zero:
         raise SeriesUsageError("inner series must vanish at 0")
-    if order < 0:
-        raise SeriesUsageError("need order >= 0")
     powers = [[*inner[: order + 1], *[zero] * (order + 1 - len(inner))]]
     while len(powers) < max(math.isqrt(size), 1):
         powers.append(mul_trunc(powers[-1], inner, order))
@@ -489,6 +488,7 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int, powers: list | N
     coefficients (the case m = 1).  ``powers``, the _baby_steps of inner for
     the n outer coefficients, lets outer series of one length share them.
     """
+    _check_order(order, 0)
     outer = outer[: order + 1]
     if powers is None:
         powers = _baby_steps(inner, order, len(outer))
@@ -510,8 +510,7 @@ def compose_trunc(outer: Sequence, inner: Sequence, order: int, powers: list | N
 def recip_trunc(a: Sequence, order: int) -> list:
     """Multiplicative inverse of a series with invertible constant term."""
     inv0 = _unit_inverse(a[0])
-    if order < 0:
-        raise SeriesUsageError("need order >= 0")
+    _check_order(order, 0)
     # out[n] = -inv0 sum_{i>=1} a[i] out[n-i]: -inv0 goes into a once, so each
     # online coefficient is one reduction
     minus_inv0 = -inv0
@@ -535,8 +534,7 @@ def log_unit_trunc(a: Sequence, order: int) -> list:
     """log of a series with constant term 1, via integrating a'/a."""
     if not a[0] or a[0] * a[0] != a[0]:
         raise SeriesUsageError("log needs a series with constant term 1")
-    if order < 0:
-        raise SeriesUsageError("need order >= 0")
+    _check_order(order, 0)
     q = mul_trunc(deriv_list(a), recip_trunc(a, order), max(order - 1, 0))
     return integrate_list(q)[: order + 1]
 
@@ -555,8 +553,7 @@ def revert_trunc(a: Sequence, order: int) -> list:
         raise SingularReversionError("series must vanish at 0 to be reverted")
     if len(a) < 2 or not a[1]:
         raise SingularReversionError("zero linear coefficient")
-    if order < 1:
-        raise SeriesUsageError("need order >= 1")
+    _check_order(order, 1)
     phi = recip_trunc(a[1:], order - 1)
     g, power = [a[0]] * (order + 1), phi
     g[1] = phi[0]
@@ -610,12 +607,12 @@ class PowerSeries(_Frozen):
 
     @staticmethod
     def zero(var: str, order: int) -> "PowerSeries":
+        _check_order(order, 0)
         return PowerSeries(var, (KP_ZERO,) * (order + 1))
 
     @staticmethod
     def identity(var: str, order: int) -> "PowerSeries":
-        if order < 1:
-            raise SeriesUsageError("identity needs order >= 1")
+        _check_order(order, 1, SeriesUsageError, "identity needs order >= 1")
         return PowerSeries(var, (KP_ZERO, KP_ONE) + (KP_ZERO,) * (order - 1))
 
     @property

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from eulertop import cli, invariants, oracle, picardfuchs
 from eulertop.cli import _COMMANDS, COMMANDS, main
@@ -612,3 +615,57 @@ def test_exact_and_float_commands_never_load_mpmath():
     modules = ("cli", "invariants", "normalform", "oracle", "picardfuchs", "series")
     assert loaded == ["eulertop", *(f"eulertop.{m}" for m in modules)]
     assert runs == [["import", 0, []], *([argv[0], 0, []] for argv in _WITHOUT_MPMATH)]
+
+
+# option values for argv drawn at random: (valid, malformed or hostile) for
+# each option; an integer option also draws its default and floor as valid
+# and its ceiling + 1 as refused, never the ceiling, which may take a minute
+_HOSTILE = ("", "--", "nan", "1e5000", "1/0", "\u0661/\u0662", "-1", " ", "0x10")
+_VALUES = {
+    "kappa": (("1/2", "-5/4", "0"), ("1/", "abc", "1e-400")),
+    "theta": (("1,2,3", "1,2,2.5"), ("1,2", "1,1,2", "nan,1,2")),
+    "ell": (("1",), ("0", "inf")),
+    "tol": (("1e-9", "1e-30"), ("0", "-1e-9", "inf")),
+    "targets": (("a", "a,b,bnf,sigma"), (",", "x", "a,a")),
+    "grid": (("-1:1:3",), ("0:1:1", f"0:1:{cli._GRID_POINTS + 1}", "1:2", "a:b:c")),
+    "samples": (("0.01,-0.01", "0", "0.3"), ("5", "1e-400", ",".join(["0.01"] * (cli._SAMPLES + 1)))),
+    "format": (("json", "csv"), ("xml",)),
+    "order": ((), ("3.5",)),
+    "nmax": ((), ("x",)),
+    "precision": ((), ("1.0",)),
+    "bogus": ((), ("1",)),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or an unknown one, with its own options in any order and now
+    and then one it does not read, each as --opt=v or as --opt v."""
+    command = draw(st.sampled_from((*COMMANDS, "spectrum")))
+    _, sizes, header = _COMMANDS.get(command, (None, {}, None))
+    own, options = [*sizes, *(("format",) if header else ())], []
+    if "kappa" in sizes:  # one source of kappa, or none
+        options = draw(st.sampled_from((["kappa"], ["theta", "ell"], [])))
+        own = [o for o in own if o not in cli._KAPPA]
+    options += draw(st.permutations(own))[: draw(st.integers(0, len(own)))]
+    options += draw(st.lists(st.sampled_from(sorted(set(_VALUES) - set(options))), max_size=1))
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        valid, refused = _VALUES[option]
+        if sizes.get(option):
+            default, ceiling, floor = sizes[option]
+            valid, refused = (*valid, str(default), str(floor)), (*refused, str(ceiling + 1))
+        valid_value = valid and draw(st.integers(0, 3))  # 3 in 4, so that some argv lists run
+        value = draw(st.sampled_from(valid) if valid_value else st.sampled_from(refused + _HOSTILE))
+        argv += [f"--{option}={value}"] if draw(st.booleans()) else [f"--{option}", value]
+    return argv
+
+
+@given(_argvs())
+@example(["verify", "--kappa=1/2", "--precision=1", "--order=1"])  # both floors: the check fails, exit 3
+def test_any_argv_exits_with_a_documented_code(argv):
+    """main never raises: every argv ends in 0, 2 (refused), 3 (failed check)
+    or 64 (unknown command)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 64), argv

@@ -200,6 +200,7 @@ def radius_analysis(
     The bnf and sigma targets share one B(J) within the call; nothing is
     kept between calls.
     """
+    _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate")
     _, sequences = _scaled_sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
     if isinstance(targets, str):  # tuple() would split it into one-letter names
         raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")
@@ -208,7 +209,6 @@ def radius_analysis(
         if name not in sequences or name in targets[:i]:  # a repeat would build its table again
             raise SeriesUsageError(f"{'repeated' if name in sequences else 'unknown'} sequence {_quoted(name)}")
     kappa = Fraction(kappa)
-    _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate")
     try:
         rho = rho_for_kappa(float(kappa))
     except OverflowError:

@@ -222,9 +222,9 @@ def _exact(x) -> Fraction:
 
 
 def _working_dps(dps: int) -> int:
+    """max(15, dps), the digits that every public entry computes at; a tolerance
+    finer than they allow is reported as a quadrature failure, not upgraded."""
     _check_order(dps, 1, ValueError, "need dps >= 1")
-    # dps is authoritative: a tolerance finer than the precision allows is
-    # reported as a quadrature failure, not silently upgraded
     return max(15, dps)
 
 
@@ -381,7 +381,7 @@ def _estimate_error(results, prec: int, epsilon):
     return mp.mpf(10) ** int(min(0, max(d1**2 / d2, 2 * d1, -prec)))
 
 
-def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str, wdps) -> "QuadratureResult":
+def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str) -> "QuadratureResult":
     """mp.quad's summation over (0, end) by one scheme's rule, on ints.
 
     The integrand takes t as floor(t 2^node_bits) and returns n for the value
@@ -415,7 +415,7 @@ def _quad(integrand, node_bits: int, value_exp: int, end, scheme: str, wdps) -> 
                 if err <= epsilon:
                     break
     value = +results[-1]
-    floor = (abs(value) + 1) * mp.mpf(10) ** (-(wdps - 5))
+    floor = (abs(value) + 1) * mp.mpf(10) ** (-(mp.dps - 5))
     return QuadratureResult(value, max(err, floor), count, degree, cold)
 
 
@@ -615,10 +615,10 @@ def _cut_halves(cut, k, which: str):
     return end, (half(True), half(False))
 
 
-def _quad_cut(cut, k, which: str, wdps) -> QuadratureResult:
+def _quad_cut(cut, k, which: str) -> QuadratureResult:
     """Tanh-sinh over both halves of a cut (``_cut_halves``), summed."""
     end, halves = _cut_halves(cut, k, which)
-    one, two = (_quad(*form, end, "tanh-sinh", wdps) for form in halves)
+    one, two = (_quad(*form, end, "tanh-sinh") for form in halves)
     sums = (one.value + two.value, one.error_estimate + two.error_estimate, one.evaluations + two.evaluations)
     return QuadratureResult(*sums, max(one.degree, two.degree), one.nodes_cold or two.nodes_cold)
 
@@ -636,11 +636,11 @@ def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureR
         side = side or _check_energy_range(hq, rho)
         if scheme == "gauss":
             top, form = _angle_form(rho, hq, side, which)
-            result = _quad(*form, top, "gauss", wdps)
+            result = _quad(*form, top, "gauss")
             scale = mp.pi
         elif scheme == "tanh-sinh":
             sign = -1 if which == "period" and side == "plus" else 1
-            result = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which, wdps)
+            result = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which)
             scale = 2 * mp.pi
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -682,8 +682,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
     integration interval is bounded by 2 h / ell^2 and the inverse moment the
     orbit side touches.  Equals 2 ell I_beta(h) after the energy scaling.
     """
-    wdps = _working_dps(dps)
-    with mp.workdps(wdps):
+    with mp.workdps(_working_dps(dps)):
         t1, t2, t3 = mp.mpf(params.theta1), mp.mpf(params.theta2), mp.mpf(params.theta3)
         ell = mp.mpf(params.ell)
         hs = mp.mpf(h_sans)
@@ -699,7 +698,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
             if not z_star > r3:
                 raise DomainError("energy below the lower elliptic equilibrium")
             cut = lambda: (z_star - r3, r2 - z_star, r1 - z_star)
-        return _result(_quad_cut(cut, ell, "action", wdps), mp.pi, tol)
+        return _result(_quad_cut(cut, ell, "action"), mp.pi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +715,7 @@ _CONSTANT_FORMS = {
 
 
 def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
-    _check_order(dps, 1, ValueError, "need dps >= 1")
-    with mp.workdps(dps):
+    with mp.workdps(_working_dps(dps)):
         kq = _to_mp(kappa)
         rho = rho_for_kappa(kq)
         return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
@@ -735,10 +733,9 @@ def beta_action_value(beta: BetaAction, kappa, h, dps: int = 50, *, coefficients
     """I_beta(h) from the exact series channel plus the symbolic constants.
 
     A caller that evaluates many h at one kappa may pass ``coefficients``,
-    the _action_coefficients of beta.series at kappa at dps digits.
+    the _action_coefficients of beta.series at kappa at the working precision.
     """
-    _check_order(dps, 1, ValueError, "need dps >= 1")
-    with mp.workdps(dps):
+    with mp.workdps(_working_dps(dps)):
         kq, hq = _to_mp(kappa), _to_mp(h)
         if beta.k2 * hq <= 0:
             raise DomainError(f"side {beta.side!r} needs {beta.k2:+d}h > 0")
@@ -796,9 +793,9 @@ def verify_series_numerics(
     h = 0 rows compare the closed-form limit constants on both sides with
     both quadrature schemes at h = 0.
     """
-    _check_order(dps, 1, ValueError, "need dps >= 1")
+    wdps = _working_dps(dps)
     plus, minus = assemble_beta_actions(order)
-    with mp.workdps(dps):
+    with mp.workdps(wdps):
         kq = _to_mp(kappa)
         rho = rho_for_kappa(kq)
         disc = min(rho, 1 / rho) / 2
@@ -815,11 +812,11 @@ def verify_series_numerics(
                 )
             for beta in (plus, minus) if hq == 0 else (plus if hq > 0 else minus,):
                 if hq == 0:  # the closed-form limit against both schemes at h = 0
-                    series_val = constant_value(beta.k3, kq, dps)
-                    main, other = (_integral(kq, 0, beta.side, "action", s, quad_tol, dps) for s in _SCHEMES)
+                    series_val = constant_value(beta.k3, kq, wdps)
+                    main, other = (_integral(kq, 0, beta.side, "action", s, quad_tol, wdps) for s in _SCHEMES)
                 else:
-                    series_val = beta_action_value(beta, kq, hq, dps, coefficients=coefficients)
-                    main, other = (action_quadrature(kq, hq, tol=quad_tol, dps=dps, scheme=s) for s in _SCHEMES)
+                    series_val = beta_action_value(beta, kq, hq, wdps, coefficients=coefficients)
+                    main, other = (action_quadrature(kq, hq, tol=quad_tol, dps=wdps, scheme=s) for s in _SCHEMES)
                 dev = abs(series_val - main.value)
                 max_dev = max(max_dev, dev)
                 rows.append(
@@ -833,8 +830,8 @@ def verify_series_numerics(
                         main.evaluations + other.evaluations,
                     )
                 )
-        area_sum = constant_value(plus.area, kq, dps) + constant_value(minus.area, kq, dps)
-        side_sum = constant_value(plus.k3, kq, dps) + constant_value(minus.k3, kq, dps)
+        area_sum = constant_value(plus.area, kq, wdps) + constant_value(minus.area, kq, wdps)
+        side_sum = constant_value(plus.k3, kq, wdps) + constant_value(minus.k3, kq, wdps)
         return VerifyReport(
             kappa=float(kq),
             order=order,

@@ -626,12 +626,14 @@ class PowerSeries(_Frozen):
         return not any(self.coeffs)
 
     def truncate(self, order: int) -> "PowerSeries":
+        _check_order(order, 0)
         if order >= self.order:
             return self
         return PowerSeries(self.var, self.coeffs[: order + 1])
 
     def pad(self, order: int) -> "PowerSeries":
         """Extend with zero coefficients; the caller vouches the tail vanishes."""
+        _check_order(order, 0)
         if order <= self.order:
             return self.truncate(order)
         return PowerSeries(self.var, self.coeffs + (KP_ZERO,) * (order - self.order))
@@ -723,6 +725,7 @@ class LogSeries(_Frozen):
         return self.log_part.order
 
     def truncate(self, order: int) -> "LogSeries":
+        _check_order(order, 0)
         if order >= self.order:
             return self
         return LogSeries(self.log_part.truncate(order), self.regular_part.truncate(order))

@@ -375,6 +375,12 @@ def test_radius_holds_near_the_symmetric_top(kappa):
     assert abs(report.extrapolated - report.theoretical) < 2e-2
 
 
+@pytest.mark.parametrize("nmax", [-1, 0, 19])
+def test_radius_checks_nmax_before_any_table(nmax):
+    with pytest.raises(SeriesUsageError, match=r"^need nmax >= 20 for a stable estimate$"):
+        radius_analysis(Fraction(1, 2), nmax, ("a",))
+
+
 def test_radius_rejects_small_nmax():
     with pytest.raises(SeriesUsageError):
         radius_analysis(Fraction(1, 2), 10)

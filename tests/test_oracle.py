@@ -332,6 +332,12 @@ def test_error_estimates_are_honest():
             assert abs(first.value - second.value) <= first.error_estimate
 
 
+def test_error_estimate_is_zero_when_three_degrees_agree():
+    with mp.workdps(15):
+        third = mp.mpf(1) / 3
+        assert oracle._estimate_error([mp.mpf(2), third, third, third], mp.prec, mp.eps) == 0
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError) as info:
         action_quadrature(0.5, 0.01, tol=1e-60, dps=20)
@@ -430,7 +436,7 @@ def _integrands(call):
     tuples that ``call`` hands the quadrature driver."""
     seen = []
 
-    def record(integrand, node_bits, value_exp, end, scheme, wdps):
+    def record(integrand, node_bits, value_exp, end, scheme):
         seen.append((integrand, node_bits, value_exp, end))
         return oracle.QuadratureResult(mp.mpf(0), mp.mpf(0), 0, 0, False)
 
@@ -542,8 +548,8 @@ def _driven(call):
     """The result of ``call``, and the (end, result) of each driver call it made."""
     seen, drive = [], oracle._quad
 
-    def record(integrand, node_bits, value_exp, end, scheme, wdps):
-        result = drive(integrand, node_bits, value_exp, end, scheme, wdps)
+    def record(integrand, node_bits, value_exp, end, scheme):
+        result = drive(integrand, node_bits, value_exp, end, scheme)
         seen.append((end, result))
         return result
 
@@ -695,6 +701,15 @@ def test_verify_deviation_shrinks_with_order():
     lo = verify_series_numerics(0.5, [0.02], order=18, tol=1.0, dps=50)
     hi = verify_series_numerics(0.5, [0.02], order=28, tol=1.0, dps=50)
     assert hi.max_deviation <= lo.max_deviation
+
+
+def test_a_precision_below_15_digits_computes_at_15():
+    # _working_dps is the one precision rule: every entry computes at
+    # max(15, dps) digits, the constants and verify's h = 0 rows included
+    plus, _ = assemble_beta_actions(3)
+    assert constant_value(plus.k3, Fraction(1, 2), 5) == constant_value(plus.k3, Fraction(1, 2), 15)
+    low, full = (verify_series_numerics(Fraction(1, 2), [0.01, 0], order=10, dps=d) for d in (10, 15))
+    assert low.rows == full.rows
 
 
 def test_verify_rejects_samples_outside_disc():

@@ -116,6 +116,7 @@ HALF = Fraction(1, 2)
 UNIT, INNER = [Fraction(1), HALF, Fraction(1, 3)], [Fraction(0), Fraction(1), HALF]
 HAM = normalform.williamson_reduce(expand_hamiltonian(4, 2))
 PLUS = assemble_beta_actions(3)[0]
+SERIES = PowerSeries("h", [1, 2, 3])
 TOP = oracle.params_from_inertia(1.0, 2.0, 3.0, 1.0)
 INT_RING = (1, lambda x: x, lambda x: 4 * x, picardfuchs._dot, picardfuchs._exact)  # kappa = 1/2
 
@@ -128,6 +129,11 @@ SIZED = {
     "revert_trunc": (lambda n: revert_trunc(INNER, n), 1, SeriesUsageError, series, "recip_trunc"),
     "PowerSeries.identity": (lambda n: PowerSeries.identity("h", n), 1, SeriesUsageError, series, "PowerSeries"),
     "PowerSeries.zero": (lambda n: PowerSeries.zero("h", n), 0, SeriesUsageError, series, "PowerSeries"),
+    "PowerSeries.truncate": (lambda n: SERIES.truncate(n), 0, SeriesUsageError, series, "PowerSeries"),
+    "PowerSeries.pad": (lambda n: SERIES.pad(n), 0, SeriesUsageError, series, "PowerSeries"),
+    "LogSeries.truncate": (
+        lambda n: PLUS.series.action_singular.truncate(n), 0, SeriesUsageError, series, "PowerSeries"
+    ),
     "frobenius_a_at": (lambda n: picardfuchs.frobenius_a_at(HALF, n), 0, SeriesUsageError, picardfuchs, "_a_rows"),
     "frobenius_b_at": (lambda n: picardfuchs.frobenius_b_at(HALF, n), 0, SeriesUsageError, picardfuchs, "_b_rows"),
     "_bnf": (lambda n: picardfuchs._bnf(INT_RING, n), 1, SeriesUsageError, picardfuchs, "_binomials"),

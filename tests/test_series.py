@@ -227,6 +227,10 @@ def test_integrate_pure_log():
     assert out.regular_part == ps("h", 0, -1)
 
 
+def test_derivative_of_an_order_0_series_is_zero():
+    assert ps("h", 3).differentiate() == PowerSeries.zero("h", 0)
+
+
 def test_compose_with_log_identity_inner():
     f = LogSeries(PowerSeries.identity("h", 3), PowerSeries.zero("h", 3))
     out = f.compose_with_log(PowerSeries.identity("J", 4))
@@ -514,6 +518,13 @@ def test_kappa_poly_ring_matches_evaluation(p, q, k):
     assert (p * q)(k) == p(k) * q(k)
     assert (p * k)(k) == p(k) * k
     assert p.flip_kappa()(k) == p(-k)
+
+
+def test_kappa_poly_at_a_float_or_an_mpf_runs_horner():
+    p = KappaPoly.of(HALF, 0, -1)
+    assert p(0.5) == 0.25
+    value = p(mp.mpf(-5) / 4)
+    assert isinstance(value, mp.mpf) and value == -1.0625  # -17/16 exactly
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,17 @@ def _coefficient_table(series: PowerSeries, kappa: Fraction):
 # ---------------------------------------------------------------------------
 
 
+def _check_frobenius(order: int, a: PowerSeries, b: PowerSeries) -> None:
+    """Exit 3 unless the recursion's Frobenius series a and b equal the closed form's."""
+    closed = picardfuchs.frobenius_table(order, "closed_form")
+    if (a.coeffs, b.coeffs) != (closed.a, closed.b):
+        raise InternalConsistencyError("recursion and closed form disagree")
+
+
 def _cmd_bnf(args):
     series = euler_normal_form(args.order)
     if series != invariants.bnf_via_reversion(args.order):
-        raise InternalConsistencyError("Lie normal form and reversion disagree")
+        raise InternalConsistencyError("Lie normal form and the recurrence that inverts the regular action disagree")
     doc = lambda: _document(args, coefficients=_coefficient_table(series, args.kappa))
     return doc, lambda: _series_rows("bnf", series)
 
@@ -184,12 +191,9 @@ def _cmd_bnf(args):
 def _cmd_frobenius(args):
     kappa = args.kappa
     rec = picardfuchs.frobenius_table(args.order, "recursion")
-    closed = picardfuchs.frobenius_table(args.order, "closed_form")
-    if (rec.a, rec.b) != (closed.a, closed.b):
-        raise InternalConsistencyError("recursion and closed form disagree")
     a, b = PowerSeries("h", rec.a), PowerSeries("h", rec.b)
-    # methods_agree is always true: a disagreement exits 3 above, before any
-    # output.  The field stays for the readers of the JSON document.
+    _check_frobenius(args.order, a, b)
+    # methods_agree is always true (a disagreement exits 3 above); it stays for JSON readers
     doc = lambda: _document(
         args,
         methods_agree=True,
@@ -203,9 +207,7 @@ def _cmd_actions(args):
     kappa = args.kappa
     plus, minus = picardfuchs.assemble_beta_actions(args.order)
     bundle = plus.series
-    closed = picardfuchs.frobenius_table(args.order, "closed_form")
-    if (bundle.period_regular.coeffs, bundle.period_singular.regular_part.coeffs) != (closed.a, closed.b):
-        raise InternalConsistencyError("recursion and closed form disagree")
+    _check_frobenius(args.order, bundle.period_regular, bundle.period_singular.regular_part)
     named = {
         "t_regular": bundle.period_regular,
         "t_singular_log_part": bundle.period_singular.log_part,

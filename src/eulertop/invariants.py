@@ -17,10 +17,10 @@ equation (picardfuchs._sequences) give B(J) and the sigma tail, with no
 reversion or composition; that tail is the output.  The composition route
 substitutes B into the singular action with its log channel
 (LogSeries.compose_with_log), must invert the regular action to J and must
-give the same tail (extract_sigma).  B also equals the Lie normal form
-(tests), and the oracle compares the actions with quadrature.
-series.revert_trunc remains the generic reversion behind PowerSeries.revert:
-Lagrange inversion, O(n) truncated products.
+give the same tail (extract_sigma).  The bnf command checks on every run that
+B equals the Lie normal form, and the oracle compares the actions with
+quadrature.  series.revert_trunc remains the generic reversion behind
+PowerSeries.revert: Lagrange inversion, O(n) truncated products.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def radius_analysis(
     The bnf and sigma targets share one B(J) within the call; nothing is
     kept between calls.
     """
-    _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate")
+    _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate", "nmax")
     _, sequences = _scaled_sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
     if isinstance(targets, str):  # tuple() would split it into one-letter names
         raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")

@@ -110,7 +110,7 @@ def expand_hamiltonian(max_degree: int, rho) -> PolyHamiltonian:
     The quadratic part is (1/2)(q^2/rho - rho p^2); all monomials are even in
     q and in p separately.  rho must be a positive int or Fraction.
     """
-    _check_order(max_degree, 2, PreconditionError, "expansion degree must be an even integer >= 2")
+    _check_order(max_degree, 2, PreconditionError, "expansion degree must be an even integer >= 2", "max_degree")
     if max_degree % 2:
         raise PreconditionError("expansion degree must be an even integer >= 2")
     rho = _exact_rho(rho)

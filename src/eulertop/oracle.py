@@ -59,7 +59,7 @@ from .picardfuchs import (
     BetaAction,
     LOG64_RATIO,
     SymbolicConstant,
-    _SIDES,
+    _side_constants,
     assemble_beta_actions,
 )
 from .series import _check_order, horner
@@ -224,7 +224,7 @@ def _exact(x) -> Fraction:
 def _working_dps(dps: int) -> int:
     """max(15, dps), the digits that every public entry computes at; a tolerance
     finer than they allow is reported as a quadrature failure, not upgraded."""
-    _check_order(dps, 1, ValueError, "need dps >= 1")
+    _check_order(dps, 1, ValueError, name="dps")
     return max(15, dps)
 
 
@@ -669,10 +669,8 @@ def period_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str =
 
 
 def separatrix_action(kappa, side: str, dps: int = 50):
-    """Closed-form limit I_beta(0) = atan(rho^{-+1}) / pi."""
-    if side not in _SIDES:
-        raise ValueError(f"unknown side {side!r}")
-    return constant_value(SymbolicConstant(_SIDES[side][1]), kappa, dps)
+    """Closed-form limit I_beta(0) = k3 = atan(rho^{-+1}) / pi."""
+    return constant_value(_side_constants(side)[2], kappa, dps)
 
 
 def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e-12, dps: int = 50) -> QuadratureResult:
@@ -801,7 +799,7 @@ def verify_series_numerics(
         disc = min(rho, 1 / rho) / 2
         rows = []
         max_dev = mp.mpf(0)
-        quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(dps - 8)))
+        quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(wdps - 8)))
         # both sides share one ActionSeries: its coefficients at kappa serve every sample
         coefficients = _action_coefficients(plus.series, kappa)
         for h in h_samples:

@@ -541,8 +541,18 @@ class BetaAction(NamedTuple):
     series: ActionSeries
 
 
-# each side of the separatrix: k2, the tag of k3 = I_beta(0), the tag of its area
-_SIDES = {"plus": (1, ATAN_INV_RHO_OVER_PI, ATAN_INV_RHO), "minus": (-1, ATAN_RHO_OVER_PI, ATAN_RHO)}
+# each side of the separatrix: k2 and the atan tag t of both k3 = I_beta(0) = t / pi
+# (tagged t + "_over_pi") and the area 2 pi k3 = 2 t, so an area cannot disagree with its k3
+_SIDES = {"plus": (1, ATAN_INV_RHO), "minus": (-1, ATAN_RHO)}
+
+
+def _side_constants(side: str) -> tuple:
+    """k1, k2, k3 and area of one side's BetaAction, all from its _SIDES entry."""
+    if side not in _SIDES:
+        raise SeriesUsageError(f"unknown side {side!r}")
+    k2, tag = _SIDES[side]
+    k1 = SymbolicConstant(LOG64_RATIO, Fraction(-k2, 2))
+    return k1, k2, SymbolicConstant(f"{tag}_over_pi"), SymbolicConstant(tag, Fraction(2))
 
 
 def _truncate_actions(pair: tuple[BetaAction, BetaAction], order: int) -> tuple[BetaAction, BetaAction]:
@@ -567,17 +577,7 @@ def assemble_beta_actions(order: int) -> tuple[BetaAction, BetaAction]:
     its truncation.
     """
     series = build_action_series(order)
-    return tuple(
-        BetaAction(
-            side=side,
-            k1=SymbolicConstant(LOG64_RATIO, Fraction(-k2, 2)),
-            k2=k2,
-            k3=SymbolicConstant(k3),
-            area=SymbolicConstant(area, Fraction(2)),
-            series=series,
-        )
-        for side, (k2, k3, area) in _SIDES.items()
-    )
+    return tuple(BetaAction(side, *_side_constants(side), series) for side in _SIDES)
 
 
 # ---------------------------------------------------------------------------

@@ -108,13 +108,13 @@ class _Frozen:
         self._assign(*state)
 
 
-def _check_order(order, floor: int, error: type = SeriesUsageError, message: str = "") -> None:
-    """Refuse an order that is not an int, a bool included, or is below floor
-    (with ``message``, if given): the one rule of an order or precision argument."""
+def _check_order(order, floor: int, error: type = SeriesUsageError, message: str = "", name: str = "order") -> None:
+    """Refuse an order or precision argument, called ``name``, that is not an int (a bool
+    included) or is below floor (with ``message``, if given): the one rule of such arguments."""
     if not isinstance(order, int) or isinstance(order, bool):
-        raise error(f"order must be an int, got {order!r}")
+        raise error(f"{name} must be an int, got {order!r}")
     if order < floor:
-        raise error(message or f"need order >= {floor}")
+        raise error(message or f"need {name} >= {floor}")
 
 
 def _keeps_highest(truncate, floor: int, error: type = SeriesUsageError, message: str = ""):

@@ -94,49 +94,52 @@ def test_frobenius_methods_agree(capsys):
     assert doc["a"][1]["kappa_poly"] == ["0", "1/2"]
 
 
-def test_frobenius_routes_that_disagree_exit_3(capsys, monkeypatch):
-    original = picardfuchs._closed_form
+def _nudge_table(table):
+    """Move coefficient 2 of the a (table 0) or b (table 1) list of _closed_form by 1e-40."""
 
-    def closed_form(order):
-        a, b = original(order)
-        a[1] += Fraction(1, 10**40)
-        return a, b
-
-    monkeypatch.setattr(picardfuchs, "_closed_form", closed_form)
-    code, out, err = run_cli(capsys, "frobenius", "--kappa=1/2", "--order=3")
-    assert code == 3 and out == ""
-    assert "recursion and closed form disagree" in err
-
-
-@pytest.mark.parametrize("table", [0, 1])
-def test_actions_routes_that_disagree_exit_3(capsys, monkeypatch, table):
-    # actions checks its a (table 0) and b (table 1) against the closed form
-    original = picardfuchs._closed_form
-
-    def closed_form(order):
-        tables = original(order)
+    def nudge(tables):
         tables[table][2] += Fraction(1, 10**40)
         return tables
 
-    monkeypatch.setattr(picardfuchs, "_closed_form", closed_form)
-    code, out, err = run_cli(capsys, "actions", "--kappa=1/2", "--order=12")
+    return nudge
+
+
+def _nudge_series(series):
+    coeffs = list(series.coeffs)
+    coeffs[2] += Fraction(1, 10**40)
+    return PowerSeries(series.var, tuple(coeffs))
+
+
+# each command that compares two independent routes: the route a row perturbs
+# (module, function, what it does to the result) and the two routes it names
+ROUTE_CHECKS = {
+    "frobenius": (
+        "frobenius --kappa=1/2 --order=3", picardfuchs, "_closed_form", _nudge_table(0), ("recursion", "closed form")
+    ),
+    "actions-a": (
+        "actions --kappa=1/2 --order=12", picardfuchs, "_closed_form", _nudge_table(0), ("recursion", "closed form")
+    ),
+    "actions-b": (
+        "actions --kappa=1/2 --order=12", picardfuchs, "_closed_form", _nudge_table(1), ("recursion", "closed form")
+    ),
+    "bnf": (
+        "bnf --kappa=1/2 --order=3",
+        invariants,
+        "bnf_via_reversion",
+        _nudge_series,
+        ("Lie normal form", "the recurrence that inverts the regular action"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_CHECKS)
+def test_routes_that_disagree_exit_3(capsys, monkeypatch, name):
+    command, module, route, nudge, (first, second) = ROUTE_CHECKS[name]
+    original = getattr(module, route)
+    monkeypatch.setattr(module, route, lambda order: nudge(original(order)))
+    code, out, err = run_cli(capsys, *command.split(" "))
     assert code == 3 and out == ""
-    assert "recursion and closed form disagree" in err
-
-
-def test_bnf_routes_that_disagree_exit_3(capsys, monkeypatch):
-    original = invariants.bnf_via_reversion
-
-    def bnf_via_reversion(order):
-        series = original(order)
-        coeffs = list(series.coeffs)
-        coeffs[2] += Fraction(1, 10**40)
-        return PowerSeries(series.var, tuple(coeffs))
-
-    monkeypatch.setattr(invariants, "bnf_via_reversion", bnf_via_reversion)
-    code, out, err = run_cli(capsys, "bnf", "--kappa=1/2", "--order=3")
-    assert code == 3 and out == ""
-    assert "Lie normal form and reversion disagree" in err
+    assert err == f"internal failure: {first} and {second} disagree\n"
 
 
 def test_actions_beta_signs(capsys):

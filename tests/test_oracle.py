@@ -13,7 +13,7 @@ from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre, TanhSinh
 from mpmath.libmp import from_man_exp, to_fixed
 
-from eulertop import oracle
+from eulertop import oracle, picardfuchs
 from eulertop.oracle import (
     DomainError,
     ParameterError,
@@ -710,6 +710,41 @@ def test_a_precision_below_15_digits_computes_at_15():
     assert constant_value(plus.k3, Fraction(1, 2), 5) == constant_value(plus.k3, Fraction(1, 2), 15)
     low, full = (verify_series_numerics(Fraction(1, 2), [0.01, 0], order=10, dps=d) for d in (10, 15))
     assert low.rows == full.rows
+
+
+def test_a_precision_below_15_digits_sets_the_15_digit_tolerance(monkeypatch):
+    # the quadratures run at max(15, dps) digits and are held to the tolerance
+    # of those digits, so dps 10 and 15 ask for the same one
+    tols = []
+    original = oracle.action_quadrature
+
+    def recording(*args, tol, **kwargs):
+        tols.append(tol)
+        return original(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(oracle, "action_quadrature", recording)
+    for dps in (10, 15):
+        verify_series_numerics(Fraction(1, 2), [0.01], order=10, dps=dps)
+    assert len(tols) == 4 and tols[:2] == tols[2:]
+
+
+@pytest.mark.parametrize("kappa", [Fraction(-5, 4), Fraction(0), Fraction(1, 2), Fraction(3)])
+def test_each_side_area_is_2_pi_times_its_k3(kappa):
+    with mp.workdps(50):
+        for beta in assemble_beta_actions(1):
+            area, k3 = constant_value(beta.area, kappa, 50), constant_value(beta.k3, kappa, 50)
+            assert abs(area - 2 * mp.pi * k3) < mp.mpf("1e-48")
+
+
+def test_swapped_side_tags_fail_verify(monkeypatch):
+    # a side's k3 and area both come from its one tag in _SIDES: swapped tags
+    # move k3 off the quadrature, whatever the areas sum to
+    plus, minus = picardfuchs._SIDES["plus"], picardfuchs._SIDES["minus"]
+    monkeypatch.setitem(picardfuchs._SIDES, "plus", (plus[0], minus[1]))
+    monkeypatch.setitem(picardfuchs._SIDES, "minus", (minus[0], plus[1]))
+    report = verify_series_numerics(Fraction(1, 2), [0.01, -0.01, 0], order=10, dps=30)
+    assert not report.passed
+    assert report.area_sum_deviation < mp.mpf("1e-25")
 
 
 def test_verify_rejects_samples_outside_disc():

@@ -120,38 +120,58 @@ SERIES = PowerSeries("h", [1, 2, 3])
 TOP = oracle.params_from_inertia(1.0, 2.0, 3.0, 1.0)
 INT_RING = (1, lambda x: x, lambda x: 4 * x, picardfuchs._dot, picardfuchs._exact)  # kappa = 1/2
 
-# every function that takes an order or a dps, with the floor of that
-# argument, its error, and one step of its body that a refusal must precede
+# every function that takes an order or a dps, with the name and the floor of
+# that argument, its error, and one step of its body that a refusal must precede
 SIZED = {
-    "recip_trunc": (lambda n: recip_trunc(UNIT, n), 0, SeriesUsageError, series, "_cauchy"),
-    "log_unit_trunc": (lambda n: log_unit_trunc(UNIT, n), 0, SeriesUsageError, series, "recip_trunc"),
-    "compose_trunc": (lambda n: compose_trunc(UNIT, INNER, n), 0, SeriesUsageError, series, "mul_trunc"),
-    "revert_trunc": (lambda n: revert_trunc(INNER, n), 1, SeriesUsageError, series, "recip_trunc"),
-    "PowerSeries.identity": (lambda n: PowerSeries.identity("h", n), 1, SeriesUsageError, series, "PowerSeries"),
-    "PowerSeries.zero": (lambda n: PowerSeries.zero("h", n), 0, SeriesUsageError, series, "PowerSeries"),
-    "PowerSeries.truncate": (lambda n: SERIES.truncate(n), 0, SeriesUsageError, series, "PowerSeries"),
-    "PowerSeries.pad": (lambda n: SERIES.pad(n), 0, SeriesUsageError, series, "PowerSeries"),
+    "recip_trunc": (lambda n: recip_trunc(UNIT, n), "order", 0, SeriesUsageError, series, "_cauchy"),
+    "log_unit_trunc": (lambda n: log_unit_trunc(UNIT, n), "order", 0, SeriesUsageError, series, "recip_trunc"),
+    "compose_trunc": (lambda n: compose_trunc(UNIT, INNER, n), "order", 0, SeriesUsageError, series, "mul_trunc"),
+    "revert_trunc": (lambda n: revert_trunc(INNER, n), "order", 1, SeriesUsageError, series, "recip_trunc"),
+    "PowerSeries.identity": (
+        lambda n: PowerSeries.identity("h", n), "order", 1, SeriesUsageError, series, "PowerSeries"
+    ),
+    "PowerSeries.zero": (lambda n: PowerSeries.zero("h", n), "order", 0, SeriesUsageError, series, "PowerSeries"),
+    "PowerSeries.truncate": (lambda n: SERIES.truncate(n), "order", 0, SeriesUsageError, series, "PowerSeries"),
+    "PowerSeries.pad": (lambda n: SERIES.pad(n), "order", 0, SeriesUsageError, series, "PowerSeries"),
     "LogSeries.truncate": (
-        lambda n: PLUS.series.action_singular.truncate(n), 0, SeriesUsageError, series, "PowerSeries"
+        lambda n: PLUS.series.action_singular.truncate(n), "order", 0, SeriesUsageError, series, "PowerSeries"
     ),
-    "frobenius_a_at": (lambda n: picardfuchs.frobenius_a_at(HALF, n), 0, SeriesUsageError, picardfuchs, "_a_rows"),
-    "frobenius_b_at": (lambda n: picardfuchs.frobenius_b_at(HALF, n), 0, SeriesUsageError, picardfuchs, "_b_rows"),
-    "_bnf": (lambda n: picardfuchs._bnf(INT_RING, n), 1, SeriesUsageError, picardfuchs, "_binomials"),
-    "birkhoff_normalize": (lambda n: birkhoff_normalize(HAM, n), 1, PreconditionError, normalform, "_lie_transform"),
-    "expand_hamiltonian": (lambda n: expand_hamiltonian(n, 2), 2, PreconditionError, normalform, "PolyHamiltonian"),
-    "radius_analysis": (lambda n: radius_analysis(HALF, n, ("a",)), 20, SeriesUsageError, invariants, "rho_for_kappa"),
-    "action_quadrature": (lambda d: oracle.action_quadrature(HALF, 0.01, dps=d), 1, ValueError, oracle, "_integral"),
-    "period_quadrature": (lambda d: oracle.period_quadrature(HALF, 0.01, dps=d), 1, ValueError, oracle, "_integral"),
+    "frobenius_a_at": (
+        lambda n: picardfuchs.frobenius_a_at(HALF, n), "order", 0, SeriesUsageError, picardfuchs, "_a_rows"
+    ),
+    "frobenius_b_at": (
+        lambda n: picardfuchs.frobenius_b_at(HALF, n), "order", 0, SeriesUsageError, picardfuchs, "_b_rows"
+    ),
+    "_bnf": (lambda n: picardfuchs._bnf(INT_RING, n), "order", 1, SeriesUsageError, picardfuchs, "_binomials"),
+    "birkhoff_normalize": (
+        lambda n: birkhoff_normalize(HAM, n), "order", 1, PreconditionError, normalform, "_lie_transform"
+    ),
+    "expand_hamiltonian": (
+        lambda n: expand_hamiltonian(n, 2), "max_degree", 2, PreconditionError, normalform, "PolyHamiltonian"
+    ),
+    "radius_analysis": (
+        lambda n: radius_analysis(HALF, n, ("a",)), "nmax", 20, SeriesUsageError, invariants, "rho_for_kappa"
+    ),
+    "action_quadrature": (
+        lambda d: oracle.action_quadrature(HALF, 0.01, dps=d), "dps", 1, ValueError, oracle, "_integral"
+    ),
+    "period_quadrature": (
+        lambda d: oracle.period_quadrature(HALF, 0.01, dps=d), "dps", 1, ValueError, oracle, "_integral"
+    ),
     "action_unscaled_quadrature": (
-        lambda d: oracle.action_unscaled_quadrature(TOP, 0.3, dps=d), 1, ValueError, oracle, "_quad_cut"
+        lambda d: oracle.action_unscaled_quadrature(TOP, 0.3, dps=d), "dps", 1, ValueError, oracle, "_quad_cut"
     ),
-    "separatrix_action": (lambda d: oracle.separatrix_action(HALF, "plus", d), 1, ValueError, oracle, "rho_for_kappa"),
-    "constant_value": (lambda d: oracle.constant_value(PLUS.k3, HALF, d), 1, ValueError, oracle, "rho_for_kappa"),
+    "separatrix_action": (
+        lambda d: oracle.separatrix_action(HALF, "plus", d), "dps", 1, ValueError, oracle, "rho_for_kappa"
+    ),
+    "constant_value": (
+        lambda d: oracle.constant_value(PLUS.k3, HALF, d), "dps", 1, ValueError, oracle, "rho_for_kappa"
+    ),
     "beta_action_value": (
-        lambda d: oracle.beta_action_value(PLUS, HALF, 0.01, d), 1, ValueError, oracle, "_action_coefficients"
+        lambda d: oracle.beta_action_value(PLUS, HALF, 0.01, d), "dps", 1, ValueError, oracle, "_action_coefficients"
     ),
     "verify_series_numerics": (
-        lambda d: oracle.verify_series_numerics(HALF, [0.01], order=5, dps=d), 1, ValueError, oracle,
+        lambda d: oracle.verify_series_numerics(HALF, [0.01], order=5, dps=d), "dps", 1, ValueError, oracle,
         "assemble_beta_actions",
     ),
 }
@@ -161,11 +181,12 @@ SIZED = {
 @pytest.mark.parametrize("name", SIZED)
 def test_an_order_or_dps_is_refused_before_any_work(monkeypatch, name, value):
     """series._check_order is the one rule: a bool or a float is refused
-    ("order must be an int") and so is a value below the floor, with the
-    function's own error, before its body runs."""
-    call, floor, error, module, step = SIZED[name]
+    ("<argument> must be an int", so "order must be an int" for every order)
+    and so is a value below the floor, with the function's own error, before
+    its body runs."""
+    call, argument, floor, error, module, step = SIZED[name]
     monkeypatch.setattr(module, step, _broken)
     with pytest.raises(error) as info:
         call(floor - 1 if value == "floor - 1" else value)
     if value != "floor - 1":
-        assert "order must be an int" in str(info.value)
+        assert f"{argument} must be an int" in str(info.value)

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .oracle import log64_ratio, rho_for_kappa
+from .oracle import _convergence_radius, log64_ratio, rho_for_kappa
 from .picardfuchs import (
     SymbolicConstant,
     _scaled_sequences,
@@ -196,7 +196,7 @@ def radius_analysis(
     sequence has two singularities of nearly equal modulus, at 2h = -rho
     and 2h = 1/rho, so the one-step ratios alternate between large and
     small values until n >> 1/|kappa|; the two-step ones do not.  The a and
-    b sequences carry the known radius min(rho, 1/rho) / 2 for comparison.
+    b sequences carry the nearer one's |h|, oracle._convergence_radius, as theoretical.
     The bnf and sigma targets share one B(J) within the call; nothing is
     kept between calls.
     """
@@ -220,7 +220,7 @@ def radius_analysis(
     p, q = kappa.as_integer_ratio()
     if p and abs(p) << 1000 < q:  # ratio estimates reach about 4 / |kappa|
         raise SeriesUsageError("|kappa| is too small: its ratio estimates overflow a float")
-    known = 0.5 * min(rho, 1.0 / rho)
+    known = _convergence_radius(rho)
     reports = []
     for name in targets:
         pairs = sequences[name]()

@@ -52,17 +52,16 @@ from typing import Iterable, NamedTuple
 
 from .picardfuchs import (
     ATAN_INV_RHO,
-    ATAN_INV_RHO_OVER_PI,
     ATAN_RHO,
-    ATAN_RHO_OVER_PI,
     ActionSeries,
     BetaAction,
     LOG64_RATIO,
     SymbolicConstant,
+    _OVER_PI,
     _side_constants,
     assemble_beta_actions,
 )
-from .series import _check_order, horner
+from .series import SeriesUsageError, _check_order, horner
 
 
 class _MpmathOnFirstUse:
@@ -113,7 +112,7 @@ class ParameterError(ValueError):
 
 
 class DomainError(ValueError):
-    """Requested energy lies outside the valid range of the integral or series."""
+    """Requested kappa or energy is not finite or outside the integral's or series' range."""
 
 
 class QuadratureError(RuntimeError):
@@ -177,6 +176,11 @@ def rho_for_kappa(kappa):
     return (kappa + root) / 2 if kappa >= 0 else 2 / (root - kappa)
 
 
+def _convergence_radius(rho):
+    """min(rho, 1/rho)/2, the action series' radius of convergence in h, for a float or an mpf."""
+    return min(rho, 1 / rho) / 2
+
+
 def log64_ratio(kappa):
     """log(64/(kappa^2 + 4)), twice the leading invariant coefficient, for a
     float or an mpmath number."""
@@ -206,11 +210,13 @@ def scaled_energy(params: TopParams, h_sans: float) -> float:
 
 
 def _to_mp(x):
-    """x as an mpf at the working precision, a Fraction rounded once."""
+    """x as an mpf at the working precision, a Fraction rounded once; nan and inf are refused."""
     if isinstance(x, Fraction):
         from mpmath.libmp import from_rational
 
         return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, "n"))
+    if not mp.isfinite(x):
+        raise DomainError(f"need a finite number, got {x}")
     return mp.mpf(x)
 
 
@@ -683,7 +689,7 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
     with mp.workdps(_working_dps(dps)):
         t1, t2, t3 = mp.mpf(params.theta1), mp.mpf(params.theta2), mp.mpf(params.theta3)
         ell = mp.mpf(params.ell)
-        hs = mp.mpf(h_sans)
+        hs = _to_mp(h_sans)
         r1, r2, r3 = 1 / t1, 1 / t2, 1 / t3
         z_star = 2 * hs / ell**2
         if z_star == r2:
@@ -707,16 +713,18 @@ _CONSTANT_FORMS = {
     LOG64_RATIO: lambda rho, kq: log64_ratio(kq),
     ATAN_RHO: lambda rho, kq: mp.atan(rho),
     ATAN_INV_RHO: lambda rho, kq: mp.atan(1 / rho),
-    ATAN_RHO_OVER_PI: lambda rho, kq: mp.atan(rho) / mp.pi,
-    ATAN_INV_RHO_OVER_PI: lambda rho, kq: mp.atan(1 / rho) / mp.pi,
 }
 
 
 def constant_value(const: SymbolicConstant, kappa, dps: int = 50):
+    """const's factor times its tag's form at kappa; a k3, tag t + _OVER_PI, is t's form over pi."""
+    tag = const.kind.removesuffix(_OVER_PI)
+    if tag not in _CONSTANT_FORMS:
+        raise SeriesUsageError(f"unknown constant kind {const.kind!r}")
     with mp.workdps(_working_dps(dps)):
         kq = _to_mp(kappa)
-        rho = rho_for_kappa(kq)
-        return _to_mp(const.factor) * _CONSTANT_FORMS[const.kind](rho, kq)
+        value = _CONSTANT_FORMS[tag](rho_for_kappa(kq), kq)
+        return _to_mp(const.factor) * (value if tag == const.kind else value / mp.pi)
 
 
 def _action_coefficients(series: ActionSeries, kappa) -> tuple[list, list]:
@@ -787,18 +795,16 @@ def verify_series_numerics(
 ) -> VerifyReport:
     """Evaluate the separatrix-side action series and compare with quadrature.
 
-    Samples must lie inside the proven convergence disc |h| < min(rho, 1/rho)/2.
-    h = 0 rows compare the closed-form limit constants on both sides with
+    Samples must lie inside the proven convergence disc, |h| below
+    ``_convergence_radius``: the nearer end of the energy range.  h = 0 rows compare the closed-form limit constants on both sides with
     both quadrature schemes at h = 0.
     """
     wdps = _working_dps(dps)
     plus, minus = assemble_beta_actions(order)
     with mp.workdps(wdps):
         kq = _to_mp(kappa)
-        rho = rho_for_kappa(kq)
-        disc = min(rho, 1 / rho) / 2
+        disc = _convergence_radius(rho_for_kappa(kq))
         rows = []
-        max_dev = mp.mpf(0)
         quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(wdps - 8)))
         # both sides share one ActionSeries: its coefficients at kappa serve every sample
         coefficients = _action_coefficients(plus.series, kappa)
@@ -815,15 +821,13 @@ def verify_series_numerics(
                 else:
                     series_val = beta_action_value(beta, kq, hq, wdps, coefficients=coefficients)
                     main, other = (action_quadrature(kq, hq, tol=quad_tol, dps=wdps, scheme=s) for s in _SCHEMES)
-                dev = abs(series_val - main.value)
-                max_dev = max(max_dev, dev)
                 rows.append(
                     VerifyRow(
                         float(h) or 0.0,  # -0.0 is the h = 0 row too
                         beta.side,
                         series_val,
                         main.value,
-                        dev,
+                        abs(series_val - main.value),
                         abs(main.value - other.value),
                         main.evaluations + other.evaluations,
                     )
@@ -834,7 +838,7 @@ def verify_series_numerics(
             kappa=float(kq),
             order=order,
             rows=tuple(rows),
-            max_deviation=max_dev,
+            max_deviation=max((r.deviation for r in rows), default=mp.mpf(0)),
             area_sum_deviation=abs(area_sum - mp.pi),
             side_sum_deviation=abs(side_sum - mp.mpf(1) / 2),
             tol=tol,

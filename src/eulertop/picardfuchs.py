@@ -101,8 +101,6 @@ __all__ = [
     "LOG64_RATIO",
     "ATAN_RHO",
     "ATAN_INV_RHO",
-    "ATAN_RHO_OVER_PI",
-    "ATAN_INV_RHO_OVER_PI",
 ]
 
 
@@ -505,8 +503,7 @@ def build_action_series(order: int) -> ActionSeries:
 LOG64_RATIO = "log64_over_kappa_sq_plus_4"   # log(64 / (kappa^2 + 4))
 ATAN_RHO = "atan_rho"                        # atan(rho)
 ATAN_INV_RHO = "atan_inv_rho"                # atan(1/rho)
-ATAN_RHO_OVER_PI = "atan_rho_over_pi"        # atan(rho) / pi
-ATAN_INV_RHO_OVER_PI = "atan_inv_rho_over_pi"
+_OVER_PI = "_over_pi"                        # suffix: tag + _OVER_PI is the tag's constant / pi
 
 
 class SymbolicConstant(_Frozen):
@@ -541,8 +538,7 @@ class BetaAction(NamedTuple):
     series: ActionSeries
 
 
-# each side of the separatrix: k2 and the atan tag t of both k3 = I_beta(0) = t / pi
-# (tagged t + "_over_pi") and the area 2 pi k3 = 2 t, so an area cannot disagree with its k3
+# each side: k2 and the atan tag t of both k3 = I_beta(0) = t / pi and the area 2 pi k3 = 2 t
 _SIDES = {"plus": (1, ATAN_INV_RHO), "minus": (-1, ATAN_RHO)}
 
 
@@ -552,7 +548,7 @@ def _side_constants(side: str) -> tuple:
         raise SeriesUsageError(f"unknown side {side!r}")
     k2, tag = _SIDES[side]
     k1 = SymbolicConstant(LOG64_RATIO, Fraction(-k2, 2))
-    return k1, k2, SymbolicConstant(f"{tag}_over_pi"), SymbolicConstant(tag, Fraction(2))
+    return k1, k2, SymbolicConstant(tag + _OVER_PI), SymbolicConstant(tag, Fraction(2))
 
 
 def _truncate_actions(pair: tuple[BetaAction, BetaAction], order: int) -> tuple[BetaAction, BetaAction]:

@@ -30,7 +30,8 @@ from eulertop.oracle import (
     separatrix_action,
     verify_series_numerics,
 )
-from eulertop.picardfuchs import ATAN_RHO, SymbolicConstant, assemble_beta_actions
+from eulertop.invariants import radius_analysis
+from eulertop.picardfuchs import ATAN_INV_RHO, ATAN_RHO, SymbolicConstant, assemble_beta_actions
 
 from expected_tables import (
     ORACLE_ACTION_MINUS_002,
@@ -747,9 +748,60 @@ def test_swapped_side_tags_fail_verify(monkeypatch):
     assert report.area_sum_deviation < mp.mpf("1e-25")
 
 
+@pytest.mark.parametrize("tag, kappa", [(ATAN_RHO, Fraction(1, 2)), (ATAN_INV_RHO, Fraction(-5, 4))])
+def test_a_wrong_atan_form_fails_verify(monkeypatch, tag, kappa):
+    # a side's k3 is its atan form over pi, so a form off by 1e-30 moves k3
+    # off both quadratures at h = 0
+    assert verify_series_numerics(kappa, [0], tol=1e-40).passed
+    form = oracle._CONSTANT_FORMS[tag]
+    monkeypatch.setitem(oracle._CONSTANT_FORMS, tag, lambda rho, kq: form(rho, kq) * (1 + mp.mpf(10) ** -30))
+    assert not verify_series_numerics(kappa, [0], tol=1e-40).passed
+
+
 def test_verify_rejects_samples_outside_disc():
     with pytest.raises(DomainError, match="radius"):
         verify_series_numerics(0.5, [0.5], order=10)
+
+
+@pytest.mark.parametrize(
+    "kappa, h, radius, shown",
+    [
+        (Fraction(1, 2), -0.4, 0.3903882032022076, "0.3903882"),
+        (Fraction(-5, 4), 0.28, 0.27712382075353775, "0.27712382"),
+    ],
+)
+def test_the_disc_is_the_nearer_end_of_the_energy_range(kappa, h, radius, shown):
+    # h lies inside the energy range (-rho/2, 1/(2 rho)), past the nearer end's |h|
+    with pytest.raises(DomainError, match=f"outside the convergence disc of radius {shown}$"):
+        verify_series_numerics(kappa, [h], order=10)
+    assert radius_analysis(kappa, 20, ("a",))[0].theoretical == radius
+
+
+def _broken_quad(*args):
+    raise AssertionError("a quadrature ran")
+
+
+NON_FINITE = {
+    "action_quadrature-kappa": lambda x: action_quadrature(x, 0.01),
+    "action_quadrature-h": lambda x: action_quadrature(0.5, x),
+    "period_quadrature-kappa": lambda x: period_quadrature(x, 0.01),
+    "period_quadrature-h": lambda x: period_quadrature(0.5, x),
+    "action_unscaled_quadrature-h": lambda x: action_unscaled_quadrature(params_from_inertia(1, 2, 3, 1), x),
+    "separatrix_action-kappa": lambda x: separatrix_action(x, "plus"),
+    "constant_value-kappa": lambda x: constant_value(SymbolicConstant(ATAN_RHO), x),
+    "beta_action_value-kappa": lambda x: beta_action_value(assemble_beta_actions(4)[0], x, 0.01),
+    "beta_action_value-h": lambda x: beta_action_value(assemble_beta_actions(4)[0], 0.5, x),
+    "verify_series_numerics-kappa": lambda x: verify_series_numerics(x, [0.01], order=4),
+    "verify_series_numerics-h": lambda x: verify_series_numerics(0.5, [x], order=4),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("entry", NON_FINITE)
+def test_a_non_finite_kappa_or_h_is_refused_before_any_quadrature(monkeypatch, entry, value):
+    monkeypatch.setattr(oracle, "_quad", _broken_quad)
+    with pytest.raises(DomainError, match=f"^need a finite number, got {value}$"):
+        NON_FINITE[entry](value)
 
 
 def _unscaled_at(h_sans):
@@ -767,6 +819,7 @@ def _unscaled_at(h_sans):
         (lambda: _unscaled_at(0.1), DomainError, "below"),
         (lambda: beta_action_value(assemble_beta_actions(4)[1], 0.5, 0.01), DomainError, "needs -1h > 0"),
         (lambda: action_quadrature(0.5, 0.01, scheme="simpson"), ValueError, "unknown scheme"),
+        (lambda: constant_value(SymbolicConstant("atan_pho_over_pi"), 0.5), ValueError, "unknown constant kind"),
     ],
 )
 def test_input_checks_raise(call, error, match):

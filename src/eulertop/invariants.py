@@ -262,13 +262,15 @@ def pendulum_compare(kappa_grid: Iterable[float]) -> list[PendulumRow]:
     """Leading invariant term of the top against the pendulum value log 32.
 
     The top's leading term (1/2) log(64/(kappa^2+4)) peaks at log 4 for
-    kappa = 0, so the margin log 32 - leading is at least log 8 everywhere.
+    kappa = 0, so the margin log 32 - leading is at least log 8 at every
+    finite kappa; a nan or infinite one raises SeriesUsageError before any row.
     """
-    rows = []
-    for kappa in kappa_grid:
-        leading = 0.5 * log64_ratio(kappa)
-        rows.append(PendulumRow(float(kappa), leading, PENDULUM_LEADING - leading))
-    return rows
+    grid = list(kappa_grid)
+    for kappa in grid:
+        if not math.isfinite(kappa):
+            raise SeriesUsageError(f"kappa must be finite, got {kappa}")
+    leading = [0.5 * log64_ratio(kappa) for kappa in grid]
+    return [PendulumRow(float(kappa), lead, PENDULUM_LEADING - lead) for kappa, lead in zip(grid, leading)]
 
 
 def log64_ratio_log2_exact(kappa: Fraction) -> Fraction | None:

@@ -176,9 +176,16 @@ def rho_for_kappa(kappa):
     return (kappa + root) / 2 if kappa >= 0 else 2 / (root - kappa)
 
 
+def _roots(rho):
+    """(-rho, 0, 1/rho), the roots in z = 2h of the energy curve's cubic z (z + rho) (1/rho - z),
+    for a float or an mpf: the lower elliptic equilibrium, the separatrix and the upper one."""
+    return -rho, 0, 1 / rho
+
+
 def _convergence_radius(rho):
     """min(rho, 1/rho)/2, the action series' radius of convergence in h, for a float or an mpf."""
-    return min(rho, 1 / rho) / 2
+    lo, _, hi = _roots(rho)
+    return min(-lo, hi) / 2
 
 
 def log64_ratio(kappa):
@@ -446,15 +453,17 @@ class QuadratureResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_energy_range(h, rho) -> str:
-    if h == 0:
+def _side(z, lo, mid, hi) -> str:
+    """The side of the separatrix at the energy point z, given the cubic's
+    roots lo < mid < hi; z = mid and z outside (lo, hi) are refused."""
+    if z == mid:
         raise DomainError("h = 0 is the separatrix; use separatrix_action")
-    if h > 0:
-        if not h < 1 / (2 * rho):
-            raise DomainError(f"need 0 < h < 1/(2 rho) = {mp.nstr(1/(2*rho), 8)}")
+    if z > mid:
+        if not z < hi:
+            raise DomainError("energy above the upper elliptic equilibrium")
         return "plus"
-    if not h > -rho / 2:
-        raise DomainError(f"need -rho/2 = {mp.nstr(-rho/2, 8)} < h < 0")
+    if not z > lo:
+        raise DomainError("energy below the lower elliptic equilibrium")
     return "minus"
 
 
@@ -558,13 +567,13 @@ def _angle_form(rho, h, side: str, which: str):
     return top, (integrand, bits, -bits - lift)
 
 
-def _cut_form(rho, h, side: str):
-    """The tanh-sinh scheme's cut from 2h to the root 1/rho (plus) or -rho
-    (minus) of z (z + rho) (1/rho - z): its length, then the distances from
-    2h to the cubic's two other roots, 0 first.  Holds at h = 0 too."""
+def _cut(z, lo, mid, hi, side: str):
+    """The cut from the energy point z to the root hi (plus) or lo (minus): its length, then z's
+    distances to mid and the third root; z = mid too.  ``_cut_halves`` reads it at two precisions,
+    so a caller computes 1/rho in its thunk."""
     if side == "plus":
-        return 1 / rho - 2 * h, 2 * h, 2 * h + rho
-    return 2 * h + rho, -2 * h, 1 / rho - 2 * h
+        return hi - z, z - mid, z - lo
+    return z - lo, mid - z, hi - z
 
 
 def _cut_halves(cut, k, which: str):
@@ -639,14 +648,14 @@ def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureR
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
         rho = rho_for_kappa(kq)
-        side = side or _check_energy_range(hq, rho)
+        side = side or _side(2 * hq, *_roots(rho))
         if scheme == "gauss":
             top, form = _angle_form(rho, hq, side, which)
             result = _quad(*form, top, "gauss")
             scale = mp.pi
         elif scheme == "tanh-sinh":
             sign = -1 if which == "period" and side == "plus" else 1
-            result = _quad_cut(lambda: _cut_form(rho, hq, side), sign, which)
+            result = _quad_cut(lambda: _cut(2 * hq, *_roots(rho), side), sign, which)
             scale = 2 * mp.pi
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -682,27 +691,16 @@ def separatrix_action(kappa, side: str, dps: int = 50):
 def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e-12, dps: int = 50) -> QuadratureResult:
     """Action of the original (dimension-carrying) system in the inertia variable.
 
-    The cubic under the root has roots at the inverse moments of inertia; the
-    integration interval is bounded by 2 h / ell^2 and the inverse moment the
-    orbit side touches.  Equals 2 ell I_beta(h) after the energy scaling.
+    The cubic's roots (1/theta3, 1/theta2, 1/theta1) and the energy point 2 h / ell^2 go through
+    the scaled action's ``_side`` and ``_cut``.  Taken from theta, not rho, the roots check the
+    energy scaling: the result equals 2 ell I_beta(h) after it.
     """
     with mp.workdps(_working_dps(dps)):
-        t1, t2, t3 = mp.mpf(params.theta1), mp.mpf(params.theta2), mp.mpf(params.theta3)
         ell = mp.mpf(params.ell)
-        hs = _to_mp(h_sans)
-        r1, r2, r3 = 1 / t1, 1 / t2, 1 / t3
-        z_star = 2 * hs / ell**2
-        if z_star == r2:
-            raise DomainError("h = 0 is the separatrix; use separatrix_action")
-        if z_star > r2:
-            if not z_star < r1:
-                raise DomainError("energy above the upper elliptic equilibrium")
-            cut = lambda: (r1 - z_star, z_star - r2, z_star - r3)
-        else:
-            if not z_star > r3:
-                raise DomainError("energy below the lower elliptic equilibrium")
-            cut = lambda: (z_star - r3, r2 - z_star, r1 - z_star)
-        return _result(_quad_cut(cut, ell, "action"), mp.pi, tol)
+        roots = tuple(1 / mp.mpf(t) for t in (params.theta3, params.theta2, params.theta1))
+        z = 2 * _to_mp(h_sans) / ell**2
+        side = _side(z, *roots)
+        return _result(_quad_cut(lambda: _cut(z, *roots, side), ell, "action"), mp.pi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -795,9 +793,10 @@ def verify_series_numerics(
 ) -> VerifyReport:
     """Evaluate the separatrix-side action series and compare with quadrature.
 
-    Samples must lie inside the proven convergence disc, |h| below
-    ``_convergence_radius``: the nearer end of the energy range.  h = 0 rows compare the closed-form limit constants on both sides with
-    both quadrature schemes at h = 0.
+    Samples must be finite and inside the proven convergence disc, |h| below
+    ``_convergence_radius``: the nearer end of the energy range.  All are
+    checked before any quadrature.  h = 0 rows compare the closed-form limit
+    constants on both sides with both quadrature schemes at h = 0.
     """
     wdps = _working_dps(dps)
     plus, minus = assemble_beta_actions(order)
@@ -808,12 +807,11 @@ def verify_series_numerics(
         quad_tol = max(tol * 1e-3, mp.mpf(10) ** (-(wdps - 8)))
         # both sides share one ActionSeries: its coefficients at kappa serve every sample
         coefficients = _action_coefficients(plus.series, kappa)
-        for h in h_samples:
-            hq = _to_mp(h)
+        samples = [(h, _to_mp(h)) for h in h_samples]
+        for h, hq in samples:
             if abs(hq) >= disc:
-                raise DomainError(
-                    f"sample h = {h} is outside the convergence disc of radius {mp.nstr(disc, 8)}"
-                )
+                raise DomainError(f"sample h = {h} is outside the convergence disc of radius {mp.nstr(disc, 8)}")
+        for h, hq in samples:
             for beta in (plus, minus) if hq == 0 else (plus if hq > 0 else minus,):
                 if hq == 0:  # the closed-form limit against both schemes at h = 0
                     series_val = constant_value(beta.k3, kq, wdps)

@@ -444,6 +444,20 @@ def test_pendulum_margin_positive_everywhere():
     assert PENDULUM_LEADING > max(r.euler_leading for r in pendulum_compare(grid))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_pendulum_refuses_a_non_finite_kappa_before_any_row(monkeypatch, value):
+    monkeypatch.setattr(invariants, "log64_ratio", lambda kappa: pytest.fail("a row was built"))
+    with pytest.raises(SeriesUsageError, match=f"^kappa must be finite, got {value}$"):
+        pendulum_compare([0.0, value])
+
+
+def test_pendulum_margin_at_the_largest_floats():
+    # kappa^2 overflows a float, the margin does not
+    for kappa in (1e308, -1e308):
+        row = pendulum_compare([kappa])[0]
+        assert abs(row.margin - 710.582503003286) < 1e-9
+
+
 def test_symmetric_top_leading_term_is_exactly_log4():
     # 64/(0+4) = 16 = 2^4, so the linear term is exactly 2 log 2 = log 4
     assert log64_ratio_log2_exact(Fraction(0)) == Fraction(2)

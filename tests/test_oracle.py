@@ -345,6 +345,25 @@ def test_unreachable_tolerance_raises():
     assert info.value.estimate > 0
 
 
+@pytest.mark.parametrize("which", [action_quadrature, period_quadrature])
+@pytest.mark.parametrize("scheme", ["gauss", "tanh-sinh"])
+@pytest.mark.parametrize(
+    "kappa, h, match",
+    [
+        (Fraction(1, 2), 0.4, "above"),  # past 1/(2 rho) = 0.3904
+        (Fraction(1, 2), -0.65, "below"),  # past -rho/2 = -0.6404
+        (Fraction(-5, 4), 0.95, "above"),  # past 0.9021
+        (Fraction(-5, 4), -0.3, "below"),  # past -0.2771
+        (Fraction(1, 2), 0, "separatrix"),
+        (Fraction(-5, 4), 0, "separatrix"),
+    ],
+)
+def test_scaled_energy_range_refusals(monkeypatch, which, scheme, kappa, h, match):
+    monkeypatch.setattr(oracle, "_quad", _broken_quad)
+    with pytest.raises(DomainError, match=match):
+        which(kappa, h, scheme=scheme)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         action_quadrature(0.5, 0.0)
@@ -500,7 +519,7 @@ def test_fixed_point_integrands_match_the_mpf_forms(kappa, exponent, sign, dps, 
                     if scheme == "gauss":
                         units = (1,)
                     else:
-                        span = oracle._cut_form(rho, h, side)[0]
+                        span = oracle._cut(2 * h, *oracle._roots(rho), side)[0]
                         units = (span ** (-0.5 if which == "action" else -1.5),) * 2
                 _assert_fixed_matches(seen, refs, dps, units, nodes)
 
@@ -761,6 +780,15 @@ def test_a_wrong_atan_form_fails_verify(monkeypatch, tag, kappa):
 def test_verify_rejects_samples_outside_disc():
     with pytest.raises(DomainError, match="radius"):
         verify_series_numerics(0.5, [0.5], order=10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.5], ids=str)
+def test_verify_checks_every_sample_before_any_quadrature(monkeypatch, bad):
+    calls, drive = [], oracle._quad
+    monkeypatch.setattr(oracle, "_quad", lambda *args: calls.append(args) or drive(*args))
+    with pytest.raises(DomainError):
+        verify_series_numerics(0.5, [0.01, bad], order=10)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

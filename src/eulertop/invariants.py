@@ -197,8 +197,8 @@ def radius_analysis(
     and 2h = 1/rho, so the one-step ratios alternate between large and
     small values until n >> 1/|kappa|; the two-step ones do not.  The a and
     b sequences carry the nearer one's |h|, oracle._convergence_radius, as theoretical.
-    The bnf and sigma targets share one B(J) within the call; nothing is
-    kept between calls.
+    The bnf and sigma targets share one B(J) within the call; between
+    calls only the index-only integers of picardfuchs are kept.
     """
     _check_order(nmax, 20, SeriesUsageError, "need nmax >= 20 for a stable estimate", "nmax")
     _, sequences = _scaled_sequences(kappa, nmax)  # refuses a float kappa before Fraction() takes it
@@ -206,8 +206,9 @@ def radius_analysis(
         raise SeriesUsageError(f"pass targets as a sequence of names, not the string {_quoted(targets)}")
     targets = tuple(targets)
     for i, name in enumerate(targets):  # every name, before any table is built
-        if name not in sequences or name in targets[:i]:  # a repeat would build its table again
-            raise SeriesUsageError(f"{'repeated' if name in sequences else 'unknown'} sequence {_quoted(name)}")
+        known = isinstance(name, str) and name in sequences
+        if not known or name in targets[:i]:  # a repeat would build its table again
+            raise SeriesUsageError(f"{'repeated' if known else 'unknown'} sequence {_quoted(name)}")
     kappa = Fraction(kappa)
     try:
         rho = rho_for_kappa(float(kappa))
@@ -263,14 +264,30 @@ def pendulum_compare(kappa_grid: Iterable[float]) -> list[PendulumRow]:
 
     The top's leading term (1/2) log(64/(kappa^2+4)) peaks at log 4 for
     kappa = 0, so the margin log 32 - leading is at least log 8 at every
-    finite kappa; a nan or infinite one raises SeriesUsageError before any row.
+    finite kappa.  Each kappa is read as a float; a bool, a nan, an infinity
+    or an exact kappa past a float's range raises SeriesUsageError before
+    any row.
     """
-    grid = list(kappa_grid)
-    for kappa in grid:
-        if not math.isfinite(kappa):
-            raise SeriesUsageError(f"kappa must be finite, got {kappa}")
+    grid = [_finite_float(kappa) for kappa in kappa_grid]
     leading = [0.5 * log64_ratio(kappa) for kappa in grid]
-    return [PendulumRow(float(kappa), lead, PENDULUM_LEADING - lead) for kappa, lead in zip(grid, leading)]
+    return [PendulumRow(kappa, lead, PENDULUM_LEADING - lead) for kappa, lead in zip(grid, leading)]
+
+
+def _finite_float(kappa) -> float:
+    """kappa as a finite float, named by its type and bit length when it is
+    past a float's range: str() refuses an int of more than 4300 digits."""
+    if isinstance(kappa, (bool, str, bytes, bytearray)):  # float() would take "1" and True
+        raise SeriesUsageError(f"kappa must be a number, got a {type(kappa).__name__}")
+    try:
+        value = float(kappa)
+    except OverflowError:
+        bits = abs(int(kappa)).bit_length()
+        raise SeriesUsageError(
+            f"kappa must be within a float's range, got a {bits}-bit {type(kappa).__name__}"
+        ) from None
+    if not math.isfinite(value):
+        raise SeriesUsageError(f"kappa must be finite, got {value}")
+    return value
 
 
 def log64_ratio_log2_exact(kappa: Fraction) -> Fraction | None:

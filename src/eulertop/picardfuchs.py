@@ -43,6 +43,15 @@ S_n a positive int.  _sequences and frobenius_table emit each value from its
 pair once, as a Fraction or a KappaPoly, and nothing is unscaled after that;
 the ratio test of invariants.radius_analysis reads the pairs and reduces none.
 
+The integers that depend on the index alone, Pascal's rows, lcm(1..n) with
+its steps L_n / L_(n-1) and the weight rows of each step of B(J) and sigma,
+are kept per process in _KEPT and grown on demand, so a process that runs the
+recurrences many times, a radius scan, builds them once; one call alone gains
+nothing.  Weight rows are kept to step _KEPT_STEPS = 64 and built per call
+above it, where keeping them would hold tens of MB.  A table is extended by
+building a complete new list and publishing it with one assignment, never in
+place, so a reader in another thread sees a whole table.
+
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
 and the closed-form trinomial sums; frobenius_a_at and _b_at read the recursions.
@@ -166,9 +175,44 @@ def _exact(num: int, den: int) -> int:
     return quo
 
 
+# The index-only tables of the module docstring, each grown by _kept
+_KEPT: dict[str, list] = {"pascal": [], "lcm": [], "lcm_step": [], "bnf": [], "sigma": []}
+
+# Weight rows are kept for steps m <= _KEPT_STEPS and built per call above it,
+# by the same builder.  After `radius --kappa=5/7 --nmax=400
+# --targets=bnf,sigma` the kept rows of every step would hold 64 MB; to step
+# 64 they hold 0.84 MB, and to 41, the bench's largest sigma step, 0.33 MB
+# (the lists and ints by sys.getsizeof, CPython 3.11 on x86-64).
+_KEPT_STEPS = 64
+
+
+def _kept(name: str, n: int, entry) -> list:
+    """The kept table called name, through index n at least: each missing
+    index i is built by entry(table, i), and the new list is published by one
+    assignment."""
+    table = _KEPT[name]
+    if len(table) <= n:
+        table = [*table]
+        for i in range(len(table), n + 1):
+            table.append(entry(table, i))
+        _KEPT[name] = table
+    return table
+
+
+def _next_lcm(lcms: list, n: int) -> int:
+    return math.lcm(lcms[-1], n) if n else 1
+
+
 def _lcm_table(order: int) -> list[int]:
-    """lcm(1, ..., n) for n = 0..order, with lcm() = 1."""
-    return list(itertools.accumulate(range(1, order + 1), math.lcm, initial=1))
+    """lcm(1, ..., n) for n = 0..order, with lcm() = 1, read from the kept table."""
+    return _kept("lcm", order, _next_lcm)[: order + 1]
+
+
+def _lcm_steps(order: int) -> list[int]:
+    """L_n / L_(n-1) for n = 0..order, 1 at n = 0: a prime p at n = p^k, else
+    1, each by exact division of the kept lcm table."""
+    lcms = _kept("lcm", order, _next_lcm)
+    return _kept("lcm_step", order, lambda _, n: _exact(lcms[n], lcms[n - 1]) if n else 1)[: order + 1]
 
 
 # The four recurrences run one body each over the ring that _scaled_sequences
@@ -213,33 +257,72 @@ def _b_rows(ring, lcms: list):
     """(A_n, B_n) for n = 0..order, order = len(lcms) - 1, from n^3 B_n =
     (2n-1) [8 L_n kappa A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} +
     64n (2n-3) (L_n/L_{n-2}) w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with the
-    A rows of _a_rows run in lockstep.  B_n = 8^n L_n b_n is integral for
+    A rows of _a_rows run in lockstep and L_n/L_(n-1) read from the kept
+    _lcm_steps.  B_n = 8^n L_n b_n is integral for
     L_n = lcms[n] = lcm(1, ..., n): b_n has 4^k C(2n, n) T(n, k) f_{n,k} / 8^n
     at kappa^(n-2k) (_closed_form), with denominators up to n in H_n and up to
     2n - 1 in the odd sums.  L_n lacks one p of each odd prime power p^e in
     (n, 2n-1], and C(2n, n) has it, as n + n carries in base p (for p > n,
     against the 1/p of O_n or O_(n-k))."""
     one, up, weigh, _, div = ring
-    a_rows = _a_rows(ring, len(lcms) - 1)
+    a_rows, steps = _a_rows(ring, len(lcms) - 1), _lcm_steps(len(lcms) - 1)
     a_prev, a_row, b_prev, row = 0 * one, next(a_rows), 0 * one, 0 * one
     yield a_row, row
     for n, a_next in zip(range(1, len(lcms)), a_rows):
-        ln, m = lcms[n], 2 * n - 1
+        m, step = 2 * n - 1, steps[n]
         known = (
-            ln * (8 * m * up(a_row) + 64 * (8 * n - 6) * weigh(a_prev))
-            + 4 * n * m * m * _exact(ln, lcms[n - 1]) * up(row)
-            + 64 * n * m * (m - 2) * _exact(ln, lcms[max(n - 2, 0)]) * weigh(b_prev)
+            lcms[n] * (8 * m * up(a_row) + 64 * (8 * n - 6) * weigh(a_prev))
+            + 4 * n * m * m * step * up(row)
+            + 64 * n * m * (m - 2) * step * steps[n - 1] * weigh(b_prev)
         )
         a_prev, a_row, b_prev, row = a_row, a_next, row, div(known, n**3)
         yield a_row, row
 
 
+def _next_pascal(rows: list, n: int) -> list[int]:
+    return [1, *map(operator.add, rows[-1], rows[-1][1:]), 1] if n else [1]
+
+
 def _binomials(n: int) -> list[list[int]]:
-    """Rows 0..n of Pascal's triangle: C(k, i) = _binomials(n)[k][i]."""
-    rows = [[1]]
-    for _ in range(n):
-        rows.append([1, *map(operator.add, rows[-1], rows[-1][1:]), 1])
-    return rows
+    """Rows 0..n of Pascal's triangle: C(k, i) = _binomials(n)[k][i], read
+    from the kept rows."""
+    return _kept("pascal", n, _next_pascal)[: n + 1]
+
+
+def _bnf_weights(_, m: int) -> tuple:
+    """The weight rows of step m of _bnf: those of Y^2_m, Y^3_m, y'^2 and
+    y'^3 (the squares of row m-1), the Narayana numbers N(m, i) and the sum
+    over Y P3, from Pascal's rows through m."""
+    c = _kept("pascal", m, _next_pascal)
+    row, below = c[m], c[m - 2] if m > 1 else []
+    return (
+        list(map(operator.mul, row[1:m], below)),
+        list(map(operator.mul, row[2:m], c[m - 3] if m > 2 else [])),
+        [b * b for b in c[m - 1]] if m else [],
+        [_exact(a * b, m) for a, b in zip(row[2:], row[1:m])],
+        list(map(operator.mul, row[2:], below)),
+    )
+
+
+def _sigma_weights(_, m: int) -> tuple:
+    """The weight rows of step m of _sigma_tail: those of A and K A (the
+    squares of row m), C and G y', C G', D G and lambda, from Pascal's rows
+    through m + 1."""
+    c = _kept("pascal", m + 1, _next_pascal)
+    row, left = c[m], c[m - 1] if m else []
+    return (
+        [b * b for b in row],
+        list(map(operator.mul, row[1:], left)),
+        list(map(operator.mul, row[2:], left[1:])),
+        list(map(operator.mul, c[m - 2] if m > 1 else [], left)),
+        list(map(operator.mul, c[m + 1][2 : m + 1], row[1:m])),
+    )
+
+
+def _weights(name: str, build, m: int) -> tuple:
+    """The weight rows of step m by build: kept to step _KEPT_STEPS, built
+    per call above it."""
+    return _kept(name, m, build)[m] if m <= _KEPT_STEPS else build(None, m)
 
 
 def _y_scales(order: int) -> list[int]:
@@ -254,8 +337,8 @@ def _powers(x: int, first: int = 1):
 
 def _bnf(ring, order: int) -> tuple:
     """Y_0..Y_order of B(J), the compositional inverse of alpha, each
-    Y_k = y_k s_k a ring element, with the Y^2 and the binomial table
-    _binomials(order) of its pass, which _sigma_tail reads too.
+    Y_k = y_k s_k a ring element, with the Y^2 of its pass, which
+    _sigma_tail reads too.
 
     With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
     (c3 T')' + c1 T = 0 integrates once to
@@ -279,34 +362,35 @@ def _bnf(ring, order: int) -> tuple:
     so the pivot m(m+1) is absorbed by the scale and the 8 is the slack
     that the kappa/2 of c1 and the 4 in Y_1 = 4 leave.  The weight of the
     c3 y'' term is the Narayana number N(m, i) = C(m, i) C(m, i-1) / m, the
-    natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.
+    natural weight C(m+1, i) C(m-1, i-1) of the product over m+1.  Each
+    step's weights come from _bnf_weights, kept or built (_weights).
     """
     _check_order(order, 1)
     one, up, weigh, dot, div = ring
-    c, mul, zero = _binomials(order), operator.mul, 0 * one
+    _binomials(order)  # every step's Pascal rows, grown in one publication
+    zero = 0 * one
     y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
     p2, p3 = [], []  # y'^2, y'^3
     for m in range(1, order):
+        w2, w3, square, narayana, wp3 = _weights("bnf", _bnf_weights, m)
         # Y_m is known: extend every product through the coefficients it fixes
         if m > 1:
-            y2.append(dot(map(mul, c[m][1:m], c[m - 2]), y[1:m], y[m - 1 : 0 : -1]))
+            y2.append(dot(w2, y[1:m], y[m - 1 : 0 : -1]))
         if m > 2:
-            y3.append(dot(map(mul, c[m][2:m], c[m - 3]), y2[2:m], y[m - 2 : 0 : -1]))
+            y3.append(dot(w3, y2[2:m], y[m - 2 : 0 : -1]))
         c3y.append(-y[m] + 2 * (m - 1) * up(y2[m]) + 4 * (m - 1) * (m - 2) * weigh(y3[m]))
-        square = [b * b for b in c[m - 1]]
         p2.append(dot(square, y[1 : m + 1], y[m:0:-1]))
         p3.append(dot(square, p2, y[m:0:-1]))
-        narayana = [_exact(a * b, m) for a, b in zip(c[m][2:], c[m][1:m])]
-        mp3 = dot(map(mul, c[m][2:], c[m - 2]), y[1:m], p3[: m - 1][::-1])
+        mp3 = dot(wp3, y[1:m], p3[: m - 1][::-1])
         known = 2 * dot(narayana, c3y[2:], y[m:1:-1]) - m * up(p3[m - 1]) - 6 * (m - 1) * weigh(mp3)
         y.append(div(known, 8))
-    return y, y2, c
+    return y, y2
 
 
-def _sigma_tail(ring, y: list, y2: list, c: list, q: int) -> list:
+def _sigma_tail(ring, y: list, y2: list, q: int) -> list:
     """sigma(J) - linear_log * J through J^order as (X, S) pairs, from the
-    pass of _bnf(ring, order) in the same ring, its Y, Y^2 and binomial
-    table c, at kappa = p/q (q = 1 at KP_KAPPA).
+    pass of _bnf(ring, order) in the same ring, its Y and Y^2, at
+    kappa = p/q (q = 1 at KP_KAPPA).
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
@@ -329,33 +413,36 @@ def _sigma_tail(ring, y: list, y2: list, c: list, q: int) -> list:
     -(lambda_k / k + (G y')_k) / (k+1), scaled by q^k, is one pair over
     k s_(k+1) q^k: the 1/k of the log, the 1/(k+1) of the last integral
     and the scale go there, with no lcm(1..k) inside the loop.
+
+    Step m fixes every series at index m in one pass, reading the weights of
+    _sigma_weights once, kept or built (_weights).
     """
     one, up, weigh, dot, div = ring
-    mul, zero, n = operator.mul, 0 * one, len(c) - 2  # n = order - 1
-    a = [one]
-    for j in range(1, n + 1):
-        a.append(div(-dot([b * b for b in c[j][1:]], y[2 : j + 2], a[::-1]), 4))
-    k = [-one] + [4 * j * (j - 1) * weigh(y2[j]) + 2 * j * up(y[j]) for j in range(1, n + 1)]
-    ka = [dot([b * b for b in c[j]], k[: j + 1], a[j::-1]) for j in range(n + 1)]
-    cy = [zero] + [dot(map(mul, c[j][1:], c[j - 1]), y[1 : j + 1], ka[j - 1 :: -1]) for j in range(1, n + 1)]
-    d = [up(y[j + 1]) + 3 * j * weigh(y2[j + 1]) for j in range(n - 1)]
-    f = [32 * j * (j + 1) * weigh(y[j]) - 2 * ka[j + 1] for j in range(n)]
-    if f:
-        f[0] += 8 * up(one)  # the constant 2 kappa
+    zero, n = 0 * one, len(y) - 2  # n = order - 1
+    a, k = [one], [-one]
+    ka, cy, d, f = [dot(_weights("sigma", _sigma_weights, 0)[0], k, a)], [zero], [], []
     g, lam = [zero], [zero]
-    for m in range(1, n + 1):
+    scales, tail = _y_scales(n + 1), [(zero, 1)] * 2
+    for m, qm in zip(range(1, n + 1), _powers(q, q)):
+        square, wc, wcg, wdg, wlam = _weights("sigma", _sigma_weights, m)
+        a.append(div(-dot(square[1:], y[2 : m + 2], a[::-1]), 4))
+        k.append(4 * m * (m - 1) * weigh(y2[m]) + 2 * m * up(y[m]))
+        ka.append(dot(square, k, a[::-1]))
+        cy.append(dot(wc, y[1 : m + 1], ka[m - 1 :: -1]))
+        d.append(up(y[m]) + 3 * (m - 1) * weigh(y2[m]))
+        f.append(32 * (m - 1) * m * weigh(y[m - 1]) - 2 * ka[m])
+        if m == 1:
+            f[0] += 8 * up(one)  # the constant 2 kappa
         # J^(m-1) times 4^(m+1) m! (m-1)!: 4 m^2 G_m = m (sum over C G' and
         # 2 (m-1) sum over D G, both against G_(m-1)..G_1) - 4 F_(m-1)
         back = g[m - 1 : 0 : -1]
-        known = dot(map(mul, c[m][2:], c[m - 1][1:]), cy[2 : m + 1], back)
-        known += 2 * (m - 1) * dot(map(mul, c[m - 2], c[m - 1]), d[: m - 1], back)
+        known = dot(wcg, cy[2 : m + 1], back)
+        known += 2 * (m - 1) * dot(wdg, d[: m - 1], back)
         g.append(div(m * known - 4 * f[m - 1], 4 * m * m))
-        known = dot(map(mul, c[m + 1][2 : m + 1], c[m][1:m]), y[2 : m + 1], lam[m - 1 : 0 : -1])
+        known = dot(wlam, y[2 : m + 1], lam[m - 1 : 0 : -1])
         lam.append(div(m * y[m + 1] - known, 4 * (m + 1)))
-    scales, tail = _y_scales(n + 1), [(zero, 1)] * 2
-    for j, qj in zip(range(1, n + 1), _powers(q, q)):
-        gp = dot(map(mul, c[j - 1], c[j][1:]), g[1 : j + 1], y[j:0:-1])  # (G y')_j at 4^(j+1) (j-1)! j!
-        tail.append((-(4 * lam[j] + j * j * gp), j * scales[j + 1] * qj))
+        gp = dot(wc, g[1 : m + 1], y[m:0:-1])  # (G y')_m at 4^(m+1) (m-1)! m!
+        tail.append((-(4 * lam[m] + m * m * gp), m * scales[m + 1] * qm))
     return tail
 
 
@@ -417,11 +504,11 @@ def _closed_form(order: int) -> tuple[list, list]:
     of the recurrences: A_n has 4^k C(2n, n) T(n, k) at kappa^(n-2k), B_n that
     times f_{n,k} L_n, L_n = lcm(1..2n-1), with O_m L_n and H_n L_n running."""
     a, b = [KP_ONE], [KP_ZERO]
-    lcms, ln, odd, harmonic = _lcm_table(2 * order), 1, [0], 0
+    lcms, steps, odd, harmonic = _lcm_table(2 * order), _lcm_steps(2 * order), [0], 0
     for n in range(1, order + 1):
-        step = _exact(lcms[2 * n - 1], ln)
+        ln, step = lcms[2 * n - 1], steps[2 * n - 1] * steps[2 * n - 2]
         if step > 1:
-            ln, odd, harmonic = ln * step, [o * step for o in odd], harmonic * step
+            odd, harmonic = [o * step for o in odd], harmonic * step
         odd.append(odd[-1] + _exact(ln, 2 * n - 1))
         harmonic += _exact(ln, n)
         row_a, row_b = [0] * (n + 1), [0] * (n + 1)

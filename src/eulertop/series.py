@@ -151,9 +151,10 @@ def _keeps_highest(truncate, floor: int, error: type = SeriesUsageError, message
     return wrap
 
 
-def _quoted(text: str) -> str:
-    """text quoted for an error message: a long text by its head and its length."""
-    return repr(text) if len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
+def _quoted(text) -> str:
+    """text quoted for an error message: a long text by its head and its
+    length, and anything but a str by its repr."""
+    return repr(text) if not isinstance(text, str) or len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
 
 
 def _is_exact_rational(x) -> bool:

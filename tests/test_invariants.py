@@ -141,7 +141,7 @@ def test_radius_builds_bnf_once(monkeypatch):
     radius_analysis(Fraction(1, 2), 20, ("bnf", "sigma"))
     assert len(calls) == 1
     radius_analysis(Fraction(1, 2), 20, ("sigma",))
-    assert len(calls) == 2  # nothing is kept between calls
+    assert len(calls) == 2  # B(J) is not kept between calls
 
 
 def test_radius_checks_every_target_before_any_table(monkeypatch):
@@ -155,6 +155,13 @@ def test_radius_checks_every_target_before_any_table(monkeypatch):
         with pytest.raises(SeriesUsageError, match=f"repeated sequence {name}"):
             radius_analysis(Fraction(1, 2), 20, targets)
     assert calls == []
+
+
+@pytest.mark.parametrize("name,shown", [(1, "1"), (None, "None")], ids=["int", "None"])
+def test_radius_refuses_a_target_that_is_not_a_string_before_any_table(monkeypatch, name, shown):
+    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(SeriesUsageError, match=f"^unknown sequence {shown}$"):
+        radius_analysis(Fraction(1, 2), 20, ("a", name))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +368,34 @@ def test_radius_reduces_no_value(monkeypatch):
     assert not calls
 
 
+def _empty_tables(monkeypatch):
+    monkeypatch.setattr(picardfuchs, "_KEPT", {name: [] for name in picardfuchs._KEPT})
+
+
+def test_radius_reduces_no_value_from_empty_tables(monkeypatch):
+    # building the kept tables (the lcm steps by exact division) runs no gcd either
+    _empty_tables(monkeypatch)
+    test_radius_reduces_no_value(monkeypatch)
+    assert picardfuchs._KEPT["lcm_step"] and picardfuchs._KEPT["sigma"]
+
+
+@pytest.mark.parametrize("kappa", [Fraction(1, 2), KAPPA_52], ids=str)
+def test_radius_reports_do_not_depend_on_the_kept_tables(monkeypatch, kappa):
+    kept = radius_analysis(kappa, 60)
+    _empty_tables(monkeypatch)
+    assert radius_analysis(kappa, 60) == kept
+    radius_analysis(kappa, 100, ("sigma",))
+    assert radius_analysis(kappa, 60) == kept
+
+
+def test_no_weight_row_above_the_bound_is_kept(monkeypatch):
+    _empty_tables(monkeypatch)
+    radius_analysis(Fraction(1, 2), 100, ("sigma",))
+    bound = picardfuchs._KEPT_STEPS
+    assert [len(picardfuchs._KEPT[name]) for name in ("bnf", "sigma")] == [bound + 1] * 2
+    assert len(picardfuchs._KEPT["pascal"]) == 101  # Pascal's rows are kept through the order
+
+
 def test_symmetric_top_skips_odd_coefficients():
     report = radius_analysis(Fraction(0), 40, targets=("a",))[0]
     assert report.skipped  # odd coefficients vanish at kappa = 0
@@ -448,6 +483,24 @@ def test_pendulum_margin_positive_everywhere():
 def test_pendulum_refuses_a_non_finite_kappa_before_any_row(monkeypatch, value):
     monkeypatch.setattr(invariants, "log64_ratio", lambda kappa: pytest.fail("a row was built"))
     with pytest.raises(SeriesUsageError, match=f"^kappa must be finite, got {value}$"):
+        pendulum_compare([0.0, value])
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (Fraction(10**400), "a 1329-bit Fraction"),
+        (10**400, "a 1329-bit int"),
+        (-(10**400), "a 1329-bit int"),
+        (10**5000, "a 16610-bit int"),  # str() refuses an int this long
+        (True, "a number, got a bool"),
+        ("1", "a number, got a str"),
+    ],
+    ids=["Fraction", "int", "negative int", "long int", "bool", "str"],
+)
+def test_pendulum_refuses_an_exact_kappa_past_a_float_before_any_row(monkeypatch, value, message):
+    monkeypatch.setattr(invariants, "log64_ratio", lambda kappa: pytest.fail("a row was built"))
+    with pytest.raises(SeriesUsageError, match=message):
         pendulum_compare([0.0, value])
 
 

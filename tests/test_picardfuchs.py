@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -145,6 +147,49 @@ def test_recursion_table_runs_one_a_pass(monkeypatch):
     calls.clear()
     _sequences(Fraction(1, 2), 30)["a"]()
     assert calls == ["_a_rows"]
+
+
+def test_kept_tables_grow_out_of_order(monkeypatch):
+    # from empty tables, grown to 60, then read at 5, then grown to 100
+    monkeypatch.setattr(picardfuchs, "_KEPT", {name: [] for name in picardfuchs._KEPT})
+    for n in (60, 5, 100):
+        rows, lcms, steps = picardfuchs._binomials(n), picardfuchs._lcm_table(n), picardfuchs._lcm_steps(n)
+        assert rows == [[math.comb(k, i) for i in range(k + 1)] for k in range(n + 1)], n
+        running = [math.lcm(*range(1, k + 1)) for k in range(n + 1)]
+        assert lcms == running, n
+        assert steps == [1] + [b // a for a, b in zip(running, running[1:])], n
+    assert [len(picardfuchs._KEPT[name]) for name in ("pascal", "lcm", "lcm_step")] == [101] * 3
+
+
+def test_kept_tables_stay_whole_under_threads(monkeypatch):
+    # readers racing an extension may lose it, never see a torn table: every
+    # thread's sigma and Pascal rows equal those of one thread alone
+    orders = (30, 70)  # 70 crosses _KEPT_STEPS
+    expected = {n: _sequences(Fraction(1, 2), n)["sigma"]() for n in orders}
+    failures = []
+
+    def work():
+        try:
+            for n in orders:
+                assert _sequences(Fraction(1, 2), n)["sigma"]() == expected[n], n
+                assert picardfuchs._binomials(n)[n] == [math.comb(n, i) for i in range(n + 1)], n
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # each round from empty tables
+            monkeypatch.setattr(picardfuchs, "_KEPT", {name: [] for name in picardfuchs._KEPT})
+            threads = [threading.Thread(target=work) for _ in range(6)]  # in step: they extend together
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
 
 
 @pytest.fixture(scope="module")

@@ -47,10 +47,11 @@ The integers that depend on the index alone, Pascal's rows, lcm(1..n) with
 its steps L_n / L_(n-1) and the weight rows of each step of B(J) and sigma,
 are kept per process in _KEPT and grown on demand, so a process that runs the
 recurrences many times, a radius scan, builds them once; one call alone gains
-nothing.  Weight rows are kept to step _KEPT_STEPS = 64 and built per call
-above it, where keeping them would hold tens of MB.  A table is extended by
-building a complete new list and publishing it with one assignment, never in
-place, so a reader in another thread sees a whole table.
+nothing.  Weight rows are kept to step _KEPT_STEPS = 64, Pascal's rows to
+65, and both are built per call above that, where keeping them would hold
+tens of MB.  A table is extended by building a complete new list and
+publishing it with one assignment, never in place, so a reader in another
+thread sees a whole table.
 
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
@@ -85,7 +86,7 @@ from .series import (
     _check_order,
     _is_exact_rational,
     _keeps_highest,
-    _kappa_poly,
+    _parity_poly,
     _row_dot,
     add_list,
     deriv_list,
@@ -179,10 +180,12 @@ def _exact(num: int, den: int) -> int:
 _KEPT: dict[str, list] = {"pascal": [], "lcm": [], "lcm_step": [], "bnf": [], "sigma": []}
 
 # Weight rows are kept for steps m <= _KEPT_STEPS and built per call above it,
-# by the same builder.  After `radius --kappa=5/7 --nmax=400
+# by the same builder, and Pascal's rows through _KEPT_STEPS + 1, which the
+# kept weight rows read.  After `radius --kappa=5/7 --nmax=400
 # --targets=bnf,sigma` the kept rows of every step would hold 64 MB; to step
-# 64 they hold 0.84 MB, and to 41, the bench's largest sigma step, 0.33 MB
-# (the lists and ints by sys.getsizeof, CPython 3.11 on x86-64).
+# 64 they hold 0.84 MB, and to 41, the bench's largest sigma step, 0.33 MB.
+# Pascal's rows through 400 would hold 4.8 MB, through 65 0.09 MB (the lists
+# and ints by sys.getsizeof, CPython 3.11 on x86-64).
 _KEPT_STEPS = 64
 
 
@@ -217,9 +220,14 @@ def _lcm_steps(order: int) -> list[int]:
 
 # The four recurrences run one body each over the ring that _scaled_sequences
 # picks from kappa, (one, up, weigh, dot, div): ints at kappa = p/q, where up
-# multiplies by p, weigh by w = q^2 and div is _exact, or _Row at KP_KAPPA,
-# where up shifts, weigh is the identity, dot is _row_dot and div is _exact
-# on each coefficient.  Each series x of _bnf and _sigma_tail is held as
+# multiplies by p, weigh by w = q^2 and div is _exact, or packed _Row at
+# KP_KAPPA.  Each int element is homogeneous in p and q of one degree d, with
+# even powers of q only (d = n for A_n and B_n, k-1 for Y_k): the emit over
+# q^d relies on it.  So an element is one polynomial of kappa parity d, and
+# its packed row holds at entry j the coefficient of kappa^(d-2j): up is the
+# identity, weigh prepends one 0, dot is _row_dot and div is _exact on each
+# coefficient, and _parity_poly puts the zeros back once, at the emit.
+# Each series x of _bnf and _sigma_tail is held as
 # X_k = x_k D(k) with D(k) = 4^(k+e) (k+r)! (k+t)!, which the denominator
 # laws in the docstrings make integral (checked at 60 random 40-bit kappas to
 # n = 60 and at four kappas to n = 150).  Its product with a series of
@@ -240,10 +248,15 @@ def _row_div(x: _Row, d: int) -> _Row:
     return _Row([_exact(c, d) for c in x])
 
 
+def _row_weigh(x: _Row) -> _Row:
+    """x times q^2 in the packed ring: one more leading 0, the empty row kept empty."""
+    return _Row((0, *x)) if x else x
+
+
 def _a_rows(ring, order: int):
     """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}),
-    each a ring element: the coefficients of kappa^0..kappa^n as a _Row, or
-    the one int value at kappa = p/q."""
+    each a ring element: the coefficients of kappa^n, kappa^(n-2), ... as a
+    packed _Row, or the one int value at kappa = p/q."""
     one, up, weigh, _, div = ring
     prev, row = 0 * one, one
     yield row
@@ -284,16 +297,19 @@ def _next_pascal(rows: list, n: int) -> list[int]:
 
 
 def _binomials(n: int) -> list[list[int]]:
-    """Rows 0..n of Pascal's triangle: C(k, i) = _binomials(n)[k][i], read
-    from the kept rows."""
-    return _kept("pascal", n, _next_pascal)[: n + 1]
+    """Rows 0..n of Pascal's triangle: C(k, i) = _binomials(n)[k][i], the
+    kept rows through _KEPT_STEPS + 1, which the kept weight rows read, and
+    the rows above built per call."""
+    rows = _kept("pascal", min(n, _KEPT_STEPS + 1), _next_pascal)[: n + 1]
+    for k in range(len(rows), n + 1):
+        rows.append(_next_pascal(rows, k))
+    return rows
 
 
-def _bnf_weights(_, m: int) -> tuple:
+def _bnf_weights(c: list, m: int) -> tuple:
     """The weight rows of step m of _bnf: those of Y^2_m, Y^3_m, y'^2 and
     y'^3 (the squares of row m-1), the Narayana numbers N(m, i) and the sum
-    over Y P3, from Pascal's rows through m."""
-    c = _kept("pascal", m, _next_pascal)
+    over Y P3, from Pascal's rows c through m."""
     row, below = c[m], c[m - 2] if m > 1 else []
     return (
         list(map(operator.mul, row[1:m], below)),
@@ -304,11 +320,10 @@ def _bnf_weights(_, m: int) -> tuple:
     )
 
 
-def _sigma_weights(_, m: int) -> tuple:
+def _sigma_weights(c: list, m: int) -> tuple:
     """The weight rows of step m of _sigma_tail: those of A and K A (the
     squares of row m), C and G y', C G', D G and lambda, from Pascal's rows
-    through m + 1."""
-    c = _kept("pascal", m + 1, _next_pascal)
+    c through m + 1."""
     row, left = c[m], c[m - 1] if m else []
     return (
         [b * b for b in row],
@@ -319,10 +334,12 @@ def _sigma_weights(_, m: int) -> tuple:
     )
 
 
-def _weights(name: str, build, m: int) -> tuple:
-    """The weight rows of step m by build: kept to step _KEPT_STEPS, built
-    per call above it."""
-    return _kept(name, m, build)[m] if m <= _KEPT_STEPS else build(None, m)
+def _weights(name: str, build, rows: list, m: int) -> tuple:
+    """The weight rows of step m by build from the Pascal rows of _binomials:
+    kept to step _KEPT_STEPS, built per call above it."""
+    if m > _KEPT_STEPS:
+        return build(rows, m)
+    return _kept(name, m, lambda _, i: build(rows, i))[m]
 
 
 def _y_scales(order: int) -> list[int]:
@@ -337,8 +354,8 @@ def _powers(x: int, first: int = 1):
 
 def _bnf(ring, order: int) -> tuple:
     """Y_0..Y_order of B(J), the compositional inverse of alpha, each
-    Y_k = y_k s_k a ring element, with the Y^2 of its pass, which
-    _sigma_tail reads too.
+    Y_k = y_k s_k a ring element, with the Y^2 and Pascal's rows of its
+    pass, which _sigma_tail reads too.
 
     With T_r(y) = 1/y' for y = B(J), the self-adjoint period equation
     (c3 T')' + c1 T = 0 integrates once to
@@ -367,12 +384,12 @@ def _bnf(ring, order: int) -> tuple:
     """
     _check_order(order, 1)
     one, up, weigh, dot, div = ring
-    _binomials(order)  # every step's Pascal rows, grown in one publication
+    rows = _binomials(order)  # every step's Pascal rows, the kept ones grown in one publication
     zero = 0 * one
     y, y2, y3, c3y = [zero, 4 * one], [zero, zero], [zero, zero, zero], [zero]
     p2, p3 = [], []  # y'^2, y'^3
     for m in range(1, order):
-        w2, w3, square, narayana, wp3 = _weights("bnf", _bnf_weights, m)
+        w2, w3, square, narayana, wp3 = _weights("bnf", _bnf_weights, rows, m)
         # Y_m is known: extend every product through the coefficients it fixes
         if m > 1:
             y2.append(dot(w2, y[1:m], y[m - 1 : 0 : -1]))
@@ -384,13 +401,13 @@ def _bnf(ring, order: int) -> tuple:
         mp3 = dot(wp3, y[1:m], p3[: m - 1][::-1])
         known = 2 * dot(narayana, c3y[2:], y[m:1:-1]) - m * up(p3[m - 1]) - 6 * (m - 1) * weigh(mp3)
         y.append(div(known, 8))
-    return y, y2
+    return y, y2, rows
 
 
-def _sigma_tail(ring, y: list, y2: list, q: int) -> list:
+def _sigma_tail(ring, y: list, y2: list, rows: list, q: int) -> list:
     """sigma(J) - linear_log * J through J^order as (X, S) pairs, from the
-    pass of _bnf(ring, order) in the same ring, its Y and Y^2, at
-    kappa = p/q (q = 1 at KP_KAPPA).
+    pass of _bnf(ring, order) in the same ring, its Y, Y^2 and Pascal rows,
+    at kappa = p/q (q = 1 at KP_KAPPA).
 
     With 2 pi I_s = alpha log h + Q and alpha(B(J)) = J, the positive side
     2 pi I_s(B(J)) = J log J + J log(B/J) + Q(B(J)) leaves the tail
@@ -420,11 +437,11 @@ def _sigma_tail(ring, y: list, y2: list, q: int) -> list:
     one, up, weigh, dot, div = ring
     zero, n = 0 * one, len(y) - 2  # n = order - 1
     a, k = [one], [-one]
-    ka, cy, d, f = [dot(_weights("sigma", _sigma_weights, 0)[0], k, a)], [zero], [], []
+    ka, cy, d, f = [dot(_weights("sigma", _sigma_weights, rows, 0)[0], k, a)], [zero], [], []
     g, lam = [zero], [zero]
     scales, tail = _y_scales(n + 1), [(zero, 1)] * 2
     for m, qm in zip(range(1, n + 1), _powers(q, q)):
-        square, wc, wcg, wdg, wlam = _weights("sigma", _sigma_weights, m)
+        square, wc, wcg, wdg, wlam = _weights("sigma", _sigma_weights, rows, m)
         a.append(div(-dot(square[1:], y[2 : m + 2], a[::-1]), 4))
         k.append(4 * m * (m - 1) * weigh(y2[m]) + 2 * m * up(y[m]))
         ka.append(dot(square, k, a[::-1]))
@@ -446,22 +463,22 @@ def _sigma_tail(ring, y: list, y2: list, q: int) -> list:
     return tail
 
 
-
 def _scaled_sequences(kappa, n: int) -> tuple:
     """The a, b, bnf and sigma-tail coefficients through index n at kappa
     (KP_KAPPA, an int or a Fraction) as (X, S) pairs, each list behind a
-    thunk, with the emit that makes X / S one value of the ring: the one
-    entry to the four recurrences and the one place that reads kappa's
-    type, which picks the one ring all four run on.  a and b keep no state,
-    so each call builds its table anew (b runs its own A rows, and
-    b(with_a=True) yields both pairs); bnf and sigma share one pass of _bnf."""
+    thunk, with the emit(X, S, d) that makes X / S one value of the ring, d
+    the weight of X (read by the packed ring alone): the one entry to the
+    four recurrences and the one place that reads kappa's type, which picks
+    the one ring all four run on.  a and b keep no state, so each call
+    builds its table anew (b runs its own A rows, and b(with_a=True) yields
+    both pairs); bnf and sigma share one pass of _bnf."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         w = q * q
-        ring, emit = (1, (lambda x: x * p), (lambda x: x * w), _dot, _exact), Fraction
+        ring, emit = (1, (lambda x: x * p), (lambda x: x * w), _dot, _exact), (lambda x, s, d: Fraction(x, s))
     elif kappa == KP_KAPPA:
         q = 1
-        ring, emit = (_Row((1,)), (lambda x: _Row((0, *x))), (lambda x: x), _row_dot, _row_div), _kappa_poly
+        ring, emit = (_Row((1,)), (lambda x: x), _row_weigh, _row_dot, _row_div), _parity_poly
     else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     _check_order(n, 0, SeriesUsageError, "table order must be non-negative")
@@ -490,10 +507,10 @@ def _sequences(kappa, n: int) -> dict:
     Fraction or KappaPoly."""
     emit, scaled = _scaled_sequences(kappa, n)
 
-    def emitted(pairs):
-        return lambda: list(itertools.starmap(emit, pairs()))
+    def emitted(pairs, first):  # first: the weight of the pair at index 0
+        return lambda: [emit(x, s, d) for d, (x, s) in enumerate(pairs(), first)]
 
-    return {name: emitted(pairs) for name, pairs in scaled.items()}
+    return {name: emitted(pairs, -1 if name in ("bnf", "sigma") else 0) for name, pairs in scaled.items()}
 
 
 def _closed_form(order: int) -> tuple[list, list]:
@@ -501,8 +518,13 @@ def _closed_form(order: int) -> tuple[list, list]:
     a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k}; b_n,
     the indicial derivative of the deformed a_n at root 0, is the same sum with
     f_{n,k} = 2 O_n + 2 O_{n-k} - 2 H_n on each term.  In integers, independent
-    of the recurrences: A_n has 4^k C(2n, n) T(n, k) at kappa^(n-2k), B_n that
-    times f_{n,k} L_n, L_n = lcm(1..2n-1), with O_m L_n and H_n L_n running."""
+    of the recurrences: A_n has 4^k C(2n, n) T(n, k) at kappa^(n-2k) over 8^n,
+    B_n that times f_{n,k} L_n over 8^n L_n, L_n = lcm(1..2n-1), with O_m L_n
+    and H_n L_n running.  g = gcd(8^n L_n, 2 C(2n, n)), nearly all that B_n's
+    reduction would remove (391 bits at n = 197, where 6 bits are left), is
+    cancelled once per row: the b row is built with 2 C(2n, n) / g over
+    8^n L_n / g.  Each row is held packed, its kappa^(n-2k) coefficient
+    at entry k, and made a KappaPoly by _parity_poly, as the recursion's."""
     a, b = [KP_ONE], [KP_ZERO]
     lcms, steps, odd, harmonic = _lcm_table(2 * order), _lcm_steps(2 * order), [0], 0
     for n in range(1, order + 1):
@@ -511,14 +533,18 @@ def _closed_form(order: int) -> tuple[list, list]:
             odd, harmonic = [o * step for o in odd], harmonic * step
         odd.append(odd[-1] + _exact(ln, 2 * n - 1))
         harmonic += _exact(ln, n)
-        row_a, row_b = [0] * (n + 1), [0] * (n + 1)
         t = central = math.comb(2 * n, n)  # T(n, 0)
+        den = 8**n * ln
+        g = math.gcd(den, 2 * central)
+        cancelled = 2 * central // g
+        row_a, row_b = [], []
         for k in range(n // 2 + 1):
-            row_a[n - 2 * k] = c = central * t << 2 * k
-            row_b[n - 2 * k] = c * 2 * (odd[n] + odd[n - k] - harmonic)
+            c = t << 2 * k
+            row_a.append(central * c)
+            row_b.append(cancelled * c * (odd[n] + odd[n - k] - harmonic))
             t = _exact(t * (n - 2 * k) * (n - 2 * k - 1), 2 * (k + 1) * (2 * n - 2 * k - 1))
-        a.append(_kappa_poly(row_a, 8**n))
-        b.append(_kappa_poly(row_b, 8**n * ln))
+        a.append(_parity_poly(row_a, 8**n, n))
+        b.append(_parity_poly(row_b, den // g, n))
     return a, b
 
 
@@ -552,7 +578,7 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     _check_order(order, 0)
     if method == "recursion":
         emit, scaled = _scaled_sequences(KP_KAPPA, order)
-        a, b = zip(*((emit(*x), emit(*y)) for x, y in scaled["b"](with_a=True)))
+        a, b = zip(*((emit(*x, n), emit(*y, n)) for n, (x, y) in enumerate(scaled["b"](with_a=True))))
     elif method == "closed_form":
         a, b = _closed_form(order)
     else:

@@ -153,8 +153,14 @@ def _keeps_highest(truncate, floor: int, error: type = SeriesUsageError, message
 
 def _quoted(text) -> str:
     """text quoted for an error message: a long text by its head and its
-    length, and anything but a str by its repr."""
-    return repr(text) if not isinstance(text, str) or len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
+    length, None or an int of at most 64 bits by its repr, and anything else
+    by its type, since a repr may be huge or refused (an int past 4300
+    digits)."""
+    if isinstance(text, str):
+        return repr(text) if len(text) <= 24 else f"{text[:10]!r}... ({len(text)} chars)"
+    if text is None or isinstance(text, int) and text.bit_length() <= 64:
+        return repr(text)
+    return f"of type {type(text).__name__}"
 
 
 def _is_exact_rational(x) -> bool:
@@ -334,6 +340,16 @@ def _kappa_poly(num: Sequence[int], den: int) -> KappaPoly:
     """The KappaPoly with coefficients num[n] / den, for int num and a positive
     int den; the one constructor of internal results, with no _frac pass."""
     return _canonical(*_settle(num, den))
+
+
+def _parity_poly(num: Sequence[int], den: int, d: int) -> KappaPoly:
+    """The KappaPoly with num[j] / den at kappa^(d-2j) and 0 at every other
+    power, for int num and a positive int den: a polynomial of one kappa
+    parity, reduced before the zeros between its coefficients are put in."""
+    num, den = _settle(num, den)
+    row = [0] * (d + 1)
+    row[d + 2 - 2 * len(num) :: 2] = num[::-1]
+    return _canonical(_Row(strip_list(row)), den)
 
 
 def interpolate_kappa_poly(kappas: Sequence[Fraction], values: Sequence[Fraction], odd: int) -> KappaPoly:

@@ -164,6 +164,13 @@ def test_radius_refuses_a_target_that_is_not_a_string_before_any_table(monkeypat
         radius_analysis(Fraction(1, 2), 20, ("a", name))
 
 
+def test_radius_names_a_huge_target_by_its_type(monkeypatch):
+    # the repr of an int past 4300 digits raises ValueError
+    monkeypatch.setattr(picardfuchs, "_a_rows", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(SeriesUsageError, match="^unknown sequence of type int$"):
+        radius_analysis(Fraction(1, 2), 20, (10**5000,))
+
+
 # ---------------------------------------------------------------------------
 # the invariant
 # ---------------------------------------------------------------------------
@@ -393,7 +400,20 @@ def test_no_weight_row_above_the_bound_is_kept(monkeypatch):
     radius_analysis(Fraction(1, 2), 100, ("sigma",))
     bound = picardfuchs._KEPT_STEPS
     assert [len(picardfuchs._KEPT[name]) for name in ("bnf", "sigma")] == [bound + 1] * 2
-    assert len(picardfuchs._KEPT["pascal"]) == 101  # Pascal's rows are kept through the order
+    assert len(picardfuchs._KEPT["pascal"]) == bound + 2  # Pascal's rows are kept through step bound + 1
+
+
+def test_no_pascal_row_above_the_bound_is_kept(monkeypatch):
+    # the rows above step _KEPT_STEPS + 1 are built per call, as the weight
+    # rows above _KEPT_STEPS are, and the report is that of a process that
+    # keeps every row
+    _empty_tables(monkeypatch)
+    report = radius_analysis(Fraction(1, 2), 100, ("sigma",))
+    assert len(picardfuchs._KEPT["pascal"]) <= 66
+    _empty_tables(monkeypatch)
+    monkeypatch.setattr(picardfuchs, "_KEPT_STEPS", 100)
+    assert radius_analysis(Fraction(1, 2), 100, ("sigma",)) == report
+    assert len(picardfuchs._KEPT["pascal"]) == 101
 
 
 def test_symmetric_top_skips_odd_coefficients():

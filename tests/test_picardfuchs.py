@@ -158,7 +158,8 @@ def test_kept_tables_grow_out_of_order(monkeypatch):
         running = [math.lcm(*range(1, k + 1)) for k in range(n + 1)]
         assert lcms == running, n
         assert steps == [1] + [b // a for a, b in zip(running, running[1:])], n
-    assert [len(picardfuchs._KEPT[name]) for name in ("pascal", "lcm", "lcm_step")] == [101] * 3
+    assert [len(picardfuchs._KEPT[name]) for name in ("lcm", "lcm_step")] == [101] * 2
+    assert len(picardfuchs._KEPT["pascal"]) == picardfuchs._KEPT_STEPS + 2  # the rows above are built per call
 
 
 def test_kept_tables_stay_whole_under_threads(monkeypatch):
@@ -218,6 +219,23 @@ def test_numeric_tables_match_symbolic(symbolic_tables, kappa):
         assert all(isinstance(c, Fraction) for c in values), name
         assert all(isinstance(c, KappaPoly) for c in symbolic[name]), name
         assert [c(kappa) for c in symbolic[name]] == values, name
+
+
+@pytest.fixture(scope="module")
+def packed_tables():
+    return {name: thunk() for name, thunk in _sequences(KP_KAPPA, 40).items()}
+
+
+@pytest.mark.parametrize(
+    "kappa", [Fraction(1, 2), Fraction(-5, 7), Fraction(3), Fraction(-4028141964097261, 2251799813685248)], ids=str
+)
+def test_packed_tables_evaluate_to_the_int_ring(packed_tables, kappa):
+    """The packed ring at KP_KAPPA is the int ring with p -> 1 and q^2 -> a
+    shift, which holds while every term of a recurrence has the weight of its
+    index: a term off its weight puts a coefficient at the wrong power of
+    kappa in one ring and not in the other."""
+    for name, thunk in _sequences(kappa, 40).items():
+        assert [c(kappa) for c in packed_tables[name]] == thunk(), name
 
 
 def test_first_log_coefficient_comes_from_harmonic_factor():

@@ -6,14 +6,13 @@ deliberately distinct, each with one form for the action, the period and
 the separatrix limit at h = 0:
 
 * "gauss": Gauss-Legendre on the real-angle form over (0, pi/2), after
-  q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho) (h = 0), or
-  q = q0 cosh t at the turning angle q0 (h > 0).  This moves the pinch of
-  width sqrt|h| at the separatrix to about pi/2 off the real t-axis, so a
-  low degree suffices close to it; the cosh form also absorbs the square
-  root at the turning angle.  Its nodes are mpmath's rule, with the roots of
-  P_n found by Newton's method in fixed-point integers: a fresh process pays
-  about 0.01 s for degrees 1-6 and 0.15 s for degree 8 at 50 and 60 digits,
-  where mpmath's own nodes take 0.25-0.4 s and 2.4-4.1 s (2-CPU x86-64 VM);
+  q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho) (h = 0).  This
+  moves the pinch of width sqrt|h| at the separatrix to about pi/2 off the
+  real t-axis, so a low degree suffices close to it.  Its nodes are
+  mpmath's rule, with the roots of P_n found by Newton's method in
+  fixed-point integers: a fresh process pays about 0.01 s for degrees 1-6
+  and 0.15 s for degree 8 at 50 and 60 digits, where mpmath's own nodes take
+  0.25-0.4 s and 2.4-4.1 s (2-CPU x86-64 VM);
 * "tanh-sinh": the algebraic form on the cut of the energy curve, with both
   endpoint singularities handled by double-exponential quadrature.
 
@@ -24,13 +23,14 @@ make each degree's nodes and weights, and one cache, ``_NODES``, holds them
 at scale 2^Q, Q = mp.prec + 20 + _GUARD.  ``_quad`` maps each node to the
 interval exactly, sums w f of a degree in one int, makes one mpf of it and
 stops by ``_estimate_error``, mpmath 1.3's heuristic carried in this module.
+Above the separatrix both schemes compute the minus side at (-kappa, -h),
+its mirror (``_integral``), so each scheme writes one form for h != 0.
 Every integrand runs at one fixed-point scale 2^P per call
 (``_fixed_bits``): Q plus the bits a form needs for the smallest quantity
 it divides by or takes a root of.  Each form cancels its small factors by
-hand or carries them in an exponent, so that only two such quantities are
-left: cos q0 near the top of the plus side's energy range (gauss), and the
-distances from 2h to the cubic's other roots for the period (tanh-sinh);
-see ``_angle_form`` and ``_cut_halves``.  sinh, cosh and sin come from
+hand or carries them in an exponent, so that only one such quantity is
+left: the distances from 2h to the cubic's other roots for the tanh-sinh
+period (``_cut_halves``).  sinh, cosh and sin come from
 mpmath's fixed-point kernels ``libmp.libelefun.exp_fixed`` and
 ``cos_sin_fixed``.  The action series' coefficients are exact at kappa,
 then rounded once.
@@ -469,45 +469,32 @@ def _side(z, lo, mid, hi) -> str:
 
 def _angle_form(rho, h, side: str, which: str):
     """top, and the gauss scheme's integrand over t in (0, top) on ints, as
-    the (integrand, node bits, value exponent) that ``_quad`` takes.
+    the (integrand, node bits, value exponent) that ``_quad`` takes, at
+    h < 0 or at h = 0 on either side (``_integral`` maps h > 0 to h < 0).
 
     The real angle is q = c sinh t, c = sqrt(2 rho |h|) (h < 0) or asinh(rho)
-    (h = 0), or q = q0 cosh t at the turning angle q0 = asin(sqrt(2 rho h))
-    (h > 0).  This moves the pinch of width sqrt|h| at the separatrix to
+    (h = 0).  This moves the pinch of width sqrt|h| at the separatrix to
     about pi/2 off the real t-axis.  At h = 0 the integrand is singular at
     sin^2 q = -rho^2, which c = asinh(rho) puts at t = +-i pi/2.
 
-    The action integrand is p dq/dt (plus) or (1 - p) dq/dt, with
-    p = sqrt(gap / (rho^2 + sin^2 q)) and gap = sin^2 q - 2 rho h; the period
-    takes 2 dp/dh = -2 rho / sqrt(gap (rho^2 + sin^2 q)).  Both are written in
-    sinc x = sin(x)/x so that the small c or q0 cancels by hand:
+    The action integrand is (1 - p) dq/dt, or p dq/dt on the plus side at
+    h = 0, with p = sqrt(gap / (rho^2 + sin^2 q)) and gap = sin^2 q - 2 rho h;
+    the period takes -2 dp/dh = 2 rho / sqrt(gap (rho^2 + sin^2 q)).  Both are
+    written in sinc x = sin(x)/x so that the small c cancels by hand: with
+    Y = sinh t sinc q, r = rho / c and g = 1 (h < 0) or 0,
+    p = sqrt((g + Y^2) / (r^2 + Y^2)), T' = 2 r cosh t / sqrt((g + Y^2)(r^2 + Y^2)).
 
-    * h <= 0, with Y = sinh t sinc q, r = rho / c and g = 1 (h < 0) or 0:
-      p = sqrt((g + Y^2) / (r^2 + Y^2)), T' = 2 r cosh t / sqrt((1 + Y^2)(r^2 + Y^2));
-    * h > 0, with d = q - q0, r = rho / q0, N = sinc d sinc(q + q0) and
-      B = r^2 + (cosh t sinc q)^2: p = sinh t sqrt(N / B), T' = -2 r / sqrt(N B).
-
-    Every quantity is then a few units of 2^-P absolute, the ratios r >= 1
-    (h <= 0) and B >= sinc^2(pi/2) are never small, and c or q0 multiplies
-    only as a mantissa with its own exponent (``_relative``).  The one small
-    quantity left is sinc(q + q0) >= cos(q0)/pi near the top of the plus
-    side's energy range, where 2 rho h -> 1: P takes log2(1/cos q0) more bits.
-    sinh and cosh come from one ``exp_fixed`` and sin from ``cos_sin_fixed``.
+    Every quantity is then a few units of 2^-P absolute, the ratio r >= 1 is
+    never small, and c multiplies only as a mantissa with its own exponent
+    (``_relative``), so P = Q.  sinh and cosh come from one ``exp_fixed`` and
+    sin from ``cos_sin_fixed``.
     """
     from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
-    def scale():  # q0 (h > 0) or c
-        if h > 0:
-            return mp.asin(mp.sqrt(2 * h * rho))
+    def scale():  # c
         return mp.sqrt(-2 * h * rho) if h else mp.asinh(rho)
 
-    a = scale()
-    if h > 0:
-        top = mp.acosh(mp.pi / (2 * a))
-        bits = _fixed_bits(max(0, -mp.mag(mp.cos(a))))
-    else:
-        top = mp.asinh(mp.pi / (2 * a))
-        bits = _fixed_bits()
+    top = mp.asinh(mp.pi / (2 * scale()))
     if top > 400:
         # |h| below about 1e-340, or at h = 0 rho below about 1e-173, out of
         # a float's reach: the lowest degrees would miss the mass near t = top
@@ -515,15 +502,15 @@ def _angle_form(rho, h, side: str, which: str):
         small = f"|h| = {mp.nstr(abs(h), 3)}" if h else f"rho = {mp.nstr(rho, 3)} at h = 0"
         raise DomainError(f"{small} is too small for the gauss scheme")
     period = which == "period"
+    bits = _fixed_bits()
     with mp.workprec(bits):  # the constants to the form's own scale
-        a = scale()
-        am, ae = _relative(a, bits)
-        a0 = _ints(a, bits)
-        r = _ints(rho / a, bits)
+        c = scale()
+        cm, ce = _relative(c, bits)
+        r = _ints(rho / c, bits)
         # p ~ 1/r on the plus side: p 2^lift keeps its P bits when rho is large
-        lift = max(0, mp.mag(rho / a) - 1) if side == "plus" and not period else 0
+        lift = max(0, mp.mag(rho / c) - 1) if side == "plus" and not period else 0
     one = 1 << bits
-    r2, lead = r * r, 2 * r
+    r2, lead, g = r * r, 2 * r, 1 << 2 * bits if h else 0
 
     def sinc(x):
         """sin(x)/x at scale 2^P for 0 <= x < pi 2^P, to a few units."""
@@ -536,44 +523,31 @@ def _angle_form(rho, h, side: str, which: str):
             k += 2
         return total
 
-    def cosh_sinh(t):
+    def integrand(t):
         e = exp_fixed(t << 10, bits + 10) >> 10
         ei = (one << bits) // e
-        return (e + ei) >> 1, (e - ei) >> 1
-
-    if h > 0:
-
-        def integrand(t):
-            ch, sh = cosh_sinh(t)
-            q = am * ch >> ae
-            n = sinc(max(q - a0, 0)) * sinc(q + a0)
-            b = r2 + (ch * sinc(q) >> bits) ** 2
-            if period:
-                return -((lead << 2 * bits) // math.isqrt(n * b))
-            return math.isqrt((sh * sh * n << 2 * lift) // b) * (am * sh >> ae) >> bits
-
-    else:
-        g = 1 << 2 * bits if h else 0
-
-        def integrand(t):
-            ch, sh = cosh_sinh(t)
-            y = sh * sinc(am * sh >> ae) >> bits
-            y2 = y * y
-            if period:
-                return (lead * ch << bits) // math.isqrt((g + y2) * (r2 + y2))
-            p = math.isqrt(((g + y2) << 2 * (bits + lift)) // (r2 + y2))
-            return (p if side == "plus" else one - p) * (am * ch >> ae) >> bits
+        ch, sh = (e + ei) >> 1, (e - ei) >> 1
+        y = sh * sinc(cm * sh >> ce) >> bits
+        y2 = y * y
+        if period:
+            return (lead * ch << bits) // math.isqrt((g + y2) * (r2 + y2))
+        p = math.isqrt(((g + y2) << 2 * (bits + lift)) // (r2 + y2))
+        return (p if side == "plus" else one - p) * (cm * ch >> ce) >> bits
 
     return top, (integrand, bits, -bits - lift)
 
 
-def _cut(z, lo, mid, hi, side: str):
-    """The cut from the energy point z to the root hi (plus) or lo (minus): its length, then z's
-    distances to mid and the third root; z = mid too.  ``_cut_halves`` reads it at two precisions,
-    so a caller computes 1/rho in its thunk."""
-    if side == "plus":
-        return hi - z, z - mid, z - lo
+def _cut(z, lo, mid, hi):
+    """The minus side's cut from the root lo to the energy point z: its length, then z's distances
+    to mid and hi; z = mid too.  The plus side's cut, from z to hi, is the one of the mirror
+    (``_mirror``).  ``_cut_halves`` reads it at two precisions, so a caller computes 1/rho in its
+    thunk."""
     return z - lo, mid - z, hi - z
+
+
+def _mirror(z, lo, mid, hi):
+    """The energy point and the roots under z -> -z: (-z, -hi, -mid, -lo)."""
+    return -z, -hi, -mid, -lo
 
 
 def _cut_halves(cut, k, which: str):
@@ -598,7 +572,7 @@ def _cut_halves(cut, k, which: str):
     action's y^2 / F(y) lies in [0, 1].  So only the period divides by a small
     quantity, F(u) >= near' far', which 2P bits must hold to P of its own:
     P takes (log2(1/min(near', far')) - P)/2 more bits when that is positive,
-    which |h| or 1/rho^2 (rho^2 on the plus side) below 2^-P span asks for.
+    which |h| or 1/rho^2 below 2^-P span asks for.
     """
     span, near, far = cut()
     s = 2 * (mp.mag(span) // 2)
@@ -642,33 +616,50 @@ def _integral(kappa, h, side, which: str, scheme: str, tol, wdps) -> QuadratureR
     """The action (which="action") or the period of one side by one scheme.
 
     side=None takes the side from h, which must lie strictly inside one; with
-    a side, h = 0 gives the separatrix limit of the action.  T = 2 pi I' is
-    negative above the separatrix: the area under it shrinks as h grows.
+    a side, h = 0 gives the separatrix limit of the action.
+
+    Above the separatrix, h != 0 is computed as the minus side at (-kappa, -h).
+    The cubic C(x; kappa) = x (1 - kappa x - x^2) has the roots -rho, 0, 1/rho,
+    C(-x; -kappa) = -C(x; kappa) and rho(-kappa) = 1/rho(kappa).  The plus
+    side's action at z = 2h is (1/2 pi) times the integral of
+    sqrt((x - z) / C(x; kappa)) over its cut (z, 1/rho); x -> -x turns it into
+    the integral of sqrt((-z - x) / -C(x; -kappa)) over (-1/rho, -z), the
+    minus side's at (-kappa, -z).  So I+(h; kappa) = I-(-h; -kappa), and
+    T = 2 pi I' gives T+(h; kappa) = -T-(-h; -kappa): T is negative above the
+    separatrix, where the area under it shrinks as h grows.  At h = 0 gauss
+    keeps its side's form (mirrored, it would refuse large rho, whose
+    c = asinh(1/rho) is too small), and tanh-sinh cuts the mirrored roots.
     """
     with mp.workdps(wdps):
         kq, hq = _to_mp(kappa), _to_mp(h)
+        side = side or _side(2 * hq, *_roots(rho_for_kappa(kq)))
+        sign = 1
+        if side == "plus" and hq:
+            kq, hq, side, sign = -kq, -hq, "minus", -1 if which == "period" else 1
         rho = rho_for_kappa(kq)
-        side = side or _side(2 * hq, *_roots(rho))
         if scheme == "gauss":
             top, form = _angle_form(rho, hq, side, which)
-            result = _quad(*form, top, "gauss")
-            scale = mp.pi
+            result, scale = _quad(*form, top, "gauss"), mp.pi
         elif scheme == "tanh-sinh":
-            sign = -1 if which == "period" and side == "plus" else 1
-            result = _quad_cut(lambda: _cut(2 * hq, *_roots(rho), side), sign, which)
-            scale = 2 * mp.pi
+
+            def cut():
+                point = (2 * hq, *_roots(rho))
+                return _cut(*(_mirror(*point) if side == "plus" else point))
+
+            result, scale = _quad_cut(cut, 1, which), 2 * mp.pi
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         if which == "period":
             scale = 1
-        return _result(result, scale, tol)
+        return _result(result._replace(value=sign * result.value), scale, tol)
 
 
 def action_quadrature(kappa, h, tol: float = 1e-12, dps: int = 50, scheme: str = "gauss") -> QuadratureResult:
     """Separatrix-side action I_beta(h) by direct quadrature.
 
     Positive h integrates the momentum branch between the turning angles,
-    negative h the complementary area (1 - p) over the full half period.
+    negative h the complementary area (1 - p) over the full half period;
+    the first is computed as the second at (-kappa, -h).
     """
     return _integral(kappa, h, None, "action", scheme, tol, _working_dps(dps))
 
@@ -692,15 +683,17 @@ def action_unscaled_quadrature(params: TopParams, h_sans: float, tol: float = 1e
     """Action of the original (dimension-carrying) system in the inertia variable.
 
     The cubic's roots (1/theta3, 1/theta2, 1/theta1) and the energy point 2 h / ell^2 go through
-    the scaled action's ``_side`` and ``_cut``.  Taken from theta, not rho, the roots check the
-    energy scaling: the result equals 2 ell I_beta(h) after it.
+    the scaled action's ``_side`` and ``_cut``, mirrored above the separatrix as in ``_integral``.
+    Taken from theta, not rho, the roots check the energy scaling: the result equals 2 ell I_beta(h)
+    after it.
     """
     with mp.workdps(_working_dps(dps)):
         ell = mp.mpf(params.ell)
         roots = tuple(1 / mp.mpf(t) for t in (params.theta3, params.theta2, params.theta1))
-        z = 2 * _to_mp(h_sans) / ell**2
-        side = _side(z, *roots)
-        return _result(_quad_cut(lambda: _cut(z, *roots, side), ell, "action"), mp.pi, tol)
+        point = (2 * _to_mp(h_sans) / ell**2, *roots)
+        if _side(*point) == "plus":
+            point = _mirror(*point)
+        return _result(_quad_cut(lambda: _cut(*point), ell, "action"), mp.pi, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,10 @@ def test_symmetric_top_side_symmetry():
 
 
 def test_gauss_needs_no_high_degree_near_the_separatrix():
-    # q = a sinh t (minus) and q = q0 cosh t (plus) leave no pinch of width
-    # sqrt|h| on the real axis, so the sides agree with tanh-sinh to 50 digits
-    # and h = 1e-12 stays within Gauss-Legendre degree 7 (381 evaluations)
+    # q = c sinh t leaves no pinch of width sqrt|h| on the real axis (the plus
+    # side is the minus side at (-kappa, -h)), so the sides agree with
+    # tanh-sinh to 50 digits and h = 1e-12 stays within Gauss-Legendre
+    # degree 7 (381 evaluations)
     for h in (1e-6, -1e-6):
         gauss = action_quadrature(0.0, h, tol=1e-40, dps=50, scheme="gauss")
         ts = action_quadrature(0.0, h, tol=1e-40, dps=50, scheme="tanh-sinh")
@@ -186,11 +187,13 @@ def test_gauss_beyond_its_degree_cap_raises():
     # h; the mirror kappa = 1e300 runs
     with pytest.raises(DomainError, match=r"rho = 1\.0e-300 at h = 0 is too small"):
         verify_series_numerics(-1e300, [0], order=2)
-    # both schemes at the edges of rho, with the evaluation counts of the mpf
-    # integrands the fixed-point ones replaced
+    # both schemes at the edges of rho.  Above the separatrix they run on
+    # the minus side at (-kappa, -h), so the h = 1e-31 row at kappa = +-1e30
+    # costs what the h = -1e-31 row costs at -+1e30
     for kappa, samples, order, counts in (
         (1e300, [0], 2, [79, 583]),
-        (1e30, [0, 1e-31, -1e-31], 4, [233, 4783, 375, 4807]),
+        (1e30, [0, 1e-31, -1e-31], 4, [233, 4783, 1047, 4807]),
+        (-1e30, [0, 1e-31, -1e-31], 4, [4951, 305, 4807, 1047]),
     ):
         report = verify_series_numerics(kappa, samples, order=order)
         assert report.passed
@@ -383,7 +386,9 @@ def test_domain_errors():
 def _reference_angle(rho, h, side, which):
     """The gauss integrand in mpf, as oracle evaluated it before its integrands
     ran on ints: p = sqrt(gap / (rho^2 + sin^2 q)) dq/dt (plus) or 1 - p, and
-    the period 2 dp/dh dq/dt."""
+    the period 2 dp/dh dq/dt.  At h > 0 it is the plus side's own form,
+    q = q0 cosh t over (0, acosh(pi / (2 q0))), which checks oracle's map of
+    the plus side to the minus side at (-kappa, -h)."""
     if h > 0:
         q0 = mp.asin(mp.sqrt(2 * h * rho))
 
@@ -422,14 +427,14 @@ def _reference_halves(lo, hi, g, energy_at_lo):
 
 
 def _reference_cut(rho, h, side, which):
-    """The tanh-sinh integrands in mpf on the cut from 2h to 1/rho or -rho."""
+    """The tanh-sinh integrands in mpf on the cut from 2h to 1/rho or -rho; the
+    plus side's period, which oracle takes from the minus side, is not here."""
     if side == "plus":
         lo, hi, smooth = 2 * h, 1 / rho, lambda z: z * (z + rho)
     else:
         lo, hi, smooth = -rho, 2 * h, lambda z: (-z) * (1 / rho - z)
     if which == "period":
-        sign = -1 if side == "plus" else 1
-        g = lambda z, dlo, dhi: sign / mp.sqrt(dlo * dhi * smooth(z))
+        g = lambda z, dlo, dhi: 1 / mp.sqrt(dlo * dhi * smooth(z))
     elif side == "plus":
         g = lambda z, dlo, dhi: mp.sqrt(dlo / (smooth(z) * dhi))
     else:
@@ -503,23 +508,26 @@ def _assert_fixed_matches(seen, references, dps, units, nodes):
     nodes=st.lists(st.integers(1, 2**40 - 1), min_size=1, max_size=3),
 )
 def test_fixed_point_integrands_match_the_mpf_forms(kappa, exponent, sign, dps, nodes):
-    # h from +-1e-100 up to +-0.3 of the convergence disc, and h = 0
+    # h from +-1e-100 up to +-0.3 of the convergence disc, and h = 0.  Above
+    # the separatrix oracle integrates the minus side at (-kappa, -h), so the
+    # reference is the minus form there
     with mp.workdps(dps):
         rho = rho_for_kappa(oracle._to_mp(kappa))
         disc = min(rho, 1 / rho) / 2
         h = sign * min(mp.mpf(10) ** exponent, 0.3 * disc)
         sides = ("plus", "minus") if sign == 0 else ("plus" if sign > 0 else "minus",)
+        mirror = (rho_for_kappa(-oracle._to_mp(kappa)), -h, "minus")
     for side in sides:
         for which in ("action",) if sign == 0 else ("action", "period"):
             for scheme, reference in (("gauss", _reference_angle), ("tanh-sinh", _reference_cut)):
                 seen = _integrands(lambda: oracle._integral(kappa, h, side, which, scheme, 1, dps))
                 with mp.workdps(dps + 30):
-                    refs = reference(rho, h, side, which)
+                    refs = reference(*(mirror if sign > 0 else (rho, h, side)), which)
                     refs = refs if scheme == "tanh-sinh" else (refs,)
                     if scheme == "gauss":
                         units = (1,)
                     else:
-                        span = oracle._cut(2 * h, *oracle._roots(rho), side)[0]
+                        span = 2 * seen[0][3] ** 2  # the driver's end is sqrt(span/2)
                         units = (span ** (-0.5 if which == "action" else -1.5),) * 2
                 _assert_fixed_matches(seen, refs, dps, units, nodes)
 
@@ -603,28 +611,39 @@ def test_driver_matches_mp_quad_on_the_mpf_forms(kappa, h, dps):
     # each node t to prec + 20 bits of the range's end: that moves its value
     # by up to 1e-34 at 50 digits.  There the reference is the same rule with
     # its nodes mapped exactly, which the driver must match more closely than
-    # mp.quad does.
+    # mp.quad does.  Above the separatrix the driver runs on the minus side
+    # at (-kappa, -h), whose mpf forms are the reference there; mp.quad over
+    # the plus side's own angle form must meet its action and negated period.
     with mp.workdps(dps):
         rho = rho_for_kappa(oracle._to_mp(kappa))
+        mirror = (rho_for_kappa(-oracle._to_mp(kappa)), -mp.mpf(h), "minus")
+        bound = mp.mpf(10) ** -(dps - 2)
     sides = ("plus", "minus") if h == 0 else ("plus" if h > 0 else "minus",)
     for side in sides:
         for which in ("action",) if h == 0 else ("action", "period"):
             for scheme, reference in (("gauss", _reference_angle), ("tanh-sinh", _reference_cut)):
                 _, seen = _driven(lambda: oracle._integral(kappa, h, side, which, scheme, 1, dps))
                 with mp.workdps(dps + 30):
-                    refs = reference(rho, mp.mpf(h), side, which)
+                    refs = reference(*(mirror if h > 0 else (rho, mp.mpf(h), side)), which)
                 refs = refs if scheme == "tanh-sinh" else (refs,)
                 assert len(seen) == len(refs)
                 for (end, ours), ref in zip(seen, refs):
                     with mp.workdps(dps):
                         value, count = _mp_quad(ref, end, scheme)
-                        bound = mp.mpf(10) ** -(dps - 2)
                         if scheme == "tanh-sinh" and which == "period" and abs(h) <= 1e-30:
                             exact, _ = _mp_quad(ref, end, scheme, "exact")
                             assert abs(ours.value - exact) <= abs(value - exact) + bound, side
                         else:
                             assert abs(ours.value - value) <= bound, (side, which, scheme)
                     assert ours.evaluations == count, (side, which, scheme)
+                if scheme == "gauss" and h > 0:
+                    with mp.workdps(dps + 30):
+                        own = _reference_angle(rho, mp.mpf(h), side, which)
+                        top = mp.acosh(mp.pi / (2 * mp.asin(mp.sqrt(2 * h * rho))))
+                    with mp.workdps(dps):
+                        value, _ = _mp_quad(own, top, scheme)
+                        mapped = -ours.value if which == "period" else ours.value
+                        assert abs(value - mapped) <= bound, (which, "the plus side's own form")
 
 
 def test_quadrature_reports_its_degree():

@@ -56,6 +56,8 @@ thread sees a whole table.
 frobenius_table is the one entry point of the symbolic a/b tables and the
 one place that picks between the two independent routes, the recursions
 and the closed-form trinomial sums; frobenius_a_at and _b_at read the recursions.
+It keeps the rows of the one route it ran last, with that route's state
+after them, and runs the route on from there when a higher order is asked.
 
 Scaling convention: the exact rational channel stores 2*pi*I_r and 2*pi*I_s
 (so 2*pi*I_r = h + O(h^2)); the transcendental constants of the particular
@@ -253,35 +255,42 @@ def _row_weigh(x: _Row) -> _Row:
     return _Row((0, *x)) if x else x
 
 
-def _a_rows(ring, order: int):
+def _a_rows(ring, order: int, last=None):
     """A_0..A_order from n^2 A_n = (2n-1) (4 (2n-1) kappa A_{n-1} + 64 (2n-3) w A_{n-2}),
     each a ring element: the coefficients of kappa^n, kappa^(n-2), ... as a
-    packed _Row, or the one int value at kappa = p/q."""
+    packed _Row, or the one int value at kappa = p/q.  From last =
+    (n, A_(n-1), A_n) of an earlier pass in the same ring, only the rows
+    after A_n."""
     one, up, weigh, _, div = ring
-    prev, row = 0 * one, one
-    yield row
-    for n in range(1, order + 1):
+    start, prev, row = last or (0, 0 * one, one)
+    if not last:
+        yield row
+    for n in range(start + 1, order + 1):
         m = 2 * n - 1
         prev, row = row, div(4 * m * m * up(row) + 64 * m * (m - 2) * weigh(prev), n * n)
         yield row
 
 
-def _b_rows(ring, lcms: list):
-    """(A_n, B_n) for n = 0..order, order = len(lcms) - 1, from n^3 B_n =
+def _b_rows(ring, lcms: list, last=None):
+    """The state (n, (A_(n-1), B_(n-1)), (A_n, B_n)) after each n = 0..order,
+    order = len(lcms) - 1, from n^3 B_n =
     (2n-1) [8 L_n kappa A_{n-1} + 4n (2n-1) (L_n/L_{n-1}) kappa B_{n-1} +
     64n (2n-3) (L_n/L_{n-2}) w B_{n-2}] + 64 (8n-6) L_n w A_{n-2}, with the
     A rows of _a_rows run in lockstep and L_n/L_(n-1) read from the kept
-    _lcm_steps.  B_n = 8^n L_n b_n is integral for
+    _lcm_steps.  Given the last state of an earlier pass in the same ring
+    as last, it yields only the states after it.  B_n = 8^n L_n b_n is integral for
     L_n = lcms[n] = lcm(1, ..., n): b_n has 4^k C(2n, n) T(n, k) f_{n,k} / 8^n
     at kappa^(n-2k) (_closed_form), with denominators up to n in H_n and up to
     2n - 1 in the odd sums.  L_n lacks one p of each odd prime power p^e in
     (n, 2n-1], and C(2n, n) has it, as n + n carries in base p (for p > n,
     against the 1/p of O_n or O_(n-k))."""
     one, up, weigh, _, div = ring
-    a_rows, steps = _a_rows(ring, len(lcms) - 1), _lcm_steps(len(lcms) - 1)
-    a_prev, a_row, b_prev, row = 0 * one, next(a_rows), 0 * one, 0 * one
-    yield a_row, row
-    for n, a_next in zip(range(1, len(lcms)), a_rows):
+    state = last or (0, (0 * one, 0 * one), (one, 0 * one))
+    start, (a_prev, b_prev), (a_row, row) = state
+    a_rows, steps = _a_rows(ring, len(lcms) - 1, (start, a_prev, a_row)), _lcm_steps(len(lcms) - 1)
+    if not last:
+        yield state
+    for n, a_next in zip(range(start + 1, len(lcms)), a_rows):
         m, step = 2 * n - 1, steps[n]
         known = (
             lcms[n] * (8 * m * up(a_row) + 64 * (8 * n - 6) * weigh(a_prev))
@@ -289,7 +298,7 @@ def _b_rows(ring, lcms: list):
             + 64 * n * m * (m - 2) * step * steps[n - 1] * weigh(b_prev)
         )
         a_prev, a_row, b_prev, row = a_row, a_next, row, div(known, n**3)
-        yield a_row, row
+        yield n, (a_prev, b_prev), (a_row, row)
 
 
 def _next_pascal(rows: list, n: int) -> list[int]:
@@ -463,6 +472,11 @@ def _sigma_tail(ring, y: list, y2: list, rows: list, q: int) -> list:
     return tail
 
 
+def _packed_ring() -> tuple:
+    """The ring of the symbolic tables, at KP_KAPPA: packed _Row, as the comment above reads it."""
+    return _Row((1,)), (lambda x: x), _row_weigh, _row_dot, _row_div
+
+
 def _scaled_sequences(kappa, n: int) -> tuple:
     """The a, b, bnf and sigma-tail coefficients through index n at kappa
     (KP_KAPPA, an int or a Fraction) as (X, S) pairs, each list behind a
@@ -470,15 +484,15 @@ def _scaled_sequences(kappa, n: int) -> tuple:
     the weight of X (read by the packed ring alone): the one entry to the
     four recurrences and the one place that reads kappa's type, which picks
     the one ring all four run on.  a and b keep no state, so each call
-    builds its table anew (b runs its own A rows, and b(with_a=True) yields
-    both pairs); bnf and sigma share one pass of _bnf."""
+    builds its table anew (b runs its own A rows); bnf and sigma share one
+    pass of _bnf."""
     if _is_exact_rational(kappa):
         p, q = Fraction(kappa).as_integer_ratio()
         w = q * q
         ring, emit = (1, (lambda x: x * p), (lambda x: x * w), _dot, _exact), (lambda x, s, d: Fraction(x, s))
     elif kappa == KP_KAPPA:
         q = 1
-        ring, emit = (_Row((1,)), (lambda x: x), _row_weigh, _row_dot, _row_div), _parity_poly
+        ring, emit = _packed_ring(), _parity_poly
     else:  # a float kappa would run silently at its 53-bit binary value, a bool as 0 or 1
         raise SeriesUsageError(f"kappa must be an int, a Fraction or KP_KAPPA, got {kappa!r}")
     _check_order(n, 0, SeriesUsageError, "table order must be non-negative")
@@ -486,12 +500,9 @@ def _scaled_sequences(kappa, n: int) -> tuple:
     def a():
         return list(zip(_a_rows(ring, n), _powers(8 * q)))
 
-    def b(with_a=False):
+    def b():
         lcms = _lcm_table(n)
-        rows = zip(_b_rows(ring, lcms), _powers(8 * q), lcms)
-        if with_a:  # b alone makes no a pairs: short-lived ones among the kept b pairs raised peak RSS
-            return (((x, s), (y, s * lcm)) for (x, y), s, lcm in rows)
-        return [(y, s * lcm) for (_, y), s, lcm in rows]
+        return [(y, s * lcm) for (_, _, (_, y)), s, lcm in zip(_b_rows(ring, lcms), _powers(8 * q), lcms)]
 
     bnf_pass = functools.cache(lambda: _bnf(ring, n))
 
@@ -513,7 +524,21 @@ def _sequences(kappa, n: int) -> dict:
     return {name: emitted(pairs, -1 if name in ("bnf", "sigma") else 0) for name, pairs in scaled.items()}
 
 
-def _closed_form(order: int) -> tuple[list, list]:
+def _recursion(order: int, last) -> tuple[list, list, tuple]:
+    """a_n and b_n for n = 0..order by the recursions, the pass of _b_rows on
+    packed rows, each made a KappaPoly by _parity_poly over 8^n and 8^n L_n,
+    and the state after b_order.  Given the state of an earlier call as last,
+    the pass runs on from there: only the rows after it, and None starts at
+    row 0."""
+    lcms, a, b = _lcm_table(order), [], []
+    for last in _b_rows(_packed_ring(), lcms, last):
+        n, _, (x, y) = last
+        a.append(_parity_poly(x, 8**n, n))
+        b.append(_parity_poly(y, 8**n * lcms[n], n))
+    return a, b, last
+
+
+def _closed_form(order: int, last) -> tuple[list, list, tuple]:
     """a_0..a_order and b_0..b_order from the terminating trinomial sum
     a_n = 4^{-n} C(2n, n) sum_k C(2n-2k; k, n-k, n-2k) (kappa/2)^{n-2k}; b_n,
     the indicial derivative of the deformed a_n at root 0, is the same sum with
@@ -524,10 +549,15 @@ def _closed_form(order: int) -> tuple[list, list]:
     reduction would remove (391 bits at n = 197, where 6 bits are left), is
     cancelled once per row: the b row is built with 2 C(2n, n) / g over
     8^n L_n / g.  Each row is held packed, its kappa^(n-2k) coefficient
-    at entry k, and made a KappaPoly by _parity_poly, as the recursion's."""
-    a, b = [KP_ONE], [KP_ZERO]
-    lcms, steps, odd, harmonic = _lcm_table(2 * order), _lcm_steps(2 * order), [0], 0
-    for n in range(1, order + 1):
+    at entry k, and made a KappaPoly by _parity_poly, as the recursion's.
+    The third value is the state after row order, (order, [O_m L_order for
+    m = 0..order], H_order L_order); given it as last, a later call builds
+    only the rows after it, and None starts at row 0."""
+    lcms, steps = _lcm_table(2 * order), _lcm_steps(2 * order)
+    start, odd, harmonic = last or (0, [0], 0)
+    a, b = ([], []) if last else ([KP_ONE], [KP_ZERO])
+    odd = [*odd]  # appended to below: the state passed in stays as it was
+    for n in range(start + 1, order + 1):
         ln, step = lcms[2 * n - 1], steps[2 * n - 1] * steps[2 * n - 2]
         if step > 1:
             odd, harmonic = [o * step for o in odd], harmonic * step
@@ -545,7 +575,7 @@ def _closed_form(order: int) -> tuple[list, list]:
             t = _exact(t * (n - 2 * k) * (n - 2 * k - 1), 2 * (k + 1) * (2 * n - 2 * k - 1))
         a.append(_parity_poly(row_a, 8**n, n))
         b.append(_parity_poly(row_b, den // g, n))
-    return a, b
+    return a, b, (order, odd, harmonic)
 
 
 def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
@@ -556,6 +586,11 @@ def frobenius_a_at(kappa: Fraction, order: int) -> list[Fraction]:
 def frobenius_b_at(kappa: Fraction, order: int) -> list[Fraction]:
     """b_n evaluated at an exact rational kappa (fast path for long tables)."""
     return _sequences(kappa, order)["b"]()
+
+
+# (method, a, b, last): the rows frobenius_table built last, all of one route,
+# and that route's state after them; None when nothing is kept
+_route = None
 
 
 class FrobeniusTable(_Frozen):
@@ -574,16 +609,37 @@ def frobenius_table(order: int, method: str = "recursion") -> FrobeniusTable:
     of the log solution T_s = T_r log h + sum b_n h^n, as kappa-polynomials,
     by the two independent routes: 'recursion' runs the a recursion from
     a_0 = 1 and the b recursion on it, 'closed_form' the trinomial sums.
+
+    No row changes when the order rises, so the rows of the route run last
+    are kept with its state after them (_recursion, _closed_form): an order
+    at or below the kept one is their truncation, and a higher one runs the
+    same route on from its last row.  A call for the other route drops them
+    before it builds anything, so at most one route's rows are held, those
+    of the last table asked for or of a higher order, and neither route ever
+    serves the other's rows.  A call whose route raises keeps nothing, and
+    ``cache_clear()`` drops the kept rows.
     """
+    global _route
     _check_order(order, 0)
-    if method == "recursion":
-        emit, scaled = _scaled_sequences(KP_KAPPA, order)
-        a, b = zip(*((emit(*x, n), emit(*y, n)) for n, (x, y) in enumerate(scaled["b"](with_a=True))))
-    elif method == "closed_form":
-        a, b = _closed_form(order)
-    else:
+    if method not in ("recursion", "closed_form"):
         raise SeriesUsageError(f"unknown method {method!r}")
-    return FrobeniusTable(order, tuple(a), tuple(b))
+    kept, _route = _route, None  # a route that raises leaves nothing kept
+    if kept is None or kept[0] != method:  # the other route's rows are dropped before any is built
+        kept = (method, (), (), None)
+    _, a, b, last = kept
+    if order >= len(a):
+        more_a, more_b, last = (_recursion if method == "recursion" else _closed_form)(order, last)
+        a, b = (*a, *more_a), (*b, *more_b)
+    _route = (method, a, b, last)
+    return FrobeniusTable(order, a[: order + 1], b[: order + 1])
+
+
+def _drop_route() -> None:
+    global _route
+    _route = None
+
+
+frobenius_table.cache_clear = _drop_route
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,8 @@ class KappaPoly(_Frozen):
 
     def flip_kappa(self) -> "KappaPoly":
         """The polynomial with kappa replaced by -kappa."""
-        return _kappa_poly(_alternate(self.num), self.den)
+        # the odd entries negated is canonical already: no _settle
+        return _canonical(_Row(_alternate(self.num)), self.den)
 
     def __call__(self, kappa):
         """Horner evaluation; exact when ``kappa`` is an int or a Fraction."""

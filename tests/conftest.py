@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, settings
 
 from eulertop.invariants import bnf_via_reversion, extract_sigma
 from eulertop.normalform import euler_normal_form
-from eulertop.picardfuchs import assemble_beta_actions
+from eulertop.picardfuchs import assemble_beta_actions, frobenius_table
 
 settings.register_profile(
     "deterministic",
@@ -14,7 +14,7 @@ settings.register_profile(
 )
 settings.load_profile("deterministic")
 
-KEEPING = (euler_normal_form, bnf_via_reversion, extract_sigma, assemble_beta_actions)
+KEEPING = (euler_normal_form, bnf_via_reversion, extract_sigma, assemble_beta_actions, frobenius_table)
 
 
 @pytest.fixture(autouse=True)

@@ -136,7 +136,7 @@ ROUTE_CHECKS = {
 def test_routes_that_disagree_exit_3(capsys, monkeypatch, name):
     command, module, route, nudge, (first, second) = ROUTE_CHECKS[name]
     original = getattr(module, route)
-    monkeypatch.setattr(module, route, lambda order: nudge(original(order)))
+    monkeypatch.setattr(module, route, lambda *args: nudge(original(*args)))
     code, out, err = run_cli(capsys, *command.split(" "))
     assert code == 3 and out == ""
     assert err == f"internal failure: {first} and {second} disagree\n"

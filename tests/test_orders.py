@@ -1,6 +1,6 @@
 """Order arguments: the checks every order-taking function makes, and the
-results kept at the highest order (series._keeps_highest) against results
-computed cold."""
+results kept at the highest order (series._keeps_highest) and the rows of
+the Frobenius route run last against results computed cold."""
 
 from fractions import Fraction
 
@@ -84,6 +84,88 @@ def test_a_call_that_raises_keeps_nothing(monkeypatch, name):
     for order in (floor + 3, floor):  # the lower order is not answered by the failed higher one
         with pytest.raises(InternalConsistencyError, match="a broken step"):
             fn(order)
+
+
+def _route_runs(monkeypatch) -> list:
+    """Record each run of a frobenius_table route as (route, the row it runs
+    on from or None for row 0, the order it runs to)."""
+    runs = []
+    for name in ("_recursion", "_closed_form"):
+        original = getattr(picardfuchs, name)
+
+        def run(order, last, f=original, name=name):
+            runs.append((name[1:], last and last[0], order))
+            return f(order, last)
+
+        monkeypatch.setattr(picardfuchs, name, run)
+    return runs
+
+
+# orders 0 and 1, a resume, a truncation, a switch that truncates nothing
+# kept, and the top order 201 reached by a resume and after a switch
+ROUTE_CALLS = (
+    ((0, "recursion"), ("recursion", None, 0)),
+    ((1, "recursion"), ("recursion", 0, 1)),
+    ((40, "recursion"), ("recursion", 1, 40)),
+    ((200, "recursion"), ("recursion", 40, 200)),
+    ((83, "recursion"), None),
+    ((160, "closed_form"), ("closed_form", None, 160)),
+    ((83, "closed_form"), None),
+    ((201, "closed_form"), ("closed_form", 160, 201)),
+    ((0, "closed_form"), None),
+    ((40, "recursion"), ("recursion", None, 40)),
+    ((201, "recursion"), ("recursion", 40, 201)),
+    ((1, "closed_form"), ("closed_form", None, 1)),
+)
+
+
+def test_kept_route_tables_equal_cold_ones(monkeypatch):
+    runs, warm = _route_runs(monkeypatch), []
+    for (order, method), run in ROUTE_CALLS:
+        runs.clear()
+        warm.append(frobenius_table(order, method))
+        assert runs == ([run] if run else []), (order, method)
+    for ((order, method), _), table in zip(ROUTE_CALLS, warm):
+        frobenius_table.cache_clear()
+        cold = frobenius_table(order, method)
+        assert table == cold and repr(table) == repr(cold), (order, method)
+
+
+@pytest.mark.parametrize("method, divisor", [("recursion", 150**3), ("closed_form", 2 * 150 - 1)])
+def test_a_law_that_fails_mid_resume_keeps_nothing(monkeypatch, method, divisor):
+    # the division of row 150 alone: n^3 B_n, or L_n / (2n - 1) in the odd sums
+    frobenius_table(100, method)
+    exact = picardfuchs._exact
+
+    def failing(num, den):
+        if den == divisor:
+            raise InternalConsistencyError("a denominator law failed: inexact division")
+        return exact(num, den)
+
+    with monkeypatch.context() as m:
+        m.setattr(picardfuchs, "_exact", failing)
+        with pytest.raises(InternalConsistencyError, match="inexact division"):
+            frobenius_table(200, method)
+    assert picardfuchs._route is None
+    runs = _route_runs(monkeypatch)
+    frobenius_table(80, method)  # below the 100 kept before: a pass from row 0
+    assert runs == [(method, None, 80)]
+
+
+def test_a_route_switch_keeps_only_the_new_route(monkeypatch):
+    frobenius_table(200, "recursion")
+    closed_form = picardfuchs._closed_form
+
+    def checked(order, last):
+        assert picardfuchs._route is None and last is None  # the recursion's rows dropped before any is built
+        return closed_form(order, last)
+
+    monkeypatch.setattr(picardfuchs, "_closed_form", checked)
+    frobenius_table(80, "closed_form")
+    method, a, b, last = picardfuchs._route
+    assert (method, len(a), len(b), last[0]) == ("closed_form", 81, 81, 80)
+    frobenius_table.cache_clear()
+    assert picardfuchs._route is None
 
 
 @pytest.mark.parametrize("order", [True, 8.0])

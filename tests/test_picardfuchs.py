@@ -135,18 +135,25 @@ def test_b_denominators_divide_8_to_the_n_times_lcm_1_to_n():
 
 
 def test_recursion_table_runs_one_a_pass(monkeypatch):
-    # frobenius_table reads a and b from the one pass of _b_rows, and an
-    # a-only sequence runs no b rows
+    # frobenius_table reads a and b from the one pass of _b_rows, a higher
+    # order runs that pass on from the kept last row, with its A rows in
+    # lockstep, a lower one starts none, and an a-only sequence runs no b rows
     calls = []
     for name in ("_a_rows", "_b_rows"):
         original = getattr(picardfuchs, name)
-        monkeypatch.setattr(picardfuchs, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
-    for n in (0, 1, 30):
+
+        def spy(*args, f=original, name=name):
+            last = args[2] if len(args) > 2 else None
+            calls.append((name, last and last[0]))  # the index the pass runs on from, None for row 0
+            return f(*args)
+
+        monkeypatch.setattr(picardfuchs, name, spy)
+    for n in (0, 1, 30, 20):
         frobenius_table(n)
-    assert calls == ["_b_rows", "_a_rows"] * 3
+    assert calls == [("_b_rows", None), ("_a_rows", 0), ("_b_rows", 0), ("_a_rows", 0), ("_b_rows", 1), ("_a_rows", 1)]
     calls.clear()
     _sequences(Fraction(1, 2), 30)["a"]()
-    assert calls == ["_a_rows"]
+    assert calls == [("_a_rows", None)]
 
 
 def test_kept_tables_grow_out_of_order(monkeypatch):

@@ -17,6 +17,7 @@ from eulertop.series import (
     SeriesUsageError,
     SingularReversionError,
     _Row,
+    _alternate,
     _cauchy,
     _kappa_poly,
     _row_dot,
@@ -567,6 +568,16 @@ def test_kappa_poly_is_canonical(a, m):
     assert (same.num, same.den) == (p.num, p.den)
     assert p.den > 0 and math.gcd(p.den, *p.num) == 1 and (not p.num or p.num[-1])
     assert pickle.loads(pickle.dumps(p)) == p
+
+
+@given(raw_lists)
+def test_flip_kappa_is_canonical_without_a_reduction(a):
+    # negating the odd entries keeps den > 0, the last entry nonzero and
+    # gcd(den, *num) = 1: the fields are those the reduction would give
+    p = KappaPoly(a)
+    flipped, settled = p.flip_kappa(), _kappa_poly(_alternate(p.num), p.den)
+    assert (flipped.num, flipped.den) == (settled.num, settled.den)
+    assert type(flipped.num) is _Row
 
 
 # numerators with up to 720 trailing zeros, zeros and negatives among them
